@@ -1,197 +1,148 @@
-//! Criterion benchmarks behind Fig. 7 (model serving throughput as thread
-//! count grows), the sharded serving engine (throughput as shard count
-//! grows), and the streaming session (per-request latency percentiles
-//! under a Poisson arrival source).
+//! The serving policy bench: six behaviour comparisons over the sharded,
+//! tiered serving system — `tier_placement`, `statistical_placement`,
+//! `sdm_ladder`, `working_set_estimation`, `online_rebalance` and
+//! `multi_tenant_burst`, each described at its function below — every one
+//! checked against its own invariants before anything is written.
 //!
-//! Besides the Criterion timings, the sharded bench writes a JSON summary
-//! (`BENCH_serving.json` at the workspace root, or under `RECMG_OUT`) with
-//! eleven sections, so the perf trajectory is machine-readable:
+//! What the system *costs* — keys/s, latency, per-layer ns — is measured
+//! by `benchmark/` (see `benchmark/README.md`); this bench keeps the
+//! comparisons that are claims about *policy*, stated in counted events
+//! and modelled hit-weighted cost.
 //!
-//! * `sharded` — keys/sec, speedup over the single-thread inline engine,
-//!   and the full [`EngineReport`] per shard count (one warmup pass, then
-//!   three serve passes aggregated per row; serialized by the one
-//!   `EngineReport::to_json` helper — field names are fixed, nothing is
-//!   re-derived ad hoc here);
-//! * `guidance_batching` — 8-shard rows with plane coalescing on
-//!   (`max_batch` 8) vs off (`max_batch` 1): what batching buys in
-//!   `guided_fraction` and throughput at the highest shard count;
-//! * `workload_grid` — model-serving throughput over a small
-//!   [`WorkloadSpec`] matrix (2 skews × 2 table counts), not a single
-//!   point;
-//! * `tier_placement` — even-split vs working-set vs hot-first placement
-//!   on a skewed workload over a DRAM + penalized-CXL topology, compared
-//!   on per-tier hit-weighted access cost (CI asserts hot-first never
-//!   costs more than even-split);
-//! * `statistical_placement` — hash-even vs the RecShard-style
-//!   [`StatisticalPlacement`] policy on heterogeneous 26-table workloads
-//!   (a mild geometric size spread and the libai DLRM `table_size_array`
-//!   spanning 7 orders of magnitude), compared on hit-weighted access
-//!   cost; each variant row records the pinned/split table counts and the
-//!   cost margin over hash-even, which must grow with the size spread (CI
-//!   asserts both);
-//! * `sdm_ladder` — a calibrated DRAM → mapped-file → file stack serving
-//!   a skewed stream whose footprint is 4× the fast tier, blocking vs
-//!   async slow-tier fills; one bind-time probe prices the tiers for
-//!   both rows, and CI asserts the async row's hit-weighted cost never
-//!   exceeds the blocking row's (coalesced/dropped fills are installs
-//!   the async plane never pays for);
-//! * `router_fast_path` — ns/key through [`ShardRouter::shard_of`] for a
-//!   hash-routed table vs a pinned table resolved by the direct
-//!   table-id directory lookup;
-//! * `online_rebalance` — the same phase-flip workload served through
-//!   streaming sessions that are never drained mid-phase: `steady` (no
-//!   flip, the latency floor), `quiescent_reactive` (stop-the-world
-//!   drains + [`Rebalancer::try_rebalance`] re-placement), and `live`
-//!   (zero-quiescence migration plus sketch-driven read-hot replication),
-//!   compared on cumulative hit-weighted cost and closed-loop p99; a
-//!   `move_only` vs `replicated` pair isolates what a fast-tier replica
-//!   buys a read-hot shard that cannot fit in the fast tier;
-//! * `multi_tenant_burst` — two tenants (SLA-budgeted weight-3 vs
-//!   quota'd best-effort) through one live session, `steady` vs a
-//!   Markov-modulated `flash_crowd` whose spike state floods from the
-//!   flipped hot set: CI asserts the budgeted tenant's p99 stays within
-//!   2× its steady-state value, the best-effort tenant absorbs the shed,
-//!   the phase trigger fires, and per-tenant accounting conserves
-//!   exactly;
-//! * `streaming` — `SessionReport::to_json` rows for shards {1, 4} under
-//!   a Poisson arrival source calibrated to ~70% of the measured batch
-//!   service rate (p50/p95/p99 latency, shed rate, SLA attainment), plus
-//!   a closed-loop row (8 outstanding requests, next arrival on
-//!   completion).
-//!
-//! `RECMG_SMOKE=1` shrinks the measured sections and skips the Criterion
-//! loops so CI can regenerate and validate the JSON in seconds.
+//! Each section builds typed rows, runs its `recmg_bench::policy::check_*`
+//! function on them and prints `<section> ok: …`; a violated invariant
+//! exits non-zero and writes nothing, so a `BENCH_serving.json` (at the
+//! workspace root, or under `RECMG_OUT`) is by construction one that
+//! passed. `RECMG_SMOKE=1` shrinks every section to seconds and relaxes
+//! the wall-clock-sensitive comparisons (see `policy`).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use std::hint::black_box;
 use std::path::PathBuf;
 use std::time::Duration;
 
 use rand::{rngs::StdRng, SeedableRng};
-use recmg_core::serving::{measure_throughput, measure_throughput_with, WorkloadSpec};
+use recmg_bench::policy::{
+    check_multi_tenant_burst, check_online_rebalance, check_sdm_ladder,
+    check_statistical_placement, check_tier_placement, check_working_set_estimation, write_rows,
+    LadderRow, PolicyRow, RebalanceRow, ReplicaRow, ScenarioRow, SpreadRow, StrategyRow,
+};
+use recmg_core::serving::WorkloadSpec;
 use recmg_core::{
     AdmissionPolicy, ArrivalProcess, BatchSource, CachingModel, CardinalityWorkingSet,
-    ClosedLoopSource, EvenSplit, FillMode, FrequencyRankCodec, GuidanceMode, HotFirst,
-    LiveRebalanceConfig, MarkovArrivals, MemoryTier, PrefetchModel, Rebalancer, RecMgConfig,
-    ReplicationPolicy, Request, RequestSource, ServeOptions, SessionBuilder, ShardRouter,
+    ClosedLoopSource, EvenSplit, FillMode, FrequencyRankCodec, GuidanceMode, HotFirst, JsonWriter,
+    LiveRebalanceConfig, MarkovArrivals, PrefetchModel, Rebalancer, RecMgConfig, ReplicationPolicy,
+    Request, RequestSource, ServeOptions, SessionBuilder, SessionReport, ShardRouter,
     ShardedRecMgSystem, SketchConfig, SlaBudget, StatisticalPlacement, SystemBuilder,
-    TableArraySpec, TenantSpec, TierCost, TierTopology, TraceReplaySource, WorkingSet,
+    TableArraySpec, TenantSpec, TierTopology, TierUsage, WorkingSet,
 };
 use recmg_dlrm::BufferManager;
-use recmg_trace::{RowId, SyntheticConfig, VectorKey};
+use recmg_trace::{RowId, TableId, VectorKey};
 
-/// `RECMG_SMOKE=1` shrinks every measured section (and skips the
-/// Criterion timing loops) so CI can validate the bench JSON — including
-/// the tier-placement comparison — in seconds.
-fn smoke() -> bool {
-    std::env::var("RECMG_SMOKE").is_ok_and(|v| v == "1")
-}
+/// A finished section: its JSON object, or why its invariants failed.
+type Section = Result<String, String>;
+/// A section: runs, checks and renders itself (`smoke` = reduced scale).
+type SectionFn = fn(&Models, bool) -> Section;
 
-fn bench_serving(c: &mut Criterion) {
-    if smoke() {
-        return;
-    }
-    let cfg = RecMgConfig::default();
-    let cm = CachingModel::new(&cfg).compile();
-    let pm = PrefetchModel::new(&cfg).compile();
-    let mut group = c.benchmark_group("fig07_serving");
-    group.sample_size(10);
-    let requests = 400usize;
-    for threads in [1usize, 2, 4, 8] {
-        group.throughput(Throughput::Elements((requests * cfg.input_len) as u64));
-        group.bench_with_input(
-            BenchmarkId::from_parameter(threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    black_box(measure_throughput(
-                        &cm,
-                        &pm,
-                        cfg.input_len,
-                        threads,
-                        requests,
-                    ))
-                });
-            },
-        );
-    }
-    group.finish();
-}
+/// Deterministic serving (1 worker, inline guidance): cost comes from
+/// exact per-tier counters, so rows differ only by policy, never by
+/// thread interleaving.
+const INLINE: ServeOptions = ServeOptions {
+    workers: 1,
+    guidance: GuidanceMode::Inline,
+};
 
-/// Builds a fresh sharded system over untrained compiled models (the model
-/// forward cost is identical to a trained one; only the weights differ).
-fn sharded_system(
-    cfg: &RecMgConfig,
-    trace: &recmg_trace::Trace,
-    capacity: usize,
-    shards: usize,
-) -> ShardedRecMgSystem {
-    let caching = CachingModel::new(cfg);
-    let prefetch = PrefetchModel::new(cfg);
-    let codec = FrequencyRankCodec::from_accesses(&trace.accesses()[..2_000]);
-    ShardedRecMgSystem::builder(&caching, Some(&prefetch), codec)
-        .shards(shards)
-        .capacity(capacity)
-        .build()
-}
+/// Shards of every section but `sdm_ladder` and the replication isolate.
+const SHARDS: usize = 8;
 
-fn serve_opts(shards: usize) -> ServeOptions {
-    if shards == 1 {
-        // The single-thread reference engine: inline guidance at every
-        // chunk, exactly the sequential RecMgSystem control flow.
-        ServeOptions {
-            workers: 1,
-            guidance: GuidanceMode::Inline,
-        }
-    } else {
-        ServeOptions {
-            // One producer + one plane thread: on this box more workers
-            // than cores is pure scheduling overhead (a pacing worker
-            // holding a shard lock serializes its siblings), while a
-            // single producer keeps the coalescing plane saturated.
-            workers: 1,
-            guidance: GuidanceMode::Background {
-                threads: 1,
-                max_lag: 16,
-                max_batch: 8,
-            },
-        }
-    }
-}
-
-/// Model-serving throughput over the workload matrix (2 skews × 2 table
-/// counts) — the bench records a grid, not a single point.
-fn workload_grid_rows(cfg: &RecMgConfig) -> Vec<String> {
-    let cm = CachingModel::new(cfg).compile();
-    let pm = PrefetchModel::new(cfg).compile();
-    let requests = if smoke() { 50 } else { 200 };
-    WorkloadSpec::grid(&[4, 13], &[0.0, 2.0], 997)
-        .iter()
-        .map(|spec| {
-            let p = measure_throughput_with(&cm, &pm, cfg.input_len, 1, requests, spec);
-            format!(
-                concat!(
-                    "    {{\"num_tables\": {}, \"skew\": {:.1}, \"threads\": {}, ",
-                    "\"requests\": {}, \"indices_per_sec\": {:.1}}}"
-                ),
-                spec.num_tables, spec.skew, p.threads, p.requests, p.indices_per_sec
-            )
+/// Renders one section object: its scalar members, its methodology note,
+/// then whatever `body` writes (the rows, one per line).
+fn section(
+    scalars: impl FnOnce(&mut JsonWriter),
+    methodology: &str,
+    body: impl FnOnce(&mut JsonWriter),
+) -> String {
+    JsonWriter::render(|w| {
+        w.object(|w| {
+            w.newline(4);
+            scalars(w);
+            w.newline(4);
+            w.key("methodology").string(methodology);
+            w.newline(4);
+            body(w);
+            w.newline(2);
         })
+    })
+}
+
+/// The untrained guidance models every section serves with (the forward
+/// cost and control flow are a trained model's; only the weights differ).
+struct Models {
+    /// Keys per request (one guidance chunk).
+    input_len: usize,
+    caching: CachingModel,
+    prefetch: PrefetchModel,
+}
+
+impl Models {
+    fn new(cfg: &RecMgConfig) -> Self {
+        Models {
+            input_len: cfg.input_len,
+            caching: CachingModel::new(cfg),
+            prefetch: PrefetchModel::new(cfg),
+        }
+    }
+
+    /// A [`SHARDS`]-shard builder over a 256-vector DRAM + CXL topology
+    /// with `fast` vectors of DRAM; the codec is fit to `keys`' first
+    /// 2000 accesses.
+    fn builder(&self, keys: &[VectorKey], fast: usize) -> SystemBuilder<'_> {
+        SystemBuilder::new(&self.caching, Some(&self.prefetch), codec_of(keys))
+            .shards(SHARDS)
+            .topology(TierTopology::two_tier(fast, 256 - fast))
+    }
+}
+
+/// Short sketch epochs, so a hot shard's window rotates within a few
+/// batches of a flip.
+fn sketch(epoch_len: u64) -> SketchConfig {
+    SketchConfig {
+        epoch_len,
+        window_epochs: 4,
+        ..SketchConfig::default()
+    }
+}
+
+/// The first `n` keys of table 1 (row ids from `salt` up) that the hash
+/// router homes on one of `targets` — deterministic, and exactly where
+/// serving will route them.
+fn keys_on_shards(router: &ShardRouter, targets: &[usize], n: usize, salt: u64) -> Vec<VectorKey> {
+    (0..)
+        .map(|i| VectorKey::new(TableId(1), RowId(salt + i)))
+        .filter(|&k| targets.contains(&router.shard_of(k)))
+        .take(n)
         .collect()
 }
 
+/// Cumulative hit-weighted cost of the system's whole history, rebalance
+/// and replica charges included.
+fn total_cost_ns(sys: &ShardedRecMgSystem) -> u64 {
+    TierUsage::total_cost_ns(&sys.tier_usage())
+}
+
+/// The first 2000 accesses' frequency-rank codec.
+fn codec_of(keys: &[VectorKey]) -> FrequencyRankCodec {
+    FrequencyRankCodec::from_accesses(&keys[..2_000.min(keys.len())])
+}
+
 /// Tier-placement sweep: a skewed workload over an 8-shard system on a
-/// DRAM + slow-CXL topology (slow-tier penalty on), served under each
-/// placement policy. Per policy: a deterministic warm pass observes
-/// per-shard mass, one rebalance applies the policy to the observations,
-/// and a measured pass produces the per-tier traffic deltas whose
-/// hit-weighted cost the policies compete on. `HotFirst` keeps EvenSplit's
-/// capacities (identical hit/miss counts) and must therefore never cost
-/// more; `WorkingSet` additionally re-sizes shares toward the hot shards.
-fn tier_placement_rows(cfg: &RecMgConfig) -> (f64, usize, Vec<String>) {
-    let shards = 8usize;
-    let requests = if smoke() { 200 } else { 1000 };
-    let skew = 4.0f64;
+/// DRAM + CXL topology, served under each placement policy. Per policy: a
+/// deterministic warm pass observes per-shard mass, one rebalance applies
+/// the policy to the observations, and a measured pass produces the
+/// per-tier traffic deltas whose hit-weighted cost the policies compete
+/// on. `HotFirst` keeps EvenSplit's capacities (identical hit/miss counts)
+/// and must therefore never cost more; `WorkingSet` additionally re-sizes
+/// shares toward the hot shards.
+fn tier_placement(models: &Models, smoke: bool) -> Section {
+    let requests = if smoke { 200 } else { 1000 };
     // Few tables + strong row skew: the hot rows hash into an uneven
     // per-shard mass, and at 400 rows/table the 256-vector budget covers
     // enough of the working set that capacity re-sizing actually moves
@@ -200,204 +151,144 @@ fn tier_placement_rows(cfg: &RecMgConfig) -> (f64, usize, Vec<String>) {
     let spec = WorkloadSpec {
         num_tables: 2,
         rows_per_table: 400,
-        skew,
+        skew: 4.0,
     };
-    let batches = spec.requests(requests, cfg.input_len);
-    let refs: Vec<&[recmg_trace::VectorKey]> = batches.iter().map(Vec::as_slice).collect();
+    let batches = spec.requests(requests, models.input_len);
+    let refs: Vec<&[VectorKey]> = batches.iter().map(Vec::as_slice).collect();
     let keys = batches.concat();
-    let capacity = 256usize;
-    // Half the budget in DRAM (four of the eight even shard shares — and
-    // enough headroom that a working-set-swollen hot shard still fits),
-    // half in the penalized slow tier.
-    let fast = capacity / 2;
-    let slow = capacity - fast;
-    let topology = || {
-        TierTopology::new(vec![
-            MemoryTier::dram(fast),
-            MemoryTier::new(
-                "cxl",
-                slow,
-                TierCost::cxl_like().with_penalty(Duration::from_nanos(400)),
-            ),
-        ])
-    };
-    // Deterministic serving (1 worker, inline guidance): the cost metric
-    // comes from exact per-tier counters, so policy rows differ only by
-    // placement, never by thread interleaving.
-    let opts = ServeOptions {
-        workers: 1,
-        guidance: GuidanceMode::Inline,
-    };
-    let rows = ["even_split", "working_set", "hot_first"]
-        .iter()
-        .map(|&policy| {
-            let caching = CachingModel::new(cfg);
-            let prefetch = PrefetchModel::new(cfg);
-            let codec = FrequencyRankCodec::from_accesses(&keys[..2_000.min(keys.len())]);
-            let builder = SystemBuilder::new(&caching, Some(&prefetch), codec)
-                .shards(shards)
-                .topology(topology());
+    let rows: Vec<PolicyRow> = ["even_split", "working_set", "hot_first"]
+        .into_iter()
+        .map(|policy| {
+            // Half the budget in DRAM (four of the eight even shard
+            // shares — and enough headroom that a working-set-swollen
+            // hot shard still fits), half in the slow tier.
+            let builder = models.builder(&keys, 128);
             let mut sys = match policy {
                 "even_split" => builder.placement(EvenSplit).build(),
                 "working_set" => builder.placement(WorkingSet::default()).build(),
                 _ => builder.placement(HotFirst).build(),
             };
-            sys.serve(&refs, &opts); // observation pass
-            // Migration churn is charged to the cumulative counters at
-            // rebalance time, between report snapshots — surface it as
-            // its own field by snapshotting *per shard* around the
-            // rebalance. (Per-tier snapshots would not work here: a moved
-            // shard's whole traffic history follows it to its new tier,
-            // so per-tier deltas around a rebalance measure reshuffled
-            // history, not churn.)
-            let before_rebalance: Vec<u64> =
-                (0..shards).map(|i| sys.shard_traffic(i).cost_ns).collect();
-            let moved = sys.rebalance();
-            let migration_cost_ns: u64 = (0..shards)
-                .map(|i| sys.shard_traffic(i).cost_ns - before_rebalance[i])
-                .sum();
-            let report = sys.serve(&refs, &opts); // measured pass
+            sys.serve(&refs, &INLINE); // observation pass
+            // Migration churn is charged to the cumulative per-shard
+            // counters at rebalance time, between report snapshots —
+            // surface it as its own field. (Per-tier snapshots would not
+            // work here: a moved shard's whole traffic history follows it
+            // to its new tier.)
+            let before_rebalance = total_cost_ns(&sys);
+            let rebalanced = sys.rebalance();
+            let migration_cost_ns = total_cost_ns(&sys) - before_rebalance;
+            let report = sys.serve(&refs, &INLINE); // measured pass
             println!(
-                "tier_placement/{policy}: {:.2}% hits, cost {:.3}ms (+{:.3}ms migration), rebalanced={moved}",
+                "tier_placement/{policy}: {:.2}% hits, cost {:.3}ms (+{:.3}ms migration), rebalanced={rebalanced}",
                 report.stats.hit_rate() * 100.0,
                 report.access_cost_ns() as f64 / 1e6,
                 migration_cost_ns as f64 / 1e6,
             );
-            format!(
-                concat!(
-                    "    {{\"policy\": \"{}\", \"rebalanced\": {}, ",
-                    "\"hit_weighted_cost_ns\": {}, \"migration_cost_ns\": {}, ",
-                    "\"report\": {}}}"
-                ),
+            PolicyRow {
                 policy,
-                moved,
-                report.access_cost_ns(),
-                migration_cost_ns,
-                report.to_json(),
-            )
+                rebalanced,
+                migration_cost_ns: Some(migration_cost_ns),
+                report,
+            }
         })
         .collect();
-    (skew, requests, rows)
+    println!("tier_placement ok: {}", check_tier_placement(&rows)?);
+    Ok(section(
+        |w| {
+            w.key("shards").raw(SHARDS);
+            w.key("skew").fixed(spec.skew, 1);
+            w.key("requests").raw(requests);
+            w.key("topology").string("dram + cxl");
+        },
+        "deterministic inline serving; per policy: observation pass, one rebalance, measured \
+         pass; hit_weighted_cost_ns = per-tier hit-weighted access cost of the measured pass \
+         (serving only); migration_cost_ns = one-time rebalance churn, reported separately",
+        |w| write_rows(w, "results", 4, &rows, PolicyRow::write_json),
+    ))
 }
 
 /// Statistical per-table placement at DLRM scale: a heterogeneous-table
-/// workload (26 tables, per-table skews) over an 8-shard DRAM +
-/// penalized-CXL system, served under hash-even routing ([`EvenSplit`])
-/// versus RecShard-style [`StatisticalPlacement`] (tiny tables pinned
-/// whole to one fast-tier shard, large skewed tables hot/cold split for
-/// capacity sizing). Two table-size spreads make the scaling claim
-/// testable: a mild geometric spread (3 orders of magnitude) and the
-/// libai production size array (7 orders, 3 to ~40M rows) — the
-/// statistical policy's cost margin over hash-even must *grow* with the
-/// spread, because the wider the size range, the more demand tiny tables
-/// carry per row and the more an even split wastes capacity on cold
-/// giants. Serving is deterministic (inline, 1 worker), so the per-tier
-/// cost counters the margin is computed from are exact.
-fn statistical_placement_rows(cfg: &RecMgConfig) -> (usize, Vec<String>) {
-    let shards = 8usize;
-    let requests = if smoke() { 300 } else { 1500 };
-    let capacity = 256usize;
-    let fast = capacity / 2;
-    let topology = || {
-        TierTopology::new(vec![
-            MemoryTier::dram(fast),
-            MemoryTier::new(
-                "cxl",
-                capacity - fast,
-                TierCost::cxl_like().with_penalty(Duration::from_nanos(400)),
-            ),
-        ])
-    };
-    let opts = ServeOptions {
-        workers: 1,
-        guidance: GuidanceMode::Inline,
-    };
+/// workload (26 tables, per-table skews) over an 8-shard DRAM + CXL
+/// system, served under hash-even routing ([`EvenSplit`]) versus
+/// RecShard-style [`StatisticalPlacement`] (tiny tables pinned whole to
+/// one fast-tier shard, large skewed tables hot/cold split for capacity
+/// sizing). Two table-size spreads make the scaling claim testable: a mild
+/// geometric spread (3 orders of magnitude) and the libai production size
+/// array (7 orders, 3 to ~40M rows) — the statistical policy's cost margin
+/// over hash-even must *grow* with the spread, because the wider the size
+/// range, the more demand tiny tables carry per row and the more an even
+/// split wastes capacity on cold giants.
+fn statistical_placement(models: &Models, smoke: bool) -> Section {
+    let requests = if smoke { 300 } else { 1500 };
     let variants: [(&str, TableArraySpec); 2] = [
         ("mild_spread", TableArraySpec::geometric(26, 50, 50_000)),
         ("libai_dlrm", TableArraySpec::libai()),
     ];
-    let rows = variants
+    let rows: Vec<SpreadRow> = variants
         .iter()
-        .map(|(variant, spec)| {
+        .map(|&(variant, ref spec)| {
             let min_rows = *spec.sizes.iter().min().expect("non-empty") as f64;
             let max_rows = *spec.sizes.iter().max().expect("non-empty") as f64;
-            let orders = (max_rows / min_rows).log10();
-            let batches = spec.requests(requests, cfg.input_len);
+            let batches = spec.requests(requests, models.input_len);
             let refs: Vec<&[VectorKey]> = batches.iter().map(Vec::as_slice).collect();
             let keys = batches.concat();
-            let mut costs = Vec::new();
-            let mut pinned = 0usize;
-            let mut split = 0usize;
-            let policy_rows: Vec<String> = ["hash_even", "statistical"]
-                .iter()
-                .map(|&policy| {
-                    let caching = CachingModel::new(cfg);
-                    let prefetch = PrefetchModel::new(cfg);
-                    let codec =
-                        FrequencyRankCodec::from_accesses(&keys[..2_000.min(keys.len())]);
-                    let builder = SystemBuilder::new(&caching, Some(&prefetch), codec)
-                        .shards(shards)
-                        .topology(topology());
+            let policies: Vec<PolicyRow> = ["hash_even", "statistical"]
+                .into_iter()
+                .map(|policy| {
+                    let builder = models.builder(&keys, 128);
                     let mut sys = match policy {
                         "hash_even" => builder.placement(EvenSplit).build(),
                         _ => builder.placement(StatisticalPlacement::default()).build(),
                     };
-                    sys.serve(&refs, &opts); // observation pass
+                    sys.serve(&refs, &INLINE); // observation pass
                     let rebalanced = sys.rebalance();
-                    sys.serve(&refs, &opts); // post-rebalance warmup (re-homed pins re-admit)
-                    let report = sys.serve(&refs, &opts); // measured pass
-                    if policy == "statistical" {
-                        pinned = report
-                            .tables
-                            .iter()
-                            .filter(|t| t.pinned_shard.is_some())
-                            .count();
-                        split = report.tables.iter().filter(|t| t.hot_rows > 0).count();
-                    }
-                    costs.push(report.access_cost_ns());
+                    sys.serve(&refs, &INLINE); // post-rebalance warmup (re-homed pins re-admit)
+                    let report = sys.serve(&refs, &INLINE); // measured pass
                     println!(
                         "statistical_placement/{variant}/{policy}: {:.2}% hits, cost {:.3}ms",
                         report.stats.hit_rate() * 100.0,
                         report.access_cost_ns() as f64 / 1e6,
                     );
-                    format!(
-                        concat!(
-                            "      {{\"policy\": \"{}\", \"rebalanced\": {}, ",
-                            "\"hit_weighted_cost_ns\": {}, \"report\": {}}}"
-                        ),
+                    PolicyRow {
                         policy,
                         rebalanced,
-                        report.access_cost_ns(),
-                        report.to_json(),
-                    )
+                        migration_cost_ns: None,
+                        report,
+                    }
                 })
                 .collect();
-            let margin = 1.0 - costs[1] as f64 / costs[0].max(1) as f64;
-            println!(
-                "statistical_placement/{variant}: margin {:.2}% ({} pinned, {} split, {:.1} orders)",
-                margin * 100.0,
-                pinned,
-                split,
-                orders,
-            );
-            format!(
-                concat!(
-                    "    {{\"variant\": \"{}\", \"num_tables\": {}, ",
-                    "\"size_orders_of_magnitude\": {:.2}, \"pinned_tables\": {}, ",
-                    "\"split_tables\": {}, \"cost_margin_vs_hash_even\": {:.4},\n",
-                    "     \"policies\": [\n{}\n     ]}}"
-                ),
+            let tables = &policies[1].report.tables;
+            SpreadRow {
                 variant,
-                spec.num_tables(),
-                orders,
-                pinned,
-                split,
-                margin,
-                policy_rows.join(",\n"),
-            )
+                num_tables: spec.num_tables() as usize,
+                size_orders_of_magnitude: (max_rows / min_rows).log10(),
+                pinned_tables: tables.iter().filter(|t| t.pinned_shard.is_some()).count(),
+                split_tables: tables.iter().filter(|t| t.hot_rows > 0).count(),
+                cost_margin_vs_hash_even: 1.0
+                    - policies[1].cost_ns() as f64 / policies[0].cost_ns().max(1) as f64,
+                policies,
+            }
         })
         .collect();
-    (requests, rows)
+    println!(
+        "statistical_placement ok: {}",
+        check_statistical_placement(&rows, smoke)?
+    );
+    Ok(section(
+        |w| {
+            w.key("shards").raw(SHARDS);
+            w.key("requests").raw(requests);
+            w.key("topology").string("dram + cxl");
+        },
+        "heterogeneous 26-table workload with per-table skews; per variant and policy: \
+                 observation pass, one rebalance (installs pins/splits for the statistical \
+                 policy), post-rebalance warmup pass, measured pass; cost_margin_vs_hash_even = \
+                 1 - statistical_cost / hash_even_cost on the measured pass's hit-weighted \
+                 per-tier access cost; the margin must grow from mild_spread to libai_dlrm",
+        |w| {
+            write_rows(w, "results", 4, &rows, SpreadRow::write_json);
+        },
+    ))
 }
 
 /// Software-defined memory ladder: a DRAM → mapped-file → file stack
@@ -411,11 +302,10 @@ fn statistical_placement_rows(cfg: &RecMgConfig) -> (usize, Vec<String>) {
 /// and the install only when a queued, coalesced fill actually lands —
 /// every coalesced or dropped fill is an install the async plane never
 /// paid for.
-fn sdm_ladder_rows(cfg: &RecMgConfig) -> (usize, usize, usize, Vec<String>, String) {
+fn sdm_ladder(models: &Models, smoke: bool) -> Section {
     let shards = 4usize;
     let fast = 128usize;
-    let requests = if smoke() { 150 } else { 800 };
-    // One shared calibration for both rows.
+    let requests = if smoke { 150 } else { 800 };
     let mut topology = TierTopology::sdm_ladder(fast, fast, 2 * fast);
     let calibration = topology.calibrate();
     for cal in &calibration.tiers {
@@ -431,15 +321,15 @@ fn sdm_ladder_rows(cfg: &RecMgConfig) -> (usize, usize, usize, Vec<String>, Stri
     let hot = (fast / 2) as u64;
     let batches: Vec<Vec<VectorKey>> = (0..requests)
         .map(|r| {
-            (0..cfg.input_len)
+            (0..models.input_len)
                 .map(|i| {
-                    let n = (r * cfg.input_len + i) as u64;
+                    let n = (r * models.input_len + i) as u64;
                     let row = if n % 3 < 2 {
                         (n * 17) % hot
                     } else {
                         hot + (n * 101) % (footprint - hot)
                     };
-                    VectorKey::new(recmg_trace::TableId(0), RowId(row))
+                    VectorKey::new(TableId(0), RowId(row))
                 })
                 .collect()
         })
@@ -447,21 +337,17 @@ fn sdm_ladder_rows(cfg: &RecMgConfig) -> (usize, usize, usize, Vec<String>, Stri
     let refs: Vec<&[VectorKey]> = batches.iter().map(Vec::as_slice).collect();
     let keys = batches.concat();
 
-    let rows = [
-        ("blocking", FillMode::Blocking),
-        (
-            "async",
-            FillMode::Async {
-                threads: 2,
-                queue_depth: 256,
-            },
-        ),
+    let rows: Vec<LadderRow> = [
+        FillMode::Blocking,
+        FillMode::Async {
+            threads: 2,
+            queue_depth: 256,
+        },
     ]
     .into_iter()
-    .map(|(mode, fill)| {
-        let caching = CachingModel::new(cfg);
-        let codec = FrequencyRankCodec::from_accesses(&keys[..2_000.min(keys.len())]);
-        let system = SystemBuilder::new(&caching, None, codec)
+    .map(|fill| {
+        let fill_mode = fill.name();
+        let system = SystemBuilder::new(&models.caching, None, codec_of(&keys))
             .shards(shards)
             .topology(topology.clone())
             .placement(HotFirst)
@@ -476,7 +362,7 @@ fn sdm_ladder_rows(cfg: &RecMgConfig) -> (usize, usize, usize, Vec<String>, Stri
         let (_system, report) = session.drain();
         let fills = &report.engine.fills;
         println!(
-            "sdm_ladder/{mode}: {:.2}% hits, cost {:.3}ms, fills queued {} coalesced {} dropped {} promoted {}",
+            "sdm_ladder/{fill_mode}: {:.2}% hits, cost {:.3}ms, fills queued {} coalesced {} dropped {} promoted {}",
             report.engine.stats.hit_rate() * 100.0,
             report.engine.access_cost_ns() as f64 / 1e6,
             fills.queued,
@@ -484,60 +370,36 @@ fn sdm_ladder_rows(cfg: &RecMgConfig) -> (usize, usize, usize, Vec<String>, Stri
             fills.dropped,
             fills.promoted,
         );
-        format!(
-            concat!(
-                "    {{\"fill_mode\": \"{}\", \"hit_weighted_cost_ns\": {}, ",
-                "\"report\": {}}}"
-            ),
-            mode,
-            report.engine.access_cost_ns(),
-            report.engine.to_json(),
-        )
+        LadderRow {
+            fill_mode,
+            report: report.engine,
+        }
     })
     .collect();
-    (fast, 4 * fast, requests, rows, calibration.to_json())
-}
-
-/// Router fast-path microbench: `shard_of` over a hash-routed table
-/// versus a pinned one (direct table-id lookup, no multiply-fold rounds,
-/// no `%`). Counter-free wall-clock over a few million calls; the JSON
-/// records ns/key for both modes so the saving is visible in the
-/// committed artifact (CI checks presence, not the ratio — single-digit
-/// nanoseconds are scheduler-sensitive).
-fn router_fast_path_rows() -> (usize, Vec<String>) {
-    let iters = if smoke() { 400_000usize } else { 4_000_000 };
-    let shards = 8usize;
-    let hash_router = ShardRouter::new(shards);
-    let pinned_router = ShardRouter::with_pin_capacity(shards, 64);
-    pinned_router.pin_table(0, 3);
-    let keys: Vec<VectorKey> = (0..4096u64)
-        .map(|r| VectorKey::new(recmg_trace::TableId(0), RowId(r)))
-        .collect();
-    let time = |router: &ShardRouter| -> f64 {
-        let mut acc = 0usize;
-        // Warmup pass, then the measured pass.
-        for &k in &keys {
-            acc = acc.wrapping_add(router.shard_of(k));
-        }
-        let start = std::time::Instant::now();
-        for i in 0..iters {
-            acc = acc.wrapping_add(router.shard_of(keys[i & 4095]));
-        }
-        let elapsed = start.elapsed();
-        black_box(acc);
-        elapsed.as_nanos() as f64 / iters as f64
-    };
-    let hash_ns = time(&hash_router);
-    let pinned_ns = time(&pinned_router);
     println!(
-        "router_fast_path: hash {hash_ns:.2} ns/key, pinned {pinned_ns:.2} ns/key ({:.2}x)",
-        hash_ns / pinned_ns.max(1e-9),
+        "sdm_ladder ok: {}",
+        check_sdm_ladder(fast, footprint as usize, &calibration, &rows, smoke)?
     );
-    let rows = vec![
-        format!("    {{\"mode\": \"hash\", \"ns_per_key\": {hash_ns:.3}}}"),
-        format!("    {{\"mode\": \"pinned\", \"ns_per_key\": {pinned_ns:.3}}}"),
-    ];
-    (iters, rows)
+    Ok(section(
+        |w| {
+            w.key("shards").raw(shards);
+            w.key("fast_rows").raw(fast);
+            w.key("footprint_rows").raw(footprint);
+            w.key("requests").raw(requests);
+            w.key("topology")
+                .string("dram -> mapped_file -> file (calibrated)");
+        },
+        "one bind-time calibration probe prices all three tiers for both rows (measured \
+                 hit/miss/fill ns, not injected); the stream's footprint is 4x the fast tier; \
+                 rows differ only in fill mode: blocking pays full read-through per miss, async \
+                 pays the slow read on-path and the install only when a queued, coalesced \
+                 background fill lands",
+        |w| {
+            calibration.write_json(w.key("calibration"));
+            w.newline(4);
+            write_rows(w, "results", 4, &rows, LadderRow::write_json);
+        },
+    ))
 }
 
 /// The phase-flip workload shared by the `working_set_estimation` and
@@ -557,21 +419,11 @@ fn router_fast_path_rows() -> (usize, Vec<String>) {
 /// of the fast tier, instead of the three trading places on sampling
 /// noise at every rebalance.
 fn phase_flip_phases(
-    shards: usize,
     batches_per_phase: usize,
     hot_keys: usize,
     skew: bool,
 ) -> (Vec<Vec<VectorKey>>, Vec<Vec<VectorKey>>) {
-    let router = recmg_core::ShardRouter::new(shards);
-    // Distinct keys homed on a given shard set, found by walking row ids
-    // (deterministic — the hash router decides, exactly as serving will).
-    let keys_on_shards = |targets: &[usize], n: usize, salt: u64| -> Vec<VectorKey> {
-        (0..)
-            .map(|i| VectorKey::new(recmg_trace::TableId(1), RowId(salt + i as u64)))
-            .filter(|&k| targets.contains(&router.shard_of(k)))
-            .take(n)
-            .collect()
-    };
+    let router = ShardRouter::new(SHARDS);
     let hot_set = |targets: &[usize; 3], salt: u64| -> Vec<VectorKey> {
         if skew {
             let counts = [
@@ -582,16 +434,16 @@ fn phase_flip_phases(
             targets
                 .iter()
                 .zip(counts)
-                .flat_map(|(&t, n)| keys_on_shards(&[t], n, salt))
+                .flat_map(|(&t, n)| keys_on_shards(&router, &[t], n, salt))
                 .collect()
         } else {
-            keys_on_shards(targets, hot_keys, salt)
+            keys_on_shards(&router, targets, hot_keys, salt)
         }
     };
     let hot_a = hot_set(&[0, 1, 2], 0);
     let hot_b = hot_set(&[5, 6, 7], 1_000_000);
     let bg: Vec<VectorKey> = (0..100)
-        .map(|i| VectorKey::new(recmg_trace::TableId(2), RowId(i)))
+        .map(|i| VectorKey::new(TableId(2), RowId(i)))
         .collect();
     let batch_of = |hot: &[VectorKey], round: usize| -> Vec<VectorKey> {
         let mut keys = Vec::with_capacity(60);
@@ -616,8 +468,8 @@ fn phase_flip_phases(
 /// an 8-shard, 2-tier system, served under two placement/rebalancing
 /// strategies:
 ///
-/// * `miss_mass_periodic` — PR 4's [`WorkingSet`] (capacity from miss
-///   counts), rebalanced on the count trigger alone;
+/// * `miss_mass_periodic` — [`WorkingSet`] (capacity from miss counts),
+///   rebalanced on the count trigger alone;
 /// * `cardinality_phase_reactive` — [`CardinalityWorkingSet`] (capacity
 ///   from the sketched unique-key footprint) with the phase trigger armed
 ///   on top of the same count trigger.
@@ -629,102 +481,90 @@ fn phase_flip_phases(
 /// periodic one serves the new phase on stale placement until its count
 /// trigger comes around. Serving is deterministic (sequential
 /// `process_batch`, inline guidance), so the per-tier cost counters —
-/// including the rebalance migration charges — are exact, and the CI
-/// assertion (`cardinality_phase_reactive` total cost ≤
-/// `miss_mass_periodic`) is noise-free.
-fn working_set_estimation_rows(cfg: &RecMgConfig) -> (usize, u64, Vec<String>) {
-    let shards = 8usize;
-    let batches_per_phase = if smoke() { 60 } else { 300 };
-    let (phase_a, phase_b) = phase_flip_phases(shards, batches_per_phase, 300, false);
+/// including the rebalance migration charges — are exact.
+fn working_set_estimation(models: &Models, smoke: bool) -> Section {
+    let batches_per_phase = if smoke { 60 } else { 300 };
+    let (phase_a, phase_b) = phase_flip_phases(batches_per_phase, 300, false);
     let accesses_per_phase = (batches_per_phase * 60) as u64;
     // Sketch epochs small enough that a hot shard rotates a few batches
     // after the flip; the shared count trigger fires twice per phase.
     let epoch = 128u64;
     let period = accesses_per_phase / 2;
-    let capacity = 256usize;
-    let fast = capacity / 2;
-    let topology = || {
-        TierTopology::new(vec![
-            MemoryTier::dram(fast),
-            MemoryTier::new(
-                "cxl",
-                capacity - fast,
-                TierCost::cxl_like().with_penalty(Duration::from_nanos(400)),
-            ),
-        ])
-    };
     let keys = phase_a.concat();
-    let rows = [
+    let rows: Vec<StrategyRow> = [
         ("miss_mass_periodic", false),
         ("cardinality_phase_reactive", true),
     ]
-    .iter()
-    .map(|&(strategy, reactive)| {
-        let caching = CachingModel::new(cfg);
-        let prefetch = PrefetchModel::new(cfg);
-        let codec = FrequencyRankCodec::from_accesses(&keys[..2_000.min(keys.len())]);
-        let builder = SystemBuilder::new(&caching, Some(&prefetch), codec)
-            .shards(shards)
-            .topology(topology())
-            .sketch(SketchConfig {
-                epoch_len: epoch,
-                window_epochs: 4,
-                ..SketchConfig::default()
-            });
-        let mut sys = if reactive {
-            builder.placement(CardinalityWorkingSet::default()).build()
+    .into_iter()
+    .map(|(strategy, phase_reactive)| {
+        let builder = models.builder(&keys, 128).sketch(sketch(epoch));
+        let (mut sys, mut rb) = if phase_reactive {
+            (
+                builder.placement(CardinalityWorkingSet::default()).build(),
+                Rebalancer::new(period).with_phase_trigger(0.5, epoch),
+            )
         } else {
-            builder.placement(WorkingSet::default()).build()
-        };
-        let mut rb = if reactive {
-            Rebalancer::new(period).with_phase_trigger(0.5, epoch)
-        } else {
-            Rebalancer::new(period)
+            (
+                builder.placement(WorkingSet::default()).build(),
+                Rebalancer::new(period),
+            )
         };
         // Deterministic serving: one request at a time, rebalance check
         // between requests (the system is quiescent there).
-        let mut flip_snapshot = 0u64;
-        for (phase, batches) in [&phase_a, &phase_b].iter().enumerate() {
-            if phase == 1 {
-                flip_snapshot = (0..shards).map(|i| sys.shard_traffic(i).cost_ns).sum();
-            }
-            for batch in batches.iter() {
+        let mut serve = |batches: &[Vec<VectorKey>]| {
+            for batch in batches {
                 sys.process_batch(batch);
                 rb.maybe_rebalance(&mut sys);
             }
-        }
-        let total_cost_ns: u64 = (0..shards).map(|i| sys.shard_traffic(i).cost_ns).sum();
-        let post_flip_cost_ns = total_cost_ns - flip_snapshot;
+            total_cost_ns(&sys)
+        };
+        let flip_cost_ns = serve(&phase_a);
+        let cost_ns = serve(&phase_b);
         println!(
             "working_set_estimation/{strategy}: total {:.3}ms, post-flip {:.3}ms, \
              fires {} (phase {}), rebalances {}, footprint {}",
-            total_cost_ns as f64 / 1e6,
-            post_flip_cost_ns as f64 / 1e6,
+            cost_ns as f64 / 1e6,
+            (cost_ns - flip_cost_ns) as f64 / 1e6,
             rb.fires(),
             rb.phase_fires(),
             rb.rebalances(),
             sys.unique_keys(),
         );
-        format!(
-            concat!(
-                "    {{\"strategy\": \"{}\", \"policy\": \"{}\", ",
-                "\"phase_reactive\": {}, \"fires\": {}, \"phase_fires\": {}, ",
-                "\"rebalances\": {}, \"unique_keys\": {}, ",
-                "\"hit_weighted_cost_ns\": {}, \"post_flip_cost_ns\": {}}}"
-            ),
+        StrategyRow {
             strategy,
-            sys.placement_name(),
-            reactive,
-            rb.fires(),
-            rb.phase_fires(),
-            rb.rebalances(),
-            sys.unique_keys(),
-            total_cost_ns,
-            post_flip_cost_ns,
-        )
+            policy: sys.placement_name(),
+            phase_reactive,
+            fires: rb.fires(),
+            phase_fires: rb.phase_fires(),
+            rebalances: rb.rebalances(),
+            unique_keys: sys.unique_keys(),
+            cost_ns,
+            post_flip_cost_ns: cost_ns - flip_cost_ns,
+        }
     })
     .collect();
-    (batches_per_phase, epoch, rows)
+    println!(
+        "working_set_estimation ok: {}",
+        check_working_set_estimation(&rows)?
+    );
+    Ok(section(
+        |w| {
+            w.key("shards").raw(SHARDS);
+            w.key("batches_per_phase").raw(batches_per_phase);
+            w.key("sketch_epoch").raw(epoch);
+            w.key("workload").string(
+                "300-key hot set (2/3 of traffic) moves shards {0,1,2} -> {5,6,7} at \
+                         halftime; 100-key background",
+            );
+        },
+        "deterministic sequential serving; both strategies share the same count-trigger \
+                 period; the reactive row adds the sketch phase trigger; hit_weighted_cost_ns is \
+                 cumulative over both phases including migration charges; post_flip_cost_ns \
+                 covers the second phase only",
+        |w| {
+            write_rows(w, "results", 4, &rows, StrategyRow::write_json);
+        },
+    ))
 }
 
 /// Online-rebalance rows: the `working_set_estimation` phase-flip
@@ -733,7 +573,7 @@ fn working_set_estimation_rows(cfg: &RecMgConfig) -> (usize, u64, Vec<String>) {
 /// streams (closed loop, 2 outstanding, 2 workers):
 ///
 /// * `steady` — the flip never happens (phase A twice) and no rebalancer
-///   runs: the clean latency/cost floor the CI p99 bound anchors to;
+///   runs: the clean latency/cost floor the p99 bound anchors to;
 /// * `quiescent_reactive` — the flip served by a system that can only
 ///   re-place while drained: one stop-the-world drain at the flip to
 ///   snapshot traffic, a second one 8 batches into phase B (charitably,
@@ -756,49 +596,29 @@ fn working_set_estimation_rows(cfg: &RecMgConfig) -> (usize, u64, Vec<String>) {
 /// the slow-tier hit cost forever while `replicated` (identical plus the
 /// default [`ReplicationPolicy`]) serves its celebrity keys from a
 /// fast-tier replica after paying the fill charges.
-fn online_rebalance_rows(cfg: &RecMgConfig) -> (usize, Vec<String>, Vec<String>) {
-    let shards = 8usize;
-    let batches_per_phase = if smoke() { 60 } else { 300 };
+fn online_rebalance(models: &Models, smoke: bool) -> Section {
+    let batches_per_phase = if smoke { 60 } else { 300 };
     // The hit-dominated regime: 60 hot keys fit the hot shards' buffers,
     // so per-access cost is dominated by which tier prices the hits. The
     // 3:2:1 skew pins which hot shard loses the fast-tier squeeze.
-    let (phase_a, phase_b) = phase_flip_phases(shards, batches_per_phase, 60, true);
+    let (phase_a, phase_b) = phase_flip_phases(batches_per_phase, 60, true);
     let epoch = 128u64;
-    let capacity = 256usize;
-    // Deliberately tighter than the working-set section's 50/50 split:
-    // the three hot shards cannot all fit the fast tier, so whoever is
-    // left on the slow tier is exactly the shard a read-hot replica can
-    // rescue — a structural edge move-only re-placement cannot match.
-    let fast = 96usize;
-    let topology = || {
-        TierTopology::new(vec![
-            MemoryTier::dram(fast),
-            MemoryTier::new(
-                "cxl",
-                capacity - fast,
-                TierCost::cxl_like().with_penalty(Duration::from_nanos(400)),
-            ),
-        ])
-    };
-    let caching = CachingModel::new(cfg);
-    let prefetch = PrefetchModel::new(cfg);
     let codec_keys = phase_a.concat();
-    let build_system = |topology: TierTopology| {
-        let codec = FrequencyRankCodec::from_accesses(&codec_keys[..2_000.min(codec_keys.len())]);
-        SystemBuilder::new(&caching, Some(&prefetch), codec)
-            .shards(shards)
-            .topology(topology)
+    let build_system = || {
+        // 96 fast vectors, deliberately tighter than the working-set
+        // section's 50/50 split: the three hot shards cannot all fit the
+        // fast tier, so whoever is left on the slow tier is exactly the
+        // shard a read-hot replica can rescue — a structural edge
+        // move-only re-placement cannot match.
+        models
+            .builder(&codec_keys, 96)
             // The floor keeps a phase-cold shard large enough to re-warm
             // quickly when the hot set lands on it — placement reacts to
             // a flip, the floor bounds how hard the flip can hurt before
             // it does (both strategies get the same policy).
             .placement(CardinalityWorkingSet::with_floor(20))
             .guidance(GuidanceMode::Inline)
-            .sketch(SketchConfig {
-                epoch_len: epoch,
-                window_epochs: 4,
-                ..SketchConfig::default()
-            })
+            .sketch(sketch(epoch))
             .build()
     };
     let serve = |sys: ShardedRecMgSystem,
@@ -817,57 +637,44 @@ fn online_rebalance_rows(cfg: &RecMgConfig) -> (usize, Vec<String>, Vec<String>)
         session.ingest(&mut source);
         session.drain()
     };
-    let total_cost = |sys: &ShardedRecMgSystem| -> u64 {
-        (0..sys.num_shards())
-            .map(|i| sys.shard_traffic(i).cost_ns)
-            .sum()
-    };
-    let row = |strategy: &str,
-               flip: bool,
+    // A strategy's row from the session(s) it was served through:
+    // completions add up, p99 is the worst session's, the migration and
+    // replication accounting is the last session's.
+    let row = |strategy: &'static str,
                drains: usize,
-               completed: u64,
-               p99: Duration,
-               cost: u64,
-               report: &recmg_core::EngineReport| {
+               sys: &ShardedRecMgSystem,
+               sessions: &[&SessionReport]| {
+        let last = &sessions[sessions.len() - 1].engine;
+        let row = RebalanceRow {
+            strategy,
+            flip: strategy != "steady",
+            drains,
+            completed: sessions.iter().map(|s| s.completed).sum(),
+            p99: sessions
+                .iter()
+                .map(|s| s.latency.p99)
+                .max()
+                .unwrap_or_default(),
+            cost_ns: total_cost_ns(sys),
+            migration: last.migration,
+            replication: last.replication,
+        };
         println!(
             "online_rebalance/{strategy}: p99 {:.3}ms, cost {:.3}ms, {} migrations, {} replica hits",
-            p99.as_secs_f64() * 1e3,
-            cost as f64 / 1e6,
-            report.migration.migrations,
-            report.replication.replica_hits,
+            row.p99.as_secs_f64() * 1e3,
+            row.cost_ns as f64 / 1e6,
+            row.migration.migrations,
+            row.replication.replica_hits,
         );
-        format!(
-            concat!(
-                "    {{\"strategy\": \"{}\", \"flip\": {}, \"drains\": {}, ",
-                "\"completed\": {}, \"p99_ns\": {}, \"hit_weighted_cost_ns\": {}, ",
-                "\"migration\": {}, \"replication\": {}}}"
-            ),
-            strategy,
-            flip,
-            drains,
-            completed,
-            p99.as_nanos(),
-            cost,
-            report.migration.to_json(),
-            report.replication.to_json(),
-        )
+        row
     };
 
     let mut rows = Vec::new();
 
     // steady: same load, no flip, no rebalancer.
-    let steady_stream: Vec<Vec<VectorKey>> =
-        phase_a.iter().chain(phase_a.iter()).cloned().collect();
-    let (sys, report) = serve(build_system(topology()), None, steady_stream);
-    rows.push(row(
-        "steady",
-        false,
-        0,
-        report.completed,
-        report.latency.p99,
-        total_cost(&sys),
-        &report.engine,
-    ));
+    let steady_stream = [phase_a.clone(), phase_a.clone()].concat();
+    let (sys, report) = serve(build_system(), None, steady_stream);
+    rows.push(row("steady", 0, &sys, &[&report]));
 
     // quiescent_reactive: re-placement requires a drained system, so the
     // flip costs two stop-the-worlds — one to snapshot phase-A traffic,
@@ -875,26 +682,18 @@ fn online_rebalance_rows(cfg: &RecMgConfig) -> (usize, Vec<String>, Vec<String>)
     // delta drives the re-placement.
     let react_after = 8usize;
     let mut rb = Rebalancer::new((react_after * 60) as u64);
-    let (mut sys, r1) = serve(build_system(topology()), None, phase_a.clone());
+    let (mut sys, r1) = serve(build_system(), None, phase_a.clone());
     rb.try_rebalance(&mut sys, 0)
         .expect("drained session has no queue");
     let (mut sys, r2) = serve(sys, None, phase_b[..react_after].to_vec());
     rb.try_rebalance(&mut sys, 0)
         .expect("drained session has no queue");
     let (sys, r3) = serve(sys, None, phase_b[react_after..].to_vec());
-    rows.push(row(
-        "quiescent_reactive",
-        true,
-        2,
-        r1.completed + r2.completed + r3.completed,
-        r1.latency.p99.max(r2.latency.p99).max(r3.latency.p99),
-        total_cost(&sys),
-        &r3.engine,
-    ));
+    rows.push(row("quiescent_reactive", 2, &sys, &[&r1, &r2, &r3]));
 
     // live: one session, zero drains, with the same trigger recipe as
-    // the quiescent-bench reactive strategy — a once-per-phase count
-    // fire keeps the snapshot deltas pure (so the phase fire that
+    // the working-set section's reactive strategy — a once-per-phase
+    // count fire keeps the snapshot deltas pure (so the phase fire that
     // follows the flip ranks on phase-B traffic, not a mixed history),
     // the phase trigger owns the flip edge, and a two-epoch cooldown
     // stops back-to-back fires from churning residency the workload
@@ -921,29 +720,21 @@ fn online_rebalance_rows(cfg: &RecMgConfig) -> (usize, Vec<String>, Vec<String>)
         read_dominance: 0.5,
         ..ReplicationPolicy::default()
     });
-    let flip_stream: Vec<Vec<VectorKey>> = phase_a.iter().chain(phase_b.iter()).cloned().collect();
-    let (sys, report) = serve(build_system(topology()), Some(live_cfg), flip_stream);
-    rows.push(row(
-        "live",
-        true,
-        0,
-        report.completed,
-        report.latency.p99,
-        total_cost(&sys),
-        &report.engine,
-    ));
+    let flip_stream = [phase_a.clone(), phase_b.clone()].concat();
+    let (sys, report) = serve(build_system(), Some(live_cfg), flip_stream);
+    rows.push(row("live", 0, &sys, &[&report]));
 
     // Replication isolate: 24 celebrity keys (plus a cold tail) on a
     // single shard whose 256-vector buffer can never fit the 32-slot
     // fast tier. The count trigger fires every 256 fresh accesses; only
     // the second row lets the replication policy act on them.
     let hot: Vec<VectorKey> = (0..24)
-        .map(|r| VectorKey::new(recmg_trace::TableId(3), RowId(r)))
+        .map(|r| VectorKey::new(TableId(3), RowId(r)))
         .collect();
     let cold: Vec<VectorKey> = (0..60)
-        .map(|r| VectorKey::new(recmg_trace::TableId(4), RowId(r)))
+        .map(|r| VectorKey::new(TableId(4), RowId(r)))
         .collect();
-    let rounds = if smoke() { 100 } else { 400 };
+    let rounds = if smoke { 100 } else { 400 };
     let rep_batches: Vec<Vec<VectorKey>> = (0..rounds)
         .map(|r| {
             let mut keys = hot.clone();
@@ -953,13 +744,12 @@ fn online_rebalance_rows(cfg: &RecMgConfig) -> (usize, Vec<String>, Vec<String>)
             keys
         })
         .collect();
-    let rep_rows = [("move_only", false), ("replicated", true)]
-        .iter()
-        .map(|&(name, replicate)| {
-            let codec = FrequencyRankCodec::from_accesses(&hot);
-            let sys = SystemBuilder::new(&caching, Some(&prefetch), codec)
+    let isolate: Vec<ReplicaRow> = [("move_only", false), ("replicated", true)]
+        .into_iter()
+        .map(|(mode, replicate)| {
+            let sys = models
+                .builder(&hot, 32)
                 .shards(1)
-                .topology(TierTopology::two_tier(32, 224))
                 .guidance(GuidanceMode::Inline)
                 .build();
             let mut live = LiveRebalanceConfig::default()
@@ -969,129 +759,51 @@ fn online_rebalance_rows(cfg: &RecMgConfig) -> (usize, Vec<String>, Vec<String>)
                 live = live.with_replication(ReplicationPolicy::default());
             }
             let (sys, report) = serve(sys, Some(live), rep_batches.clone());
-            let cost = total_cost(&sys);
+            let row = ReplicaRow {
+                mode,
+                completed: report.completed,
+                cost_ns: total_cost_ns(&sys),
+                replication: report.engine.replication,
+            };
             println!(
-                "online_rebalance/replication/{name}: cost {:.3}ms, {} replica hits, {} fills",
-                cost as f64 / 1e6,
-                report.engine.replication.replica_hits,
-                report.engine.replication.replica_fills,
+                "online_rebalance/replication/{mode}: cost {:.3}ms, {} replica hits, {} fills",
+                row.cost_ns as f64 / 1e6,
+                row.replication.replica_hits,
+                row.replication.replica_fills,
             );
-            format!(
-                concat!(
-                    "      {{\"mode\": \"{}\", \"completed\": {}, ",
-                    "\"hit_weighted_cost_ns\": {}, \"replication\": {}}}"
-                ),
-                name,
-                report.completed,
-                cost,
-                report.engine.replication.to_json(),
-            )
+            row
         })
         .collect();
-    (batches_per_phase, rows, rep_rows)
-}
-
-/// Streaming rows: a Poisson replay of the same trace the systems are
-/// built from (so the buffer actually hits, like the `sharded` section),
-/// offered at ~70% of the measured 1-shard batch service rate, served
-/// through a session with admission control and an SLA budget — plus one
-/// closed-loop row (N outstanding requests, next arrival on completion)
-/// over the same trace.
-fn streaming_rows(
-    cfg: &RecMgConfig,
-    trace: &recmg_trace::Trace,
-    capacity: usize,
-) -> (f64, usize, usize, Vec<String>) {
-    let queries_per_request = 5usize;
-    let requests = trace.batches(queries_per_request).len();
-
-    // Calibrate the arrival rate against this machine: serve the same
-    // request stream once batch-backed and take 70% of the observed
-    // request rate.
-    let calib_batches = trace.batches(queries_per_request);
-    let mut calib = sharded_system(cfg, trace, capacity, 1);
-    let calib_report = calib.serve(&calib_batches, &serve_opts(1));
-    let service_rate = calib_report.batches as f64 / calib_report.elapsed_secs.max(1e-9);
-    let rate_hz = (service_rate * 0.7).max(50.0);
-    let mean_service = Duration::from_secs_f64(1.0 / service_rate.max(1e-9));
-
-    let mut rows = Vec::new();
-    for shards in [1usize, 4] {
-        let opts = serve_opts(shards);
-        let session = SessionBuilder::new()
-            .workers(opts.workers)
-            .guidance(opts.guidance)
-            .admission(AdmissionPolicy {
-                queue_depth: 64,
-                ..AdmissionPolicy::default()
-            })
-            .sla(SlaBudget::new(mean_service * 8))
-            .build(sharded_system(cfg, trace, capacity, shards));
-        let mut source = TraceReplaySource::new(
-            trace,
-            queries_per_request,
-            ArrivalProcess::Poisson { rate_hz },
-            0xBEEF + shards as u64,
-        )
-        .with_deadline(mean_service * 20);
-        session.ingest(&mut source);
-        let (_sys, report) = session.drain();
-        println!(
-            "serving_streaming/{shards}: p50 {:.2}ms p95 {:.2}ms p99 {:.2}ms, shed {:.1}%",
-            report.latency.p50.as_secs_f64() * 1e3,
-            report.latency.p95.as_secs_f64() * 1e3,
-            report.latency.p99.as_secs_f64() * 1e3,
-            report.shed_rate() * 100.0
-        );
-        rows.push(format!(
-            "    {{\"shards\": {}, \"workers\": {}, \"mode\": \"open_loop\", \"session\": {}}}",
-            shards,
-            opts.workers,
-            report.to_json()
-        ));
-    }
-
-    // Closed-loop row: 8 clients, each issuing its next request the
-    // moment a slot frees up — offered load self-limits to the server's
-    // pace instead of following an external clock.
-    let outstanding = 8usize;
-    {
-        let opts = serve_opts(4);
-        let session = SessionBuilder::new()
-            .workers(opts.workers)
-            .guidance(opts.guidance)
-            .admission(AdmissionPolicy {
-                queue_depth: 64,
-                ..AdmissionPolicy::default()
-            })
-            .sla(SlaBudget::new(mean_service * 8 * outstanding as u32))
-            .build(sharded_system(cfg, trace, capacity, 4));
-        let inner = TraceReplaySource::new(
-            trace,
-            queries_per_request,
-            ArrivalProcess::Immediate,
-            0xC105ED,
-        );
-        let mut source = ClosedLoopSource::new(inner, outstanding, session.progress());
-        session.ingest(&mut source);
-        let (_sys, report) = session.drain();
-        println!(
-            "serving_streaming/closed-loop x{outstanding}: p50 {:.2}ms p95 {:.2}ms, {:.0} req/s",
-            report.latency.p50.as_secs_f64() * 1e3,
-            report.latency.p95.as_secs_f64() * 1e3,
-            report.completed as f64 / report.engine.elapsed_secs.max(1e-9),
-        );
-        rows.push(format!(
-            concat!(
-                "    {{\"shards\": 4, \"workers\": {}, \"mode\": \"closed_loop\", ",
-                "\"outstanding\": {}, \"session\": {}}}"
-            ),
-            opts.workers,
-            outstanding,
-            report.to_json()
-        ));
-    }
-    (rate_hz, requests, queries_per_request, rows)
+    println!(
+        "online_rebalance ok: {}",
+        check_online_rebalance(&rows, &isolate, smoke)?
+    );
+    Ok(section(
+        |w| {
+            w.key("shards").raw(SHARDS);
+            w.key("batches_per_phase").raw(batches_per_phase);
+        },
+        "phase-flip stream served closed-loop (2 outstanding, 2 workers); the live row \
+                 never drains (background phase-triggered migration + read-hot replication); \
+                 quiescent_reactive stops the world twice (flip snapshot, then try_rebalance 8 \
+                 batches into phase B); hit_weighted_cost_ns is cumulative per-tier access cost \
+                 including migration fills and replica charges; p99_ns is closed-loop \
+                 per-request latency",
+        |w| {
+            write_rows(w, "results", 4, &rows, RebalanceRow::write_json);
+            w.newline(4);
+            w.key("replication").object(|w| {
+                w.newline(6);
+                w.key("workload").string(
+                    "24-key read-hot set + cold tail on one slow-tier shard too big for the \
+                     fast tier",
+                );
+                w.newline(6);
+                write_rows(w, "results", 6, &isolate, ReplicaRow::write_json);
+                w.newline(4);
+            });
+        },
+    ))
 }
 
 /// Markov-modulated burst workload for the multi-tenant section: a
@@ -1162,56 +874,30 @@ impl RequestSource for BurstSource {
 /// live session — `budgeted` (weight 3, per-tenant SLA, steady Poisson on
 /// the shard-{0,1,2} hot set in both scenarios) and `besteffort` (weight
 /// 1, queue quota, deadline-carrying). The `steady` scenario has both
-/// tenants at a quarter of the measured service rate; `flash_crowd`
+/// tenants at a fraction of the measured service rate; `flash_crowd`
 /// switches the best-effort tenant to a Markov-modulated flash crowd
-/// whose spike state floods at 4× the service rate *from the flipped hot
+/// whose spike state floods at 48× the steady rate *from the flipped hot
 /// set* (shards {5,6,7}) — saturating the queue and moving the hot shards
 /// at once. Admission (quota + shed) makes the best-effort tenant absorb
 /// the overload, weighted-fair dequeue keeps the budgeted tenant's p99
 /// within 2× of its steady-state value, and the live rebalancer's phase
-/// trigger fires on the flip (CI asserts all three on the committed
-/// artifact, plus exact per-tenant conservation).
-fn multi_tenant_burst_rows(cfg: &RecMgConfig) -> (usize, usize, Vec<String>) {
-    let shards = 8usize;
+/// trigger fires on the flip.
+fn multi_tenant_burst(models: &Models, smoke: bool) -> Section {
     let keys_per_request = 20usize;
-    let budgeted_requests = if smoke() { 150 } else { 500 };
-    let besteffort_requests = if smoke() { 200 } else { 700 };
+    let budgeted_requests = if smoke { 150 } else { 500 };
+    let besteffort_requests = if smoke { 200 } else { 700 };
     let epoch = 128u64;
-    let capacity = 256usize;
-    let fast = 96usize;
 
-    let router = ShardRouter::new(shards);
-    let keys_on_shards = |targets: &[usize], n: usize, salt: u64| -> Vec<VectorKey> {
-        (0..)
-            .map(|i| VectorKey::new(recmg_trace::TableId(1), RowId(salt + i as u64)))
-            .filter(|&k| targets.contains(&router.shard_of(k)))
-            .take(n)
-            .collect()
-    };
-    let hot_a = keys_on_shards(&[0, 1, 2], 60, 0);
-    let hot_b = keys_on_shards(&[5, 6, 7], 60, 1_000_000);
+    let router = ShardRouter::new(SHARDS);
+    let hot_a = keys_on_shards(&router, &[0, 1, 2], 60, 0);
+    let hot_b = keys_on_shards(&router, &[5, 6, 7], 60, 1_000_000);
 
-    let caching = CachingModel::new(cfg);
-    let prefetch = PrefetchModel::new(cfg);
     let build_system = || {
-        let codec = FrequencyRankCodec::from_accesses(&hot_a);
-        SystemBuilder::new(&caching, Some(&prefetch), codec)
-            .shards(shards)
-            .topology(TierTopology::new(vec![
-                MemoryTier::dram(fast),
-                MemoryTier::new(
-                    "cxl",
-                    capacity - fast,
-                    TierCost::cxl_like().with_penalty(Duration::from_nanos(400)),
-                ),
-            ]))
+        models
+            .builder(&hot_a, 96)
             .placement(CardinalityWorkingSet::with_floor(20))
             .guidance(GuidanceMode::Inline)
-            .sketch(SketchConfig {
-                epoch_len: epoch,
-                window_epochs: 4,
-                ..SketchConfig::default()
-            })
+            .sketch(sketch(epoch))
             .build()
     };
 
@@ -1225,15 +911,15 @@ fn multi_tenant_burst_rows(cfg: &RecMgConfig) -> (usize, usize, Vec<String>) {
         })
         .collect();
     let refs: Vec<&[VectorKey]> = calib_batches.iter().map(Vec::as_slice).collect();
-    let mut calib = build_system();
-    let calib_report = calib.serve(&refs, &serve_opts(1));
+    let calib_report = build_system().serve(&refs, &INLINE);
     let service_rate = calib_report.batches as f64 / calib_report.elapsed_secs.max(1e-9);
     // Batch-mode calibration overstates what the session path sustains
     // (no ingest pacing, no queue, no per-request accounting), so the
     // per-tenant steady rate targets a conservative fraction of it —
     // the steady scenario must stay subcritical for the flash contrast.
     let steady_hz = (service_rate * 0.15).max(50.0);
-    let mean_service = Duration::from_secs_f64(1.0 / service_rate.max(1e-9));
+    let mean_service =
+        Duration::from_secs_f64(1.0 / service_rate.max(1e-9)).max(Duration::from_micros(1));
 
     // One flash burst's hot-set accesses halve the trigger's count gate,
     // so the phase fire lands inside the burst that caused it.
@@ -1245,7 +931,7 @@ fn multi_tenant_burst_rows(cfg: &RecMgConfig) -> (usize, usize, Vec<String>) {
     .with_min_new_accesses((200 * keys_per_request / 2) as u64)
     .with_cooldown(2 * epoch);
 
-    let run_scenario = |scenario: &str, besteffort_chain: MarkovArrivals, flip: bool| -> String {
+    let run_scenario = |scenario: &'static str, besteffort_chain: MarkovArrivals| {
         let session = SessionBuilder::new()
             .workers(2)
             .guidance(GuidanceMode::Inline)
@@ -1256,9 +942,7 @@ fn multi_tenant_burst_rows(cfg: &RecMgConfig) -> (usize, usize, Vec<String>) {
             .tenants(vec![
                 TenantSpec::new("budgeted")
                     .with_weight(3.0)
-                    .with_sla(SlaBudget::new(
-                        mean_service.max(Duration::from_micros(1)) * 12,
-                    )),
+                    .with_sla(SlaBudget::new(mean_service * 12)),
                 TenantSpec::new("besteffort").with_quota(4),
             ])
             .live(live_cfg)
@@ -1268,7 +952,7 @@ fn multi_tenant_burst_rows(cfg: &RecMgConfig) -> (usize, usize, Vec<String>) {
             rng: StdRng::seed_from_u64(0xB0D6),
             clock: Duration::ZERO,
             hot_a: hot_a.clone(),
-            hot_b: hot_a.clone(), // the budgeted tenant never flips
+            hot_b: hot_b.clone(), // never drawn from: a steady chain has no flash state
             keys_per_request,
             issued: 0,
             total: budgeted_requests,
@@ -1283,334 +967,97 @@ fn multi_tenant_burst_rows(cfg: &RecMgConfig) -> (usize, usize, Vec<String>) {
             rng: StdRng::seed_from_u64(4),
             clock: Duration::ZERO,
             hot_a: hot_a.clone(),
-            hot_b: if flip { hot_b.clone() } else { hot_a.clone() },
+            hot_b: hot_b.clone(),
             keys_per_request,
             issued: 0,
             total: besteffort_requests,
-            deadline: Some(mean_service.max(Duration::from_micros(1)) * 5),
+            deadline: Some(mean_service * 5),
             tenant: 1,
         };
         session.ingest_multi(&mut [&mut budgeted, &mut besteffort]);
-        let (_sys, report) = session.drain();
-        let budgeted_report = &report.tenants[0];
-        let besteffort_report = &report.tenants[1];
+        let (_sys, session) = session.drain();
+        let (budgeted, besteffort) = (&session.tenants[0], &session.tenants[1]);
         println!(
-            concat!(
-                "multi_tenant_burst/{}: budgeted p99 {:.3}ms ({}/{} done), ",
-                "besteffort shed+rejected {} of {}, {} migrations"
-            ),
-            scenario,
-            budgeted_report.latency.p99.as_secs_f64() * 1e3,
-            budgeted_report.completed,
-            budgeted_report.submitted,
-            besteffort_report.rejected_queue_full
-                + besteffort_report.rejected_deadline
-                + besteffort_report.shed_in_queue,
-            besteffort_report.submitted,
-            report.engine.migration.migrations,
+            "multi_tenant_burst/{scenario}: budgeted p99 {:.3}ms ({}/{} done), \
+             besteffort shed+rejected {} of {}, {} migrations",
+            budgeted.latency.p99.as_secs_f64() * 1e3,
+            budgeted.completed,
+            budgeted.submitted,
+            besteffort.unserved(),
+            besteffort.submitted,
+            session.engine.migration.migrations,
         );
-        format!(
-            "    {{\"scenario\": \"{}\", \"session\": {}}}",
-            scenario,
-            report.to_json()
-        )
+        ScenarioRow { scenario, session }
     };
 
-    let rows = vec![
-        run_scenario("steady", BurstSource::steady_chain(steady_hz), false),
+    let rows = [
+        run_scenario("steady", BurstSource::steady_chain(steady_hz)),
         run_scenario(
             "flash_crowd",
             match ArrivalProcess::flash_crowd(steady_hz, 48.0, 60, 200) {
                 ArrivalProcess::MarkovModulated(chain) => chain,
                 _ => unreachable!("flash_crowd builds a Markov chain"),
             },
-            true,
         ),
     ];
-    (budgeted_requests, besteffort_requests, rows)
-}
-
-/// Accumulates `b` into `a` (stats, chunk accounting, wall-clock, plane
-/// counters, per-tier traffic) so a row can aggregate several serve
-/// passes.
-fn merge_reports(a: &mut recmg_core::EngineReport, b: &recmg_core::EngineReport) {
-    a.stats.accumulate(b.stats);
-    a.batches += b.batches;
-    a.guided_chunks += b.guided_chunks;
-    a.total_chunks += b.total_chunks;
-    a.elapsed_secs += b.elapsed_secs;
-    a.plane.model_forwards += b.plane.model_forwards;
-    a.plane.drains += b.plane.drains;
-    a.plane.chunks += b.plane.chunks;
-    a.plane.max_batch = a.plane.max_batch.max(b.plane.max_batch);
-    a.plane.late_chunks += b.plane.late_chunks;
-    // Working-set fields are point-in-time: keep the latest pass's view.
-    a.unique_keys = b.unique_keys;
-    a.max_phase_score = b.max_phase_score;
-    for (ta, tb) in a.tiers.iter_mut().zip(&b.tiers) {
-        ta.traffic.accumulate(tb.traffic);
-        // Occupancy and the sketched footprint are point-in-time: keep
-        // the latest pass's view (accumulate() would sum the same shards'
-        // footprint once per pass).
-        ta.traffic.unique_keys = tb.traffic.unique_keys;
-        ta.resident = tb.resident;
-        ta.capacity = tb.capacity;
-    }
-}
-
-/// One measured row: a warmup pass over the trace (excluded), then
-/// `passes` serves aggregated into one report — steady-state serving on a
-/// warm buffer, long enough to dampen single-shot scheduler noise.
-fn measure_row(
-    cfg: &RecMgConfig,
-    trace: &recmg_trace::Trace,
-    capacity: usize,
-    shards: usize,
-    passes: usize,
-    opts: &ServeOptions,
-) -> recmg_core::EngineReport {
-    let batches = trace.batches(20);
-    let mut sys = sharded_system(cfg, trace, capacity, shards);
-    sys.serve(&batches, opts); // warmup: fills the buffer, pages in code
-    let mut agg: Option<recmg_core::EngineReport> = None;
-    for _ in 0..passes {
-        let report = sys.serve(&batches, opts);
-        match &mut agg {
-            None => agg = Some(report),
-            Some(a) => merge_reports(a, &report),
-        }
-    }
-    agg.expect("at least one pass")
-}
-
-/// Satellite sweep behind the batched guidance plane: 8 shards served with
-/// coalescing on (`max_batch` 8) versus off (`max_batch` 1 — one model
-/// forward per chunk, the pre-batching plane), same lag budget. The paired
-/// rows show what batch coalescing buys in `guided_fraction` and
-/// throughput at the highest shard count.
-fn guidance_batching_rows(
-    cfg: &RecMgConfig,
-    trace: &recmg_trace::Trace,
-    capacity: usize,
-) -> Vec<String> {
-    [1usize, 8]
-        .iter()
-        .map(|&max_batch| {
-            let opts = ServeOptions {
-                workers: 1,
-                guidance: GuidanceMode::Background {
-                    threads: 1,
-                    max_lag: 16,
-                    max_batch,
-                },
-            };
-            let passes = if smoke() { 1 } else { 3 };
-            let report = measure_row(cfg, trace, capacity, 8, passes, &opts);
-            println!(
-                "guidance_batching/8-shards/max_batch={max_batch}: {:.0} keys/s, {:.0}% guided, mean batch {:.1}",
-                report.keys_per_sec(),
-                report.guided_fraction() * 100.0,
-                report.plane.mean_batch(),
-            );
-            format!(
-                "    {{\"max_batch\": {}, \"report\": {}}}",
-                max_batch,
-                report.to_json()
-            )
-        })
-        .collect()
-}
-
-fn bench_serving_sharded(c: &mut Criterion) {
-    let cfg = RecMgConfig::default();
-    let trace = SyntheticConfig::tiny(1207).generate();
-    let capacity = 256usize;
-    let batches = trace.batches(20);
-    let shard_counts: &[usize] = if smoke() { &[1, 4] } else { &[1, 2, 4, 8] };
-    let passes = if smoke() { 1 } else { 3 };
-
-    // Measured sweep for the JSON summary: per shard count, one warmup
-    // pass then `passes` aggregated serve passes over the whole trace.
-    let mut rows = Vec::new();
-    let mut single_thread_kps = 0.0f64;
-    for &shards in shard_counts {
-        let report = measure_row(&cfg, &trace, capacity, shards, passes, &serve_opts(shards));
-        if shards == 1 {
-            single_thread_kps = report.keys_per_sec();
-        }
-        rows.push((shards, report));
-    }
-    let sharded_rows: Vec<String> = rows
-        .iter()
-        .map(|(shards, r)| {
-            format!(
-                concat!(
-                    "    {{\"shards\": {}, \"workers\": {}, ",
-                    "\"speedup_vs_single_thread\": {:.3}, \"report\": {}}}"
-                ),
-                shards,
-                serve_opts(*shards).workers,
-                r.keys_per_sec() / single_thread_kps.max(1e-9),
-                r.to_json(),
-            )
-        })
-        .collect();
-    for (shards, r) in &rows {
-        println!(
-            "serving_sharded/{shards}: {:.0} keys/s ({:.2}x vs single-thread, {:.0}% guided)",
-            r.keys_per_sec(),
-            r.keys_per_sec() / single_thread_kps.max(1e-9),
-            r.guided_fraction() * 100.0
-        );
-    }
-
-    let batching_rows = guidance_batching_rows(&cfg, &trace, capacity);
-    let grid_rows = workload_grid_rows(&cfg);
-    let (tier_skew, tier_requests, tier_rows) = tier_placement_rows(&cfg);
-    let (sp_requests, sp_rows) = statistical_placement_rows(&cfg);
-    let (sdm_fast, sdm_footprint, sdm_requests, sdm_rows, sdm_calibration) = sdm_ladder_rows(&cfg);
-    let (router_iters, router_rows) = router_fast_path_rows();
-    let (ws_requests, ws_epoch, ws_rows) = working_set_estimation_rows(&cfg);
-    let (or_batches_per_phase, or_rows, rep_rows) = online_rebalance_rows(&cfg);
-    let (mt_budgeted, mt_besteffort, mt_rows) = multi_tenant_burst_rows(&cfg);
-    let (rate_hz, stream_requests, queries_per_request, stream_rows) =
-        streaming_rows(&cfg, &trace, capacity);
-
-    let json = format!(
-        concat!(
-            "{{\n  \"bench\": \"serving\",\n",
-            "  \"sharded\": {{\n    \"accesses\": {}, \"batches\": {},\n",
-            "    \"methodology\": \"warm buffer: 1 warmup pass + 3 aggregated passes per row; ",
-            "multi-shard rows serve with 1 worker + 1 batched plane thread (not comparable to ",
-            "pre-PR-3 single-cold-pass rows)\",\n",
-            "    \"results\": [\n{}\n    ]\n  }},\n",
-            "  \"guidance_batching\": {{\n    \"shards\": 8,\n    \"results\": [\n{}\n    ]\n  }},\n",
-            "  \"workload_grid\": [\n{}\n  ],\n",
-            "  \"tier_placement\": {{\n    \"shards\": 8, \"skew\": {:.1}, \"requests\": {}, ",
-            "\"topology\": \"dram + penalized cxl\",\n",
-            "    \"methodology\": \"deterministic inline serving; per policy: observation pass, ",
-            "one rebalance, measured pass; hit_weighted_cost_ns = per-tier hit-weighted access ",
-            "cost of the measured pass (serving only); migration_cost_ns = one-time rebalance ",
-            "churn, reported separately\",\n",
-            "    \"results\": [\n{}\n    ]\n  }},\n",
-            "  \"statistical_placement\": {{\n    \"shards\": 8, \"requests\": {}, ",
-            "\"topology\": \"dram + penalized cxl\",\n",
-            "    \"methodology\": \"heterogeneous 26-table workload with per-table skews; per ",
-            "variant and policy: observation pass, one rebalance (installs pins/splits for the ",
-            "statistical policy), post-rebalance warmup pass, measured pass; ",
-            "cost_margin_vs_hash_even = 1 - ",
-            "statistical_cost / hash_even_cost on the measured pass's hit-weighted per-tier ",
-            "access cost; the margin must grow from mild_spread to libai_dlrm\",\n",
-            "    \"results\": [\n{}\n    ]\n  }},\n",
-            "  \"sdm_ladder\": {{\n    \"shards\": 4, \"fast_rows\": {}, \"footprint_rows\": {}, ",
-            "\"requests\": {},\n",
-            "    \"topology\": \"dram -> mapped_file -> file (calibrated)\",\n",
-            "    \"methodology\": \"one bind-time calibration probe prices all three tiers for ",
-            "both rows (measured hit/miss/fill ns, not injected); the stream's footprint is 4x ",
-            "the fast tier; rows differ only in fill mode: blocking pays full read-through per ",
-            "miss, async pays the slow read on-path and the install only when a queued, ",
-            "coalesced background fill lands\",\n",
-            "    \"calibration\": {},\n",
-            "    \"results\": [\n{}\n    ]\n  }},\n",
-            "  \"router_fast_path\": {{\n    \"iters\": {},\n    \"results\": [\n{}\n    ]\n  }},\n",
-            "  \"working_set_estimation\": {{\n    \"shards\": 8, \"batches_per_phase\": {}, ",
-            "\"sketch_epoch\": {}, ",
-            "\"workload\": \"300-key hot set (2/3 of traffic) moves shards {{0,1,2}} -> {{5,6,7}} at halftime; ",
-            "100-key background\",\n",
-            "    \"methodology\": \"deterministic sequential serving; both strategies share the ",
-            "same count-trigger period; the reactive row adds the sketch phase trigger; ",
-            "hit_weighted_cost_ns is cumulative over both phases including migration charges; ",
-            "post_flip_cost_ns covers the second phase only\",\n",
-            "    \"results\": [\n{}\n    ]\n  }},\n",
-            "  \"online_rebalance\": {{\n    \"shards\": 8, \"batches_per_phase\": {}, ",
-            "\"smoke\": {},\n",
-            "    \"methodology\": \"phase-flip stream served closed-loop (2 outstanding, ",
-            "2 workers); the live row never drains (background phase-triggered migration + ",
-            "read-hot replication); quiescent_reactive stops the world twice (flip snapshot, ",
-            "then try_rebalance 8 batches into phase B); hit_weighted_cost_ns is cumulative ",
-            "per-tier access cost including migration fills and replica charges; p99_ns is ",
-            "closed-loop per-request latency\",\n",
-            "    \"results\": [\n{}\n    ],\n",
-            "    \"replication\": {{\n      \"workload\": \"24-key read-hot set + cold tail ",
-            "on one slow-tier shard too big for the fast tier\",\n",
-            "      \"results\": [\n{}\n      ]\n    }}\n  }},\n",
-            "  \"multi_tenant_burst\": {{\n    \"shards\": 8, \"budgeted_requests\": {}, ",
-            "\"besteffort_requests\": {},\n",
-            "    \"methodology\": \"two tenants, one live session (weighted-fair dequeue 3:1, ",
-            "best-effort queue quota 4 of depth 64, per-tenant SLA on the budgeted tenant); ",
-            "rates calibrated to the measured service rate; flash_crowd switches the ",
-            "best-effort tenant to a Markov-modulated chain whose spike state floods at 48x ",
-            "the steady rate from the flipped hot set (shards {{5,6,7}}), so the burst is a ",
-            "load spike and a phase change at once; the budgeted tenant's stream is identical ",
-            "in both scenarios\",\n",
-            "    \"results\": [\n{}\n    ]\n  }},\n",
-            "  \"streaming\": {{\n    \"arrival_process\": \"poisson\", \"rate_hz\": {:.1}, ",
-            "\"requests\": {}, \"queries_per_request\": {},\n    \"results\": [\n{}\n    ]\n  }}\n}}\n"
-        ),
-        trace.len(),
-        batches.len(),
-        sharded_rows.join(",\n"),
-        batching_rows.join(",\n"),
-        grid_rows.join(",\n"),
-        tier_skew,
-        tier_requests,
-        tier_rows.join(",\n"),
-        sp_requests,
-        sp_rows.join(",\n"),
-        sdm_fast,
-        sdm_footprint,
-        sdm_requests,
-        sdm_calibration,
-        sdm_rows.join(",\n"),
-        router_iters,
-        router_rows.join(",\n"),
-        ws_requests,
-        ws_epoch,
-        ws_rows.join(",\n"),
-        or_batches_per_phase,
-        smoke(),
-        or_rows.join(",\n"),
-        rep_rows.join(",\n"),
-        mt_budgeted,
-        mt_besteffort,
-        mt_rows.join(",\n"),
-        rate_hz,
-        stream_requests,
-        queries_per_request,
-        stream_rows.join(",\n"),
+    println!(
+        "multi_tenant_burst ok: {}",
+        check_multi_tenant_burst(&rows, smoke)?
     );
+    Ok(section(
+        |w| {
+            w.key("shards").raw(SHARDS);
+            w.key("budgeted_requests").raw(budgeted_requests);
+            w.key("besteffort_requests").raw(besteffort_requests);
+        },
+        "two tenants, one live session (weighted-fair dequeue 3:1, best-effort queue \
+                 quota 4 of depth 64, per-tenant SLA on the budgeted tenant); rates calibrated to \
+                 the measured service rate; flash_crowd switches the best-effort tenant to a \
+                 Markov-modulated chain whose spike state floods at 48x the steady rate from the \
+                 flipped hot set (shards {5,6,7}), so the burst is a load spike and a phase \
+                 change at once; the budgeted tenant's stream is identical in both scenarios",
+        |w| {
+            write_rows(w, "results", 4, &rows, ScenarioRow::write_json);
+        },
+    ))
+}
+
+fn main() {
+    // `RECMG_SMOKE=1` shrinks every section so CI can run the bench, and
+    // every invariant, in seconds.
+    let smoke = std::env::var("RECMG_SMOKE").is_ok_and(|v| v == "1");
+    let models = Models::new(&RecMgConfig::default());
+    let sections: [(&str, SectionFn); 6] = [
+        ("tier_placement", tier_placement),
+        ("statistical_placement", statistical_placement),
+        ("sdm_ladder", sdm_ladder),
+        ("working_set_estimation", working_set_estimation),
+        ("online_rebalance", online_rebalance),
+        ("multi_tenant_burst", multi_tenant_burst),
+    ];
+    let json = JsonWriter::render(|w| {
+        w.object(|w| {
+            w.newline(2);
+            w.key("bench").string("serving");
+            w.key("smoke").raw(smoke);
+            for (name, run) in sections {
+                let section = run(&models, smoke).unwrap_or_else(|why| {
+                    eprintln!("{name} FAILED: {why}; no artifact written");
+                    std::process::exit(1);
+                });
+                w.newline(2);
+                w.key(name).raw(section);
+            }
+            w.newline(0);
+        })
+    }) + "\n";
     let out_dir = std::env::var("RECMG_OUT")
         .map(PathBuf::from)
         .unwrap_or_else(|_| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../.."));
     let path = out_dir.join("BENCH_serving.json");
-    if let Err(e) = std::fs::write(&path, &json) {
+    if let Err(e) = std::fs::write(&path, json) {
         eprintln!("could not write {}: {e}", path.display());
-    } else {
-        println!("wrote {}", path.display());
+        std::process::exit(1);
     }
-
-    // Criterion timings over warm systems (steady-state serving through
-    // the session-backed engine path). Skipped in smoke mode — the JSON
-    // summary above is what CI validates.
-    if smoke() {
-        return;
-    }
-    let mut group = c.benchmark_group("serving_sharded");
-    group.sample_size(10);
-    for &shards in shard_counts {
-        let mut sys = sharded_system(&cfg, &trace, capacity, shards);
-        group.throughput(Throughput::Elements(trace.len() as u64));
-        group.bench_with_input(
-            BenchmarkId::from_parameter(shards),
-            &shards,
-            |b, &shards| {
-                let opts = serve_opts(shards);
-                b.iter(|| black_box(sys.serve(&batches, &opts)));
-            },
-        );
-    }
-    group.finish();
+    println!("wrote {}", path.display());
 }
-
-criterion_group!(benches, bench_serving, bench_serving_sharded);
-criterion_main!(benches);

@@ -15,6 +15,7 @@
 //! `RECMG_OUT` (output directory, default `results`).
 
 pub mod experiments;
+pub mod policy;
 
 use std::cell::RefCell;
 use std::collections::HashMap;

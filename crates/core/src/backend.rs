@@ -38,6 +38,7 @@ use std::time::Instant;
 use recmg_trace::VectorKey;
 
 use crate::config::TierCost;
+use crate::json::JsonWriter;
 
 /// Bytes per embedding row held by a backend (16 f32 dimensions — the
 /// small-DLRM embedding width the serving benches model).
@@ -607,20 +608,26 @@ pub struct TierCalibration {
 }
 
 impl TierCalibration {
-    /// The measured numbers as a [`TierCost`] (no injected penalty).
+    /// The measured numbers as a [`TierCost`].
     pub fn cost(&self) -> TierCost {
         TierCost::synthetic(self.hit_ns, self.miss_ns, self.fill_ns)
     }
 
-    /// One JSON object (hand-rolled, like every report in this crate).
+    /// One JSON object with fixed field names.
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"tier\": \"{}\", \"backend\": \"{}\", \"probe_rows\": {}, ",
-                "\"hit_ns\": {}, \"miss_ns\": {}, \"fill_ns\": {}}}"
-            ),
-            self.tier, self.backend, self.probe_rows, self.hit_ns, self.miss_ns, self.fill_ns
-        )
+        JsonWriter::render(|w| self.write_json(w))
+    }
+
+    /// Writes the probe results as one JSON object.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.key("tier").string(&self.tier);
+            w.key("backend").string(self.backend);
+            w.key("probe_rows").raw(self.probe_rows);
+            w.key("hit_ns").raw(self.hit_ns);
+            w.key("miss_ns").raw(self.miss_ns);
+            w.key("fill_ns").raw(self.fill_ns);
+        });
     }
 }
 
@@ -637,8 +644,12 @@ pub struct CalibrationReport {
 impl CalibrationReport {
     /// `[{...}, ...]` — a JSON array of per-tier calibrations.
     pub fn to_json(&self) -> String {
-        let tiers: Vec<String> = self.tiers.iter().map(TierCalibration::to_json).collect();
-        format!("[{}]", tiers.join(", "))
+        JsonWriter::render(|w| self.write_json(w))
+    }
+
+    /// Writes the per-tier calibrations as one JSON array.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.array(&self.tiers, TierCalibration::write_json);
     }
 }
 
@@ -773,13 +784,17 @@ impl FillPlaneReport {
 
     /// One JSON object with fixed field names.
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"queued\": {}, \"coalesced\": {}, \"dropped\": {}, ",
-                "\"promoted\": {}}}"
-            ),
-            self.queued, self.coalesced, self.dropped, self.promoted
-        )
+        JsonWriter::render(|w| self.write_json(w))
+    }
+
+    /// Writes the counters as one JSON object.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.key("queued").raw(self.queued);
+            w.key("coalesced").raw(self.coalesced);
+            w.key("dropped").raw(self.dropped);
+            w.key("promoted").raw(self.promoted);
+        });
     }
 }
 
@@ -1037,7 +1052,6 @@ mod tests {
             );
             let cost = cal.cost();
             assert_eq!(cost.hit_ns, cal.hit_ns);
-            assert_eq!(cost.miss_penalty, std::time::Duration::ZERO);
             let json = cal.to_json();
             assert!(json.contains("\"backend\": "));
             assert!(json.contains(spec.name()));

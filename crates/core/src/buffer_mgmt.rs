@@ -13,8 +13,6 @@
 //! relative to model-demoted entries; the default of 4 follows the paper
 //! ("inspired by the RRIP hardware prefetcher algorithm").
 
-use std::time::{Duration, Instant};
-
 use recmg_cache::{BufferAccess, GpuBuffer};
 use recmg_trace::VectorKey;
 
@@ -92,19 +90,6 @@ impl TierTraffic {
     }
 }
 
-/// Spin until `penalty` has elapsed — the injected bandwidth penalty of a
-/// slow tier. Spinning (not sleeping) because realistic penalties are
-/// sub-microsecond, far below a sleep quantum.
-fn inject_penalty(penalty: Duration) {
-    if penalty.is_zero() {
-        return;
-    }
-    let start = Instant::now();
-    while start.elapsed() < penalty {
-        std::hint::spin_loop();
-    }
-}
-
 /// The RecMG-managed GPU buffer: eviction metadata ([`GpuBuffer`]) plus
 /// the actual row bytes on this tier's storage backend
 /// ([`crate::backend`]). The two stay in lockstep — a row exists exactly
@@ -130,46 +115,27 @@ pub struct RecMgBuffer {
 impl RecMgBuffer {
     /// Creates a buffer of `capacity` vectors with the given eviction
     /// speed, backed by an implicit free tier ([`TierCost::FREE`]: events
-    /// are counted but cost nothing and nothing is injected).
+    /// are counted but cost nothing) on the heap, with the default sketch
+    /// shape.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize, eviction_speed: u64) -> Self {
-        Self::with_cost(capacity, eviction_speed, TierCost::FREE)
+        Self::with_backend_spec(
+            capacity,
+            eviction_speed,
+            TierCost::FREE,
+            SketchConfig::default(),
+            BackendSpec::Dram,
+        )
     }
 
-    /// Creates a buffer backed by a memory tier with the given access-cost
-    /// model (tier-topology systems route every shard buffer through
-    /// here).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_cost(capacity: usize, eviction_speed: u64, cost: TierCost) -> Self {
-        Self::with_sketch(capacity, eviction_speed, cost, SketchConfig::default())
-    }
-
-    /// Creates a buffer with an explicit working-set sketch shape
-    /// ([`SystemBuilder::sketch`](crate::SystemBuilder::sketch) routes
-    /// every shard buffer through here).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero or `sketch` is invalid.
-    pub fn with_sketch(
-        capacity: usize,
-        eviction_speed: u64,
-        cost: TierCost,
-        sketch: SketchConfig,
-    ) -> Self {
-        Self::with_backend_spec(capacity, eviction_speed, cost, sketch, BackendSpec::Dram)
-    }
-
-    /// Creates a buffer whose row bytes live on an explicit storage
-    /// backend — the software-defined-memory path
+    /// Creates a buffer priced by a memory tier's access-cost model, with
+    /// an explicit working-set sketch shape, whose row bytes live on an
+    /// explicit storage backend
     /// ([`SystemBuilder::build`](crate::SystemBuilder::build) routes every
-    /// shard buffer through here with its tier's [`BackendSpec`]).
+    /// shard buffer through here with its tier's cost and [`BackendSpec`]).
     ///
     /// # Panics
     ///
@@ -375,9 +341,7 @@ impl RecMgBuffer {
     /// `eviction_speed`; their final priority arrives with the next
     /// caching-model output (Algorithm 1).
     ///
-    /// Tier accounting: hits charge `hit_ns`, misses charge `miss_ns` and
-    /// suffer the tier's injected penalty (the on-demand fetch crosses the
-    /// slow tier's bandwidth bottleneck).
+    /// Tier accounting: hits charge `hit_ns`, misses charge `miss_ns`.
     pub fn access(&mut self, key: VectorKey) -> BufferAccess {
         // Every demand access feeds the working-set sketch (hits and
         // misses alike — the footprint is about reuse, not residency);
@@ -389,7 +353,6 @@ impl RecMgBuffer {
         let mut row = [0u8; ROW_BYTES];
         if outcome == BufferAccess::Miss {
             self.traffic.misses += 1;
-            inject_penalty(self.cost.miss_penalty);
             match &self.fill {
                 // Async: serve the miss from the slow side now (the fill
                 // portion of the miss cost is deferred to the promotion
@@ -504,12 +467,9 @@ impl RecMgBuffer {
             // occupy ~eviction_speed passes of capacity.
             self.buffer.insert_prefetch(key, 1);
             self.rows.insert(key);
-            // A real fill into the tier: charge it and pay the tier's
-            // bandwidth penalty (speculative traffic competes for the same
-            // slow-tier bandwidth as demand fetches).
+            // A real fill into the tier: charge it.
             self.traffic.prefetch_fills += 1;
             self.traffic.cost_ns += self.cost.fill_ns;
-            inject_penalty(self.cost.miss_penalty);
         }
     }
 
@@ -541,6 +501,17 @@ mod tests {
 
     fn key(r: u64) -> VectorKey {
         VectorKey::new(TableId(0), RowId(r))
+    }
+
+    /// A heap-backed buffer at eviction speed 4 priced at `cost`.
+    fn priced(capacity: usize, cost: TierCost) -> RecMgBuffer {
+        RecMgBuffer::with_backend_spec(
+            capacity,
+            4,
+            cost,
+            SketchConfig::default(),
+            BackendSpec::Dram,
+        )
     }
 
     #[test]
@@ -630,7 +601,7 @@ mod tests {
     #[test]
     fn tier_traffic_accounts_hits_misses_and_fills() {
         let cost = TierCost::synthetic(10, 100, 40);
-        let mut b = RecMgBuffer::with_cost(8, 4, cost);
+        let mut b = priced(8, cost);
         assert_eq!(b.cost(), cost);
         b.access(key(1)); // miss
         b.access(key(1)); // hit
@@ -666,12 +637,12 @@ mod tests {
 
     #[test]
     fn sketch_config_shapes_the_tracker() {
-        let sketch = crate::config::SketchConfig {
+        let sketch = SketchConfig {
             epoch_len: 4,
             window_epochs: 2,
-            ..crate::config::SketchConfig::tiny()
+            ..SketchConfig::tiny()
         };
-        let mut b = RecMgBuffer::with_sketch(8, 4, TierCost::FREE, sketch);
+        let mut b = RecMgBuffer::with_backend_spec(8, 4, TierCost::FREE, sketch, BackendSpec::Dram);
         assert_eq!(b.sketch_epoch_len(), 4);
         for r in 0..8 {
             b.access(key(r));
@@ -730,7 +701,7 @@ mod tests {
     fn refund_reprices_hit_without_touching_counts() {
         let slow = TierCost::cxl_like();
         let fast = TierCost::dram();
-        let mut b = RecMgBuffer::with_cost(4, 4, slow);
+        let mut b = priced(4, slow);
         b.access(key(1)); // miss
         b.access(key(1)); // hit at slow rate
         let before = b.traffic();
@@ -749,7 +720,7 @@ mod tests {
     fn replace_storage_keeps_history_and_reprices() {
         let slow = TierCost::cxl_like();
         let fast = TierCost::dram();
-        let mut b = RecMgBuffer::with_cost(4, 4, slow);
+        let mut b = priced(4, slow);
         for r in 1..=3 {
             b.access(key(r));
         }
@@ -772,7 +743,7 @@ mod tests {
 
     #[test]
     fn resize_and_migration_charge() {
-        let mut b = RecMgBuffer::with_cost(4, 4, TierCost::synthetic(0, 0, 0));
+        let mut b = priced(4, TierCost::synthetic(0, 0, 0));
         for r in 1..=4 {
             b.access(key(r));
         }
@@ -832,7 +803,7 @@ mod tests {
         use std::sync::Arc;
         let cost = TierCost::synthetic(10, 100, 40);
         let queue = Arc::new(FillQueue::new(8));
-        let mut b = RecMgBuffer::with_cost(4, 4, cost);
+        let mut b = priced(4, cost);
         b.set_fill_handle(Some(FillHandle {
             queue: Arc::clone(&queue),
             shard: 0,
@@ -871,7 +842,7 @@ mod tests {
         // fill landing; the promotion must charge the origin tier's fill
         // cost carried on the queue entry, not the destination's, so the
         // deferred pair still sums to the origin miss_ns.
-        let mut b = RecMgBuffer::with_cost(4, 4, TierCost::synthetic(10, 100, 40));
+        let mut b = priced(4, TierCost::synthetic(10, 100, 40));
         let before = b.traffic().cost_ns;
         assert!(b.promote_fill(key(1), 25));
         assert_eq!(b.traffic().cost_ns - before, 25);

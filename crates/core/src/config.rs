@@ -165,11 +165,8 @@ impl RecMgConfig {
 ///   ([`crate::backend::calibrate`]), reported via
 ///   [`CalibrationReport`](crate::CalibrationReport).
 ///
-/// Constructing the struct literally (and the spin-wait `miss_penalty`
-/// field) is deprecated at the public surface in favour of the two paths
-/// above; `with_penalty` remains for benches that want wall-clock tier
-/// pressure, where a non-zero penalty spin-waits on every demand miss and
-/// prefetch fill.
+/// Either way the costs are pure accounting: serving multiplies event
+/// counts by them and never waits on them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TierCost {
     /// Cost of serving one resident access from this tier.
@@ -178,23 +175,12 @@ pub struct TierCost {
     pub miss_ns: u64,
     /// Cost of one speculative (prefetch) fill into this tier.
     pub fill_ns: u64,
-    /// Wall-clock delay injected on each miss/fill (zero = accounting
-    /// only). Deprecated surface: prefer [`TierCost::synthetic`] (no
-    /// injection) or a calibrated tier (measured, nothing to inject);
-    /// set via [`TierCost::with_penalty`] when a bench really wants
-    /// spin-wait pressure.
-    pub miss_penalty: Duration,
 }
 
 impl TierCost {
     /// All-zero cost: pure counting, no latency model. The implicit tier
     /// of pre-topology buffers.
-    pub const FREE: TierCost = TierCost {
-        hit_ns: 0,
-        miss_ns: 0,
-        fill_ns: 0,
-        miss_penalty: Duration::ZERO,
-    };
+    pub const FREE: TierCost = TierCost::synthetic(0, 0, 0);
 
     /// Local-DRAM-like tier: fast access, on-demand fetches dominated by
     /// the host-side copy.
@@ -211,20 +197,13 @@ impl TierCost {
 
     /// Explicitly injected (made-up) costs — the deterministic model for
     /// tests and repeatable benches, as opposed to the measured numbers a
-    /// calibrated tier gets at build. No spin-wait penalty.
+    /// calibrated tier gets at build.
     pub const fn synthetic(hit_ns: u64, miss_ns: u64, fill_ns: u64) -> Self {
         TierCost {
             hit_ns,
             miss_ns,
             fill_ns,
-            miss_penalty: Duration::ZERO,
         }
-    }
-
-    /// Sets the injected miss/fill penalty.
-    pub fn with_penalty(mut self, penalty: Duration) -> Self {
-        self.miss_penalty = penalty;
-        self
     }
 }
 
@@ -582,12 +561,8 @@ mod tests {
         assert!(dram.miss_ns < cxl.miss_ns);
         assert!(dram.fill_ns < cxl.fill_ns);
         assert_eq!(TierCost::default(), TierCost::FREE);
-        let pen = cxl.with_penalty(Duration::from_nanos(500));
-        assert_eq!(pen.miss_penalty, Duration::from_nanos(500));
-        assert_eq!(pen.hit_ns, cxl.hit_ns);
         let synth = TierCost::synthetic(10, 100, 40);
         assert_eq!((synth.hit_ns, synth.miss_ns, synth.fill_ns), (10, 100, 40));
-        assert_eq!(synth.miss_penalty, Duration::ZERO);
     }
 
     #[test]

@@ -21,6 +21,7 @@ use recmg_trace::VectorKey;
 
 use crate::backend::{CalibrationReport, FillPlaneReport};
 use crate::config::AdmissionPolicy;
+use crate::json::JsonWriter;
 use crate::migrate::{MigrationReport, ReplicationReport};
 use crate::session::{BatchSource, SessionBuilder};
 use crate::sharding::ShardedRecMgSystem;
@@ -108,21 +109,17 @@ impl GuidancePlaneReport {
         }
     }
 
-    fn to_json(self) -> String {
-        format!(
-            concat!(
-                "{{\"model_forwards\": {}, \"drains\": {}, \"chunks\": {}, ",
-                "\"mean_batch\": {:.2}, \"max_batch\": {}, \"late_chunks\": {}, ",
-                "\"kernel_lane\": \"{}\"}}"
-            ),
-            self.model_forwards,
-            self.drains,
-            self.chunks,
-            self.mean_batch(),
-            self.max_batch,
-            self.late_chunks,
-            self.kernel_lane,
-        )
+    /// Writes the plane accounting as one JSON object.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.key("model_forwards").raw(self.model_forwards);
+            w.key("drains").raw(self.drains);
+            w.key("chunks").raw(self.chunks);
+            w.key("mean_batch").fixed(self.mean_batch(), 2);
+            w.key("max_batch").raw(self.max_batch);
+            w.key("late_chunks").raw(self.late_chunks);
+            w.key("kernel_lane").string(self.kernel_lane);
+        });
     }
 }
 
@@ -146,7 +143,7 @@ impl Default for ServeOptions {
 
 /// Outcome of one batch-mode serve run (also embedded in
 /// [`SessionReport`](crate::session::SessionReport) for streaming runs).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct EngineReport {
     /// Merged access outcomes across all batches and shards.
     pub stats: BatchAccessStats,
@@ -217,35 +214,29 @@ impl EngineReport {
     /// serializer used by every bench that emits an engine report, so
     /// `guided_fraction` / `keys_per_sec` are never re-derived ad hoc.
     pub fn to_json(&self) -> String {
-        let tiers: Vec<String> = self.tiers.iter().map(TierUsage::to_json).collect();
-        let tables: Vec<String> = self.tables.iter().map(TableReport::to_json).collect();
-        format!(
-            concat!(
-                "{{\"batches\": {}, \"keys\": {}, \"hit_rate\": {:.4}, ",
-                "\"guided_fraction\": {:.4}, \"keys_per_sec\": {:.1}, ",
-                "\"elapsed_secs\": {:.4}, \"plane\": {}, ",
-                "\"access_cost_ns\": {}, \"unique_keys\": {}, ",
-                "\"max_phase_score\": {:.4}, \"migration\": {}, ",
-                "\"replication\": {}, \"calibration\": {}, \"fills\": {}, ",
-                "\"tiers\": [{}], \"tables\": [{}]}}"
-            ),
-            self.batches,
-            self.stats.total(),
-            self.stats.hit_rate(),
-            self.guided_fraction(),
-            self.keys_per_sec(),
-            self.elapsed_secs,
-            self.plane.to_json(),
-            self.access_cost_ns(),
-            self.unique_keys,
-            self.max_phase_score,
-            self.migration.to_json(),
-            self.replication.to_json(),
-            self.calibration.to_json(),
-            self.fills.to_json(),
-            tiers.join(", "),
-            tables.join(", "),
-        )
+        JsonWriter::render(|w| self.write_json(w))
+    }
+
+    /// Writes the report as one JSON object.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.key("batches").raw(self.batches);
+            w.key("keys").raw(self.stats.total());
+            w.key("hit_rate").fixed(self.stats.hit_rate(), 4);
+            w.key("guided_fraction").fixed(self.guided_fraction(), 4);
+            w.key("keys_per_sec").fixed(self.keys_per_sec(), 1);
+            w.key("elapsed_secs").fixed(self.elapsed_secs, 4);
+            self.plane.write_json(w.key("plane"));
+            w.key("access_cost_ns").raw(self.access_cost_ns());
+            w.key("unique_keys").raw(self.unique_keys);
+            w.key("max_phase_score").fixed(self.max_phase_score, 4);
+            self.migration.write_json(w.key("migration"));
+            self.replication.write_json(w.key("replication"));
+            self.calibration.write_json(w.key("calibration"));
+            self.fills.write_json(w.key("fills"));
+            w.key("tiers").array(&self.tiers, TierUsage::write_json);
+            w.key("tables").array(&self.tables, TableReport::write_json);
+        });
     }
 }
 

@@ -102,6 +102,7 @@ mod codec;
 mod config;
 pub mod engine;
 mod fast;
+pub mod json;
 pub mod labeling;
 pub mod migrate;
 mod prefetch_model;
@@ -132,6 +133,7 @@ pub use config::{
 };
 pub use engine::{EngineReport, GuidanceMode, GuidancePlaneReport, ServeOptions};
 pub use fast::{active_lane, FastScratch, KernelLane};
+pub use json::JsonWriter;
 pub use labeling::{build_training_data, Chunk, PrefetchExample, TrainingData};
 pub use migrate::{
     LiveRebalanceConfig, MigrationReport, ReplicationPolicy, ReplicationReport, RouteEpoch,
@@ -142,9 +144,9 @@ pub use prefetch_model::{
 };
 pub use serving::{TableArraySpec, WorkloadSpec};
 pub use session::{
-    ArrivalProcess, BatchSource, ClosedLoopSource, LatencySummary, MarkovArrivals, Rejection,
-    Request, RequestSample, RequestSource, ServingSession, SessionBuilder, SessionProgress,
-    SessionReport, SlaOutcome, SyntheticSource, TenantReport, TraceReplaySource,
+    ArrivalProcess, BatchSource, ClosedLoopSource, KeyStream, LatencySummary, MarkovArrivals,
+    PacedSource, Rejection, Request, RequestSample, RequestSource, ServingSession, SessionBuilder,
+    SessionProgress, SessionReport, SlaOutcome, SyntheticSource, TenantReport, TraceReplaySource,
 };
 pub use sharding::{ShardRouter, ShardedRecMgSystem};
 pub use sketch::{CardinalitySketch, WorkingSetStats, WorkingSetTracker};

@@ -53,10 +53,11 @@ use std::time::Duration;
 use recmg_cache::GpuBuffer;
 use recmg_trace::VectorKey;
 
-use crate::buffer_mgmt::TierTraffic;
+use crate::buffer_mgmt::{RecMgBuffer, TierTraffic};
 use crate::config::TierCost;
+use crate::json::JsonWriter;
 use crate::sharding::{GuidanceCtx, Shard};
-use crate::tier::{ShardPlacement, TierTopology};
+use crate::tier::{RebalanceTrigger, ShardPlacement, TierTopology};
 
 /// Per-shard serving route within one [`RouteEpoch`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -353,8 +354,8 @@ pub struct LiveRebalanceConfig {
     /// accumulated since the last fire (0 disables the count trigger).
     pub min_new_accesses: u64,
     /// Phase trigger: fire when any shard's sketch phase score reaches
-    /// the threshold (with the quiescent trigger's hysteresis and
-    /// per-shard significance gate).
+    /// the threshold (the [`Rebalancer`](crate::Rebalancer)'s trigger,
+    /// with its per-shard hysteresis and significance gate).
     pub phase_threshold: Option<f64>,
     /// Minimum fresh accesses between any two fires — the cooldown that
     /// keeps a noisy phase score from thrashing placements.
@@ -410,6 +411,11 @@ impl LiveRebalanceConfig {
         self.replication = Some(policy);
         self
     }
+
+    /// The trigger the background loop polls.
+    pub(crate) fn trigger(&self) -> RebalanceTrigger {
+        RebalanceTrigger::new(self.min_new_accesses, self.phase_threshold, self.cooldown)
+    }
 }
 
 /// Migration activity of one session, reported in
@@ -433,18 +439,21 @@ pub struct MigrationReport {
 }
 
 impl MigrationReport {
-    /// JSON object (stable field names, asserted in CI).
+    /// JSON object with stable field names.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"migrations\": {}, \"resizes\": {}, \"copy_fills\": {}, \
-             \"background_fills\": {}, \"migration_cost_ns\": {}, \"route_epoch\": {}}}",
-            self.migrations,
-            self.resizes,
-            self.copy_fills,
-            self.background_fills,
-            self.migration_cost_ns,
-            self.route_epoch
-        )
+        JsonWriter::render(|w| self.write_json(w))
+    }
+
+    /// Writes the counters as one JSON object.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.key("migrations").raw(self.migrations);
+            w.key("resizes").raw(self.resizes);
+            w.key("copy_fills").raw(self.copy_fills);
+            w.key("background_fills").raw(self.background_fills);
+            w.key("migration_cost_ns").raw(self.migration_cost_ns);
+            w.key("route_epoch").raw(self.route_epoch);
+        });
     }
 }
 
@@ -467,18 +476,21 @@ pub struct ReplicationReport {
 }
 
 impl ReplicationReport {
-    /// JSON object (stable field names, asserted in CI).
+    /// JSON object with stable field names.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"replicated_shards\": {}, \"replica_hits\": {}, \"replica_fills\": {}, \
-             \"invalidations\": {}, \"saved_cost_ns\": {}, \"replica_cost_ns\": {}}}",
-            self.replicated_shards,
-            self.replica_hits,
-            self.replica_fills,
-            self.invalidations,
-            self.saved_cost_ns,
-            self.replica_cost_ns
-        )
+        JsonWriter::render(|w| self.write_json(w))
+    }
+
+    /// Writes the counters as one JSON object.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.key("replicated_shards").raw(self.replicated_shards);
+            w.key("replica_hits").raw(self.replica_hits);
+            w.key("replica_fills").raw(self.replica_fills);
+            w.key("invalidations").raw(self.invalidations);
+            w.key("saved_cost_ns").raw(self.saved_cost_ns);
+            w.key("replica_cost_ns").raw(self.replica_cost_ns);
+        });
     }
 }
 
@@ -812,83 +824,12 @@ pub(crate) fn set_replica(
     changed
 }
 
-/// Snapshot-and-delta trigger of the live rebalancer: the quiescent
-/// [`Rebalancer`](crate::Rebalancer)'s access-count + significance-gated
-/// phase trigger, evaluated against the shard slice under brief locks.
-struct LiveTrigger {
-    min_new: u64,
-    phase_threshold: Option<f64>,
-    cooldown: u64,
-    armed: Vec<bool>,
-    last_traffic: Vec<TierTraffic>,
-    last_total: u64,
-}
-
-impl LiveTrigger {
-    fn new(cfg: &LiveRebalanceConfig, num_shards: usize) -> Self {
-        LiveTrigger {
-            min_new: cfg.min_new_accesses,
-            phase_threshold: cfg.phase_threshold,
-            cooldown: cfg.cooldown.max(1),
-            armed: vec![true; num_shards],
-            last_traffic: vec![TierTraffic::default(); num_shards],
-            last_total: 0,
-        }
-    }
-
-    /// Returns per-shard fresh-traffic deltas when a trigger fires.
-    fn check(&mut self, shards: &[Mutex<Shard>]) -> Option<Vec<TierTraffic>> {
-        let n = shards.len();
-        let mut demands = vec![0u64; n];
-        let mut scores = vec![0.0f64; n];
-        for (i, m) in shards.iter().enumerate() {
-            let s = m.lock().expect("shard mutex poisoned");
-            demands[i] = s.buffer.demand_count();
-            scores[i] = s.buffer.phase_score();
-        }
-        let total: u64 = demands.iter().sum();
-        let fresh = total.saturating_sub(self.last_total);
-        let count_fire = self.min_new > 0 && fresh >= self.min_new;
-        // A score below threshold re-arms its shard; an armed shard
-        // at/above threshold *qualifies* only if it also saw a
-        // significant share of the fresh mass (edge-sensitive
-        // hysteresis, as in the quiescent trigger). Only qualified
-        // shards are disarmed on a fire — an idle shard whose cold
-        // sketch scores high must stay armed, or a later real flip on
-        // it would pass undetected.
-        let mut qualified = Vec::new();
-        if let Some(threshold) = self.phase_threshold {
-            let significant = (fresh / (2 * n as u64)).max(1);
-            for i in 0..n {
-                if scores[i] < threshold {
-                    self.armed[i] = true;
-                } else if self.armed[i]
-                    && demands[i].saturating_sub(self.last_traffic[i].demand()) >= significant
-                {
-                    qualified.push(i);
-                }
-            }
-        }
-        if (!count_fire && qualified.is_empty()) || fresh < self.cooldown {
-            return None;
-        }
-        // Fire: snapshot full traffic, compute the per-shard deltas that
-        // placement acts on, disarm the shards that fired.
-        let mut deltas = Vec::with_capacity(n);
-        let mut snapshot = Vec::with_capacity(n);
-        for (i, m) in shards.iter().enumerate() {
-            let s = m.lock().expect("shard mutex poisoned");
-            let t = s.buffer.traffic();
-            deltas.push(t.delta_since(&self.last_traffic[i]));
-            snapshot.push(t);
-        }
-        for i in qualified {
-            self.armed[i] = false;
-        }
-        self.last_traffic = snapshot;
-        self.last_total = total;
-        Some(deltas)
-    }
+/// One reading per shard buffer, in shard order, each under a brief lock.
+fn read_buffers<T>(shards: &[Mutex<Shard>], read: impl Fn(&RecMgBuffer) -> T) -> Vec<T> {
+    shards
+        .iter()
+        .map(|s| read(&s.lock().expect("shard mutex poisoned").buffer))
+        .collect()
 }
 
 /// The background live-rebalancer loop, run on its own thread for the
@@ -907,15 +848,20 @@ pub(crate) fn live_loop(
     ctx: &GuidanceCtx,
     router: &crate::ShardRouter,
 ) {
-    let mut trigger = LiveTrigger::new(&live.cfg, shards.len());
+    let mut trigger = live.cfg.trigger();
     while !live.stop.load(Ordering::Acquire) {
         std::thread::sleep(live.cfg.check_every);
         if live.stop.load(Ordering::Acquire) {
             break;
         }
-        let Some(deltas) = trigger.check(shards) else {
+        let (demands, scores): (Vec<u64>, Vec<f64>) =
+            read_buffers(shards, |b| (b.demand_count(), b.phase_score()))
+                .into_iter()
+                .unzip();
+        let Some(fire) = trigger.check(&demands, &scores) else {
             continue;
         };
+        let deltas = trigger.commit(fire, read_buffers(shards, RecMgBuffer::traffic));
         let tables = crate::table_profile::TableProfiler::merge(
             shards
                 .iter()

@@ -91,22 +91,6 @@ impl WorkloadSpec {
             .map(|r| (0..input_len).map(|i| self.key(r, i)).collect())
             .collect()
     }
-
-    /// Cartesian sweep grid over table counts × skews (at a fixed
-    /// `rows_per_table`) — the workload matrix the serving bench records
-    /// instead of a single point.
-    pub fn grid(table_counts: &[u32], skews: &[f64], rows_per_table: u64) -> Vec<WorkloadSpec> {
-        table_counts
-            .iter()
-            .flat_map(|&num_tables| {
-                skews.iter().map(move |&skew| WorkloadSpec {
-                    num_tables,
-                    rows_per_table,
-                    skew,
-                })
-            })
-            .collect()
-    }
 }
 
 /// Heterogeneous-table workload: per-table sizes and per-table Zipf-style
@@ -254,36 +238,11 @@ pub fn measure_throughput(
     threads: usize,
     requests: usize,
 ) -> ThroughputPoint {
-    measure_throughput_with(
-        caching,
-        prefetch,
-        input_len,
-        threads,
-        requests,
-        &WorkloadSpec::default(),
-    )
-}
-
-/// [`measure_throughput`] over an explicit [`WorkloadSpec`].
-///
-/// # Panics
-///
-/// Panics if `threads` or `requests` is zero, `input_len` is zero, or the
-/// spec is invalid.
-pub fn measure_throughput_with(
-    caching: &FastCachingModel,
-    prefetch: &FastPrefetchModel,
-    input_len: usize,
-    threads: usize,
-    requests: usize,
-    workload: &WorkloadSpec,
-) -> ThroughputPoint {
     assert!(threads > 0, "need at least one thread");
     assert!(requests > 0, "need at least one request");
     assert!(input_len > 0, "input_len must be positive");
-    workload.validate();
     // Pre-generate request inputs (excluded from timing).
-    let inputs = workload.requests(requests, input_len);
+    let inputs = WorkloadSpec::default().requests(requests, input_len);
     let next = AtomicUsize::new(0);
     let start = Instant::now();
     crossbeam::thread::scope(|scope| {
@@ -415,31 +374,6 @@ mod tests {
             mean(&skewed) < mean(&flat),
             "skew should lower the mean row id"
         );
-    }
-
-    #[test]
-    fn custom_workload_throughput_runs() {
-        let (cm, pm) = compiled();
-        let spec = WorkloadSpec {
-            num_tables: 4,
-            rows_per_table: 64,
-            skew: 1.0,
-        };
-        let p = measure_throughput_with(&cm, &pm, 8, 1, 30, &spec);
-        assert!(p.indices_per_sec > 0.0);
-        assert_eq!(p.requests, 30);
-    }
-
-    #[test]
-    fn grid_is_a_cartesian_product() {
-        let grid = WorkloadSpec::grid(&[4, 13], &[0.0, 2.0], 997);
-        assert_eq!(grid.len(), 4);
-        for spec in &grid {
-            spec.validate();
-            assert_eq!(spec.rows_per_table, 997);
-        }
-        assert!(grid.iter().any(|s| s.num_tables == 4 && s.skew == 0.0));
-        assert!(grid.iter().any(|s| s.num_tables == 13 && s.skew == 2.0));
     }
 
     #[test]

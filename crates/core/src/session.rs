@@ -49,6 +49,7 @@ use crate::builder::SystemBuilder;
 use crate::config::{AdmissionPolicy, DegradeLevel, SlaBudget, TenantSpec};
 use crate::engine::{EngineReport, GuidanceMode, GuidancePlaneReport};
 use crate::fast::FastScratch;
+use crate::json::JsonWriter;
 use crate::migrate::{
     self, LiveRebalanceConfig, LiveState, MigrationReport, ReplicationReport, ShardRoute,
 };
@@ -356,103 +357,38 @@ impl Pacer {
     }
 }
 
-/// Back-compat source over pre-materialized batches: every batch is a
-/// request arriving at stream start (offset zero), so ingestion never
-/// sleeps and the session serves exactly like the old blocking `serve()`.
+/// Where a [`PacedSource`] gets each request's keys from.
+pub trait KeyStream {
+    /// The keys of request number `id`, or `None` once exhausted.
+    fn next_keys(&mut self, id: u64) -> Option<Vec<VectorKey>>;
+
+    /// Requests still to come, when known.
+    fn remaining(&self) -> Option<usize> {
+        None
+    }
+}
+
+/// The one open-loop request source: a [`KeyStream`] says *what* each
+/// request touches, an [`ArrivalProcess`] says *when* it arrives, and the
+/// builders attach a deadline and a tenant. [`BatchSource`],
+/// [`SyntheticSource`], [`TraceReplaySource`] and
+/// [`FileTraceSource`](crate::FileTraceSource) are this type over their
+/// key streams; request ids count up from 0.
 #[derive(Debug)]
-pub struct BatchSource {
-    batches: Vec<Vec<VectorKey>>,
-    next: usize,
-    deadline: Option<Duration>,
-    tenant: usize,
-}
-
-impl BatchSource {
-    /// Wraps borrowed batch slices (the historical `serve` signature).
-    pub fn new(batches: &[&[VectorKey]]) -> Self {
-        Self::from_vecs(batches.iter().map(|b| b.to_vec()).collect())
-    }
-
-    /// Wraps owned batches.
-    pub fn from_vecs(batches: Vec<Vec<VectorKey>>) -> Self {
-        BatchSource {
-            batches,
-            next: 0,
-            deadline: None,
-            tenant: 0,
-        }
-    }
-
-    /// Attaches a deadline (relative to arrival) to every batch.
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Tags every request with a tenant index ([`SessionBuilder::tenants`]).
-    pub fn for_tenant(mut self, tenant: usize) -> Self {
-        self.tenant = tenant;
-        self
-    }
-}
-
-impl RequestSource for BatchSource {
-    fn next_request(&mut self) -> Option<Request> {
-        let i = self.next;
-        if i >= self.batches.len() {
-            return None;
-        }
-        self.next += 1;
-        Some(Request {
-            id: i as u64,
-            keys: std::mem::take(&mut self.batches[i]),
-            arrival: Duration::ZERO,
-            deadline: self.deadline,
-            tenant: self.tenant,
-        })
-    }
-
-    fn remaining_hint(&self) -> Option<usize> {
-        Some(self.batches.len() - self.next)
-    }
-}
-
-/// Synthetic open-loop arrival stream: request keys come from a
-/// [`WorkloadSpec`] (tables × rows × skew), arrival times from an
-/// [`ArrivalProcess`].
-#[derive(Debug)]
-pub struct SyntheticSource {
-    spec: WorkloadSpec,
-    input_len: usize,
-    remaining: usize,
-    next_id: u64,
+pub struct PacedSource<K> {
+    keys: K,
     pacer: Pacer,
+    next_id: u64,
     deadline: Option<Duration>,
     tenant: usize,
 }
 
-impl SyntheticSource {
-    /// A stream of `requests` requests of `input_len` keys each.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec or arrival process is invalid, or `input_len`
-    /// is zero.
-    pub fn new(
-        spec: WorkloadSpec,
-        input_len: usize,
-        requests: usize,
-        arrivals: ArrivalProcess,
-        seed: u64,
-    ) -> Self {
-        spec.validate();
-        assert!(input_len > 0, "input_len must be positive");
-        SyntheticSource {
-            spec,
-            input_len,
-            remaining: requests,
-            next_id: 0,
+impl<K> PacedSource<K> {
+    pub(crate) fn paced(keys: K, arrivals: ArrivalProcess, seed: u64) -> Self {
+        PacedSource {
+            keys,
             pacer: Pacer::new(arrivals, seed),
+            next_id: 0,
             deadline: None,
             tenant: 0,
         }
@@ -471,17 +407,11 @@ impl SyntheticSource {
     }
 }
 
-impl RequestSource for SyntheticSource {
+impl<K: KeyStream> RequestSource for PacedSource<K> {
     fn next_request(&mut self) -> Option<Request> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
         let id = self.next_id;
+        let keys = self.keys.next_keys(id)?;
         self.next_id += 1;
-        let keys = (0..self.input_len)
-            .map(|i| self.spec.key(id as usize, i))
-            .collect();
         Some(Request {
             id,
             keys,
@@ -492,7 +422,93 @@ impl RequestSource for SyntheticSource {
     }
 
     fn remaining_hint(&self) -> Option<usize> {
+        self.keys.remaining()
+    }
+}
+
+/// Key stream of [`BatchSource`]: pre-materialized requests, handed out
+/// in order.
+#[derive(Debug)]
+pub struct Batches(std::vec::IntoIter<Vec<VectorKey>>);
+
+impl KeyStream for Batches {
+    fn next_keys(&mut self, _id: u64) -> Option<Vec<VectorKey>> {
+        self.0.next()
+    }
+
+    fn remaining(&self) -> Option<usize> {
+        Some(self.0.len())
+    }
+}
+
+/// Back-compat source over pre-materialized batches: every batch is a
+/// request arriving at stream start (offset zero), so ingestion never
+/// sleeps and the session serves exactly like the old blocking `serve()`.
+pub type BatchSource = PacedSource<Batches>;
+
+impl BatchSource {
+    /// Wraps borrowed batch slices (the historical `serve` signature).
+    pub fn new(batches: &[&[VectorKey]]) -> Self {
+        Self::from_vecs(batches.iter().map(|b| b.to_vec()).collect())
+    }
+
+    /// Wraps owned batches.
+    pub fn from_vecs(batches: Vec<Vec<VectorKey>>) -> Self {
+        Self::paced(Batches(batches.into_iter()), ArrivalProcess::Immediate, 0)
+    }
+}
+
+/// Key stream of [`SyntheticSource`]: `remaining` requests of `input_len`
+/// keys each drawn from a [`WorkloadSpec`].
+#[derive(Debug)]
+pub struct SpecKeys {
+    spec: WorkloadSpec,
+    input_len: usize,
+    remaining: usize,
+}
+
+impl KeyStream for SpecKeys {
+    fn next_keys(&mut self, id: u64) -> Option<Vec<VectorKey>> {
+        self.remaining = self.remaining.checked_sub(1)?;
+        Some(
+            (0..self.input_len)
+                .map(|i| self.spec.key(id as usize, i))
+                .collect(),
+        )
+    }
+
+    fn remaining(&self) -> Option<usize> {
         Some(self.remaining)
+    }
+}
+
+/// Synthetic open-loop arrival stream: request keys come from a
+/// [`WorkloadSpec`] (tables × rows × skew), arrival times from an
+/// [`ArrivalProcess`].
+pub type SyntheticSource = PacedSource<SpecKeys>;
+
+impl SyntheticSource {
+    /// A stream of `requests` requests of `input_len` keys each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec or arrival process is invalid, or `input_len`
+    /// is zero.
+    pub fn new(
+        spec: WorkloadSpec,
+        input_len: usize,
+        requests: usize,
+        arrivals: ArrivalProcess,
+        seed: u64,
+    ) -> Self {
+        spec.validate();
+        assert!(input_len > 0, "input_len must be positive");
+        let keys = SpecKeys {
+            spec,
+            input_len,
+            remaining: requests,
+        };
+        Self::paced(keys, arrivals, seed)
     }
 }
 
@@ -500,13 +516,21 @@ impl RequestSource for SyntheticSource {
 /// `queries_per_request` consecutive queries, paced by an
 /// [`ArrivalProcess`] (external DLRM traces rarely carry wall-clock
 /// timestamps, so the arrival process is supplied).
+pub type TraceReplaySource = PacedSource<TraceQueries>;
+
+/// Key stream of [`TraceReplaySource`]: a trace's queries, pre-grouped
+/// into requests.
 #[derive(Debug)]
-pub struct TraceReplaySource {
-    requests: Vec<Vec<VectorKey>>,
-    next: usize,
-    pacer: Pacer,
-    deadline: Option<Duration>,
-    tenant: usize,
+pub struct TraceQueries(Batches);
+
+impl KeyStream for TraceQueries {
+    fn next_keys(&mut self, id: u64) -> Option<Vec<VectorKey>> {
+        self.0.next_keys(id)
+    }
+
+    fn remaining(&self) -> Option<usize> {
+        self.0.remaining()
+    }
 }
 
 impl TraceReplaySource {
@@ -526,50 +550,12 @@ impl TraceReplaySource {
             queries_per_request > 0,
             "queries_per_request must be positive"
         );
-        TraceReplaySource {
-            requests: trace
-                .batches(queries_per_request)
-                .into_iter()
-                .map(|b| b.to_vec())
-                .collect(),
-            next: 0,
-            pacer: Pacer::new(arrivals, seed),
-            deadline: None,
-            tenant: 0,
-        }
-    }
-
-    /// Attaches a deadline (relative to arrival) to every request.
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Tags every request with a tenant index ([`SessionBuilder::tenants`]).
-    pub fn for_tenant(mut self, tenant: usize) -> Self {
-        self.tenant = tenant;
-        self
-    }
-}
-
-impl RequestSource for TraceReplaySource {
-    fn next_request(&mut self) -> Option<Request> {
-        let i = self.next;
-        if i >= self.requests.len() {
-            return None;
-        }
-        self.next += 1;
-        Some(Request {
-            id: i as u64,
-            keys: std::mem::take(&mut self.requests[i]),
-            arrival: self.pacer.next_arrival(),
-            deadline: self.deadline,
-            tenant: self.tenant,
-        })
-    }
-
-    fn remaining_hint(&self) -> Option<usize> {
-        Some(self.requests.len() - self.next)
+        let requests: Vec<Vec<VectorKey>> = trace
+            .batches(queries_per_request)
+            .into_iter()
+            .map(|b| b.to_vec())
+            .collect();
+        Self::paced(TraceQueries(Batches(requests.into_iter())), arrivals, seed)
     }
 }
 
@@ -597,10 +583,8 @@ impl SessionProgress {
     /// like completions, otherwise an overloaded closed loop would hang.
     pub fn finished(&self) -> u64 {
         self.shared.upgrade().map_or(u64::MAX, |s| {
-            s.completed_requests.load(Ordering::Acquire)
-                + s.rejected_queue_full.load(Ordering::Relaxed)
-                + s.rejected_deadline.load(Ordering::Relaxed)
-                + s.shed_in_queue.load(Ordering::Relaxed)
+            let unserved: u64 = s.tenant_counters.iter().map(TenantCounters::unserved).sum();
+            s.completed_requests.load(Ordering::Acquire) + unserved
         })
     }
 }
@@ -760,17 +744,25 @@ struct Admitted {
     deadline_at: Option<Instant>,
 }
 
-/// Per-tenant admission/shed counters, incremented alongside the session
-/// globals under the same events so the per-tenant sums always equal the
-/// global totals exactly (the conservation law the admission proptests
-/// pin).
+/// Per-tenant admission/shed counters — the only place these events are
+/// counted: the session-level totals of a [`SessionReport`] are their
+/// sums across tenants, so tenant and session accounting cannot diverge.
+/// (Completions are counted from the per-worker sample logs at drain.)
 #[derive(Default)]
 struct TenantCounters {
     submitted: AtomicU64,
     rejected_queue_full: AtomicU64,
     rejected_deadline: AtomicU64,
     shed_in_queue: AtomicU64,
-    completed: AtomicU64,
+}
+
+impl TenantCounters {
+    /// Requests rejected at submit or shed in queue.
+    fn unserved(&self) -> u64 {
+        self.rejected_queue_full.load(Ordering::Relaxed)
+            + self.rejected_deadline.load(Ordering::Relaxed)
+            + self.shed_in_queue.load(Ordering::Relaxed)
+    }
 }
 
 /// The session's per-tenant request queues plus the weighted-fair
@@ -840,10 +832,8 @@ struct SessionShared {
     /// [`SessionBuilder::live`]; `None` keeps the serving path free of
     /// route pins entirely.
     live: Option<LiveState>,
-    submitted: AtomicU64,
-    rejected_queue_full: AtomicU64,
-    rejected_deadline: AtomicU64,
-    shed_in_queue: AtomicU64,
+    /// Completions so far — the one session-wide counter, because
+    /// [`SessionProgress`] polls it from closed-loop sources.
     completed_requests: AtomicU64,
 }
 
@@ -931,19 +921,17 @@ impl LatencySummary {
         }
     }
 
-    fn to_json_ms(self) -> String {
-        format!(
-            concat!(
-                "{{\"count\": {}, \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, ",
-                "\"p99_ms\": {:.3}, \"mean_ms\": {:.3}, \"max_ms\": {:.3}}}"
-            ),
-            self.count,
-            self.p50.as_secs_f64() * 1e3,
-            self.p95.as_secs_f64() * 1e3,
-            self.p99.as_secs_f64() * 1e3,
-            self.mean.as_secs_f64() * 1e3,
-            self.max.as_secs_f64() * 1e3,
-        )
+    /// Writes the summary as one JSON object, durations in milliseconds.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        let ms = |d: Duration| d.as_secs_f64() * 1e3;
+        w.object(|w| {
+            w.key("count").raw(self.count);
+            w.key("p50_ms").fixed(ms(self.p50), 3);
+            w.key("p95_ms").fixed(ms(self.p95), 3);
+            w.key("p99_ms").fixed(ms(self.p99), 3);
+            w.key("mean_ms").fixed(ms(self.mean), 3);
+            w.key("max_ms").fixed(ms(self.max), 3);
+        });
     }
 }
 
@@ -997,21 +985,30 @@ impl SlaOutcome {
         outcome
     }
 
-    /// JSON object (stable field names, asserted in CI).
+    /// JSON object with stable field names.
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"budget_ms\": {:.3}, \"met\": {}, \"missed\": {}, ",
-                "\"attainment\": {:.4}, \"degraded_skip_ahead\": {}, ",
-                "\"degraded_prefetch_off\": {}}}"
-            ),
-            self.budget.as_secs_f64() * 1e3,
-            self.met,
-            self.missed,
-            self.attainment(),
-            self.degraded_skip_ahead,
-            self.degraded_prefetch_off,
-        )
+        JsonWriter::render(|w| self.write_json(w))
+    }
+
+    /// Writes the outcome as one JSON object.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.key("budget_ms").fixed(self.budget.as_secs_f64() * 1e3, 3);
+            w.key("met").raw(self.met);
+            w.key("missed").raw(self.missed);
+            w.key("attainment").fixed(self.attainment(), 4);
+            w.key("degraded_skip_ahead").raw(self.degraded_skip_ahead);
+            w.key("degraded_prefetch_off")
+                .raw(self.degraded_prefetch_off);
+        });
+    }
+}
+
+/// Writes an optional SLA section: the outcome object, or `null`.
+fn write_sla(sla: &Option<SlaOutcome>, w: &mut JsonWriter) {
+    match sla {
+        Some(outcome) => outcome.write_json(w),
+        None => w.raw("null"),
     }
 }
 
@@ -1022,7 +1019,7 @@ impl SlaOutcome {
 /// `completed + rejected_queue_full + rejected_deadline + shed_in_queue
 /// == submitted` — and summing any field across tenants reproduces the
 /// session-level value exactly.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TenantReport {
     /// The tenant's name ([`TenantSpec::name`]).
     pub name: String,
@@ -1054,37 +1051,32 @@ impl TenantReport {
         self.rejected_queue_full + self.rejected_deadline + self.shed_in_queue
     }
 
-    /// JSON object (stable field names, asserted in CI).
+    /// JSON object with stable field names.
     pub fn to_json(&self) -> String {
-        let sla = match &self.sla {
-            None => "null".to_string(),
-            Some(s) => s.to_json(),
-        };
-        format!(
-            concat!(
-                "{{\"name\": \"{}\", \"weight\": {}, \"submitted\": {}, ",
-                "\"completed\": {}, \"rejected_queue_full\": {}, ",
-                "\"rejected_deadline\": {}, \"shed_in_queue\": {}, ",
-                "\"latency\": {}, \"queue_wait\": {}, \"sla\": {}}}"
-            ),
-            self.name,
-            self.weight,
-            self.submitted,
-            self.completed,
-            self.rejected_queue_full,
-            self.rejected_deadline,
-            self.shed_in_queue,
-            self.latency.to_json_ms(),
-            self.queue_wait.to_json_ms(),
-            sla,
-        )
+        JsonWriter::render(|w| self.write_json(w))
+    }
+
+    /// Writes the tenant slice as one JSON object.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.key("name").string(&self.name);
+            w.key("weight").raw(self.weight);
+            w.key("submitted").raw(self.submitted);
+            w.key("completed").raw(self.completed);
+            w.key("rejected_queue_full").raw(self.rejected_queue_full);
+            w.key("rejected_deadline").raw(self.rejected_deadline);
+            w.key("shed_in_queue").raw(self.shed_in_queue);
+            self.latency.write_json(w.key("latency"));
+            self.queue_wait.write_json(w.key("queue_wait"));
+            write_sla(&self.sla, w.key("sla"));
+        });
     }
 }
 
 /// Outcome of a drained [`ServingSession`]: the batch-mode
 /// [`EngineReport`] plus admission accounting, latency percentiles, and
 /// the SLA section.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SessionReport {
     /// Merged access stats, guidance accounting, and wall-clock — the
     /// fields the batch API reported (`batches` counts completed
@@ -1123,34 +1115,28 @@ impl SessionReport {
         }
     }
 
-    /// Machine-readable summary with fixed field names; embeds
-    /// [`EngineReport::to_json`] under `"engine"`.
+    /// Machine-readable summary with fixed field names; embeds the
+    /// [`EngineReport`] under `"engine"`.
     pub fn to_json(&self) -> String {
-        let sla = match &self.sla {
-            None => "null".to_string(),
-            Some(s) => s.to_json(),
-        };
-        let tenants: Vec<String> = self.tenants.iter().map(TenantReport::to_json).collect();
-        format!(
-            concat!(
-                "{{\"engine\": {}, \"submitted\": {}, \"completed\": {}, ",
-                "\"rejected_queue_full\": {}, \"rejected_deadline\": {}, ",
-                "\"shed_in_queue\": {}, \"shed_rate\": {:.4}, ",
-                "\"latency\": {}, \"queue_wait\": {}, \"sla\": {}, ",
-                "\"tenants\": [{}]}}"
-            ),
-            self.engine.to_json(),
-            self.submitted,
-            self.completed,
-            self.rejected_queue_full,
-            self.rejected_deadline,
-            self.shed_in_queue,
-            self.shed_rate(),
-            self.latency.to_json_ms(),
-            self.queue_wait.to_json_ms(),
-            sla,
-            tenants.join(", "),
-        )
+        JsonWriter::render(|w| self.write_json(w))
+    }
+
+    /// Writes the report as one JSON object.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            self.engine.write_json(w.key("engine"));
+            w.key("submitted").raw(self.submitted);
+            w.key("completed").raw(self.completed);
+            w.key("rejected_queue_full").raw(self.rejected_queue_full);
+            w.key("rejected_deadline").raw(self.rejected_deadline);
+            w.key("shed_in_queue").raw(self.shed_in_queue);
+            w.key("shed_rate").fixed(self.shed_rate(), 4);
+            self.latency.write_json(w.key("latency"));
+            self.queue_wait.write_json(w.key("queue_wait"));
+            write_sla(&self.sla, w.key("sla"));
+            w.key("tenants")
+                .array(&self.tenants, TenantReport::write_json);
+        });
     }
 }
 
@@ -1324,10 +1310,6 @@ impl SessionBuilder {
             tenants,
             plane,
             live: self.live.map(|cfg| LiveState::new(num_shards, cfg)),
-            submitted: AtomicU64::new(0),
-            rejected_queue_full: AtomicU64::new(0),
-            rejected_deadline: AtomicU64::new(0),
-            shed_in_queue: AtomicU64::new(0),
             completed_requests: AtomicU64::new(0),
         });
 
@@ -1437,13 +1419,11 @@ impl ServingSession {
             shared.tenants.len()
         );
         let counters = &shared.tenant_counters[tenant];
-        shared.submitted.fetch_add(1, Ordering::Relaxed);
         counters.submitted.fetch_add(1, Ordering::Relaxed);
         let deadline_at = request.deadline.map(|d| arrival_at + d);
         if shared.admission.reject_blown {
             if let Some(d) = deadline_at {
                 if Instant::now() > d {
-                    shared.rejected_deadline.fetch_add(1, Ordering::Relaxed);
                     counters.rejected_deadline.fetch_add(1, Ordering::Relaxed);
                     return Err(Rejection::DeadlineBlown);
                 }
@@ -1455,7 +1435,6 @@ impl ServingSession {
                 .queue_quota
                 .is_some_and(|quota| queue.queues[tenant].len() >= quota);
             if over_quota || queue.total_len() >= shared.admission.queue_depth {
-                shared.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
                 counters.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
                 return Err(Rejection::QueueFull);
             }
@@ -1475,19 +1454,8 @@ impl ServingSession {
     /// offset (sleeping until `start + arrival`). Returns the number of
     /// requests pulled; admission outcomes land in the final
     /// [`SessionReport`].
-    pub fn ingest<S: RequestSource + ?Sized>(&self, source: &mut S) -> usize {
-        let start = Instant::now();
-        let mut pulled = 0usize;
-        while let Some(request) = source.next_request() {
-            pulled += 1;
-            let arrival_at = start + request.arrival;
-            let now = Instant::now();
-            if arrival_at > now {
-                std::thread::sleep(arrival_at - now);
-            }
-            let _ = self.submit_at(request, arrival_at);
-        }
-        pulled
+    pub fn ingest(&self, source: &mut dyn RequestSource) -> usize {
+        self.ingest_multi(&mut [source])
     }
 
     /// Pulls several sources dry concurrently in arrival order: a k-way
@@ -1671,10 +1639,6 @@ impl ServingSession {
             shards,
             plane,
             live,
-            submitted,
-            rejected_queue_full,
-            rejected_deadline,
-            shed_in_queue,
             sla,
             tenants,
             tenant_counters,
@@ -1757,7 +1721,7 @@ impl ServingSession {
                     name: spec.name.clone(),
                     weight: spec.weight,
                     submitted: counters.submitted.load(Ordering::Relaxed),
-                    completed: counters.completed.load(Ordering::Relaxed),
+                    completed: own.len() as u64,
                     rejected_queue_full: counters.rejected_queue_full.load(Ordering::Relaxed),
                     rejected_deadline: counters.rejected_deadline.load(Ordering::Relaxed),
                     shed_in_queue: counters.shed_in_queue.load(Ordering::Relaxed),
@@ -1771,6 +1735,9 @@ impl ServingSession {
                 }
             })
             .collect();
+        // Session totals are the tenant sums: one count per event.
+        let across_tenants =
+            |field: fn(&TenantReport) -> u64| -> u64 { tenant_reports.iter().map(field).sum() };
         let report = SessionReport {
             engine: EngineReport {
                 stats,
@@ -1788,10 +1755,10 @@ impl ServingSession {
                 calibration: system.calibration_report().clone(),
                 fills: system.fill_report().delta_since(&self.fills_before),
             },
-            submitted: submitted.into_inner(),
-            rejected_queue_full: rejected_queue_full.into_inner(),
-            rejected_deadline: rejected_deadline.into_inner(),
-            shed_in_queue: shed_in_queue.into_inner(),
+            submitted: across_tenants(|t| t.submitted),
+            rejected_queue_full: across_tenants(|t| t.rejected_queue_full),
+            rejected_deadline: across_tenants(|t| t.rejected_deadline),
+            shed_in_queue: across_tenants(|t| t.shed_in_queue),
             completed: samples.len() as u64,
             latency,
             queue_wait,
@@ -1834,7 +1801,6 @@ fn worker_loop(shared: &SessionShared, tx: Option<mpsc::Sender<GuidanceJob>>) ->
         if shared.admission.shed_blown {
             if let Some(d) = request.deadline_at {
                 if dequeued > d {
-                    shared.shed_in_queue.fetch_add(1, Ordering::Relaxed);
                     counters.shed_in_queue.fetch_add(1, Ordering::Relaxed);
                     continue;
                 }
@@ -1863,7 +1829,6 @@ fn worker_loop(shared: &SessionShared, tx: Option<mpsc::Sender<GuidanceJob>>) ->
             deadline_met: request.deadline_at.map(|d| finished <= d),
             degrade,
         });
-        counters.completed.fetch_add(1, Ordering::Relaxed);
         shared.completed_requests.fetch_add(1, Ordering::AcqRel);
     }
     // Dropping `tx` here (worker exit) releases the plane channel.

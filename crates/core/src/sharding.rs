@@ -984,37 +984,6 @@ impl ShardedRecMgSystem {
             self.guided_chunks() as f64 / total as f64
         }
     }
-
-    /// Processes one batch with shard-level parallelism (one scoped thread
-    /// per non-empty shard). Hit/miss totals are identical to
-    /// [`ShardedRecMgSystem::process_batch`]; only wall-clock differs.
-    pub fn process_batch_parallel(&mut self, batch: &[VectorKey]) -> BatchAccessStats {
-        assert_eq!(
-            self.shards.len(),
-            self.router.num_shards(),
-            "shard count must match the router (was a serving session abandoned mid-panic?)"
-        );
-        if self.router.num_shards() == 1 {
-            return self.process_batch(batch);
-        }
-        let parts = self.router.split(batch);
-        let ctx = &self.ctx;
-        let router = &self.router;
-        let mut stats = BatchAccessStats::default();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (shard, keys) in self.shards.iter_mut().zip(&parts) {
-                if keys.is_empty() {
-                    continue;
-                }
-                handles.push(scope.spawn(move || shard.process_keys(keys, ctx, router)));
-            }
-            for h in handles {
-                stats.accumulate(h.join().expect("shard worker does not panic"));
-            }
-        });
-        stats
-    }
 }
 
 impl BufferManager for ShardedRecMgSystem {
@@ -1216,22 +1185,6 @@ mod tests {
         assert!(sys.total_chunks() > 0);
         assert!(sys.guided_fraction() > 0.0);
         assert_eq!(sys.name(), "RecMGx4");
-    }
-
-    #[test]
-    fn parallel_batches_match_sequential() {
-        let trace = SyntheticConfig::tiny(34).generate();
-        let mut seq = untrained_system(4, 64);
-        let mut par = untrained_system(4, 64);
-        let mut a = BatchAccessStats::default();
-        let mut b = BatchAccessStats::default();
-        for batch in trace.batches(10) {
-            a.accumulate(seq.process_batch(batch));
-        }
-        for batch in trace.batches(10) {
-            b.accumulate(par.process_batch_parallel(batch));
-        }
-        assert_eq!(a, b);
     }
 
     #[test]

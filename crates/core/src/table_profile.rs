@@ -38,6 +38,7 @@ use recmg_trace::VectorKey;
 
 use crate::buffer_mgmt::TierTraffic;
 use crate::config::SketchConfig;
+use crate::json::JsonWriter;
 use crate::sketch::CardinalitySketch;
 use crate::tier::{
     apportion_with_floors_in_order, even_capacities, fast_tier_benefit, PlacementPolicy,
@@ -114,21 +115,22 @@ impl TableReport {
     /// Fixed-field JSON row (`pinned_shard` is −1 for hash-routed tables,
     /// keeping the document free of nulls).
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"table\": {}, \"size\": {}, \"accesses\": {}, ",
-                "\"demand_share\": {:.4}, \"skew\": {:.3}, ",
-                "\"unique_rows\": {}, \"pinned_shard\": {}, \"hot_rows\": {}}}"
-            ),
-            self.profile.table,
-            self.profile.size,
-            self.profile.accesses,
-            self.profile.demand_share,
-            self.profile.skew,
-            self.profile.unique_rows,
-            self.pinned_shard.map_or(-1, |s| s as i64),
-            self.hot_rows,
-        )
+        JsonWriter::render(|w| self.write_json(w))
+    }
+
+    /// Writes the row as one JSON object.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.key("table").raw(self.profile.table);
+            w.key("size").raw(self.profile.size);
+            w.key("accesses").raw(self.profile.accesses);
+            w.key("demand_share").fixed(self.profile.demand_share, 4);
+            w.key("skew").fixed(self.profile.skew, 3);
+            w.key("unique_rows").raw(self.profile.unique_rows);
+            w.key("pinned_shard")
+                .raw(self.pinned_shard.map_or(-1, |s| s as i64));
+            w.key("hot_rows").raw(self.hot_rows);
+        });
     }
 }
 

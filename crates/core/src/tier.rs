@@ -7,8 +7,7 @@
 //! adds tier-cost-aware serving. This module makes the hierarchy explicit:
 //!
 //! * a [`MemoryTier`] describes one tier (name, capacity in vectors, and a
-//!   [`TierCost`] access-latency model with an optional injected
-//!   bandwidth penalty);
+//!   [`TierCost`] access-latency model);
 //! * a [`TierTopology`] is the ordered fast → slow tier list a system is
 //!   built against;
 //! * a [`PlacementPolicy`] maps shard count + topology + observed
@@ -30,6 +29,7 @@
 
 use crate::backend::{calibrate, BackendSpec, CalibrationReport};
 use crate::config::TierCost;
+use crate::json::JsonWriter;
 use crate::sharding::ShardedRecMgSystem;
 use crate::table_profile::{TablePlacement, TableProfile};
 
@@ -45,7 +45,7 @@ pub struct MemoryTier {
     pub name: String,
     /// Capacity budget of this tier, in embedding vectors.
     pub capacity: usize,
-    /// Access-latency cost model (and optional injected penalty).
+    /// Access-latency cost model.
     pub cost: TierCost,
     /// Storage medium backing buffers placed in this tier (default
     /// [`BackendSpec::Dram`] — the historical behaviour).
@@ -654,24 +654,23 @@ impl TierUsage {
 
     /// Machine-readable summary with fixed field names.
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"tier\": \"{}\", \"shards\": {}, \"capacity\": {}, ",
-                "\"resident\": {}, \"hits\": {}, \"misses\": {}, ",
-                "\"prefetch_fills\": {}, \"demand_fills\": {}, \"cost_ns\": {}, ",
-                "\"unique_keys\": {}}}"
-            ),
-            self.name,
-            self.shards,
-            self.capacity,
-            self.resident,
-            self.traffic.hits,
-            self.traffic.misses,
-            self.traffic.prefetch_fills,
-            self.traffic.demand_fills,
-            self.traffic.cost_ns,
-            self.traffic.unique_keys,
-        )
+        JsonWriter::render(|w| self.write_json(w))
+    }
+
+    /// Writes the usage as one JSON object.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.key("tier").string(&self.name);
+            w.key("shards").raw(self.shards);
+            w.key("capacity").raw(self.capacity);
+            w.key("resident").raw(self.resident);
+            w.key("hits").raw(self.traffic.hits);
+            w.key("misses").raw(self.traffic.misses);
+            w.key("prefetch_fills").raw(self.traffic.prefetch_fills);
+            w.key("demand_fills").raw(self.traffic.demand_fills);
+            w.key("cost_ns").raw(self.traffic.cost_ns);
+            w.key("unique_keys").raw(self.traffic.unique_keys);
+        });
     }
 
     /// Counter-wise traffic delta against an earlier snapshot of the same
@@ -707,8 +706,8 @@ impl TierUsage {
 ///   sketch [`phase score`](crate::sketch::WorkingSetStats::phase_score)
 ///   crosses a threshold, i.e. within one sketch epoch of a working-set
 ///   flip, without waiting out the access count. A cooldown (in fresh
-///   accesses) bounds re-fire churn while the flip is still draining out
-///   of the sketch window.
+///   accesses, gating every fire) bounds re-fire churn while the flip is
+///   still draining out of the sketch window.
 ///
 /// Placement always runs on **epoch deltas**, not cumulative history: the
 /// rebalancer snapshots every shard's [`TierTraffic`] at each fire and
@@ -719,32 +718,128 @@ impl TierUsage {
 /// condition forever off traffic that was already acted on.
 #[derive(Debug, Clone)]
 pub struct Rebalancer {
-    min_new_accesses: u64,
-    /// Phase-change trigger: fire when any shard's phase score reaches
-    /// `threshold`, at most once per `cooldown` fresh accesses.
-    phase: Option<PhaseTrigger>,
-    /// Per-shard hysteresis for the phase trigger: a shard fires once per
-    /// excursion of its score above the threshold and re-arms only after
-    /// the score falls back below it — one flip, one reactive
-    /// re-placement, however many epochs the flip takes to drain out of
-    /// the sketch window. Empty until the first phase-armed check.
-    phase_armed: Vec<bool>,
-    /// Per-shard traffic snapshots at the last fire (empty before the
-    /// first fire).
-    last_traffic: Vec<TierTraffic>,
-    last_total: u64,
+    trigger: RebalanceTrigger,
     fires: u64,
     rebalances: u64,
     phase_fires: u64,
     deferrals: u64,
 }
 
-/// Phase-change trigger configuration (see
-/// [`Rebalancer::with_phase_trigger`]).
-#[derive(Debug, Clone, Copy)]
-struct PhaseTrigger {
-    threshold: f64,
+/// The one count + phase rebalance trigger, shared by the quiescent
+/// [`Rebalancer`] and the live rebalancer's background loop
+/// ([`crate::migrate`]) — they differ only in how they read the shards
+/// and what they do with a fire.
+///
+/// [`check`](RebalanceTrigger::check) decides from cheap per-shard
+/// signals (raw demand counters, cached phase scores);
+/// [`commit`](RebalanceTrigger::commit) consumes the fire against a full
+/// traffic snapshot — materialized only then, because its `unique_keys`
+/// estimate merges every shard's sketch window — and returns the
+/// per-shard deltas placement acts on. A fire that is never committed
+/// consumes nothing and re-raises on the next check.
+///
+/// * **Count**: at least `min_new_accesses` fresh demand accesses since
+///   the last committed fire (0 disables the count trigger).
+/// * **Phase**: some shard's score is at or above `phase_threshold`
+///   while the shard is *armed* and *significant*. Hysteresis: a shard
+///   any fire was committed on stays disarmed until its score falls back
+///   below the threshold, so one flip is acted on once even though the
+///   score stays high for a full sketch window. Significance: the shard
+///   carries at least half an even split of the fresh traffic — a
+///   near-idle shard rotates its sketch rarely, and a single tail-key
+///   epoch would otherwise pin a stale high score that re-fires forever.
+/// * **Cooldown** gates every fire, count and phase alike: at least
+///   `cooldown` fresh accesses between two fires.
+#[derive(Debug, Clone)]
+pub(crate) struct RebalanceTrigger {
+    min_new_accesses: u64,
+    phase_threshold: Option<f64>,
     cooldown: u64,
+    /// Per-shard phase hysteresis (grown on first sight of a shard).
+    armed: Vec<bool>,
+    /// Per-shard traffic at the last committed fire (empty before it).
+    last_traffic: Vec<TierTraffic>,
+    last_total: u64,
+}
+
+/// A raised, not yet committed fire ([`RebalanceTrigger::check`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct TriggerFire {
+    /// Raised by the phase trigger alone (the count had not come round).
+    pub(crate) phase: bool,
+    /// Shards whose phase event this fire consumes.
+    qualified: Vec<usize>,
+    total: u64,
+}
+
+impl RebalanceTrigger {
+    pub(crate) fn new(min_new_accesses: u64, phase_threshold: Option<f64>, cooldown: u64) -> Self {
+        RebalanceTrigger {
+            min_new_accesses,
+            phase_threshold,
+            cooldown,
+            armed: Vec::new(),
+            last_traffic: Vec::new(),
+            last_total: 0,
+        }
+    }
+
+    /// Evaluates both triggers against the shards' cumulative demand
+    /// counts and phase scores (shard order). Re-arming runs on every
+    /// check, so it is never delayed until the next fire.
+    pub(crate) fn check(&mut self, demands: &[u64], scores: &[f64]) -> Option<TriggerFire> {
+        let total: u64 = demands.iter().sum();
+        let fresh = total.saturating_sub(self.last_total);
+        let count_fire = self.min_new_accesses > 0 && fresh >= self.min_new_accesses;
+        let mut qualified = Vec::new();
+        if let Some(threshold) = self.phase_threshold {
+            self.armed.resize(scores.len(), true);
+            let significant = (fresh / (2 * demands.len().max(1) as u64)).max(1);
+            for (i, (&score, &demand)) in scores.iter().zip(demands).enumerate() {
+                let seen = self.last_traffic.get(i).map_or(0, TierTraffic::demand);
+                if score < threshold {
+                    self.armed[i] = true;
+                } else if self.armed[i] && demand.saturating_sub(seen) >= significant {
+                    qualified.push(i);
+                }
+            }
+        }
+        if (!count_fire && qualified.is_empty()) || fresh < self.cooldown {
+            return None;
+        }
+        Some(TriggerFire {
+            phase: !count_fire,
+            qualified,
+            total,
+        })
+    }
+
+    /// Consumes `fire`: disarms the shards it fired on (a flip handled by
+    /// a count fire must not phase-fire again one cooldown later — while
+    /// an idle shard whose cold sketch scores high stays armed for a real
+    /// flip), snapshots `traffic`, and returns the per-shard deltas since
+    /// the previous fire. Snapshot-and-delta: placement reacts to this
+    /// epoch's traffic, not to cumulative history that would let stale
+    /// phases outvote the current one.
+    pub(crate) fn commit(
+        &mut self,
+        fire: TriggerFire,
+        traffic: Vec<TierTraffic>,
+    ) -> Vec<TierTraffic> {
+        for i in fire.qualified {
+            self.armed[i] = false;
+        }
+        self.last_traffic
+            .resize(traffic.len(), TierTraffic::default());
+        let deltas = traffic
+            .iter()
+            .zip(&self.last_traffic)
+            .map(|(now, before)| now.delta_since(before))
+            .collect();
+        self.last_traffic = traffic;
+        self.last_total = fire.total;
+        deltas
+    }
 }
 
 /// A rebalance trigger fired while the system was **not quiescent**
@@ -781,11 +876,7 @@ impl Rebalancer {
     pub fn new(min_new_accesses: u64) -> Self {
         assert!(min_new_accesses > 0, "need a positive rebalance period");
         Rebalancer {
-            min_new_accesses,
-            phase: None,
-            phase_armed: Vec::new(),
-            last_traffic: Vec::new(),
-            last_total: 0,
+            trigger: RebalanceTrigger::new(min_new_accesses, None, 0),
             fires: 0,
             rebalances: 0,
             phase_fires: 0,
@@ -797,8 +888,9 @@ impl Rebalancer {
     /// significant-traffic shard's sketch phase score reaches `threshold`
     /// (a fraction in `(0, 1]`; scores near 1 mean the latest epoch's
     /// working set is almost entirely new), with at least `cooldown`
-    /// fresh demand accesses between phase fires — one sketch epoch is a
-    /// sensible floor. The trigger is edge-sensitive: each shard fires
+    /// fresh demand accesses between any two fires — one sketch epoch is
+    /// a sensible floor, and a cooldown above the count period would
+    /// delay count fires too. The trigger is edge-sensitive: each shard fires
     /// once per excursion of its score above the threshold and re-arms
     /// only after the score falls back below, so a single flip causes a
     /// single reactive re-placement even though the score stays elevated
@@ -814,10 +906,8 @@ impl Rebalancer {
             "phase threshold must be in (0, 1]"
         );
         assert!(cooldown > 0, "need a positive phase cooldown");
-        self.phase = Some(PhaseTrigger {
-            threshold,
-            cooldown,
-        });
+        self.trigger.phase_threshold = Some(threshold);
+        self.trigger.cooldown = cooldown;
         self
     }
 
@@ -850,95 +940,22 @@ impl Rebalancer {
         system: &mut ShardedRecMgSystem,
         queue_depth: usize,
     ) -> Result<bool, RebalanceDeferred> {
-        let demands = system.shard_demands();
-        let total: u64 = demands.iter().sum();
-        let fresh = total.saturating_sub(self.last_total);
-        let count_fire = fresh >= self.min_new_accesses;
-        // Hysteresis bookkeeping runs on *every* check (re-arm) and any
-        // fire consumes the currently-flipped shards (disarm) — a flip
-        // that happens to be handled by a count fire must not phase-fire
-        // again one cooldown later.
-        let qualified = self.phase_qualified(system, &demands, fresh);
-        let phase_fire =
-            !count_fire && !qualified.is_empty() && self.phase.is_some_and(|p| fresh >= p.cooldown);
-        if !count_fire && !phase_fire {
+        let Some(fire) = self
+            .trigger
+            .check(&system.shard_demands(), &system.shard_phase_scores())
+        else {
             return Ok(false);
-        }
+        };
         if queue_depth > 0 {
             self.deferrals += 1;
             return Err(RebalanceDeferred { queue_depth });
         }
-        for &i in &qualified {
-            self.phase_armed[i] = false;
-        }
-        // Snapshot-and-delta: the policy reacts to this epoch's traffic,
-        // not to cumulative history (first fire: deltas == cumulative).
-        let stats = system.shard_traffics();
-        let deltas: Vec<TierTraffic> = if self.last_traffic.len() == stats.len() {
-            stats
-                .iter()
-                .zip(&self.last_traffic)
-                .map(|(now, before)| now.delta_since(before))
-                .collect()
-        } else {
-            stats.clone()
-        };
-        self.last_traffic = stats;
-        self.last_total = total;
         self.fires += 1;
-        if phase_fire {
-            self.phase_fires += 1;
-        }
+        self.phase_fires += u64::from(fire.phase);
+        let deltas = self.trigger.commit(fire, system.shard_traffics());
         let changed = system.rebalance_from(&deltas);
-        if changed {
-            self.rebalances += 1;
-        }
+        self.rebalances += u64::from(changed);
         Ok(changed)
-    }
-
-    /// Shards whose phase event is live right now: armed, carrying a
-    /// meaningful share of the fresh traffic, and scoring at or above the
-    /// threshold. Also updates the hysteresis re-arm side.
-    ///
-    /// Significance: a shard's sketch score only counts while the shard
-    /// carries at least half an even split of the fresh traffic. A
-    /// near-idle shard rotates its sketch rarely, so a single tail-key
-    /// epoch would otherwise pin a stale high score that re-fires the
-    /// trigger on every cooldown (placement churn with no workload
-    /// change). Hysteresis: a consumed (fired-on) shard stays disarmed
-    /// until its score falls back below the threshold, so one flip is
-    /// acted on once even though the score stays high for a full sketch
-    /// window.
-    fn phase_qualified(
-        &mut self,
-        system: &ShardedRecMgSystem,
-        demands: &[u64],
-        fresh: u64,
-    ) -> Vec<usize> {
-        let Some(p) = self.phase else {
-            return Vec::new();
-        };
-        let scores = system.shard_phase_scores();
-        self.phase_armed.resize(scores.len(), true);
-        // Re-arm every shard whose score dropped back below the
-        // threshold (cheap, runs on every check so re-arming is not
-        // delayed until the next fire).
-        for (armed, &score) in self.phase_armed.iter_mut().zip(&scores) {
-            if score < p.threshold {
-                *armed = true;
-            }
-        }
-        let significant = (fresh / (2 * demands.len().max(1) as u64)).max(1);
-        scores
-            .iter()
-            .enumerate()
-            .filter(|&(i, &score)| {
-                let delta = demands[i]
-                    .saturating_sub(self.last_traffic.get(i).map_or(0, TierTraffic::demand));
-                score >= p.threshold && delta >= significant && self.phase_armed[i]
-            })
-            .map(|(i, _)| i)
-            .collect()
     }
 
     /// Trigger firings (whether or not placement moved anything).
@@ -1167,6 +1184,79 @@ mod tests {
         let p = CardinalityWorkingSet::default().place(1, &t, &footprints(&[123]));
         assert_eq!(p.len(), 1);
         assert_eq!(p[0].capacity, 64);
+    }
+
+    #[test]
+    fn live_and_quiescent_triggers_fire_identically() {
+        // The same demand/score sequence through the trigger a
+        // `Rebalancer` builds and the one the live loop builds: a count
+        // fire, a phase fire on the flipped shard, silence while that
+        // shard stays disarmed (and while an idle shard scores high),
+        // a re-arm, a second phase fire, and the count coming round.
+        let quiescent = Rebalancer::new(400).with_phase_trigger(0.5, 64);
+        let live = crate::migrate::LiveRebalanceConfig::default()
+            .with_min_new_accesses(400)
+            .with_phase_threshold(Some(0.5))
+            .with_cooldown(64)
+            .trigger();
+        let steps: [([u64; 4], [f64; 4]); 7] = [
+            ([100, 100, 100, 100], [0.0, 0.0, 0.0, 0.0]),
+            ([160, 120, 110, 110], [0.9, 0.0, 0.0, 0.0]),
+            ([230, 130, 120, 120], [0.9, 0.0, 0.0, 0.9]),
+            ([240, 140, 130, 120], [0.2, 0.0, 0.0, 0.9]),
+            ([300, 150, 140, 120], [0.8, 0.0, 0.0, 0.9]),
+            ([310, 160, 150, 120], [0.8, 0.0, 0.0, 0.9]),
+            ([500, 300, 200, 140], [0.8, 0.0, 0.0, 0.0]),
+        ];
+        let drive = |mut trigger: RebalanceTrigger| -> Vec<Option<(bool, Vec<u64>)>> {
+            steps
+                .iter()
+                .map(|(demands, scores)| {
+                    let fire = trigger.check(demands, scores)?;
+                    let phase = fire.phase;
+                    let traffic = demands
+                        .iter()
+                        .map(|&hits| TierTraffic {
+                            hits,
+                            ..TierTraffic::default()
+                        })
+                        .collect();
+                    let deltas = trigger.commit(fire, traffic);
+                    Some((phase, deltas.iter().map(TierTraffic::demand).collect()))
+                })
+                .collect()
+        };
+        let fires = drive(live);
+        assert_eq!(fires, drive(quiescent.trigger));
+        assert_eq!(
+            fires,
+            vec![
+                Some((false, vec![100, 100, 100, 100])),
+                Some((true, vec![60, 20, 10, 10])),
+                None,
+                None,
+                Some((true, vec![140, 30, 30, 10])),
+                None,
+                Some((false, vec![200, 150, 60, 20])),
+            ]
+        );
+    }
+
+    #[test]
+    fn cooldown_gates_count_fires_too() {
+        // One rule for both users of the trigger: a fire of either kind
+        // needs `cooldown` fresh accesses, even once the count is reached.
+        let mut trigger = RebalanceTrigger::new(100, None, 300);
+        assert_eq!(
+            trigger.check(&[150], &[0.0]),
+            None,
+            "count reached, cooling"
+        );
+        let fire = trigger.check(&[300], &[0.0]).expect("cooldown served");
+        assert!(!fire.phase);
+        trigger.commit(fire, mass(&[300]));
+        assert_eq!(trigger.check(&[599], &[0.0]), None);
+        assert!(trigger.check(&[600], &[0.0]).is_some());
     }
 
     #[test]

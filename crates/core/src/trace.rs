@@ -28,10 +28,9 @@
 //! matched to the trace instead of the synthetic-workload defaults.
 
 use std::io::BufRead;
-use std::time::Duration;
 
 use crate::config::SketchConfig;
-use crate::session::{ArrivalProcess, Pacer, Request, RequestSource};
+use crate::session::{ArrivalProcess, KeyStream, PacedSource};
 use recmg_trace::{RowId, TableId, Trace, VectorKey};
 
 /// Number of categorical (embedding-table) columns in the Criteo format.
@@ -172,15 +171,14 @@ fn next_query<R: BufRead>(
 /// `queries_per_request` consecutive queries pulled lazily off the
 /// reader, paced by an [`ArrivalProcess`]. Memory use is one request's
 /// keys plus the reader's buffer, independent of file size.
+pub type FileTraceSource<R> = PacedSource<FileQueries<R>>;
+
+/// Key stream of [`FileTraceSource`]: the reader and its parse state.
 #[derive(Debug)]
-pub struct FileTraceSource<R: BufRead> {
+pub struct FileQueries<R> {
     reader: R,
     format: TraceFormat,
     queries_per_request: usize,
-    pacer: Pacer,
-    deadline: Option<Duration>,
-    tenant: usize,
-    next_id: u64,
     line: String,
     done: bool,
 }
@@ -204,35 +202,19 @@ impl<R: BufRead> FileTraceSource<R> {
             "queries_per_request must be positive"
         );
         format.validate();
-        FileTraceSource {
+        let queries = FileQueries {
             reader,
             format,
             queries_per_request,
-            pacer: Pacer::new(arrivals, seed),
-            deadline: None,
-            tenant: 0,
-            next_id: 0,
             line: String::new(),
             done: false,
-        }
-    }
-
-    /// Attaches a deadline (relative to arrival) to every request.
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Tags every request with a tenant index
-    /// ([`crate::SessionBuilder::tenants`]).
-    pub fn for_tenant(mut self, tenant: usize) -> Self {
-        self.tenant = tenant;
-        self
+        };
+        Self::paced(queries, arrivals, seed)
     }
 }
 
-impl<R: BufRead> RequestSource for FileTraceSource<R> {
-    fn next_request(&mut self) -> Option<Request> {
+impl<R: BufRead> KeyStream for FileQueries<R> {
+    fn next_keys(&mut self, _id: u64) -> Option<Vec<VectorKey>> {
         if self.done {
             return None;
         }
@@ -246,18 +228,7 @@ impl<R: BufRead> RequestSource for FileTraceSource<R> {
                 }
             }
         }
-        if keys.is_empty() {
-            return None;
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        Some(Request {
-            id,
-            keys,
-            arrival: self.pacer.next_arrival(),
-            deadline: self.deadline,
-            tenant: self.tenant,
-        })
+        (!keys.is_empty()).then_some(keys)
     }
 }
 
@@ -364,7 +335,9 @@ pub fn profile_trace<R: BufRead>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::RequestSource;
     use std::io::Cursor;
+    use std::time::Duration;
 
     /// A tiny two-line Criteo-format sample (tab-separated; categorical
     /// block starts at column 14).

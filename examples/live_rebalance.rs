@@ -71,11 +71,7 @@ fn phase(targets: [usize; 3], salt: u64) -> Vec<Vec<VectorKey>> {
 fn build_system(caching: &CachingModel, codec_keys: &[VectorKey]) -> ShardedRecMgSystem {
     let topology = TierTopology::new(vec![
         MemoryTier::dram(96),
-        MemoryTier::new(
-            "cxl",
-            160,
-            TierCost::cxl_like().with_penalty(Duration::from_nanos(400)),
-        ),
+        MemoryTier::new("cxl", 160, TierCost::cxl_like()),
     ]);
     SystemBuilder::new(caching, None, FrequencyRankCodec::from_accesses(codec_keys))
         .shards(SHARDS)

@@ -2,8 +2,7 @@
 //!
 //! Trains RecMG on half a synthetic trace, then serves the whole trace on
 //! a 4-shard system over a two-tier topology (a small fast DRAM tier plus
-//! a large, slower CXL-like tier with an injected per-miss bandwidth
-//! penalty) under three placement policies:
+//! a large, slower CXL-like tier) under three placement policies:
 //!
 //! * `EvenSplit` — even capacity shares, tiers filled in shard-id order
 //!   (the historical, placement-oblivious layout);
@@ -30,7 +29,6 @@ use recmg_repro::core::{
     WorkingSet,
 };
 use recmg_repro::trace::{SyntheticConfig, TraceStats};
-use std::time::Duration;
 
 fn main() {
     let trace = SyntheticConfig::dataset_scaled(0, 0.02).generate();
@@ -51,21 +49,17 @@ fn main() {
     );
     let batches = trace.batches(20);
 
-    // Half the budget in DRAM, half in a slow tier with an injected 400ns
-    // per-miss/fill bandwidth penalty. The fast tier holds two of the four
-    // even shard shares — with headroom, so a working-set-grown hot shard
-    // still fits in DRAM instead of falling through to the slow tier
-    // (shares are sized before tiers are assigned; see `WorkingSet` docs).
+    // Half the budget in DRAM, half in a CXL-like slow tier. The fast tier
+    // holds two of the four even shard shares — with headroom, so a
+    // working-set-grown hot shard still fits in DRAM instead of falling
+    // through to the slow tier (shares are sized before tiers are
+    // assigned; see `WorkingSet` docs).
     let fast = capacity / 2;
     let slow = capacity.saturating_sub(fast).max(1);
     let topology = || {
         TierTopology::new(vec![
             MemoryTier::dram(fast),
-            MemoryTier::new(
-                "cxl",
-                slow.max(1),
-                TierCost::cxl_like().with_penalty(Duration::from_nanos(400)),
-            ),
+            MemoryTier::new("cxl", slow.max(1), TierCost::cxl_like()),
         ])
     };
     println!(
