@@ -144,8 +144,8 @@ pub use prefetch_model::{
 };
 pub use serving::{TableArraySpec, WorkloadSpec};
 pub use session::{
-    ArrivalProcess, BatchSource, ClosedLoopSource, KeyStream, LatencySummary, MarkovArrivals,
-    PacedSource, Rejection, Request, RequestSample, RequestSource, ServingSession, SessionBuilder,
+    ArrivalProcess, BatchSource, ClosedLoopSource, LatencySummary, MarkovArrivals, PacedSource,
+    Rejection, Request, RequestSample, RequestSource, ServingSession, SessionBuilder,
     SessionProgress, SessionReport, SlaOutcome, SyntheticSource, TenantReport, TraceReplaySource,
 };
 pub use sharding::{ShardRouter, ShardedRecMgSystem};

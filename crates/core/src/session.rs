@@ -34,6 +34,7 @@
 //! parity oracle of `tests/integration_streaming.rs`.
 
 use std::collections::VecDeque;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
@@ -357,7 +358,9 @@ impl Pacer {
     }
 }
 
-/// Where a [`PacedSource`] gets each request's keys from.
+/// Where a [`PacedSource`] gets each request's keys from. Plumbing of the
+/// four source aliases, not an extension point.
+#[doc(hidden)]
 pub trait KeyStream {
     /// The keys of request number `id`, or `None` once exhausted.
     fn next_keys(&mut self, id: u64) -> Option<Vec<VectorKey>>;
@@ -426,12 +429,20 @@ impl<K: KeyStream> RequestSource for PacedSource<K> {
     }
 }
 
-/// Key stream of [`BatchSource`]: pre-materialized requests, handed out
-/// in order.
+/// Key stream of [`BatchSource`] and [`TraceReplaySource`]:
+/// pre-materialized requests, handed out in order. `Tag` only keeps the
+/// two aliases distinct types, so each has its own `new`.
+#[doc(hidden)]
 #[derive(Debug)]
-pub struct Batches(std::vec::IntoIter<Vec<VectorKey>>);
+pub struct Batches<Tag = ()>(std::vec::IntoIter<Vec<VectorKey>>, PhantomData<Tag>);
 
-impl KeyStream for Batches {
+impl<Tag> Batches<Tag> {
+    fn new(requests: Vec<Vec<VectorKey>>) -> Self {
+        Batches(requests.into_iter(), PhantomData)
+    }
+}
+
+impl<Tag> KeyStream for Batches<Tag> {
     fn next_keys(&mut self, _id: u64) -> Option<Vec<VectorKey>> {
         self.0.next()
     }
@@ -454,12 +465,13 @@ impl BatchSource {
 
     /// Wraps owned batches.
     pub fn from_vecs(batches: Vec<Vec<VectorKey>>) -> Self {
-        Self::paced(Batches(batches.into_iter()), ArrivalProcess::Immediate, 0)
+        Self::paced(Batches::new(batches), ArrivalProcess::Immediate, 0)
     }
 }
 
 /// Key stream of [`SyntheticSource`]: `remaining` requests of `input_len`
 /// keys each drawn from a [`WorkloadSpec`].
+#[doc(hidden)]
 #[derive(Debug)]
 pub struct SpecKeys {
     spec: WorkloadSpec,
@@ -516,22 +528,12 @@ impl SyntheticSource {
 /// `queries_per_request` consecutive queries, paced by an
 /// [`ArrivalProcess`] (external DLRM traces rarely carry wall-clock
 /// timestamps, so the arrival process is supplied).
-pub type TraceReplaySource = PacedSource<TraceQueries>;
+pub type TraceReplaySource = PacedSource<Batches<Replayed>>;
 
-/// Key stream of [`TraceReplaySource`]: a trace's queries, pre-grouped
-/// into requests.
+/// Type tag of [`TraceReplaySource`]'s key stream.
+#[doc(hidden)]
 #[derive(Debug)]
-pub struct TraceQueries(Batches);
-
-impl KeyStream for TraceQueries {
-    fn next_keys(&mut self, id: u64) -> Option<Vec<VectorKey>> {
-        self.0.next_keys(id)
-    }
-
-    fn remaining(&self) -> Option<usize> {
-        self.0.remaining()
-    }
-}
+pub enum Replayed {}
 
 impl TraceReplaySource {
     /// Builds the replay stream.
@@ -555,7 +557,7 @@ impl TraceReplaySource {
             .into_iter()
             .map(|b| b.to_vec())
             .collect();
-        Self::paced(TraceQueries(Batches(requests.into_iter())), arrivals, seed)
+        Self::paced(Batches::new(requests), arrivals, seed)
     }
 }
 
@@ -1465,7 +1467,10 @@ impl ServingSession {
     pub fn ingest_multi(&self, sources: &mut [&mut dyn RequestSource]) -> usize {
         let start = Instant::now();
         let mut pulled = 0usize;
-        // One lookahead head per source; refill the head we consume.
+        // One lookahead head per source, refilled only after the consumed
+        // request is submitted: a feedback-driven source
+        // ([`ClosedLoopSource`]) blocks in `next_request` until a slot
+        // frees, which the request still in hand could never do.
         let mut heads: Vec<Option<Request>> =
             sources.iter_mut().map(|s| s.next_request()).collect();
         loop {
@@ -1477,7 +1482,6 @@ impl ServingSession {
                 .map(|(i, _)| i);
             let Some(i) = next else { break };
             let request = heads[i].take().expect("head checked nonempty");
-            heads[i] = sources[i].next_request();
             pulled += 1;
             let arrival_at = start + request.arrival;
             let now = Instant::now();
@@ -1485,6 +1489,7 @@ impl ServingSession {
                 std::thread::sleep(arrival_at - now);
             }
             let _ = self.submit_at(request, arrival_at);
+            heads[i] = sources[i].next_request();
         }
         pulled
     }
@@ -2329,6 +2334,84 @@ mod tests {
         assert_eq!(report.rejected_queue_full, 0);
         assert_eq!(report.completed, requests as u64);
         assert_eq!(report.engine.stats.total(), trace.len() as u64);
+    }
+
+    /// Wraps a source and records, at every pull, how many requests the
+    /// session has been handed but not finished.
+    struct InFlightProbe<S> {
+        inner: S,
+        shared: Arc<SessionShared>,
+        progress: SessionProgress,
+        max_in_flight: u64,
+    }
+
+    impl<S: RequestSource> RequestSource for InFlightProbe<S> {
+        fn next_request(&mut self) -> Option<Request> {
+            let submitted = self.shared.tenant_counters[0]
+                .submitted
+                .load(Ordering::Relaxed);
+            let in_flight = submitted.saturating_sub(self.progress.finished());
+            self.max_in_flight = self.max_in_flight.max(in_flight);
+            self.inner.next_request()
+        }
+    }
+
+    #[test]
+    fn ingest_submits_before_pulling_so_one_outstanding_terminates() {
+        // `ingest` must hand a request to the session before it asks the
+        // source for the next one: with one outstanding request the closed
+        // loop otherwise waits for a completion of a request nobody
+        // submitted. Run on a thread so a regression fails, not hangs.
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let batches = SyntheticConfig::tiny(17).generate();
+            let batches = batches.batches(10);
+            let session = SessionBuilder::new()
+                .workers(1)
+                .guidance(GuidanceMode::Inline)
+                .build(system(1));
+            let mut source =
+                ClosedLoopSource::new(BatchSource::new(&batches), 1, session.progress());
+            let pulled = session.ingest(&mut source);
+            let (_sys, report) = session.drain();
+            let _ = tx.send((pulled, batches.len(), report.completed));
+        });
+        let (pulled, requests, completed) = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("ingest over a 1-outstanding closed loop deadlocked");
+        assert_eq!(pulled, requests);
+        assert_eq!(completed, requests as u64);
+    }
+
+    #[test]
+    fn closed_loop_ingest_keeps_all_outstanding_slots_in_flight() {
+        // One worker, requests that take milliseconds to serve: request k
+        // is submitted microseconds after the completion of k-2 opened its
+        // slot, while k-1 is still in service — so 2 outstanding means 2 in
+        // flight at the next pull, not 1.
+        let requests: Vec<Vec<VectorKey>> = (0..12u64)
+            .map(|r| {
+                (0..20_000u64)
+                    .map(|i| VectorKey::from_u64(r * 20_000 + i))
+                    .collect()
+            })
+            .collect();
+        let session = SessionBuilder::new()
+            .workers(1)
+            .guidance(GuidanceMode::Inline)
+            .build(system(1));
+        let mut probe = InFlightProbe {
+            inner: ClosedLoopSource::new(BatchSource::from_vecs(requests), 2, session.progress()),
+            shared: Arc::clone(&session.shared),
+            progress: session.progress(),
+            max_in_flight: 0,
+        };
+        assert_eq!(session.ingest(&mut probe), 12);
+        let max_in_flight = probe.max_in_flight;
+        drop(probe);
+        let (_sys, report) = session.drain();
+        assert_eq!(report.completed, 12);
+        assert_eq!(max_in_flight, 2);
     }
 
     #[test]

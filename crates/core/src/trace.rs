@@ -174,6 +174,7 @@ fn next_query<R: BufRead>(
 pub type FileTraceSource<R> = PacedSource<FileQueries<R>>;
 
 /// Key stream of [`FileTraceSource`]: the reader and its parse state.
+#[doc(hidden)]
 #[derive(Debug)]
 pub struct FileQueries<R> {
     reader: R,
