@@ -11,6 +11,12 @@
 //! `smoke` marks a `RECMG_SMOKE=1` run: counts and structure are checked
 //! exactly as in a full run, comparisons between two wall-clock-sensitive
 //! rows are skipped or given a tolerance (noted at each check).
+//!
+//! A full run's wall-clock comparisons (live p99 vs steady, budgeted p99
+//! under flash vs steady, async vs blocking cost) are not judged on one
+//! sample: the section produces each compared row three times through
+//! [`median_run`] and the check — and the artifact — see the repetition
+//! holding the median of the compared quantity.
 
 use std::time::Duration;
 
@@ -41,6 +47,17 @@ fn named<'a, T>(rows: &'a [T], name_of: impl Fn(&T) -> &str, name: &str) -> Resu
 /// `100 × (1 − ours / baseline)`, for the summaries.
 fn pct_cheaper(ours: u64, baseline: u64) -> f64 {
     100.0 * (1.0 - ours as f64 / baseline.max(1) as f64)
+}
+
+/// Produces a row that a wall-clock comparison reads: once in a smoke
+/// run; three times in a full run, keeping the repetition that holds the
+/// median of `quantity`, so one slow or lucky sample on a loaded box
+/// decides nothing.
+pub fn median_run<T, K: Ord>(smoke: bool, run: impl FnMut() -> T, quantity: impl Fn(&T) -> K) -> T {
+    let reps = if smoke { 1 } else { 3 };
+    let mut runs: Vec<T> = std::iter::repeat_with(run).take(reps).collect();
+    runs.sort_by_key(|row| quantity(row));
+    runs.swap_remove(runs.len() / 2)
 }
 
 /// `"name": [` + one row per line at `indent` + `]`.
@@ -497,12 +514,16 @@ pub struct LadderRow {
 }
 
 impl LadderRow {
+    /// Hit-weighted access cost of the row's session.
+    pub fn cost_ns(&self) -> u64 {
+        self.report.access_cost_ns()
+    }
+
     /// Writes the row as one JSON object.
     pub fn write_json(&self, w: &mut JsonWriter) {
         w.object(|w| {
             w.key("fill_mode").string(self.fill_mode);
-            w.key("hit_weighted_cost_ns")
-                .raw(self.report.access_cost_ns());
+            w.key("hit_weighted_cost_ns").raw(self.cost_ns());
             self.report.write_json(w.key("report"));
         });
     }
@@ -682,6 +703,37 @@ mod tests {
             },
             ..RebalanceRow::default()
         }
+    }
+
+    #[test]
+    fn median_run_judges_the_middle_repetition_not_an_outlier() {
+        let isolate = [replica("move_only", 0, 100), replica("replicated", 9, 60)];
+        // Live p99 over three repetitions against a 100 µs steady row.
+        let verdict = |live_p99_us: [u64; 3]| {
+            let mut samples = live_p99_us.into_iter();
+            let live = median_run(
+                false,
+                || rebalance("live", 0, samples.next().expect("three repetitions"), 80),
+                |row| row.p99,
+            );
+            let rows = [
+                rebalance("steady", 0, 100, 50),
+                rebalance("quiescent_reactive", 2, 100, 90),
+                live,
+            ];
+            check_online_rebalance(&rows, &isolate, false)
+        };
+        // One repetition over the 2x limit does not fail the section …
+        assert!(verdict([150, 900, 180]).is_ok());
+        // … two do, and the reason names the median, not the worst.
+        fails(verdict([150, 900, 260]), "live p99 260µs exceeds 2x steady");
+        // A smoke run is its one repetition.
+        let mut calls = 0;
+        let once = || {
+            calls += 1;
+            calls
+        };
+        assert_eq!(median_run(true, once, |&x| x), 1);
     }
 
     fn replica(mode: &'static str, replica_hits: u64, cost_ns: u64) -> ReplicaRow {

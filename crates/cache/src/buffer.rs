@@ -7,6 +7,19 @@
 //! protected priority (lines 9–14), and `gpu_buffer_populate`
 //! (Algorithm 2) decays priorities and evicts the minimum.
 //!
+//! The buffer is a slab of at most `capacity` entries, found through one
+//! `key → slot` map. An entry's index in the slab — its **slot** — is
+//! also where the vector's row lives in the storage a caller keeps
+//! beside the metadata (`recmg-core` addresses its tier backends by it),
+//! so inserts and lookups hand the slot back. Free slots are chained
+//! through the slab, most recently vacated first: a victim's slot is the
+//! next insert's slot. Entries of one stamp form a FIFO threaded through
+//! the slab (`prev`/`next`) and `by_stamp` keeps only each live stamp's
+//! head and tail, so unlinking is O(1) and the victim is the head of the
+//! first stamp; oldest placement first means vectors the caching model
+//! demoted earlier leave before freshly prefetched ones at the same
+//! priority.
+//!
 //! Algorithm 2 decrements every scanned entry's priority by one per
 //! eviction *pass* over the trunk. We implement the decay *lazily*: the
 //! buffer keeps a global `decay` counter, stores each entry's priority as
@@ -27,7 +40,7 @@
 //! (`capacity < 16`) keep per-eviction decay, preserving the exact
 //! textbook behaviour in unit tests.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 
 use recmg_trace::VectorKey;
 
@@ -43,10 +56,17 @@ pub enum BufferAccess {
     Miss,
 }
 
+/// "No slot": the end of a stamp's FIFO or of the free chain.
+const NIL: usize = usize::MAX;
+
+/// One slab record; a free slot uses only `next` (the free chain).
 #[derive(Debug, Clone, Copy)]
 struct Entry {
+    key: VectorKey,
     stamp: u64,
     prefetched: bool,
+    prev: usize,
+    next: usize,
 }
 
 /// Capacity-bounded buffer of embedding vectors with priority metadata.
@@ -72,16 +92,15 @@ pub struct GpuBuffer {
     decay: u64,
     /// Evictions per decay unit (one "pass" of Algorithm 2).
     decay_period: u64,
-    /// Whether `decay_period` was set explicitly (via
-    /// [`GpuBuffer::with_decay_period`]) rather than derived from the
-    /// capacity — explicit periods survive [`GpuBuffer::set_capacity`].
-    explicit_period: bool,
     populate_calls: u64,
-    entries: HashMap<VectorKey, Entry>,
-    /// stamp → keys at that stamp. Within a bucket, eviction is FIFO
-    /// (oldest placement first), so vectors the caching model demoted
-    /// earlier leave before freshly prefetched ones at the same priority.
-    by_stamp: BTreeMap<u64, VecDeque<VectorKey>>,
+    /// The slab: grows by one record per insert while no slot is free.
+    entries: Vec<Entry>,
+    /// Head of the free chain (through `Entry::next`), or [`NIL`].
+    free: usize,
+    /// The one key-indexed structure: resident key → slot.
+    slots: HashMap<VectorKey, usize>,
+    /// stamp → `(head, tail)` of that stamp's FIFO; only live stamps.
+    by_stamp: BTreeMap<u64, (usize, usize)>,
     /// Sorted table ids whose resident vectors are skipped by victim
     /// selection (RecShard-style pinned tables: a pinned table's whole
     /// footprint stays resident regardless of priority churn). Empty for
@@ -97,29 +116,15 @@ impl GpuBuffer {
     ///
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
-        let mut buf = Self::with_decay_period(capacity, ((capacity / 8) as u64).max(1));
-        buf.explicit_period = false;
-        buf
-    }
-
-    /// Creates a buffer with an explicit decay period (evictions per decay
-    /// unit). `1` reproduces strict per-eviction decay. An explicit period
-    /// is a semantic choice, not a derived default, so it is preserved
-    /// across [`GpuBuffer::set_capacity`] resizes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` or `decay_period` is zero.
-    pub fn with_decay_period(capacity: usize, decay_period: u64) -> Self {
         assert!(capacity > 0, "capacity must be positive");
-        assert!(decay_period > 0, "decay period must be positive");
         GpuBuffer {
             capacity,
             decay: 0,
-            decay_period,
-            explicit_period: true,
+            decay_period: ((capacity / 8) as u64).max(1),
             populate_calls: 0,
-            entries: HashMap::with_capacity(capacity),
+            entries: Vec::new(),
+            free: NIL,
+            slots: HashMap::with_capacity(capacity),
             by_stamp: BTreeMap::new(),
             pinned_tables: Vec::new(),
         }
@@ -145,34 +150,41 @@ impl GpuBuffer {
     }
 
     fn is_pinned(&self, key: VectorKey) -> bool {
-        !self.pinned_tables.is_empty() && self.pinned_tables.binary_search(&key.table().0).is_ok()
+        self.pinned_tables.binary_search(&key.table().0).is_ok()
     }
 
-    /// Removes and returns the minimum-stamp *non-pinned* resident, or —
-    /// when everything resident is pinned — the raw minimum.
-    fn pop_victim(&mut self) -> Option<VectorKey> {
-        let victim = if self.pinned_tables.is_empty() {
-            let (&stamp, bucket) = self.by_stamp.iter().next()?;
-            (stamp, *bucket.front().expect("bucket non-empty"))
+    /// Walks one stamp's FIFO from the live slot `from`, towards the tail
+    /// (`forward`) or towards the head.
+    fn walk(&self, from: usize, forward: bool) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(Some(from), move |&s| {
+            let e = &self.entries[s];
+            Some(if forward { e.next } else { e.prev }).filter(|&n| n != NIL)
+        })
+    }
+
+    /// Slots in eviction order: ascending stamp, oldest placement first
+    /// within a stamp.
+    fn coldest_first(&self) -> impl Iterator<Item = usize> + '_ {
+        self.by_stamp
+            .values()
+            .flat_map(move |&(head, _)| self.walk(head, true))
+    }
+
+    /// Evicts the minimum-stamp *non-pinned* resident — when everything
+    /// resident is pinned, the raw minimum — **without** charging a decay
+    /// pass: speculative (prefetch) fills and resizes use this directly,
+    /// reusing the most recent demand pass's scan rather than triggering
+    /// one. Returns the evicted key, or `None` if the buffer is empty.
+    pub fn evict_min(&mut self) -> Option<VectorKey> {
+        let raw_min = self.by_stamp.values().next()?.0;
+        let slot = if self.pinned_tables.is_empty() {
+            raw_min
         } else {
-            let unpinned = self.by_stamp.iter().find_map(|(&stamp, bucket)| {
-                bucket
-                    .iter()
-                    .find(|&&k| !self.is_pinned(k))
-                    .map(|&k| (stamp, k))
-            });
-            match unpinned {
-                Some(v) => v,
-                None => {
-                    let (&stamp, bucket) = self.by_stamp.iter().next()?;
-                    (stamp, *bucket.front().expect("bucket non-empty"))
-                }
-            }
+            self.coldest_first()
+                .find(|&s| !self.is_pinned(self.entries[s].key))
+                .unwrap_or(raw_min)
         };
-        let (stamp, key) = victim;
-        self.unlink(key, stamp);
-        self.entries.remove(&key);
-        Some(key)
+        Some(self.vacate(slot))
     }
 
     /// Evictions per decay unit currently in effect.
@@ -187,30 +199,36 @@ impl GpuBuffer {
 
     /// Current residency.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.len()
     }
 
     /// Whether the buffer holds no vectors.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.slots.is_empty()
     }
 
     /// Whether the buffer is at capacity.
     pub fn is_full(&self) -> bool {
-        self.entries.len() >= self.capacity
+        self.slots.len() >= self.capacity
     }
 
     /// Whether `key` is resident.
     pub fn contains(&self, key: VectorKey) -> bool {
-        self.entries.contains_key(&key)
+        self.slots.contains_key(&key)
+    }
+
+    /// The slot of a resident key (always `< capacity()`), or `None` if
+    /// absent. Unlike [`GpuBuffer::lookup_slot`] this is not a demand
+    /// touch: a prefetched mark stays.
+    pub fn slot_of(&self, key: VectorKey) -> Option<usize> {
+        self.slots.get(&key).copied()
     }
 
     /// Effective priority of a resident key (saturating at zero), or `None`
     /// if absent.
     pub fn priority(&self, key: VectorKey) -> Option<u64> {
-        self.entries
-            .get(&key)
-            .map(|e| e.stamp.saturating_sub(self.decay))
+        self.slot_of(key)
+            .map(|s| self.entries[s].stamp.saturating_sub(self.decay))
     }
 
     /// Effective priority of the current eviction victim (the minimum
@@ -225,66 +243,121 @@ impl GpuBuffer {
     /// Demand lookup: distinguishes cache hits from first-touch prefetch
     /// hits (clearing the prefetched mark) and misses. Does **not** insert.
     pub fn lookup(&mut self, key: VectorKey) -> BufferAccess {
-        match self.entries.get_mut(&key) {
-            None => BufferAccess::Miss,
-            Some(e) if e.prefetched => {
-                e.prefetched = false;
-                BufferAccess::PrefetchHit
-            }
-            Some(_) => BufferAccess::CacheHit,
+        self.lookup_slot(key)
+            .map_or(BufferAccess::Miss, |(_, hit)| hit)
+    }
+
+    /// [`GpuBuffer::lookup`] that also says where the vector lives:
+    /// `(slot, CacheHit | PrefetchHit)` for a resident key, `None` for a
+    /// miss.
+    pub fn lookup_slot(&mut self, key: VectorKey) -> Option<(usize, BufferAccess)> {
+        let slot = self.slot_of(key)?;
+        let entry = &mut self.entries[slot];
+        if entry.prefetched {
+            entry.prefetched = false;
+            return Some((slot, BufferAccess::PrefetchHit));
+        }
+        Some((slot, BufferAccess::CacheHit))
+    }
+
+    /// Appends `slot` to the back of its stamp's FIFO.
+    fn link(&mut self, slot: usize) {
+        let stamp = self.entries[slot].stamp;
+        let ends = self.by_stamp.entry(stamp).or_insert((slot, NIL));
+        let prev = std::mem::replace(&mut ends.1, slot);
+        self.entries[slot].prev = prev;
+        self.entries[slot].next = NIL;
+        if prev != NIL {
+            self.entries[prev].next = slot;
         }
     }
 
-    fn unlink(&mut self, key: VectorKey, stamp: u64) {
-        if let Some(bucket) = self.by_stamp.get_mut(&stamp) {
-            if let Some(pos) = bucket.iter().position(|&k| k == key) {
-                bucket.remove(pos);
-            }
-            if bucket.is_empty() {
-                self.by_stamp.remove(&stamp);
-            }
+    /// Takes `slot` out of its stamp's FIFO; a stamp whose last entry
+    /// left is dropped.
+    fn unlink(&mut self, slot: usize) {
+        let Entry {
+            stamp, prev, next, ..
+        } = self.entries[slot];
+        if prev == NIL && next == NIL {
+            self.by_stamp.remove(&stamp);
+            return;
+        }
+        // An end of the FIFO moves the stamp's head or tail; the middle
+        // touches only the neighbours.
+        match prev {
+            NIL => self.by_stamp.get_mut(&stamp).expect("stamp is live").0 = next,
+            _ => self.entries[prev].next = next,
+        }
+        match next {
+            NIL => self.by_stamp.get_mut(&stamp).expect("stamp is live").1 = prev,
+            _ => self.entries[next].prev = prev,
         }
     }
 
-    /// Sets the priority of a resident key. Returns false if absent.
+    /// Ends the residency of the entry at `slot`, which becomes the head
+    /// of the free chain. Returns the entry's key.
+    fn vacate(&mut self, slot: usize) -> VectorKey {
+        let key = self.entries[slot].key;
+        self.slots.remove(&key);
+        self.unlink(slot);
+        self.entries[slot].next = self.free;
+        self.free = slot;
+        key
+    }
+
+    /// Sets the priority of a resident key, re-queueing it at the back of
+    /// the new stamp's FIFO (also when the stamp did not change). Returns
+    /// false if absent.
     pub fn set_priority(&mut self, key: VectorKey, priority: u64) -> bool {
-        let stamp = self.decay + priority;
-        match self.entries.get(&key).map(|e| e.stamp) {
-            None => false,
-            Some(old) => {
-                self.unlink(key, old);
-                self.entries.get_mut(&key).expect("entry present").stamp = stamp;
-                self.by_stamp.entry(stamp).or_default().push_back(key);
-                true
-            }
-        }
+        let Some(slot) = self.slot_of(key) else {
+            return false;
+        };
+        self.unlink(slot);
+        self.entries[slot].stamp = self.decay + priority;
+        self.link(slot);
+        true
     }
 
-    /// Inserts a demand-fetched vector with the given priority.
+    /// Inserts a demand-fetched vector with the given priority and
+    /// returns the slot it took — the most recently vacated one, if any.
     ///
     /// # Panics
     ///
     /// Panics if the buffer is full (callers must run
     /// [`GpuBuffer::populate`] first, as Algorithm 1 does) or the key is
     /// already resident.
-    pub fn insert(&mut self, key: VectorKey, priority: u64, prefetched: bool) {
+    pub fn insert(&mut self, key: VectorKey, priority: u64, prefetched: bool) -> usize {
         assert!(!self.is_full(), "insert into full buffer; call populate()");
-        assert!(!self.contains(key), "key already resident");
-        let stamp = self.decay + priority;
-        self.entries.insert(key, Entry { stamp, prefetched });
-        self.by_stamp.entry(stamp).or_default().push_back(key);
+        let entry = Entry {
+            key,
+            stamp: self.decay + priority,
+            prefetched,
+            prev: NIL,
+            next: NIL,
+        };
+        let slot = if self.free == NIL {
+            self.entries.push(entry);
+            self.entries.len() - 1
+        } else {
+            let slot = self.free;
+            self.free = self.entries[slot].next;
+            self.entries[slot] = entry;
+            slot
+        };
+        let displaced = self.slots.insert(key, slot);
+        assert!(displaced.is_none(), "key already resident");
+        self.link(slot);
+        slot
     }
 
-    /// Inserts a prefetched vector (Algorithm 1 lines 13–14). No-op if the
-    /// key is already resident.
+    /// Inserts a prefetched vector (Algorithm 1 lines 13–14) and returns
+    /// its slot. No-op — `None` — if the key is already resident.
     ///
     /// # Panics
     ///
     /// Panics if the buffer is full.
-    pub fn insert_prefetch(&mut self, key: VectorKey, priority: u64) {
-        if !self.contains(key) {
-            self.insert(key, priority, true);
-        }
+    pub fn insert_prefetch(&mut self, key: VectorKey, priority: u64) -> Option<usize> {
+        (!self.contains(key)).then(|| self.insert(key, priority, true))
     }
 
     /// Algorithm 2 (`gpu_buffer_populate`): decays every resident entry's
@@ -296,76 +369,80 @@ impl GpuBuffer {
         if self.populate_calls.is_multiple_of(self.decay_period) {
             self.decay += 1;
         }
-        self.pop_victim()
-    }
-
-    /// Evicts the current minimum-priority entry (skipping pinned tables)
-    /// **without** charging a decay pass — used for speculative (prefetch)
-    /// fills, which reuse the most recent demand pass's scan rather than
-    /// triggering one.
-    pub fn evict_min(&mut self) -> Option<VectorKey> {
-        self.pop_victim()
+        self.evict_min()
     }
 
     /// Changes the buffer's capacity in place, evicting minimum-priority
     /// entries (without charging decay passes — this is a management
-    /// operation, not a demand fill) until the residency fits. A derived
-    /// decay period is re-derived from the new capacity exactly as
+    /// operation, not a demand fill) until the residency fits. The decay
+    /// period is re-derived from the new capacity exactly as
     /// [`GpuBuffer::new`] would, so a resized buffer decays like a fresh
-    /// buffer of the same size; a period set explicitly via
-    /// [`GpuBuffer::with_decay_period`] is kept — phase-reactive
-    /// rebalancing resizes buffers often, and a deliberate per-eviction
-    /// decay choice must not silently revert to the derived default on
-    /// the first resize. Used by tier rebalancing, which re-sizes
+    /// buffer of the same size. Used by tier rebalancing, which re-sizes
     /// per-shard buffer shares from observed working sets.
+    ///
+    /// A shrink below the slab's high-water mark **renumbers** the
+    /// survivors into `0..len()` so every slot stays below the capacity;
+    /// storage addressed by slot must be rebuilt from
+    /// [`GpuBuffer::slots`] afterwards. Growing moves nothing.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
     pub fn set_capacity(&mut self, capacity: usize) {
         assert!(capacity > 0, "capacity must be positive");
-        while self.entries.len() > capacity {
+        while self.slots.len() > capacity {
             self.evict_min();
         }
-        self.capacity = capacity;
-        if !self.explicit_period {
-            self.decay_period = ((capacity / 8) as u64).max(1);
+        if self.entries.len() > capacity {
+            // Re-placing the survivors in eviction order rebuilds every
+            // stamp's FIFO as it was.
+            let survivors: Vec<Entry> = self.coldest_first().map(|s| self.entries[s]).collect();
+            self.by_stamp.clear();
+            for (slot, &entry) in survivors.iter().enumerate() {
+                self.slots.insert(entry.key, slot);
+                self.entries[slot] = entry;
+                self.link(slot);
+            }
+            self.entries.truncate(survivors.len());
+            self.free = NIL;
         }
+        self.capacity = capacity;
+        self.decay_period = ((capacity / 8) as u64).max(1);
     }
 
     /// Removes a specific key (used by tests and ablations). Returns true
     /// if it was resident.
     pub fn evict(&mut self, key: VectorKey) -> bool {
-        match self.entries.remove(&key) {
-            None => false,
-            Some(e) => {
-                self.unlink(key, e.stamp);
-                true
-            }
-        }
+        self.slot_of(key).map(|slot| self.vacate(slot)).is_some()
     }
 
     /// Iterates over resident entries as `(key, effective_priority,
-    /// prefetched)`, hottest (highest-stamp) first; within a stamp bucket,
-    /// newest placement first. Live migration uses this to warm a staging
-    /// buffer top-down so a smaller destination keeps the hottest mass,
-    /// and the `prefetched` flag lets the copy preserve first-touch
-    /// prefetch-hit classification across the swap.
+    /// prefetched)`, hottest (highest-stamp) first; within a stamp,
+    /// newest placement first — the exact reverse of eviction order. Live
+    /// migration uses this to warm a staging buffer top-down so a smaller
+    /// destination keeps the hottest mass, and the `prefetched` flag lets
+    /// the copy preserve first-touch prefetch-hit classification across
+    /// the swap.
     pub fn iter_hot_first(&self) -> impl Iterator<Item = (VectorKey, u64, bool)> + '_ {
         self.by_stamp
-            .iter()
+            .values()
             .rev()
-            .flat_map(move |(&stamp, bucket)| {
-                bucket.iter().rev().map(move |&k| {
-                    let e = &self.entries[&k];
-                    (k, stamp.saturating_sub(self.decay), e.prefetched)
-                })
+            .flat_map(move |&(_, tail)| self.walk(tail, false))
+            .map(move |s| {
+                let e = &self.entries[s];
+                (e.key, e.stamp.saturating_sub(self.decay), e.prefetched)
             })
     }
 
     /// Iterates over resident keys (arbitrary order).
     pub fn keys(&self) -> impl Iterator<Item = VectorKey> + '_ {
-        self.entries.keys().copied()
+        self.slots.keys().copied()
+    }
+
+    /// Iterates over residents as `(slot, key)` (arbitrary order): what
+    /// slot-addressed storage is rebuilt from.
+    pub fn slots(&self) -> impl Iterator<Item = (usize, VectorKey)> + '_ {
+        self.slots.iter().map(|(&key, &slot)| (slot, key))
     }
 }
 
@@ -484,19 +561,47 @@ mod tests {
     }
 
     #[test]
-    fn set_capacity_rederives_only_derived_decay_periods() {
-        // Derived period: tracks the capacity across resizes.
-        let mut derived = GpuBuffer::new(64);
-        assert_eq!(derived.decay_period(), 8);
-        derived.set_capacity(256);
-        assert_eq!(derived.decay_period(), 32);
-        // Explicit period: a semantic choice, survives resizes (the
-        // rebalancer resizes buffers routinely).
-        let mut strict = GpuBuffer::with_decay_period(64, 1);
-        strict.set_capacity(256);
-        assert_eq!(strict.decay_period(), 1, "explicit period clobbered");
-        strict.set_capacity(16);
-        assert_eq!(strict.decay_period(), 1);
+    fn set_capacity_rederives_the_decay_period() {
+        let mut b = GpuBuffer::new(64);
+        assert_eq!(b.decay_period(), 8);
+        b.set_capacity(256);
+        assert_eq!(b.decay_period(), 32);
+        b.set_capacity(4);
+        assert_eq!(b.decay_period(), 1);
+    }
+
+    #[test]
+    fn a_victims_slot_is_the_next_inserts_slot() {
+        let mut b = GpuBuffer::new(3);
+        assert_eq!(b.insert(key(1), 5, false), 0);
+        assert_eq!(b.insert(key(2), 1, false), 1);
+        assert_eq!(b.insert_prefetch(key(3), 9), Some(2));
+        assert_eq!(b.insert_prefetch(key(3), 9), None);
+        assert_eq!(b.populate(), Some(key(2)));
+        assert_eq!(b.slot_of(key(2)), None);
+        assert_eq!(b.insert(key(4), 7, false), 1);
+        assert_eq!(b.lookup_slot(key(3)), Some((2, BufferAccess::PrefetchHit)));
+        assert_eq!(b.lookup_slot(key(3)), Some((2, BufferAccess::CacheHit)));
+        assert_eq!(b.lookup_slot(key(2)), None);
+        let mut pairs: Vec<(usize, u64)> = b.slots().map(|(s, k)| (s, k.row().0)).collect();
+        pairs.sort_unstable();
+        assert_eq!(pairs, vec![(0, 1), (1, 4), (2, 3)]);
+    }
+
+    #[test]
+    fn shrinking_renumbers_survivors_below_the_new_capacity() {
+        let mut b = GpuBuffer::new(4);
+        for r in 1..=4 {
+            b.insert(key(r), r, false);
+        }
+        b.set_capacity(2);
+        let mut pairs: Vec<(usize, u64)> = b.slots().map(|(s, k)| (s, k.row().0)).collect();
+        pairs.sort_unstable();
+        assert_eq!(pairs, vec![(0, 3), (1, 4)]);
+        // Order and free chain survive the renumbering.
+        assert_eq!(b.evict_min(), Some(key(3)));
+        assert_eq!(b.insert(key(5), 9, false), 0);
+        assert_eq!(b.populate(), Some(key(4)));
     }
 
     #[test]
@@ -508,7 +613,7 @@ mod tests {
 
     #[test]
     fn iter_hot_first_orders_by_effective_priority() {
-        let mut b = GpuBuffer::with_decay_period(4, 1);
+        let mut b = GpuBuffer::new(4);
         b.insert(key(1), 2, false);
         b.insert(key(2), 9, false);
         b.insert_prefetch(key(3), 5);

@@ -1,9 +1,11 @@
 //! Software-defined memory backends: the DRAM → mapped-file → file ladder.
 //!
-//! Every [`RecMgBuffer`](crate::RecMgBuffer) owns a [`RowStore`] — real
-//! row bytes behind a [`TierBackend`] — so a memory tier is no longer
-//! plain DRAM wearing a spin-wait costume. Three backends implement the
-//! ladder of Meta's software-defined-memory paper (device memory →
+//! Every [`RecMgBuffer`](crate::RecMgBuffer) keeps real row bytes behind
+//! a [`TierBackend`], so a memory tier is no longer plain DRAM wearing a
+//! spin-wait costume. A row is addressed by the slot the buffer's
+//! metadata ([`GpuBuffer`](recmg_cache::GpuBuffer)) gave its vector; no
+//! key table or free list exists on this side. Three backends implement
+//! the ladder of Meta's software-defined-memory paper (device memory →
 //! cached host memory → cached SSD):
 //!
 //! * [`DramBackend`] — heap (`Vec<u8>`) rows, byte-addressable.
@@ -29,7 +31,7 @@
 //! file is further gated (build.rs `recmg_mmap`) to targets where the
 //! hand-rolled mmap FFI is ABI-sound — macOS and 64-bit Linux.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -78,8 +80,8 @@ pub fn synth_row(key: VectorKey, out: &mut [u8]) {
     }
 }
 
-/// Access-pattern hints a [`RowStore`] forwards to its backend
-/// (`madvise`-style; backends without a meaningful mapping ignore them).
+/// Access-pattern hints forwarded to a backend (`madvise`-style;
+/// backends without a meaningful mapping ignore them).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendAdvice {
     /// Expect random row access (the demand path).
@@ -136,15 +138,15 @@ impl BackendSpec {
     }
 }
 
-/// One storage medium holding fixed-size rows at integer slots. Slot
-/// bookkeeping (which key lives where) belongs to [`RowStore`]; backends
-/// only move bytes.
+/// One storage medium holding fixed-size rows at integer slots. Which
+/// key lives at which slot is the buffer metadata's to say
+/// ([`GpuBuffer`](recmg_cache::GpuBuffer)); backends only move bytes.
 ///
 /// # Panics
 ///
 /// Implementations panic on out-of-range slots or wrong-length row
-/// buffers — both are `RowStore` invariant violations, not runtime
-/// conditions.
+/// buffers — both are caller invariant violations (the metadata hands
+/// out slots below its capacity), not runtime conditions.
 pub trait TierBackend: fmt::Debug + Send + Sync {
     /// The spec that created this backend.
     fn spec(&self) -> BackendSpec;
@@ -472,120 +474,6 @@ impl Drop for FileBackend {
     fn drop(&mut self) {
         let _ = std::fs::remove_file(&self.path);
         LIVE_BACKEND_FILES.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// Key → slot bookkeeping over one backend: the row bytes of a
-/// [`RecMgBuffer`](crate::RecMgBuffer). The invariant the buffer
-/// maintains is `slots.keys() == resident metadata keys` — a row exists
-/// exactly for the vectors the `GpuBuffer` says are resident.
-pub(crate) struct RowStore {
-    backend: Box<dyn TierBackend>,
-    spec: BackendSpec,
-    slots: HashMap<VectorKey, usize>,
-    free: Vec<usize>,
-}
-
-impl fmt::Debug for RowStore {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RowStore")
-            .field("spec", &self.spec)
-            .field("rows", &self.backend.rows())
-            .field("resident", &self.slots.len())
-            .finish_non_exhaustive()
-    }
-}
-
-impl Clone for RowStore {
-    fn clone(&self) -> Self {
-        // Rows are a pure function of the key: a clone re-synthesizes
-        // instead of copying bytes tier-to-tier.
-        let mut store = RowStore::new(self.spec, self.backend.rows());
-        for &key in self.slots.keys() {
-            store.insert(key);
-        }
-        store
-    }
-}
-
-impl RowStore {
-    /// A store of `rows` slots on a fresh backend of `spec`, hinted for
-    /// random access (the demand path's pattern).
-    pub(crate) fn new(spec: BackendSpec, rows: usize) -> Self {
-        let rows = rows.max(1);
-        let mut backend = spec.create(rows);
-        backend.advise(BackendAdvice::Random);
-        RowStore {
-            backend,
-            spec,
-            slots: HashMap::with_capacity(rows.min(1 << 20)),
-            free: (0..rows).rev().collect(),
-        }
-    }
-
-    pub(crate) fn spec(&self) -> BackendSpec {
-        self.spec
-    }
-
-    #[cfg(test)]
-    pub(crate) fn contains(&self, key: VectorKey) -> bool {
-        self.slots.contains_key(&key)
-    }
-
-    /// Synthesizes and installs `key`'s row (no-op when resident).
-    ///
-    /// # Panics
-    ///
-    /// Panics when no slot is free — the caller must evict from the
-    /// metadata buffer (and [`remove`](RowStore::remove) here) first.
-    pub(crate) fn insert(&mut self, key: VectorKey) {
-        if self.slots.contains_key(&key) {
-            return;
-        }
-        let slot = self
-            .free
-            .pop()
-            .expect("row store full: metadata buffer must evict first");
-        self.backend.fill_batch(&[(slot, key)]);
-        self.slots.insert(key, slot);
-    }
-
-    /// Frees `key`'s slot (no-op when absent).
-    pub(crate) fn remove(&mut self, key: VectorKey) {
-        if let Some(slot) = self.slots.remove(&key) {
-            self.free.push(slot);
-        }
-    }
-
-    /// Reads `key`'s row into `out`; `false` when not resident.
-    pub(crate) fn read(&self, key: VectorKey, out: &mut [u8]) -> bool {
-        match self.slots.get(&key) {
-            Some(&slot) => {
-                self.backend.read_row(slot, out);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// The blocking miss path: install `key`'s row, then read it back —
-    /// the demand fetch crosses the tier once for the write and once for
-    /// the serve.
-    pub(crate) fn read_through(&mut self, key: VectorKey, out: &mut [u8]) {
-        self.insert(key);
-        let resident = self.read(key, out);
-        debug_assert!(resident, "read_through installed the row above");
-    }
-
-    /// Rebuilds the store on a fresh backend of `spec` with `rows` slots,
-    /// keeping exactly `resident` keys (rows re-synthesized — the old
-    /// backend, and any temp file it holds, is dropped here).
-    pub(crate) fn rebind(&mut self, spec: BackendSpec, rows: usize, resident: &[VectorKey]) {
-        let mut store = RowStore::new(spec, rows.max(resident.len()));
-        for &key in resident {
-            store.insert(key);
-        }
-        *self = store;
     }
 }
 
@@ -990,51 +878,6 @@ mod tests {
         assert!(paths.iter().all(|p| p.exists()));
         drop((mapped, file));
         assert!(paths.iter().all(|p| !p.exists()));
-    }
-
-    #[test]
-    fn row_store_tracks_slots_and_rebinds() {
-        let mut store = RowStore::new(BackendSpec::Dram, 2);
-        store.insert(key(1));
-        store.insert(key(2));
-        assert!(store.contains(key(1)));
-        let mut row = [0u8; ROW_BYTES];
-        assert!(store.read(key(2), &mut row));
-        let mut expect = [0u8; ROW_BYTES];
-        synth_row(key(2), &mut expect);
-        assert_eq!(row, expect);
-        // Free the slot and reuse it.
-        store.remove(key(1));
-        store.insert(key(3));
-        assert!(!store.contains(key(1)));
-        // Rebind onto a different backend keeps exactly the residents.
-        store.rebind(BackendSpec::File, 4, &[key(3)]);
-        assert_eq!(store.spec(), BackendSpec::File);
-        assert!(store.contains(key(3)));
-        assert!(!store.contains(key(2)));
-        assert!(store.read(key(3), &mut row));
-        synth_row(key(3), &mut expect);
-        assert_eq!(row, expect);
-    }
-
-    #[test]
-    #[should_panic(expected = "row store full")]
-    fn row_store_full_panics() {
-        let mut store = RowStore::new(BackendSpec::Dram, 1);
-        store.insert(key(1));
-        store.insert(key(2));
-    }
-
-    #[test]
-    fn row_store_clone_resynthesizes() {
-        let mut store = RowStore::new(BackendSpec::Dram, 4);
-        store.insert(key(9));
-        let clone = store.clone();
-        let mut a = [0u8; ROW_BYTES];
-        let mut b = [0u8; ROW_BYTES];
-        assert!(store.read(key(9), &mut a));
-        assert!(clone.read(key(9), &mut b));
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use recmg_cache::{BufferAccess, GpuBuffer};
 use recmg_trace::VectorKey;
 
-use crate::backend::{BackendSpec, RowStore, ROW_BYTES};
+use crate::backend::{BackendAdvice, BackendSpec, TierBackend, ROW_BYTES};
 use crate::config::{SketchConfig, TierCost};
 use crate::sketch::{WorkingSetStats, WorkingSetTracker};
 
@@ -92,14 +92,18 @@ impl TierTraffic {
 
 /// The RecMG-managed GPU buffer: eviction metadata ([`GpuBuffer`]) plus
 /// the actual row bytes on this tier's storage backend
-/// ([`crate::backend`]). The two stay in lockstep — a row exists exactly
-/// for the keys the metadata says are resident.
-#[derive(Debug, Clone)]
+/// ([`crate::backend`]). The entry's slot is the row's slot: the
+/// metadata alone says which keys are resident and where, and the row of
+/// a resident key is whatever the backend holds at that slot.
+#[derive(Debug)]
 pub struct RecMgBuffer {
     buffer: GpuBuffer,
-    /// Row bytes behind this tier's [`BackendSpec`] (heap, mapped file,
-    /// or plain file).
-    rows: RowStore,
+    /// Row bytes (heap, mapped file, or plain file), addressed by
+    /// `buffer`'s slots.
+    rows: Box<dyn TierBackend>,
+    /// The spec `rows` was created from (where a platform lacks the file
+    /// APIs, the backend standing in reports a different one).
+    backend: BackendSpec,
     /// When present, demand misses queue here instead of filling inline
     /// ([`crate::FillMode::Async`]).
     fill: Option<FillHandle>,
@@ -110,6 +114,21 @@ pub struct RecMgBuffer {
     /// Sliding-window unique-key sketch over the demand stream — the
     /// working-set footprint and phase-change signal placement reacts to.
     tracker: WorkingSetTracker,
+}
+
+impl Clone for RecMgBuffer {
+    fn clone(&self) -> Self {
+        RecMgBuffer {
+            buffer: self.buffer.clone(),
+            rows: Self::rows_for(&self.buffer, self.backend),
+            backend: self.backend,
+            fill: self.fill.clone(),
+            eviction_speed: self.eviction_speed,
+            cost: self.cost,
+            traffic: self.traffic,
+            tracker: self.tracker.clone(),
+        }
+    }
 }
 
 impl RecMgBuffer {
@@ -147,9 +166,11 @@ impl RecMgBuffer {
         sketch: SketchConfig,
         backend: BackendSpec,
     ) -> Self {
+        let buffer = GpuBuffer::new(capacity);
         RecMgBuffer {
-            buffer: GpuBuffer::new(capacity),
-            rows: RowStore::new(backend, capacity),
+            rows: Self::rows_for(&buffer, backend),
+            buffer,
+            backend,
             fill: None,
             eviction_speed,
             cost,
@@ -160,7 +181,26 @@ impl RecMgBuffer {
 
     /// The storage backend holding this buffer's row bytes.
     pub fn backend_spec(&self) -> BackendSpec {
-        self.rows.spec()
+        self.backend
+    }
+
+    /// A fresh backend of `spec` sized to `buffer`'s capacity, hinted for
+    /// random access (the demand path's pattern) and holding the rows of
+    /// exactly `buffer`'s residents, each at its slot. Rows are a pure
+    /// function of the key, so this is also how they are cloned, resized
+    /// and moved between backends: nothing is copied tier-to-tier.
+    fn rows_for(buffer: &GpuBuffer, spec: BackendSpec) -> Box<dyn TierBackend> {
+        let mut rows = spec.create(buffer.capacity());
+        rows.advise(BackendAdvice::Random);
+        rows.fill_batch(&buffer.slots().collect::<Vec<_>>());
+        rows
+    }
+
+    /// Re-creates the rows on `spec` from the metadata as it is now; the
+    /// old backend — and any temp file it held — is dropped here.
+    fn rebuild_rows(&mut self, spec: BackendSpec) {
+        self.rows = Self::rows_for(&self.buffer, spec);
+        self.backend = spec;
     }
 
     /// Attaches (or detaches, with `None`) the async fill handle — set by
@@ -179,7 +219,8 @@ impl RecMgBuffer {
     /// bytes across backends for the same key.
     pub fn read_row(&self, key: VectorKey) -> Option<[u8; ROW_BYTES]> {
         let mut row = [0u8; ROW_BYTES];
-        self.rows.read(key, &mut row).then_some(row)
+        self.rows.read_row(self.buffer.slot_of(key)?, &mut row);
+        Some(row)
     }
 
     /// The configured eviction speed.
@@ -260,23 +301,18 @@ impl RecMgBuffer {
     /// Panics if `capacity` is zero.
     pub fn resize(&mut self, capacity: usize) {
         self.buffer.set_capacity(capacity);
-        // Rebuild the row store at the new slot count, keeping exactly
-        // the metadata survivors (a shrink evicted the coldest inside
-        // `set_capacity`).
-        let resident: Vec<VectorKey> = self.buffer.keys().collect();
-        self.rows.rebind(self.rows.spec(), capacity, &resident);
+        // Fresh rows at the new slot count: a shrink evicted the coldest
+        // and may have renumbered the survivors' slots.
+        self.rebuild_rows(self.backend);
     }
 
     /// Moves the row bytes onto a different storage backend at the
     /// current capacity (a rebalance changed this shard's home tier).
-    /// Rows are re-synthesized on the destination; the old backend —
-    /// and any temp file it held — is dropped here.
+    /// Rows are re-synthesized on the destination.
     pub(crate) fn rebind_backend(&mut self, backend: BackendSpec) {
-        if backend == self.rows.spec() {
-            return;
+        if backend != self.backend {
+            self.rebuild_rows(backend);
         }
-        let resident: Vec<VectorKey> = self.buffer.keys().collect();
-        self.rows.rebind(backend, self.buffer.capacity(), &resident);
     }
 
     /// Declares which tables' vectors are exempt from victim selection in
@@ -330,8 +366,7 @@ impl RecMgBuffer {
         // file-backed tiers) is dropped before the retired metadata is
         // returned — Drop order the migration stress test pins via
         // `live_backend_files`.
-        let resident: Vec<VectorKey> = self.buffer.keys().collect();
-        self.rows.rebind(backend, self.buffer.capacity(), &resident);
+        self.rebuild_rows(backend);
         retired
     }
 
@@ -349,9 +384,8 @@ impl RecMgBuffer {
         // mispredicting prefetcher cannot inflate the footprint signal
         // placement sizes capacity from.
         self.tracker.observe(key.as_u64());
-        let outcome = self.buffer.lookup(key);
         let mut row = [0u8; ROW_BYTES];
-        if outcome == BufferAccess::Miss {
+        let Some((slot, hit)) = self.buffer.lookup_slot(key) else {
             self.traffic.misses += 1;
             match &self.fill {
                 // Async: serve the miss from the slow side now (the fill
@@ -368,27 +402,35 @@ impl RecMgBuffer {
                     handle.queue.push(handle.shard, key, fill_ns);
                 }
                 // Blocking: the historical read-through — install the row
-                // and serve it inline, one miss_ns covering both.
+                // and serve it inline (the demand fetch crosses the tier
+                // once for the write and once for the serve), one miss_ns
+                // covering both.
                 None => {
                     self.traffic.cost_ns += self.cost.miss_ns;
-                    if self.buffer.is_full() {
-                        if let Some(victim) = self.buffer.populate() {
-                            self.rows.remove(victim);
-                        }
-                    }
-                    self.buffer.insert(key, self.eviction_speed, false);
-                    self.rows.read_through(key, &mut row);
+                    let slot = self.install(key);
+                    self.rows.read_row(slot, &mut row);
                 }
             }
-        } else {
-            self.traffic.hits += 1;
-            self.traffic.cost_ns += self.cost.hit_ns;
-            // The serve itself: a resident access really reads the row
-            // off this tier's storage.
-            let resident = self.rows.read(key, &mut row);
-            debug_assert!(resident, "resident metadata implies a stored row");
+            return BufferAccess::Miss;
+        };
+        self.traffic.hits += 1;
+        self.traffic.cost_ns += self.cost.hit_ns;
+        // The serve itself: a resident access really reads the row off
+        // this tier's storage.
+        self.rows.read_row(slot, &mut row);
+        hit
+    }
+
+    /// Makes `key` resident at neutral priority — Algorithm 2 first when
+    /// the buffer is full, and the victim's slot is then the one `key`
+    /// takes — and writes its row there. Returns the slot.
+    fn install(&mut self, key: VectorKey) -> usize {
+        if self.buffer.is_full() {
+            self.buffer.populate();
         }
-        outcome
+        let slot = self.buffer.insert(key, self.eviction_speed, false);
+        self.rows.fill_batch(&[(slot, key)]);
+        slot
     }
 
     /// Lands one asynchronous demand fill (called by a background fill
@@ -403,13 +445,7 @@ impl RecMgBuffer {
         if self.buffer.contains(key) {
             return false;
         }
-        if self.buffer.is_full() {
-            if let Some(victim) = self.buffer.populate() {
-                self.rows.remove(victim);
-            }
-        }
-        self.buffer.insert(key, self.eviction_speed, false);
-        self.rows.insert(key);
+        self.install(key);
         self.traffic.demand_fills += 1;
         self.traffic.cost_ns += fill_ns;
         true
@@ -447,26 +483,23 @@ impl RecMgBuffer {
         // prefetch accuracy, pollutes the buffer (the failure mode
         // Table IV attributes to Berti/MAB).
         for &key in p {
-            if self.buffer.contains(key) {
-                // Already resident: just refresh its protection.
-                self.buffer.set_priority(key, self.eviction_speed);
+            // Already resident: just refresh its protection.
+            if self.buffer.set_priority(key, self.eviction_speed) {
                 continue;
             }
             if self.buffer.is_full() {
                 if self.buffer.min_priority().unwrap_or(0) >= self.eviction_speed {
                     continue;
                 }
-                if let Some(victim) = self.buffer.evict_min() {
-                    self.rows.remove(victim);
-                }
+                self.buffer.evict_min();
             }
             // Speculative entries start with one decay period of
             // protection; a prefetch hit upgrades them through the normal
             // Algorithm-1 path on their first demand touch. Holding them at
             // full `eviction_speed` protection would let mispredictions
             // occupy ~eviction_speed passes of capacity.
-            self.buffer.insert_prefetch(key, 1);
-            self.rows.insert(key);
+            let slot = self.buffer.insert(key, 1, true);
+            self.rows.fill_batch(&[(slot, key)]);
             // A real fill into the tier: charge it.
             self.traffic.prefetch_fills += 1;
             self.traffic.cost_ns += self.cost.fill_ns;
@@ -497,6 +530,7 @@ impl RecMgBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use recmg_trace::{RowId, TableId};
 
     fn key(r: u64) -> VectorKey {
@@ -777,7 +811,7 @@ mod tests {
             assert_eq!(
                 b.read_row(key(r)).is_some(),
                 b.buffer().contains(key(r)),
-                "row {r} out of lockstep"
+                "row {r} does not follow residency"
             );
         }
         // A shrink keeps rows only for the metadata survivors.
@@ -794,6 +828,70 @@ mod tests {
             let mut expect = [0u8; ROW_BYTES];
             crate::backend::synth_row(k, &mut expect);
             assert_eq!(b.read_row(k), Some(expect));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        // The row side of the one-table design: whatever the metadata
+        // does to slots — reuse on eviction, renumbering on a shrink,
+        // a fresh store on resize or rebind — a resident key's row is
+        // its own bytes, inside the backend, at a slot nobody shares.
+        #[test]
+        fn rows_follow_slots(
+            capacity in 1usize..12,
+            ops in prop::collection::vec((0u8..9, 0u64..24, 0u64..24, 0u8..4), 1..80),
+        ) {
+            use crate::backend::synth_row;
+            for spec in [BackendSpec::Dram, BackendSpec::MappedFile, BackendSpec::File] {
+                let mut b = RecMgBuffer::with_backend_spec(
+                    capacity,
+                    4,
+                    TierCost::FREE,
+                    SketchConfig::default(),
+                    spec,
+                );
+                for &(op, r, other, bits) in &ops {
+                    match op {
+                        0..=3 => {
+                            b.access(key(r));
+                        }
+                        4 | 5 => b.load_embeddings(
+                            &[key(r), key(other)],
+                            &[bits & 1 == 1, bits & 2 == 2],
+                            &[key(r + 1), key(other + 1)],
+                        ),
+                        6 => {
+                            b.promote_fill(key(r), 5);
+                        }
+                        7 => b.resize(other as usize % 12 + 1),
+                        _ => b.rebind_backend(match bits % 3 {
+                            0 => BackendSpec::Dram,
+                            1 => BackendSpec::MappedFile,
+                            _ => BackendSpec::File,
+                        }),
+                    }
+                    let mut slots: Vec<usize> = b.buffer().slots().map(|(s, _)| s).collect();
+                    slots.sort_unstable();
+                    slots.dedup();
+                    prop_assert_eq!(slots.len(), b.len(), "two residents share a slot");
+                    prop_assert!(slots.last().is_none_or(|&s| s < b.capacity()));
+                    for (slot, k) in b.buffer().slots() {
+                        prop_assert_eq!(b.buffer().slot_of(k), Some(slot));
+                        let mut expect = [0u8; ROW_BYTES];
+                        synth_row(k, &mut expect);
+                        prop_assert_eq!(b.read_row(k), Some(expect));
+                    }
+                    // Clones re-synthesize: same residents, same bytes.
+                    if op == 7 {
+                        let c = b.clone();
+                        for k in b.buffer().keys() {
+                            prop_assert_eq!(c.read_row(k), b.read_row(k));
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -36,7 +36,7 @@
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, Weak};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -561,22 +561,29 @@ impl TraceReplaySource {
     }
 }
 
-/// Cheap, clonable view of a running session's progress counters. Holds a
-/// weak reference: it never keeps the session's shared state alive past
-/// [`ServingSession::drain`], and reads against a drained session saturate
+/// Cheap, clonable view of a running session's progress counters. It
+/// shares only the counters, never the session's state (shards, queues):
+/// a read on another thread cannot hold that state alive — not even for
+/// the length of one call, which is what [`ServingSession::drain`] relies
+/// on to take the system back. Reads against a drained session saturate
 /// (every request counts as finished) so a [`ClosedLoopSource`] can never
 /// deadlock on a session that went away.
 #[derive(Debug, Clone)]
 pub struct SessionProgress {
-    shared: Weak<SessionShared>,
+    counters: Arc<ProgressCounters>,
 }
 
 impl SessionProgress {
+    fn drained(&self) -> bool {
+        self.counters.drained.load(Ordering::Acquire)
+    }
+
     /// Requests served to completion so far.
     pub fn completed(&self) -> u64 {
-        self.shared
-            .upgrade()
-            .map_or(u64::MAX, |s| s.completed_requests.load(Ordering::Acquire))
+        if self.drained() {
+            return u64::MAX;
+        }
+        self.counters.completed_requests.load(Ordering::Acquire)
     }
 
     /// Requests whose lifecycle is over: completed, rejected at submit
@@ -584,10 +591,12 @@ impl SessionProgress {
     /// closed-loop "a slot freed up" signal — rejections free a slot just
     /// like completions, otherwise an overloaded closed loop would hang.
     pub fn finished(&self) -> u64 {
-        self.shared.upgrade().map_or(u64::MAX, |s| {
-            let unserved: u64 = s.tenant_counters.iter().map(TenantCounters::unserved).sum();
-            s.completed_requests.load(Ordering::Acquire) + unserved
-        })
+        if self.drained() {
+            return u64::MAX;
+        }
+        let c = &self.counters;
+        let unserved: u64 = c.tenants.iter().map(TenantCounters::unserved).sum();
+        c.completed_requests.load(Ordering::Acquire) + unserved
     }
 }
 
@@ -750,7 +759,7 @@ struct Admitted {
 /// counted: the session-level totals of a [`SessionReport`] are their
 /// sums across tenants, so tenant and session accounting cannot diverge.
 /// (Completions are counted from the per-worker sample logs at drain.)
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct TenantCounters {
     submitted: AtomicU64,
     rejected_queue_full: AtomicU64,
@@ -765,6 +774,20 @@ impl TenantCounters {
             + self.rejected_deadline.load(Ordering::Relaxed)
             + self.shed_in_queue.load(Ordering::Relaxed)
     }
+}
+
+/// Everything a [`SessionProgress`] reads, in an allocation of its own
+/// (see there for why).
+#[derive(Debug)]
+struct ProgressCounters {
+    /// Completions so far — the one session-wide counter, because
+    /// [`SessionProgress`] polls it from closed-loop sources.
+    completed_requests: AtomicU64,
+    /// Index = [`Request::tenant`].
+    tenants: Vec<TenantCounters>,
+    /// Set by [`ServingSession::drain`] once every session thread has
+    /// been joined.
+    drained: AtomicBool,
 }
 
 /// The session's per-tenant request queues plus the weighted-fair
@@ -828,15 +851,12 @@ struct SessionShared {
     /// The tenant table (always at least the one default tenant); index =
     /// [`Request::tenant`].
     tenants: Vec<TenantSpec>,
-    tenant_counters: Vec<TenantCounters>,
+    counters: Arc<ProgressCounters>,
     plane: Option<PlaneState>,
     /// Live-migration state when the session was built with
     /// [`SessionBuilder::live`]; `None` keeps the serving path free of
     /// route pins entirely.
     live: Option<LiveState>,
-    /// Completions so far — the one session-wide counter, because
-    /// [`SessionProgress`] polls it from closed-loop sources.
-    completed_requests: AtomicU64,
 }
 
 /// Per-worker serving log. Workers append to their own log without taking
@@ -1306,13 +1326,16 @@ impl SessionBuilder {
             closed: AtomicBool::new(false),
             admission: self.admission,
             sla: self.sla,
-            tenant_counters: (0..tenants.len())
-                .map(|_| TenantCounters::default())
-                .collect(),
+            counters: Arc::new(ProgressCounters {
+                completed_requests: AtomicU64::new(0),
+                tenants: (0..tenants.len())
+                    .map(|_| TenantCounters::default())
+                    .collect(),
+                drained: AtomicBool::new(false),
+            }),
             tenants,
             plane,
             live: self.live.map(|cfg| LiveState::new(num_shards, cfg)),
-            completed_requests: AtomicU64::new(0),
         });
 
         let plane_threads = plane_cfg
@@ -1420,7 +1443,7 @@ impl ServingSession {
             tenant,
             shared.tenants.len()
         );
-        let counters = &shared.tenant_counters[tenant];
+        let counters = &shared.counters.tenants[tenant];
         counters.submitted.fetch_add(1, Ordering::Relaxed);
         let deadline_at = request.deadline.map(|d| arrival_at + d);
         if shared.admission.reject_blown {
@@ -1501,15 +1524,19 @@ impl ServingSession {
 
     /// Requests served to completion so far.
     pub fn completed_requests(&self) -> u64 {
-        self.shared.completed_requests.load(Ordering::Acquire)
+        self.shared
+            .counters
+            .completed_requests
+            .load(Ordering::Acquire)
     }
 
     /// A clonable progress view for feedback-driven sources
-    /// ([`ClosedLoopSource`]). The view is weak: it never keeps session
-    /// state alive, and saturates once the session is drained.
+    /// ([`ClosedLoopSource`]). The view shares only the counters: it
+    /// never keeps session state alive, and saturates once the session is
+    /// drained.
     pub fn progress(&self) -> SessionProgress {
         SessionProgress {
-            shared: Arc::downgrade(&self.shared),
+            counters: Arc::clone(&self.shared.counters),
         }
     }
 
@@ -1634,6 +1661,9 @@ impl ServingSession {
         }
         let elapsed_secs = self.epoch.elapsed().as_secs_f64();
 
+        // Every thread that held the shared state is joined, and progress
+        // views hold only the counters, so this is the last reference.
+        self.shared.counters.drained.store(true, Ordering::Release);
         let shared = match Arc::try_unwrap(self.shared) {
             Ok(shared) => shared,
             Err(_) => unreachable!("all session threads joined"),
@@ -1646,7 +1676,7 @@ impl ServingSession {
             live,
             sla,
             tenants,
-            tenant_counters,
+            counters,
             ..
         } = shared;
         let mut shards: Vec<Shard> = shards
@@ -1717,7 +1747,7 @@ impl ServingSession {
         let sla_outcome = sla.map(|budget| SlaOutcome::over(budget, samples.iter()));
         let tenant_reports: Vec<TenantReport> = tenants
             .iter()
-            .zip(&tenant_counters)
+            .zip(&counters.tenants)
             .enumerate()
             .map(|(t, (spec, counters))| {
                 let own: Vec<&RequestSample> = samples.iter().filter(|s| s.tenant == t).collect();
@@ -1802,7 +1832,7 @@ fn worker_loop(shared: &SessionShared, tx: Option<mpsc::Sender<GuidanceJob>>) ->
     let mut parts: Vec<Vec<VectorKey>> = Vec::new();
     while let Some(request) = pop_request(shared) {
         let dequeued = Instant::now();
-        let counters = &shared.tenant_counters[request.tenant];
+        let counters = &shared.counters.tenants[request.tenant];
         if shared.admission.shed_blown {
             if let Some(d) = request.deadline_at {
                 if dequeued > d {
@@ -1834,7 +1864,10 @@ fn worker_loop(shared: &SessionShared, tx: Option<mpsc::Sender<GuidanceJob>>) ->
             deadline_met: request.deadline_at.map(|d| finished <= d),
             degrade,
         });
-        shared.completed_requests.fetch_add(1, Ordering::AcqRel);
+        shared
+            .counters
+            .completed_requests
+            .fetch_add(1, Ordering::AcqRel);
     }
     // Dropping `tx` here (worker exit) releases the plane channel.
     log
@@ -2340,14 +2373,13 @@ mod tests {
     /// session has been handed but not finished.
     struct InFlightProbe<S> {
         inner: S,
-        shared: Arc<SessionShared>,
         progress: SessionProgress,
         max_in_flight: u64,
     }
 
     impl<S: RequestSource> RequestSource for InFlightProbe<S> {
         fn next_request(&mut self) -> Option<Request> {
-            let submitted = self.shared.tenant_counters[0]
+            let submitted = self.progress.counters.tenants[0]
                 .submitted
                 .load(Ordering::Relaxed);
             let in_flight = submitted.saturating_sub(self.progress.finished());
@@ -2402,7 +2434,6 @@ mod tests {
             .build(system(1));
         let mut probe = InFlightProbe {
             inner: ClosedLoopSource::new(BatchSource::from_vecs(requests), 2, session.progress()),
-            shared: Arc::clone(&session.shared),
             progress: session.progress(),
             max_in_flight: 0,
         };
@@ -2412,6 +2443,39 @@ mod tests {
         let (_sys, report) = session.drain();
         assert_eq!(report.completed, 12);
         assert_eq!(max_in_flight, 2);
+    }
+
+    #[test]
+    fn drain_is_immune_to_a_thread_polling_progress() {
+        // A progress read used to borrow the session's whole shared state
+        // for the length of the call, and a drain that ran into one took
+        // the "all threads joined" `unreachable!`.
+        let mut sys = system(1);
+        for round in 0..200u64 {
+            let session = SessionBuilder::new()
+                .workers(1)
+                .guidance(GuidanceMode::Inline)
+                .build(sys);
+            let progress = session.progress();
+            let poller = std::thread::spawn(move || {
+                while progress.finished() != u64::MAX {}
+                progress
+            });
+            let request = Request {
+                id: round,
+                keys: vec![VectorKey::from_u64(round)],
+                arrival: Duration::ZERO,
+                deadline: None,
+                tenant: 0,
+            };
+            session.submit(request).expect("admitted");
+            let (back, report) = session.drain();
+            assert_eq!(report.completed, 1);
+            let progress = poller.join().expect("poller does not panic");
+            assert_eq!(progress.finished(), u64::MAX);
+            assert_eq!(progress.completed(), u64::MAX);
+            sys = back;
+        }
     }
 
     #[test]

@@ -668,8 +668,9 @@ impl ShardedRecMgSystem {
     /// Synchronously drains the async fill queue, promoting every queued
     /// key into its shard (the in-session equivalent runs on background
     /// fill threads). Returns the number of fills that landed. A no-op
-    /// (0) in blocking mode — and for batch callers between sessions,
-    /// since a drained session already fenced the queue.
+    /// (0) in blocking mode, and right after a session, whose drain
+    /// already landed the backlog. The sequential path
+    /// ([`BufferManager::process_batch`]) calls this after every batch.
     pub fn drain_fills(&mut self) -> u64 {
         let Some(queue) = self.ctx.fill_queue.clone() else {
             return 0;
@@ -1008,16 +1009,21 @@ impl BufferManager for ShardedRecMgSystem {
         // Deterministic sequential path: shards are disjoint, so serving
         // them one after another produces the same counts as any
         // interleaving that preserves per-shard order.
-        if self.router.num_shards() == 1 {
-            return self.shards[0].process_keys(batch, &self.ctx, &self.router);
-        }
-        let parts = self.router.split(batch);
         let mut stats = BatchAccessStats::default();
-        for (shard, keys) in self.shards.iter_mut().zip(&parts) {
-            if !keys.is_empty() {
-                stats.accumulate(shard.process_keys(keys, &self.ctx, &self.router));
+        if self.router.num_shards() == 1 {
+            stats = self.shards[0].process_keys(batch, &self.ctx, &self.router);
+        } else {
+            let parts = self.router.split(batch);
+            for (shard, keys) in self.shards.iter_mut().zip(&parts) {
+                if !keys.is_empty() {
+                    stats.accumulate(shard.process_keys(keys, &self.ctx, &self.router));
+                }
             }
         }
+        // Fill threads exist only inside a session. Here the misses this
+        // batch queued land now, so on this path fills arrive between
+        // batches, deterministically.
+        self.drain_fills();
         stats
     }
 }
@@ -1040,6 +1046,41 @@ mod tests {
             .shards(num_shards)
             .capacity(capacity)
             .build()
+    }
+
+    #[test]
+    fn async_fills_land_between_sequential_batches() {
+        use crate::backend::{synth_row, FillMode, ROW_BYTES};
+        let cfg = RecMgConfig::tiny();
+        let caching = CachingModel::new(&cfg);
+        let codec = FrequencyRankCodec::from_accesses(&[key(0, 1)]);
+        let mut sys = ShardedRecMgSystem::builder(&caching, None, codec)
+            .shards(2)
+            .capacity(512)
+            .fill_mode(FillMode::Async {
+                threads: 1,
+                queue_depth: 256,
+            })
+            .build();
+        let batch: Vec<VectorKey> = (0..100).map(|r| key(0, r)).collect();
+        let mut stats = BatchAccessStats::default();
+        for _ in 0..3 {
+            stats.accumulate(sys.process_batch(&batch));
+        }
+        assert!(stats.hits() >= 100, "nothing was promoted: {stats:?}");
+        let fills = sys.fill_report();
+        assert!(fills.queued >= 100);
+        assert_eq!(fills.promoted, fills.queued);
+        assert_eq!(fills.dropped, 0);
+        for shard in 0..2 {
+            let buffer = sys.shard_recmg_buffer(shard);
+            for k in buffer.buffer().keys() {
+                let mut want = [0u8; ROW_BYTES];
+                synth_row(k, &mut want);
+                assert_eq!(buffer.read_row(k), Some(want));
+            }
+        }
+        assert_eq!(sys.len(), 100);
     }
 
     #[test]

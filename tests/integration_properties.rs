@@ -3,7 +3,8 @@
 use proptest::prelude::*;
 
 use recmg_repro::cache::{
-    belady, optgen, simulate, CachePolicy, FullyAssocLru, GpuBuffer, SetAssocLru, Srrip,
+    belady, optgen, simulate, BufferAccess, CachePolicy, FullyAssocLru, GpuBuffer, SetAssocLru,
+    Srrip,
 };
 use recmg_repro::core::{FrequencyRankCodec, GlobalIdCodec, IndexCodec};
 use recmg_repro::dlrm::TimingConfig;
@@ -16,6 +17,149 @@ fn key_strategy() -> impl Strategy<Value = VectorKey> {
 
 fn trace_strategy(max_len: usize) -> impl Strategy<Value = Vec<VectorKey>> {
     prop::collection::vec(key_strategy(), 1..max_len)
+}
+
+/// The naive reference `GpuBuffer` is checked against: one row per
+/// resident `(key, stamp, seq, prefetched)`, where `seq` is the placement
+/// order (a `set_priority` counts as a new placement).
+struct ModelBuffer {
+    capacity: usize,
+    decay: u64,
+    populates: u64,
+    seq: u64,
+    pinned: Vec<u32>,
+    rows: Vec<(VectorKey, u64, u64, bool)>,
+}
+
+impl ModelBuffer {
+    fn position(&self, key: VectorKey) -> Option<usize> {
+        self.rows.iter().position(|r| r.0 == key)
+    }
+
+    fn place(&mut self, key: VectorKey, priority: u64, prefetched: bool) {
+        self.seq += 1;
+        let row = (key, self.decay + priority, self.seq, prefetched);
+        self.rows.push(row);
+    }
+
+    fn set_priority(&mut self, key: VectorKey, priority: u64) -> bool {
+        let found = self.position(key).map(|at| self.rows.remove(at));
+        found.is_some_and(|row| {
+            self.place(key, priority, row.3);
+            true
+        })
+    }
+
+    fn lookup(&mut self, key: VectorKey) -> BufferAccess {
+        let Some(at) = self.position(key) else {
+            return BufferAccess::Miss;
+        };
+        if std::mem::take(&mut self.rows[at].3) {
+            return BufferAccess::PrefetchHit;
+        }
+        BufferAccess::CacheHit
+    }
+
+    /// Minimum `(stamp, seq)` over unpinned rows; the raw minimum when
+    /// every row is pinned.
+    fn evict_min(&mut self) -> Option<VectorKey> {
+        let order = |&i: &usize| (self.rows[i].1, self.rows[i].2);
+        let pinned = |&i: &usize| self.pinned.contains(&self.rows[i].0.table().0);
+        let all = 0..self.rows.len();
+        let unpinned = all.clone().filter(|i| !pinned(i)).min_by_key(order);
+        let at = unpinned.or(all.min_by_key(order))?;
+        Some(self.rows.remove(at).0)
+    }
+
+    fn populate(&mut self) -> Option<VectorKey> {
+        self.populates += 1;
+        let period = (self.capacity as u64 / 8).max(1);
+        self.decay += u64::from(self.populates.is_multiple_of(period));
+        self.evict_min()
+    }
+
+    fn hot_first(&self) -> Vec<(VectorKey, u64, bool)> {
+        let mut rows = self.rows.clone();
+        rows.sort_by_key(|r| std::cmp::Reverse((r.1, r.2)));
+        let decayed = |r: (VectorKey, u64, u64, bool)| (r.0, r.1.saturating_sub(self.decay), r.3);
+        rows.into_iter().map(decayed).collect()
+    }
+}
+
+proptest! {
+    // The differential oracle for the buffer metadata: every public
+    // operation in lockstep with the model above, everything observable
+    // compared after each one.
+    #[test]
+    fn buffer_model(
+        capacity in 1usize..24,
+        ops in prop::collection::vec((0u8..11, 0u32..4, 0u64..12, 0u64..8), 1..250),
+    ) {
+        let mut buf = GpuBuffer::new(capacity);
+        let mut model = ModelBuffer {
+            capacity,
+            decay: 0,
+            populates: 0,
+            seq: 0,
+            pinned: Vec::new(),
+            rows: Vec::new(),
+        };
+        for (op, table, row, arg) in ops {
+            let key = VectorKey::new(TableId(table), RowId(row));
+            let resident = model.position(key).is_some();
+            prop_assert_eq!(buf.contains(key), resident);
+            let full = model.rows.len() == model.capacity;
+            prop_assert_eq!(buf.is_full(), full);
+            match op {
+                // A demand fill: Algorithm 2 makes room, then the insert.
+                0..=2 if !resident => {
+                    if full {
+                        prop_assert_eq!(buf.populate(), model.populate());
+                    }
+                    buf.insert(key, arg, false);
+                    model.place(key, arg, false);
+                }
+                // A speculative fill: room comes without a decay pass.
+                3 | 4 => {
+                    if full && !resident {
+                        prop_assert_eq!(buf.evict_min(), model.evict_min());
+                    }
+                    buf.insert_prefetch(key, arg);
+                    if !resident {
+                        model.place(key, arg, true);
+                    }
+                }
+                0..=2 | 5 => prop_assert_eq!(buf.lookup(key), model.lookup(key)),
+                6 => prop_assert_eq!(
+                    buf.set_priority(key, arg),
+                    model.set_priority(key, arg)
+                ),
+                7 => prop_assert_eq!(buf.populate(), model.populate()),
+                8 => prop_assert_eq!(buf.evict_min(), model.evict_min()),
+                9 => {
+                    let capacity = (row * 2 + arg % 2) as usize + 1;
+                    buf.set_capacity(capacity);
+                    while model.rows.len() > capacity {
+                        model.evict_min();
+                    }
+                    model.capacity = capacity;
+                }
+                _ => {
+                    model.pinned = (0..4).filter(|t| arg >> t & 1 == 1).collect();
+                    buf.set_pinned_tables(&model.pinned);
+                }
+            }
+            prop_assert_eq!(buf.len(), model.rows.len());
+            prop_assert_eq!(buf.capacity(), model.capacity);
+            let hot = model.hot_first();
+            prop_assert_eq!(buf.min_priority(), hot.last().map(|r| r.1));
+            prop_assert_eq!(
+                buf.priority(key),
+                hot.iter().find(|r| r.0 == key).map(|r| r.1)
+            );
+            prop_assert_eq!(buf.iter_hot_first().collect::<Vec<_>>(), hot);
+        }
+    }
 }
 
 proptest! {
