@@ -290,21 +290,9 @@ mod tests {
     use crate::caching_model::CachingModel;
     use crate::codec::FrequencyRankCodec;
     use crate::config::RecMgConfig;
-    use crate::prefetch_model::PrefetchModel;
+    use crate::session::tests::system;
     use recmg_dlrm::BufferManager;
     use recmg_trace::SyntheticConfig;
-
-    fn system(num_shards: usize) -> ShardedRecMgSystem {
-        let cfg = RecMgConfig::tiny();
-        let caching = CachingModel::new(&cfg);
-        let prefetch = PrefetchModel::new(&cfg);
-        let trace = SyntheticConfig::tiny(5).generate();
-        let codec = FrequencyRankCodec::from_accesses(&trace.accesses()[..500]);
-        ShardedRecMgSystem::builder(&caching, Some(&prefetch), codec)
-            .shards(num_shards)
-            .capacity(64)
-            .build()
-    }
 
     #[test]
     fn inline_single_worker_matches_process_batch() {

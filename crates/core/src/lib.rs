@@ -20,17 +20,21 @@
 //! 3. **Serving** ([`serving`], [`FastCachingModel`],
 //!    [`FastPrefetchModel`]): compiled, tape-free model snapshots run on
 //!    CPU threads with near-linear scaling (Fig. 7).
-//! 4. **Scale-out** ([`ShardedRecMgSystem`], [`engine`]): the buffer is
-//!    partitioned into hash-routed shards served by concurrent workers,
-//!    with model guidance on a non-blocking background plane implementing
-//!    the paper's §VI-C skip-ahead rule (one shard reproduces
-//!    [`RecMgSystem`] exactly).
+//! 4. **Scale-out** ([`ShardedRecMgSystem`]): the buffer is partitioned
+//!    into hash-routed shards, each serving its home keys through one
+//!    demand loop (`Shard::serve`) that cuts every completed chunk and
+//!    decides its fate: Algorithm 1 inline, an offer to the non-blocking
+//!    background guidance plane (the private `plane` module — the paper's
+//!    §VI-C skip-ahead rule), or stale priorities. One shard reproduces
+//!    [`RecMgSystem`] exactly; [`engine`] keeps the batch-shaped
+//!    `serve()` entry point and the run report.
 //! 5. **Streaming** ([`session`]): a [`RequestSource`] (batches, Poisson /
-//!    uniform synthetic arrivals, trace replay, or a closed loop over any
-//!    of them) feeds a [`ServingSession`] with admission control,
-//!    per-request latency percentiles, and SLA-pressure degradation
-//!    (skip-ahead first, then prefetch-off). The batch `serve()` above is
-//!    a thin wrapper over a batch-backed session.
+//!    uniform / Markov-modulated synthetic arrivals, trace replay, or a
+//!    closed loop over any of them) feeds a [`ServingSession`] — bounded
+//!    weighted-fair tenant queues, admission control, worker threads over
+//!    the shards, per-request latency percentiles, and SLA-pressure
+//!    degradation (skip-ahead first, then prefetch-off). The batch
+//!    `serve()` above is a thin wrapper over a batch-backed session.
 //! 6. **Tiered memory** ([`tier`], [`SystemBuilder`]): systems are built
 //!    against an explicit [`TierTopology`] (fast → slow [`MemoryTier`]s
 //!    with access-cost models); a [`PlacementPolicy`] ([`EvenSplit`],
@@ -94,6 +98,7 @@
 //! assert!(stats.hits() > 0);
 //! ```
 
+mod arrival;
 pub mod backend;
 mod buffer_mgmt;
 mod builder;
@@ -105,11 +110,14 @@ mod fast;
 pub mod json;
 pub mod labeling;
 pub mod migrate;
+mod plane;
 mod prefetch_model;
+mod report;
 pub mod serving;
 pub mod session;
 mod sharding;
 pub mod sketch;
+mod source;
 mod system;
 pub mod table_profile;
 pub mod tier;

@@ -1066,14 +1066,7 @@ impl ReplicaState {
                 // First (or staled) touch: (re-)nominate, displacing the
                 // stalest candidate when the ledger is full.
                 if self.candidates.len() >= self.capacity && !self.candidates.contains_key(&key) {
-                    let victim = self
-                        .candidates
-                        .iter()
-                        .min_by_key(|&(&k, &stamp)| (stamp, k.as_u64()))
-                        .map(|(&k, _)| k);
-                    if let Some(v) = victim {
-                        self.candidates.remove(&v);
-                    }
+                    evict_stalest(&mut self.candidates);
                 }
                 self.candidates.insert(key, now);
                 false
@@ -1085,14 +1078,7 @@ impl ReplicaState {
     /// when full. Charges `fill_ns`.
     pub(crate) fn fill(&mut self, key: VectorKey) {
         if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
-            let victim = self
-                .entries
-                .iter()
-                .min_by_key(|&(&k, &stamp)| (stamp, k.as_u64()))
-                .map(|(&k, _)| k);
-            if let Some(v) = victim {
-                self.entries.remove(&v);
-            }
+            evict_stalest(&mut self.entries);
         }
         self.entries.insert(key, self.now());
         self.fills += 1;
@@ -1118,36 +1104,29 @@ impl ReplicaState {
             return false;
         }
         while self.entries.len() > capacity {
-            let victim = self
-                .entries
-                .iter()
-                .min_by_key(|&(&k, &stamp)| (stamp, k.as_u64()))
-                .map(|(&k, _)| k);
-            match victim {
-                Some(v) => {
-                    self.entries.remove(&v);
-                    self.invalidations += 1;
-                }
-                None => break,
-            }
+            evict_stalest(&mut self.entries);
+            self.invalidations += 1;
         }
         // The candidate ledger shares the replica's bound; trimming
         // nominations is not an invalidation (nothing was ever served).
         while self.candidates.len() > capacity {
-            let victim = self
-                .candidates
-                .iter()
-                .min_by_key(|&(&k, &stamp)| (stamp, k.as_u64()))
-                .map(|(&k, _)| k);
-            match victim {
-                Some(v) => {
-                    self.candidates.remove(&v);
-                }
-                None => break,
-            }
+            evict_stalest(&mut self.candidates);
         }
         self.capacity = capacity;
         true
+    }
+}
+
+/// Removes the stalest entry (if any) of an epoch-stamped replica map —
+/// oldest stamp first, ties to the lower key so the victim never depends
+/// on hash order.
+fn evict_stalest(stamps: &mut HashMap<VectorKey, u64>) {
+    let victim = stamps
+        .iter()
+        .min_by_key(|&(&k, &stamp)| (stamp, k.as_u64()))
+        .map(|(&k, _)| k);
+    if let Some(victim) = victim {
+        stamps.remove(&victim);
     }
 }
 

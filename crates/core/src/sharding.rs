@@ -10,9 +10,15 @@
 //! single shard the system is byte-for-byte the sequential [`RecMgSystem`]
 //! — the reference oracle the integration tests pin it against.
 //!
-//! Concurrency lives one layer up in [`crate::engine`]: this module's
-//! [`ShardedRecMgSystem::process_batch`] is deterministic and synchronous
-//! (inline guidance at every chunk boundary, exactly like
+//! The demand path has exactly one loop: [`Shard::serve`] records each
+//! access, cuts every completed `input_len`-key chunk and decides its
+//! fate — Algorithm 1 now, the background plane, or stale priorities
+//! (§VI-C) — as told by a [`Guide`]. Concurrency lives one layer up:
+//! [`crate::session`] owns the worker threads that call it under each
+//! shard's mutex, and the crate-private `plane` module the background
+//! guidance threads. This module's
+//! [`ShardedRecMgSystem::process_batch`] drives the same loop
+//! synchronously (inline guidance at every chunk boundary, exactly like
 //! [`RecMgSystem`]), which is what makes the parity guarantee testable.
 //!
 //! [`RecMgSystem`]: crate::RecMgSystem
@@ -31,6 +37,7 @@ use crate::codec::FrequencyRankCodec;
 use crate::config::RecMgConfig;
 use crate::engine::GuidanceMode;
 use crate::fast::FastScratch;
+use crate::plane::PlanePort;
 use crate::prefetch_model::{FastPrefetchModel, PrefetchModel};
 use crate::system::RecMgSystem;
 use crate::table_profile::{TableDecision, TableProfile, TableProfiler};
@@ -314,15 +321,18 @@ pub(crate) struct Shard {
     /// Index of the memory tier currently backing this shard's buffer.
     pub(crate) tier: usize,
     pub(crate) buffer: RecMgBuffer,
-    pub(crate) pending: Vec<VectorKey>,
-    pub(crate) chunk_counter: usize,
-    pub(crate) prefetches_issued: u64,
-    pub(crate) prefetch_hits_seen: u64,
+    // Stream state, written only by [`Shard::serve`] and
+    // [`Shard::apply_guidance`].
+    pending: Vec<VectorKey>,
+    chunk_counter: usize,
+    prefetches_issued: u64,
+    prefetch_hits_seen: u64,
     /// Chunks that received model guidance.
-    pub(crate) guided_chunks: u64,
-    /// Chunks skipped by the stride (inline) or the lagging guidance plane
-    /// (background) — they ran with stale guidance, the paper's §VI-C case.
-    pub(crate) unguided_chunks: u64,
+    guided_chunks: u64,
+    /// Chunks skipped by the stride (inline), the lagging guidance plane
+    /// (background) or an SLA-degraded request — they ran with stale
+    /// guidance, the paper's §VI-C case.
+    unguided_chunks: u64,
     /// Reused model-forward buffers for this shard's inline guidance, so
     /// the inline hot path allocates nothing per chunk (the background
     /// plane holds its own per-thread scratch).
@@ -411,7 +421,7 @@ impl Shard {
         self.buffer.set_pinned_tables(tables);
     }
 
-    /// Demand access bookkeeping shared by the inline and background paths.
+    /// Demand access bookkeeping.
     ///
     /// When a fast-tier replica is installed, a hit on a fresh
     /// replica-resident key is re-priced at the replica tier's cost
@@ -419,7 +429,7 @@ impl Shard {
     /// changes hit/miss totals), other hits are offered to the replica's
     /// two-touch admission (the second fresh hit copies the key in and
     /// charges the fill), and a miss write-invalidates the replica entry.
-    pub(crate) fn record_access(&mut self, key: VectorKey, stats: &mut BatchAccessStats) {
+    fn record_access(&mut self, key: VectorKey, stats: &mut BatchAccessStats) {
         if let Some(profiler) = self.profiler.as_mut() {
             profiler.observe(key);
         }
@@ -448,7 +458,7 @@ impl Shard {
     /// Mirror of [`RecMgSystem`]'s `prefetch_armed`, evaluated against this
     /// shard's own counters (warmup scaled to the shard's share of the
     /// prediction stream — see [`GuidanceCtx::prefetch_warmup`]).
-    pub(crate) fn prefetch_armed(&self, ctx: &GuidanceCtx) -> bool {
+    fn prefetch_armed(&self, ctx: &GuidanceCtx) -> bool {
         if self.prefetches_issued < ctx.prefetch_warmup {
             return true;
         }
@@ -459,33 +469,19 @@ impl Shard {
                 .is_multiple_of(RecMgSystem::PREFETCH_PROBE_PERIOD)
     }
 
-    /// Computes guidance for `chunk` (caching bits + prefetch predictions,
-    /// with predictions filtered to this shard's key space so the partition
-    /// invariant holds) — the CPU-side model work, over a caller-held
-    /// scratch so the inline hot path allocates nothing per chunk.
-    pub(crate) fn compute_guidance(
-        chunk: &[VectorKey],
-        armed: bool,
-        shard_id: usize,
-        ctx: &GuidanceCtx,
-        router: &ShardRouter,
-        scratch: &mut FastScratch,
-    ) -> ChunkGuidance {
-        let mut out =
-            Self::compute_guidance_batch(&[(chunk, armed, shard_id)], ctx, router, scratch).0;
-        out.pop().expect("one chunk in, one guidance out")
-    }
-
-    /// Batched counterpart of [`Shard::compute_guidance`]: computes
-    /// caching bits for every chunk and prefetch predictions for the armed
-    /// ones with *one* batched forward per model instead of one per chunk,
-    /// amortizing weight traffic across shards. Entries are
+    /// Computes guidance — the CPU-side model work — for a batch of
+    /// chunks: caching bits for every chunk and prefetch predictions for
+    /// the armed ones with *one* batched forward per model instead of one
+    /// per chunk, amortizing weight traffic across shards. Entries are
     /// `(chunk, armed, home shard)`; predictions are filtered to each
-    /// chunk's home shard. Returns per-chunk `(bits, prefetched)` in input
-    /// order plus the number of model forwards run (for plane accounting).
+    /// chunk's home shard so the partition invariant holds. Returns
+    /// per-chunk `(bits, prefetched)` in input order plus the number of
+    /// model forwards run (for plane accounting). All buffers come from
+    /// the caller-held scratch.
     ///
-    /// Per chunk the results are identical to [`Shard::compute_guidance`]:
-    /// the batched kernels are lane-independent ([`crate::fast`]).
+    /// Inline guidance is the one-chunk batch: the batched kernels are
+    /// lane-independent ([`crate::fast`]), so per chunk the results do not
+    /// depend on what else was in the batch.
     pub(crate) fn compute_guidance_batch(
         batch: &[(&[VectorKey], bool, usize)],
         ctx: &GuidanceCtx,
@@ -532,62 +528,86 @@ impl Shard {
         self.guided_chunks += 1;
     }
 
-    /// Inline guidance at every completed chunk — the exact control flow of
-    /// [`RecMgSystem::process_batch`], applied to this shard's sub-stream.
-    pub(crate) fn run_guidance_inline(&mut self, ctx: &GuidanceCtx, router: &ShardRouter) {
-        while self.pending.len() >= ctx.cfg.input_len {
-            let chunk: Vec<VectorKey> = self.pending.drain(..ctx.cfg.input_len).collect();
-            self.chunk_counter += 1;
-            if !(self.chunk_counter - 1).is_multiple_of(ctx.guidance_stride) {
-                self.unguided_chunks += 1;
-                continue;
-            }
-            let armed = self.prefetch_armed(ctx);
-            let sid = self.id;
-            let (bits, prefetched) =
-                Self::compute_guidance(&chunk, armed, sid, ctx, router, &mut self.scratch);
-            self.apply_guidance(&chunk, &bits, &prefetched);
-        }
-    }
-
-    /// Serves a sub-stream of keys with *no* fresh guidance: chunks are
-    /// still formed and counted, but run on stale buffer priorities — the
-    /// §VI-C skip-ahead applied deliberately, which is how an SLA-pressured
-    /// session degrades a request ([`crate::config::DegradeLevel`]).
-    pub(crate) fn process_keys_unguided(
+    /// The one demand loop: serves a sub-stream of this shard's home keys
+    /// and gives every completed `input_len`-key chunk exactly one fate,
+    /// counted exactly once (`guided + unguided == chunks formed` once
+    /// whatever was offered to the plane has been applied):
+    ///
+    /// * [`Guide::Inline`] — Algorithm 1 now, on the serving thread, on
+    ///   every `guidance_stride`-th chunk (§VI-B): the exact control flow
+    ///   of [`RecMgSystem::process_batch`] applied to this shard's
+    ///   sub-stream;
+    /// * [`Guide::Plane`] — guidance the plane has finished is applied
+    ///   before each access; the chunk is offered to the plane unless the
+    ///   shard is at its lag limit, in which case the producer paces
+    ///   itself after the skip;
+    /// * [`Guide::Stale`] — no fresh guidance at all (a degraded request;
+    ///   its worker first applies whatever the plane had already parked);
+    ///
+    /// and every chunk that found no consumer rides on the priorities the
+    /// buffer already holds: "GPU moves on to the next DLRM inference
+    /// batch" (§VI-C). A chunk is only copied out of the pending window
+    /// when something will consume it.
+    pub(crate) fn serve(
         &mut self,
         keys: &[VectorKey],
-        input_len: usize,
         stats: &mut BatchAccessStats,
+        ctx: &GuidanceCtx,
+        guide: &Guide<'_>,
     ) {
+        let input_len = ctx.cfg.input_len;
         for &key in keys {
+            if let Guide::Plane(port) = guide {
+                port.apply_ready(self, true);
+            }
             self.record_access(key, stats);
             self.pending.push(key);
             while self.pending.len() >= input_len {
-                self.pending.drain(..input_len);
                 self.chunk_counter += 1;
-                self.unguided_chunks += 1;
+                match guide {
+                    Guide::Inline(router)
+                        if (self.chunk_counter - 1).is_multiple_of(ctx.guidance_stride) =>
+                    {
+                        let chunk: Vec<VectorKey> = self.pending.drain(..input_len).collect();
+                        let job = [(chunk.as_slice(), self.prefetch_armed(ctx), self.id)];
+                        let (mut guidance, _) =
+                            Self::compute_guidance_batch(&job, ctx, router, &mut self.scratch);
+                        let (bits, prefetched) = guidance.pop().expect("one chunk in, one out");
+                        self.apply_guidance(&chunk, &bits, &prefetched);
+                    }
+                    Guide::Plane(port) if port.has_room() => {
+                        port.apply_ready(self, true);
+                        let armed = self.prefetch_armed(ctx);
+                        let chunk: Vec<VectorKey> = self.pending.drain(..input_len).collect();
+                        if !port.offer(self.id, chunk, armed) {
+                            self.unguided_chunks += 1;
+                        }
+                    }
+                    _ => {
+                        self.pending.drain(..input_len);
+                        self.unguided_chunks += 1;
+                        if let Guide::Plane(port) = guide {
+                            port.pace();
+                        }
+                    }
+                }
             }
         }
     }
+}
 
-    /// Serves a sub-stream of keys with inline (synchronous) guidance.
-    pub(crate) fn process_keys(
-        &mut self,
-        keys: &[VectorKey],
-        ctx: &GuidanceCtx,
-        router: &ShardRouter,
-    ) -> BatchAccessStats {
-        let mut stats = BatchAccessStats::default();
-        for &key in keys {
-            self.record_access(key, &mut stats);
-            self.pending.push(key);
-            if self.pending.len() >= ctx.cfg.input_len {
-                self.run_guidance_inline(ctx, router);
-            }
-        }
-        stats
-    }
+/// What [`Shard::serve`] does with a completed chunk — the three guidance
+/// schedules of the serving path, resolved once per served sub-batch.
+pub(crate) enum Guide<'a> {
+    /// Compute and apply on the serving thread (stride permitting);
+    /// predictions are filtered to the shard's key space by the router.
+    Inline(&'a ShardRouter),
+    /// Offer to the background guidance plane through the shard's port.
+    Plane(PlanePort<'a>),
+    /// No fresh guidance: every chunk is formed, counted and skipped — the
+    /// §VI-C skip-ahead applied deliberately, which is how an SLA-pressured
+    /// session degrades a request ([`crate::config::DegradeLevel`]).
+    Stale,
 }
 
 /// The sharded online RecMG system: N disjoint model-guided buffers.
@@ -595,7 +615,7 @@ impl Shard {
 /// With `num_shards == 1` this is behaviourally identical to
 /// [`RecMgSystem`] (same hit/miss/prefetch counts on any access stream);
 /// with more shards, the total buffer capacity is divided across shards and
-/// each shard serves only its home keys. [`crate::engine`] drives the
+/// each shard serves only its home keys. [`crate::session`] drives the
 /// shards from concurrent worker threads.
 #[derive(Debug)]
 pub struct ShardedRecMgSystem {
@@ -1010,14 +1030,13 @@ impl BufferManager for ShardedRecMgSystem {
         // them one after another produces the same counts as any
         // interleaving that preserves per-shard order.
         let mut stats = BatchAccessStats::default();
+        let guide = Guide::Inline(&self.router);
         if self.router.num_shards() == 1 {
-            stats = self.shards[0].process_keys(batch, &self.ctx, &self.router);
+            self.shards[0].serve(batch, &mut stats, &self.ctx, &guide);
         } else {
             let parts = self.router.split(batch);
             for (shard, keys) in self.shards.iter_mut().zip(&parts) {
-                if !keys.is_empty() {
-                    stats.accumulate(shard.process_keys(keys, &self.ctx, &self.router));
-                }
+                shard.serve(keys, &mut stats, &self.ctx, &guide);
             }
         }
         // Fill threads exist only inside a session. Here the misses this

@@ -455,28 +455,35 @@ fn apportion_by_mass(
         let caps = even_capacities(num_shards, total);
         return assign_tiers(&caps, &order, topology);
     }
-    // Largest-remainder apportionment of (total - n×floor) by mass.
-    let available = (total - num_shards * floor) as u128;
     let mut caps = vec![floor; num_shards];
-    let mut remainders: Vec<(u128, usize)> = Vec::with_capacity(num_shards);
+    add_by_largest_remainder(&mut caps, total - num_shards * floor, mass, total_mass);
+    assign_tiers(&caps, &order, topology)
+}
+
+/// The largest-remainder core of both apportioners: adds `available`
+/// units to `caps` in proportion to `mass` (one entry per cap, summing to
+/// a positive `total_mass`) — exact integer quotas first, then the
+/// rounding residue one unit each to the largest remainders (ties to the
+/// lower shard id), so Σ caps grows by exactly `available`.
+fn add_by_largest_remainder(caps: &mut [usize], available: usize, mass: &[u64], total_mass: u128) {
+    let before: usize = caps.iter().sum();
+    let available = available as u128;
+    let mut remainders: Vec<(u128, usize)> = Vec::with_capacity(caps.len());
     let mut assigned: u128 = 0;
-    for i in 0..num_shards {
+    for (i, cap) in caps.iter_mut().enumerate() {
         let exact = available * mass[i] as u128;
-        caps[i] += (exact / total_mass) as usize;
+        *cap += (exact / total_mass) as usize;
         assigned += exact / total_mass;
         remainders.push((exact % total_mass, i));
     }
-    // Hand the rounding residue to the largest remainders (ties to the
-    // lower shard id), so Σ capacity == total exactly.
     let mut residue = (available - assigned) as usize;
     remainders.sort_by_key(|&(rem, i)| (std::cmp::Reverse(rem), i));
-    for &(_, i) in remainders.iter().take(residue.min(num_shards)) {
+    for &(_, i) in remainders.iter().take(residue.min(caps.len())) {
         caps[i] += 1;
         residue -= 1;
     }
     debug_assert_eq!(residue, 0, "largest-remainder residue fits one pass");
-    debug_assert_eq!(caps.iter().sum::<usize>(), total);
-    assign_tiers(&caps, &order, topology)
+    debug_assert_eq!(caps.iter().sum::<usize>(), before + available as usize);
 }
 
 /// [`apportion_by_mass`] with *per-shard* floors instead of one uniform
@@ -518,23 +525,7 @@ pub(crate) fn apportion_with_floors_in_order(
         debug_assert_eq!(caps.iter().sum::<usize>(), total);
         return assign_tiers(&caps, order, topology);
     }
-    let available = available as u128;
-    let mut remainders: Vec<(u128, usize)> = Vec::with_capacity(num_shards);
-    let mut assigned: u128 = 0;
-    for i in 0..num_shards {
-        let exact = available * mass[i] as u128;
-        caps[i] += (exact / total_mass) as usize;
-        assigned += exact / total_mass;
-        remainders.push((exact % total_mass, i));
-    }
-    let mut residue = (available - assigned) as usize;
-    remainders.sort_by_key(|&(rem, i)| (std::cmp::Reverse(rem), i));
-    for &(_, i) in remainders.iter().take(residue.min(num_shards)) {
-        caps[i] += 1;
-        residue -= 1;
-    }
-    debug_assert_eq!(residue, 0, "largest-remainder residue fits one pass");
-    debug_assert_eq!(caps.iter().sum::<usize>(), total);
+    add_by_largest_remainder(&mut caps, available, mass, total_mass);
     assign_tiers(&caps, order, topology)
 }
 

@@ -37,6 +37,11 @@ use recmg_trace::{RowId, TableId, Trace, VectorKey};
 pub const CRITEO_TABLES: usize = 26;
 /// Number of dense columns preceding the categorical block.
 const CRITEO_DENSE: usize = 13;
+/// What a [`VectorKey`] can pack: 16-bit table ids, 48-bit row ids.
+/// Trace files are outside input, so ids are range-checked here rather
+/// than left to [`VectorKey::new`]'s asserts.
+const MAX_TABLES: u32 = 1 << 16;
+const MAX_ROWS: u64 = 1 << 48;
 
 /// On-disk layout of a trace file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,12 +52,13 @@ pub enum TraceFormat {
     /// into `rows_per_table` rows per table.
     Criteo {
         /// Embedding rows per categorical table; hex tokens are hashed
-        /// modulo this. Must be positive.
+        /// modulo this. Must be positive and at most 2^48.
         rows_per_table: u64,
     },
     /// Per-table index stream: each line is `table<TAB>row[,row...]`
     /// (a Meta/DLRM-benchmark-style indices dump); consecutive lines up
-    /// to a blank line form one query. Row ids are taken verbatim.
+    /// to a blank line form one query. Row ids are taken verbatim; ids
+    /// that do not fit a [`VectorKey`] are dropped.
     PerTableIndices,
 }
 
@@ -60,6 +66,10 @@ impl TraceFormat {
     fn validate(&self) {
         if let TraceFormat::Criteo { rows_per_table } = self {
             assert!(*rows_per_table > 0, "rows_per_table must be positive");
+            assert!(
+                *rows_per_table <= MAX_ROWS,
+                "rows_per_table must fit 48-bit row ids"
+            );
         }
     }
 }
@@ -110,17 +120,18 @@ pub fn parse_criteo_line(line: &str, rows_per_table: u64) -> Option<Vec<VectorKe
 
 /// Parses one per-table index line (`table<TAB>row[,row...]`, spaces
 /// tolerated) into its accesses. Returns `None` for blank lines (query
-/// separators) and lines that do not parse.
+/// separators) and lines that do not parse; a table id beyond 16 bits
+/// drops the line, a row id beyond 48 bits drops that row.
 pub fn parse_indices_line(line: &str) -> Option<Vec<VectorKey>> {
     let line = line.trim();
     if line.is_empty() {
         return None;
     }
     let (table, rows) = line.split_once(['\t', ' '])?;
-    let table: u32 = table.trim().parse().ok()?;
+    let table: u32 = table.trim().parse().ok().filter(|&t| t < MAX_TABLES)?;
     let keys: Vec<VectorKey> = rows
         .split(',')
-        .filter_map(|r| r.trim().parse::<u64>().ok())
+        .filter_map(|r| r.trim().parse::<u64>().ok().filter(|&row| row < MAX_ROWS))
         .map(|row| VectorKey::new(TableId(table), RowId(row)))
         .collect();
     if keys.is_empty() {
@@ -130,39 +141,49 @@ pub fn parse_indices_line(line: &str) -> Option<Vec<VectorKey>> {
     }
 }
 
+/// Line buffer of a trace reader plus its tally of dirty lines: lines
+/// that are not UTF-8, and non-blank lines no key could be parsed from.
+#[derive(Debug, Default)]
+struct Lines {
+    buf: Vec<u8>,
+    skipped: usize,
+}
+
 /// Pulls the next query off `reader`: for Criteo, one parseable line;
 /// for per-table indices, all lines up to the next blank line (one line
-/// per table). Returns `None` at end of stream.
+/// per table). Returns `None` at end of stream (or on a read error).
 fn next_query<R: BufRead>(
     reader: &mut R,
     format: TraceFormat,
-    line: &mut String,
+    lines: &mut Lines,
 ) -> Option<Vec<VectorKey>> {
-    match format {
-        TraceFormat::Criteo { rows_per_table } => loop {
-            line.clear();
-            if reader.read_line(line).ok()? == 0 {
-                return None;
-            }
-            if let Some(keys) = parse_criteo_line(line, rows_per_table) {
-                return Some(keys);
-            }
-        },
-        TraceFormat::PerTableIndices => {
-            let mut keys: Vec<VectorKey> = Vec::new();
-            loop {
-                line.clear();
-                if reader.read_line(line).ok()? == 0 {
-                    // EOF flushes a trailing unterminated query.
-                    return if keys.is_empty() { None } else { Some(keys) };
-                }
-                match parse_indices_line(line) {
-                    Some(mut parsed) => keys.append(&mut parsed),
-                    // Blank line: query boundary (skip leading blanks).
-                    None if keys.is_empty() => continue,
-                    None => return Some(keys),
-                }
-            }
+    let mut keys: Vec<VectorKey> = Vec::new();
+    loop {
+        // Lines are read as bytes: one bad byte must not end a
+        // multi-gigabyte stream the way `read_line`'s UTF-8 error would.
+        lines.buf.clear();
+        if reader.read_until(b'\n', &mut lines.buf).ok()? == 0 {
+            // EOF flushes a trailing unterminated query.
+            return (!keys.is_empty()).then_some(keys);
+        }
+        let Ok(line) = std::str::from_utf8(&lines.buf) else {
+            lines.skipped += 1;
+            continue;
+        };
+        let parsed = match format {
+            TraceFormat::Criteo { rows_per_table } => parse_criteo_line(line, rows_per_table),
+            TraceFormat::PerTableIndices => parse_indices_line(line),
+        };
+        let dirty = parsed.is_none() && !line.trim().is_empty();
+        lines.skipped += usize::from(dirty);
+        match (format, parsed) {
+            // One Criteo line is one query.
+            (TraceFormat::Criteo { .. }, Some(parsed)) => return Some(parsed),
+            (TraceFormat::PerTableIndices, Some(mut parsed)) => keys.append(&mut parsed),
+            // Blank (or unparseable) line: a query boundary for the
+            // index format once keys are pending, skipped otherwise.
+            (_, None) if keys.is_empty() => continue,
+            (_, None) => return Some(keys),
         }
     }
 }
@@ -180,7 +201,7 @@ pub struct FileQueries<R> {
     reader: R,
     format: TraceFormat,
     queries_per_request: usize,
-    line: String,
+    lines: Lines,
     done: bool,
 }
 
@@ -207,7 +228,7 @@ impl<R: BufRead> FileTraceSource<R> {
             reader,
             format,
             queries_per_request,
-            line: String::new(),
+            lines: Lines::default(),
             done: false,
         };
         Self::paced(queries, arrivals, seed)
@@ -221,7 +242,7 @@ impl<R: BufRead> KeyStream for FileQueries<R> {
         }
         let mut keys: Vec<VectorKey> = Vec::new();
         for _ in 0..self.queries_per_request {
-            match next_query(&mut self.reader, self.format, &mut self.line) {
+            match next_query(&mut self.reader, self.format, &mut self.lines) {
                 Some(mut q) => keys.append(&mut q),
                 None => {
                     self.done = true;
@@ -246,9 +267,9 @@ pub fn read_trace<R: BufRead>(reader: &mut R, format: TraceFormat, max_queries: 
     let mut accesses: Vec<VectorKey> = Vec::new();
     let mut query_ends: Vec<usize> = Vec::new();
     let mut num_tables = 0u32;
-    let mut line = String::new();
+    let mut lines = Lines::default();
     while query_ends.len() < max_queries {
-        let Some(keys) = next_query(reader, format, &mut line) else {
+        let Some(keys) = next_query(reader, format, &mut lines) else {
             break;
         };
         for k in &keys {
@@ -272,6 +293,10 @@ pub struct TraceProfile {
     pub unique_keys: usize,
     /// Distinct tables touched.
     pub tables: usize,
+    /// Lines the loader had to skip to get this far: not UTF-8, or
+    /// non-blank yet yielding no key (truncated, malformed, table id out
+    /// of range). Non-zero means the file is dirty.
+    pub skipped_lines: usize,
 }
 
 impl TraceProfile {
@@ -313,9 +338,9 @@ pub fn profile_trace<R: BufRead>(
     let mut tables = std::collections::HashSet::new();
     let mut queries = 0usize;
     let mut accesses = 0usize;
-    let mut line = String::new();
+    let mut lines = Lines::default();
     while queries < max_queries {
-        let Some(keys) = next_query(reader, format, &mut line) else {
+        let Some(keys) = next_query(reader, format, &mut lines) else {
             break;
         };
         queries += 1;
@@ -330,6 +355,7 @@ pub fn profile_trace<R: BufRead>(
         accesses,
         unique_keys: unique.len(),
         tables: tables.len(),
+        skipped_lines: lines.skipped,
     }
 }
 
@@ -477,9 +503,104 @@ mod tests {
             accesses: 1,
             unique_keys: 1 << 20,
             tables: 26,
+            skipped_lines: 0,
         };
         let cfg = big.sketch_config();
         assert_eq!(cfg.registers, SketchConfig::high_cardinality().registers);
         assert_eq!(cfg.epoch_len, 65536);
+    }
+
+    #[test]
+    fn out_of_range_ids_are_dropped_not_asserted_on() {
+        // A 17-bit table id drops the line; a 49-bit row id drops the row.
+        assert_eq!(parse_indices_line("70000\t1"), None);
+        assert_eq!(parse_indices_line("0\t281474976710656"), None);
+        assert_eq!(
+            parse_indices_line("65535\t281474976710655,281474976710656,7"),
+            Some(vec![
+                VectorKey::new(TableId(65535), RowId((1 << 48) - 1)),
+                VectorKey::new(TableId(65535), RowId(7)),
+            ])
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "48-bit")]
+    fn criteo_rows_per_table_beyond_48_bits_is_rejected() {
+        let format = TraceFormat::Criteo {
+            rows_per_table: (1 << 48) + 1,
+        };
+        let _ = read_trace(&mut Cursor::new(""), format, 1);
+    }
+
+    #[test]
+    fn a_non_utf8_line_is_skipped_not_end_of_stream() {
+        let bytes: &[u8] = b"0\t1,2\n\xff\xfe\n0\t3\n";
+        let trace = read_trace(
+            &mut Cursor::new(bytes),
+            TraceFormat::PerTableIndices,
+            usize::MAX,
+        );
+        let rows: Vec<u64> = trace.accesses().iter().map(|k| k.row().0).collect();
+        assert_eq!(rows, [1, 2, 3], "the third line's keys must come through");
+        let profile = profile_trace(
+            &mut Cursor::new(bytes),
+            TraceFormat::PerTableIndices,
+            usize::MAX,
+        );
+        assert_eq!(profile.accesses, 3);
+        assert_eq!(profile.skipped_lines, 1);
+        // Unparseable text lines count as dirty too; blank lines do not.
+        let profile = profile_trace(
+            &mut Cursor::new("0\t1\n\n70000\t1\nnot a line\n0\t2\n"),
+            TraceFormat::PerTableIndices,
+            usize::MAX,
+        );
+        assert_eq!((profile.accesses, profile.skipped_lines), (2, 2));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Outside input never panics the loader: arbitrary bytes (three
+        /// picks in four are a token a trace could hold — ids at and
+        /// beyond the 16/48/64-bit edges, separators, newlines — so lines
+        /// often *almost* parse; the rest are raw bytes) through every
+        /// consumer, in both formats.
+        #[test]
+        fn arbitrary_bytes_never_panic_the_loader(
+            picks in proptest::collection::vec((0usize..24, 0u32..256), 0..300),
+            rows_exp in 0u32..49,
+        ) {
+            const TOKENS: [&str; 18] = [
+                "0", "7", "65535", "65536", "70000", "281474976710655", "281474976710656",
+                "18446744073709551615", "99999999999999999999", "\t", "\t", ",", " ", "\n",
+                "\n", "\r\n", "-", "1f",
+            ];
+            let mut bytes: Vec<u8> = Vec::new();
+            for &(i, raw) in &picks {
+                match TOKENS.get(i) {
+                    Some(token) => bytes.extend_from_slice(token.as_bytes()),
+                    None => bytes.push(raw as u8),
+                }
+            }
+            let formats = [
+                TraceFormat::PerTableIndices,
+                TraceFormat::Criteo { rows_per_table: 1 << rows_exp },
+            ];
+            for format in formats {
+                let trace = read_trace(&mut Cursor::new(&bytes), format, usize::MAX);
+                let profile = profile_trace(&mut Cursor::new(&bytes), format, usize::MAX);
+                proptest::prop_assert_eq!(profile.accesses, trace.len());
+                proptest::prop_assert_eq!(profile.queries, trace.num_queries());
+                let arrivals = ArrivalProcess::Immediate;
+                let mut source = FileTraceSource::new(Cursor::new(&bytes), format, 2, arrivals, 0);
+                let mut streamed = 0usize;
+                while let Some(request) = source.next_request() {
+                    streamed += request.keys.len();
+                }
+                proptest::prop_assert_eq!(streamed, trace.len());
+            }
+        }
     }
 }

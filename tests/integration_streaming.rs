@@ -423,3 +423,105 @@ proptest! {
         prop_assert_eq!(seen, batches);
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Chunk accounting is conserved in every guidance mode: after a
+    /// drained session (or a sequential `process_batch` run) every chunk
+    /// formed was counted exactly once, guided or unguided; chunks form
+    /// per shard from the keys routed there; everything the plane computed
+    /// was applied; and every offered key was served.
+    #[test]
+    fn chunk_accounting_is_conserved_in_every_mode(
+        requests in prop::collection::vec(
+            prop::collection::vec(key_strategy(), 0..60),
+            1..12,
+        ),
+    ) {
+        let cfg = RecMgConfig::tiny();
+        let caching = recmg_repro::core::CachingModel::new(&cfg);
+        let prefetch = recmg_repro::core::PrefetchModel::new(&cfg);
+        let build = |stride: usize| {
+            let codec = recmg_repro::core::FrequencyRankCodec::from_accesses(
+                &[VectorKey::new(TableId(0), RowId(1))],
+            );
+            let mut system = ShardedRecMgSystem::builder(&caching, Some(&prefetch), codec)
+                .shards(2)
+                .capacity(64)
+                .build();
+            system.set_guidance_stride(stride);
+            system
+        };
+        let offered: usize = requests.iter().map(Vec::len).sum();
+        let router = build(1).router();
+        let mut routed = [0usize; 2];
+        for key in requests.iter().flatten() {
+            routed[router.shard_of(*key)] += 1;
+        }
+        let expected_chunks: u64 = routed.iter().map(|&n| (n / cfg.input_len) as u64).sum();
+        let conserved = |sys: &ShardedRecMgSystem, served: u64, mode: &str| {
+            prop_assert_eq!(
+                sys.guided_chunks() + sys.unguided_chunks(),
+                sys.total_chunks(),
+                "{}: a chunk was counted twice or not at all", mode
+            );
+            prop_assert_eq!(sys.total_chunks(), expected_chunks, "{}: chunks formed", mode);
+            prop_assert_eq!(served, offered as u64, "{}: keys served", mode);
+        };
+
+        let background = |max_lag: usize, max_batch: usize| GuidanceMode::Background {
+            threads: 1,
+            max_lag,
+            max_batch,
+        };
+        // An SLA whose thresholds sit at zero queue wait: every request is
+        // served degraded (stale guidance only).
+        let always_degraded = SlaBudget {
+            target: Duration::from_nanos(1),
+            skip_ahead_at: 0.0,
+            prefetch_off_at: 0.0,
+        };
+        let modes = [
+            ("inline stride 1", 1, GuidanceMode::Inline, None),
+            ("inline stride 3", 3, GuidanceMode::Inline, None),
+            ("background max_lag 0", 1, background(0, 16), None),
+            ("background max_lag 2", 1, background(2, 2), None),
+            ("degraded inline", 1, GuidanceMode::Inline, Some(always_degraded)),
+            ("degraded background", 1, background(2, 2), Some(always_degraded)),
+        ];
+        for (mode, stride, guidance, sla) in modes {
+            let mut builder = SessionBuilder::new()
+                .workers(1)
+                .guidance(guidance)
+                .admission(AdmissionPolicy::unbounded());
+            if let Some(sla) = sla {
+                builder = builder.sla(sla);
+            }
+            let session = builder.build(build(stride));
+            session.ingest(&mut BatchSource::from_vecs(requests.clone()));
+            let (sys, report) = session.drain();
+            conserved(&sys, report.engine.stats.total(), mode);
+            prop_assert_eq!(report.engine.total_chunks, expected_chunks, "{}", mode);
+            prop_assert_eq!(report.engine.guided_chunks, sys.guided_chunks(), "{}", mode);
+            if matches!(guidance, GuidanceMode::Background { .. }) {
+                prop_assert_eq!(
+                    report.engine.plane.chunks,
+                    report.engine.guided_chunks,
+                    "{}: plane output not applied", mode
+                );
+            }
+            if sla.is_some() || mode == "background max_lag 0" {
+                prop_assert_eq!(sys.guided_chunks(), 0, "{}", mode);
+            }
+        }
+
+        // The sequential path runs the same loop.
+        let mut sys = build(3);
+        let mut stats = BatchAccessStats::default();
+        for keys in &requests {
+            stats.accumulate(sys.process_batch(keys));
+        }
+        conserved(&sys, stats.total(), "process_batch stride 3");
+    }
+}
