@@ -2,11 +2,11 @@
 //! (cache access, OPTgen labeling, reuse-distance analysis, buffer
 //! populate, and the fast model forward).
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
 use recmg_cache::{optgen, CachePolicy, FullyAssocLru, GpuBuffer, SetAssocLru};
-use recmg_core::{CachingModel, RecMgConfig};
+use recmg_core::{CachingModel, FastScratch, PrefetchModel, RecMgConfig};
 use recmg_trace::{reuse_distances, RowId, SyntheticConfig, TableId, VectorKey};
 
 fn bench_substrate(c: &mut Criterion) {
@@ -56,12 +56,34 @@ fn bench_substrate(c: &mut Criterion) {
         });
     });
 
-    group.bench_function("caching_model_fast_forward", |b| {
-        let cfg = RecMgConfig::default();
-        let cm = CachingModel::new(&cfg).compile();
-        let chunk: Vec<VectorKey> = acc.iter().copied().take(cfg.input_len).collect();
-        b.iter(|| black_box(cm.predict(&chunk)));
-    });
+    // The guidance kernels' batch curve (default config, f32, the plane's
+    // entry points over a held scratch): one sample is `REPS` forwards of
+    // `bsz` chunks, so µs/chunk = 1e6 / the printed elem/s.
+    const REPS: usize = 100;
+    let cfg = RecMgConfig::default();
+    let cm = CachingModel::new(&cfg).compile();
+    let pm = PrefetchModel::new(&cfg).compile();
+    let chunks: Vec<&[VectorKey]> = acc.chunks_exact(cfg.input_len).take(32).collect();
+    let mut scratch = FastScratch::default();
+    for bsz in [1usize, 2, 4, 5, 8, 16, 32] {
+        group.throughput(Throughput::Elements((REPS * bsz) as u64));
+        let id = BenchmarkId::new("caching_model_fast_forward", bsz);
+        group.bench_with_input(id, &chunks[..bsz], |b, batch| {
+            b.iter(|| {
+                for _ in 0..REPS {
+                    black_box(cm.probs_batch_with(batch, &mut scratch));
+                }
+            });
+        });
+        let id = BenchmarkId::new("prefetch_model_fast_forward", bsz);
+        group.bench_with_input(id, &chunks[..bsz], |b, batch| {
+            b.iter(|| {
+                for _ in 0..REPS {
+                    black_box(pm.codes_batch_with(batch, &mut scratch));
+                }
+            });
+        });
+    }
 
     group.finish();
 }

@@ -403,9 +403,10 @@ impl FastCachingModel {
                         qs,
                     );
                 }
+                crate::fast::map_batch(lane, spare, crate::fast::sigmoid_approx);
                 for (b, &ci) in bucket.iter().enumerate() {
                     for ti in 0..t {
-                        out[ci][ti] = recmg_tensor::stable_sigmoid(spare[ti * bsz + b]);
+                        out[ci][ti] = spare[ti * bsz + b];
                     }
                 }
             },
@@ -512,6 +513,39 @@ mod tests {
             assert!((x - y).abs() < 1e-5, "tape {x} vs fast {y}");
         }
         assert_eq!(m.predict(&keys), fast.predict(&keys));
+    }
+
+    /// The approximated epilogue does not move decisions: on a trained and
+    /// calibrated model the compiled forward takes the tape's side of the
+    /// threshold at every position whose tape probability is not within
+    /// 1e-5 (the fast-vs-tape bound) of it.
+    #[test]
+    fn trained_fast_model_decides_like_the_tape() {
+        use rand::Rng;
+        let cfg = RecMgConfig::tiny();
+        let mut m = CachingModel::new(&cfg);
+        let chunks = separable_chunks(60, cfg.input_len);
+        m.train(&chunks, 6, 4);
+        m.calibrate_threshold(&chunks);
+        let fast = m.compile();
+        let mut rng = StdRng::seed_from_u64(0xDEC1);
+        let (mut compared, mut on_the_line) = (0usize, 0usize);
+        for _ in 0..500 {
+            let keys: Vec<VectorKey> = (0..cfg.input_len)
+                .map(|_| key(rng.gen_range(0..40)))
+                .collect();
+            let (tape, bits) = (m.predict_probs(&keys), fast.predict(&keys));
+            for (i, &p) in tape.iter().enumerate() {
+                if (p - m.threshold()).abs() < 1e-5 {
+                    on_the_line += 1;
+                } else {
+                    compared += 1;
+                    assert_eq!(bits[i], p > m.threshold(), "position {i}: tape prob {p}");
+                }
+            }
+        }
+        println!("{compared} decisions equal; {on_the_line} within 1e-5 of the threshold skipped");
+        assert!(compared >= 500 * cfg.input_len / 2);
     }
 
     #[test]

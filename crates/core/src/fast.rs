@@ -9,8 +9,22 @@
 //! autograd tape entirely, with two kernel lanes selected at runtime
 //! ([`KernelLane`]): a portable scalar lane that doubles as the correctness
 //! oracle, and an AVX2+FMA lane whose vector loads are unit-stride across
-//! the batch axis. Tests assert bit-for-bit-practical equivalence (≤1e-5)
-//! with the tape forward and between the lanes.
+//! the batch axis. The lane is resolved once per forward ([`on_lane`]);
+//! everything below it is inlined into that lane's code context.
+//!
+//! **What is approximated.** No libm transcendental runs in a forward:
+//! every `tanh`, sigmoid and softmax `exp` — LSTM gates, attention, the
+//! prefetch `fc` layer and both output heads — goes through
+//! [`tanh_approx`], [`sigmoid_approx`] and [`exp_approx`], written once
+//! with `*`, `+`, `/` only. Their error against an `f64` reference is
+//! bounded by the constants beside them (a few 1e-7; the `approx_*` tests
+//! check the bounds over dense grids), which keeps the forward within the
+//! 1e-5 the tape-parity tests allow. Rust never contracts `a * b + c` into
+//! an FMA, so the same body compiled with and without AVX2 gives
+//! **bit-identical** results: on every epilogue the two lanes are equal,
+//! not close. They differ only where the AVX2 lane asks for FMA by name —
+//! the matmul and the attention dot products — which skips one rounding
+//! per multiply-add; the 1e-5 lane-parity suite bounds that.
 //!
 //! Every kernel is *batched*: it advances `bsz` independent sequences per
 //! pass over the weights, so a guidance plane serving many shards reads
@@ -28,6 +42,16 @@
 //! `(t·dim + j)·bsz + b`. The `bsz` lanes of one feature are contiguous, so
 //! an 8-wide SIMD load advances 8 lanes of the same feature at once; at
 //! `bsz == 1` the layout coincides with a plain `[t, dim]` sequence.
+//! When the last [`LANE_BLOCK`] of a bucket is at least three quarters
+//! full, [`forward_buckets`] pads the lane stride to the block width with
+//! dead lanes that repeat the bucket's last chunk: a 6-chunk batch then
+//! runs every epilogue and attention stripe as one full vector instead of
+//! six scalar lanes, the dead lanes cost nothing extra (the matmul's
+//! vector was 8 wide anyway) and their outputs are never read. (Repeats,
+//! not zeros: an all-zero lane would hand the int8 path a subnormal
+//! activation scale.) An emptier block stays unpadded — up to five scalar
+//! lanes cost no more than a vector's worth of epilogue, and the int8
+//! matmul's narrow-batch path pays per lane.
 //!
 //! Weight layout is taken from the owning model's parameter order, which is
 //! fixed by construction: embedding table, then per stack
@@ -39,12 +63,179 @@
 
 use recmg_tensor::align::AlignedVec;
 use recmg_tensor::quant::{QuantScratch, QuantizedMatrix};
-use recmg_tensor::simd::avx2_fma_available;
-use recmg_tensor::{stable_sigmoid, Tensor};
+use recmg_tensor::Tensor;
 
 pub use recmg_tensor::simd::{active_lane, KernelLane};
 
 use crate::config::GuidancePrecision;
+
+/// Lanes per AVX2 vector: the batch-block width of [`matacc_avx2`] and the
+/// stride multiple [`forward_buckets`] pads to.
+const LANE_BLOCK: usize = 8;
+
+/// Resolves `lane` once and runs `f` in that lane's code context:
+/// `f(true)` inlined into an AVX2+FMA function when the lane is
+/// [`KernelLane::Avx2`] and the CPU has both features, `f(false)` in plain
+/// code otherwise. The kernels below take that flag as `fma`; `true` comes
+/// from here and nowhere else, which is what lets them call
+/// [`matacc_avx2`]. Everything that runs under `f` must be the closure
+/// itself or `#[inline(always)]`: a helper left out of line is compiled
+/// without the features, and its `mul_add` becomes a libm call.
+#[inline(always)]
+fn on_lane<R>(lane: KernelLane, f: impl FnOnce(bool) -> R) -> R {
+    #[cfg(target_arch = "x86_64")]
+    {
+        #[target_feature(enable = "avx2,fma")]
+        fn avx2<R>(f: impl FnOnce(bool) -> R) -> R {
+            f(true)
+        }
+        if lane == KernelLane::Avx2 && recmg_tensor::simd::avx2_fma_available() {
+            // SAFETY: the CPU supports AVX2 and FMA (checked just above).
+            return unsafe { avx2(f) };
+        }
+    }
+    let _ = lane;
+    f(false)
+}
+
+/// `a · b + c`: fused on the AVX2 lane, rounded twice on the scalar lane.
+#[inline(always)]
+fn madd(fma: bool, a: f32, b: f32, c: f32) -> f32 {
+    if fma {
+        a.mul_add(b, c)
+    } else {
+        a * b + c
+    }
+}
+
+/// `acc[b] ← a[b] · x[b] + acc[b]` over one batch stripe (the attention
+/// dot and context inner loop), in [`LANE_BLOCK`]-lane blocks of constant
+/// trip count so a padded stride compiles to straight vector code.
+#[inline(always)]
+fn stripe_madd(fma: bool, a: &[f32], x: &[f32], acc: &mut [f32]) {
+    let ((a8, a1), (x8, x1)) = (a.as_chunks::<LANE_BLOCK>(), x.as_chunks::<LANE_BLOCK>());
+    let (c8, c1) = acc.as_chunks_mut::<LANE_BLOCK>();
+    for ((c, a), x) in c8.iter_mut().zip(a8).zip(x8) {
+        *c = std::array::from_fn(|l| madd(fma, a[l], x[l], c[l]));
+    }
+    for ((c, a), x) in c1.iter_mut().zip(a1).zip(x1) {
+        *c = madd(fma, *a, *x, *c);
+    }
+}
+
+/// Max |[`tanh_approx`] − tanh| and max |[`sigmoid_approx`] − sigmoid| over
+/// all of `f32` (checked on [−20, 20]; both are constant beyond the clamp).
+#[cfg(test)]
+const TANH_MAX_ABS_ERR: f64 = 4e-7;
+
+/// Rational `tanh`: odd degree 13 over even degree 6 on the clamped
+/// argument, the coefficients Eigen and XLA use. The clamp is written as
+/// comparisons, not `min`/`max`, so a NaN argument stays NaN.
+#[inline(always)]
+pub(crate) fn tanh_approx(x: f32) -> f32 {
+    /// Beyond this the rational form would round above 1.
+    const TANH_CLAMP: f32 = 7.905_311;
+    let x = if x > TANH_CLAMP { TANH_CLAMP } else { x };
+    let x = if x < -TANH_CLAMP { -TANH_CLAMP } else { x };
+    let x2 = x * x;
+    let p = x2 * -2.760_768_4e-16 + 2.000_188e-13;
+    let p = x2 * p + -8.604_672e-11;
+    let p = x2 * p + 5.122_297_3e-8;
+    let p = x2 * p + 1.485_722_35e-5;
+    let p = x2 * p + 6.372_619_5e-4;
+    let p = x2 * p + 4.893_524_6e-3;
+    let q = x2 * 1.198_258_4e-6 + 1.185_347_1e-4;
+    let q = x2 * q + 2.268_434_7e-3;
+    let q = x2 * q + 4.893_525e-3;
+    x * p / q
+}
+
+/// Logistic sigmoid through [`tanh_approx`]: in [0, 1], exactly 0.5 at 0.
+#[inline(always)]
+pub(crate) fn sigmoid_approx(x: f32) -> f32 {
+    0.5 * tanh_approx(0.5 * x) + 0.5
+}
+
+/// Max relative error of [`exp_approx`] on [[`EXP_MIN_ARG`], 0].
+#[cfg(test)]
+const EXP_MAX_REL_ERR: f64 = 2e-7;
+
+/// Arguments below this are clamped to it: `exp` there is under 1.7e-38, a
+/// softmax weight that cannot move an f32 sum whose largest term is 1.
+const EXP_MIN_ARG: f32 = -87.0;
+
+/// `exp(x)` for the softmax's `x ≤ 0` (valid up to 88): `x = n·ln 2 + r`
+/// with `n` rounded by the add-and-subtract of 1.5·2²³, a degree-5
+/// polynomial on `|r| ≤ ln 2 / 2` (Cephes `expf`), and `2ⁿ` built from
+/// `n`'s low bits, which that same sum left in its mantissa.
+#[inline(always)]
+fn exp_approx(x: f32) -> f32 {
+    const ROUND: f32 = 12_582_912.0;
+    let x = if x < EXP_MIN_ARG { EXP_MIN_ARG } else { x };
+    let shifted = x * std::f32::consts::LOG2_E + ROUND;
+    let n = shifted - ROUND;
+    let r = x - n * 0.693_359_4 - n * -2.121_944_4e-4;
+    let p = r * 1.987_569_1e-4 + 1.398_199_9e-3;
+    let p = r * p + 8.333_452e-3;
+    let p = r * p + 4.166_579_6e-2;
+    let p = r * p + 1.666_666_6e-1;
+    let p = r * p + 0.5;
+    let e = r * r * p + r + 1.0;
+    e * f32::from_bits((shifted.to_bits() << 23).wrapping_add(0x3f80_0000))
+}
+
+/// `v ← act(v)` elementwise on `lane`, for the model heads: `act` is
+/// [`tanh_approx`] (the prefetch `fc` layer) or [`sigmoid_approx`] (both
+/// output heads).
+pub(crate) fn map_batch(lane: KernelLane, v: &mut [f32], act: impl Fn(f32) -> f32) {
+    on_lane(
+        lane,
+        #[inline(always)]
+        |_| v.iter_mut().for_each(|x| *x = act(*x)),
+    )
+}
+
+/// The LSTM gate epilogue as one sweep over the four contiguous blocks of
+/// `gates` (`[i, f, g, o]`, each as long as `h` and `c`):
+/// `c ← σ(f)·c + σ(i)·tanh(g)`, `h ← σ(o)·tanh(c)`.
+#[inline(always)]
+fn gate_sweep(gates: &[f32], h: &mut [f32], c: &mut [f32]) {
+    let n = c.len();
+    let (h, gi, gf) = (&mut h[..n], &gates[..n], &gates[n..2 * n]);
+    let (gg, go) = (&gates[2 * n..3 * n], &gates[3 * n..4 * n]);
+    for k in 0..n {
+        let cv = sigmoid_approx(gf[k]) * c[k] + sigmoid_approx(gi[k]) * tanh_approx(gg[k]);
+        c[k] = cv;
+        h[k] = sigmoid_approx(go[k]) * tanh_approx(cv);
+    }
+}
+
+/// Softmax over the steps of interleaved `scores` (`[t, bsz]`), every lane
+/// of a stripe at once; `work` is `[2, bsz]` (running maxima, then
+/// denominators). Per lane the denominator accumulates in step order.
+#[inline(always)]
+fn softmax_stripes(scores: &mut [f32], work: &mut [f32], bsz: usize) {
+    let (mx, dn) = work.split_at_mut(bsz);
+    let dn = &mut dn[..bsz];
+    mx.fill(f32::NEG_INFINITY);
+    for sc in scores.chunks_exact(bsz) {
+        for b in 0..bsz {
+            mx[b] = if sc[b] > mx[b] { sc[b] } else { mx[b] };
+        }
+    }
+    dn.fill(0.0);
+    for sc in scores.chunks_exact_mut(bsz) {
+        for b in 0..bsz {
+            sc[b] = exp_approx(sc[b] - mx[b]);
+            dn[b] += sc[b];
+        }
+    }
+    for sc in scores.chunks_exact_mut(bsz) {
+        for b in 0..bsz {
+            sc[b] /= dn[b];
+        }
+    }
+}
 
 /// A compiled weight matrix: exact `f32` or symmetric int8.
 ///
@@ -87,32 +278,39 @@ impl FastMat {
     }
 
     /// `out[c·bsz + b] += (x_b @ W)[c]` over the interleaved batch.
+    #[inline(always)]
     fn accumulate(
         &self,
-        lane: KernelLane,
+        fma: bool,
         bsz: usize,
         xs: &[f32],
         out: &mut [f32],
         qs: &mut QuantScratch,
     ) {
         match self {
-            FastMat::F32(w) => matacc(lane, w.data(), w.rows(), w.cols(), bsz, xs, out),
-            FastMat::Int8(q) => q.vecmul_batch(lane, bsz, xs, out, qs),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `fma` is true only inside `on_lane`'s AVX2+FMA context;
+            // `matacc_avx2` checks the slice lengths it indexes by.
+            FastMat::F32(w) if fma => unsafe {
+                matacc_avx2(w.data(), w.rows(), w.cols(), bsz, xs, out)
+            },
+            FastMat::F32(w) => matacc_scalar(w.data(), w.rows(), w.cols(), bsz, xs, out),
+            FastMat::Int8(q) if fma => q.vecmul_batch(KernelLane::Avx2, bsz, xs, out, qs),
+            FastMat::Int8(q) => q.vecmul_batch(KernelLane::Scalar, bsz, xs, out, qs),
         }
     }
 }
 
-/// Batch-interleaved accumulating f32 matmul:
+/// The scalar lane of the batch-interleaved accumulating f32 matmul
 /// `out[g·bsz + b] += Σ_i xs[i·bsz + b] · w[i·out_dim + g]`.
 ///
-/// Both lanes accumulate every output element in input-feature order — the
-/// scalar lane with plain multiply-add, the AVX2 lane with FMA — uniformly
-/// across batch sizes, so per-item results within a lane are independent of
-/// `bsz` (the structural batched-vs-single parity the session tests pin
-/// down bit-exactly). The lanes differ only at rounding level (FMA skips
-/// the intermediate rounding), which the 1e-5 lane-parity suite bounds.
-pub(crate) fn matacc(
-    lane: KernelLane,
+/// Both lanes accumulate every output element in input-feature order — this
+/// one with plain multiply-add, [`matacc_avx2`] with FMA — uniformly across
+/// batch sizes, so per-item results within a lane are independent of `bsz`
+/// (the structural batched-vs-single parity the session tests pin down
+/// bit-exactly). The lanes differ only at rounding level (FMA skips the
+/// intermediate rounding), which the 1e-5 lane-parity suite bounds.
+fn matacc_scalar(
     w: &[f32],
     in_dim: usize,
     out_dim: usize,
@@ -123,27 +321,6 @@ pub(crate) fn matacc(
     debug_assert_eq!(w.len(), in_dim * out_dim);
     debug_assert_eq!(xs.len(), in_dim * bsz);
     debug_assert_eq!(out.len(), out_dim * bsz);
-    match lane {
-        KernelLane::Avx2 if avx2_fma_available() => {
-            #[cfg(target_arch = "x86_64")]
-            unsafe {
-                matacc_avx2(w, in_dim, out_dim, bsz, xs, out)
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            matacc_scalar(w, in_dim, out_dim, bsz, xs, out)
-        }
-        _ => matacc_scalar(w, in_dim, out_dim, bsz, xs, out),
-    }
-}
-
-fn matacc_scalar(
-    w: &[f32],
-    in_dim: usize,
-    out_dim: usize,
-    bsz: usize,
-    xs: &[f32],
-    out: &mut [f32],
-) {
     if bsz == 1 {
         for (i, row) in w.chunks_exact(out_dim).enumerate().take(in_dim) {
             let xv = xs[i];
@@ -170,13 +347,22 @@ fn matacc_scalar(
     }
 }
 
-/// The AVX2+FMA lane: at `bsz == 1` vectorizes 8-wide over the output
-/// axis; at `bsz > 1` the interleaved layout makes the batch axis
-/// unit-stride, so it vectorizes 8-wide (then 4-wide, then scalar `fma`)
-/// over the lanes of each `(input, output)` weight element. Every element
-/// accumulates in input-feature order with FMA in all paths.
+/// The AVX2+FMA lane. At `bsz == 1` it vectorizes 8-wide over the output
+/// axis. At `bsz > 1` the interleaved layout makes the batch axis
+/// unit-stride: per block of ≤ 8 lanes and group of `G` outputs it holds
+/// the `G` output stripes in registers across the whole input loop and
+/// stores each once — one activation load and `G` weight broadcasts per `G`
+/// FMAs, where a load-FMA-store per `(input, output)` pair paid three
+/// memory operations per FMA. A block narrower than 8 lanes is the same
+/// code under a load/store mask, so no batch size falls onto a per-lane
+/// path. Every element accumulates in input-feature order with FMA in all
+/// paths.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
+#[target_feature(enable = "avx2,fma")]
 unsafe fn matacc_avx2(
     w: &[f32],
     in_dim: usize,
@@ -186,6 +372,9 @@ unsafe fn matacc_avx2(
     out: &mut [f32],
 ) {
     use std::arch::x86_64::*;
+    assert_eq!(w.len(), in_dim * out_dim);
+    assert_eq!(xs.len(), in_dim * bsz);
+    assert_eq!(out.len(), out_dim * bsz);
     if bsz == 1 {
         for i in 0..in_dim {
             let xv = xs[i];
@@ -206,82 +395,53 @@ unsafe fn matacc_avx2(
                 g += 1;
             }
         }
-    } else {
+        return;
+    }
+    /// `o[g·bsz + l] += Σ_i x[i·bsz + l] · w[i·out_dim + g]` for `g < G`
+    /// and the lanes `l` enabled in `mask`.
+    #[inline(always)]
+    unsafe fn block<const G: usize>(
+        (w, x, o): (*const f32, *const f32, *mut f32),
+        (in_dim, out_dim, bsz): (usize, usize, usize),
+        mask: __m256i,
+    ) {
+        let mut acc = [_mm256_setzero_ps(); G];
+        for (g, a) in acc.iter_mut().enumerate() {
+            *a = _mm256_maskload_ps(o.add(g * bsz), mask);
+        }
         for i in 0..in_dim {
-            let x = &xs[i * bsz..(i + 1) * bsz];
-            let row = &w[i * out_dim..(i + 1) * out_dim];
-            for (g, &wv) in row.iter().enumerate() {
-                let o = &mut out[g * bsz..(g + 1) * bsz];
-                let wvv = _mm256_set1_ps(wv);
-                let mut b = 0;
-                while b + 8 <= bsz {
-                    let ov = _mm256_loadu_ps(o.as_ptr().add(b));
-                    let xv = _mm256_loadu_ps(x.as_ptr().add(b));
-                    _mm256_storeu_ps(o.as_mut_ptr().add(b), _mm256_fmadd_ps(xv, wvv, ov));
-                    b += 8;
-                }
-                if b + 4 <= bsz {
-                    let ov = _mm_loadu_ps(o.as_ptr().add(b));
-                    let xv = _mm_loadu_ps(x.as_ptr().add(b));
-                    _mm_storeu_ps(
-                        o.as_mut_ptr().add(b),
-                        _mm_fmadd_ps(xv, _mm256_castps256_ps128(wvv), ov),
-                    );
-                    b += 4;
-                }
-                while b < bsz {
-                    o[b] = x[b].mul_add(wv, o[b]);
-                    b += 1;
-                }
+            let xv = _mm256_maskload_ps(x.add(i * bsz), mask);
+            for (g, a) in acc.iter_mut().enumerate() {
+                *a = _mm256_fmadd_ps(xv, _mm256_set1_ps(*w.add(i * out_dim + g)), *a);
             }
         }
-    }
-}
-
-/// Elementwise stripe multiply-accumulate: `acc[b] += a[b] · x[b]` over one
-/// batch stripe (the attention dot/context inner loop).
-fn mul_acc(lane: KernelLane, bsz: usize, a: &[f32], x: &[f32], acc: &mut [f32]) {
-    match lane {
-        KernelLane::Avx2 if avx2_fma_available() => {
-            #[cfg(target_arch = "x86_64")]
-            unsafe {
-                mul_acc_avx2(bsz, a, x, acc)
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            mul_acc_scalar(bsz, a, x, acc)
+        for (g, a) in acc.iter().enumerate() {
+            _mm256_maskstore_ps(o.add(g * bsz), mask, *a);
         }
-        _ => mul_acc_scalar(bsz, a, x, acc),
     }
-}
-
-fn mul_acc_scalar(bsz: usize, a: &[f32], x: &[f32], acc: &mut [f32]) {
-    for b in 0..bsz {
-        acc[b] += a[b] * x[b];
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn mul_acc_avx2(bsz: usize, a: &[f32], x: &[f32], acc: &mut [f32]) {
-    use std::arch::x86_64::*;
-    let mut b = 0;
-    while b + 8 <= bsz {
-        let av = _mm256_loadu_ps(a.as_ptr().add(b));
-        let xv = _mm256_loadu_ps(x.as_ptr().add(b));
-        let cv = _mm256_loadu_ps(acc.as_ptr().add(b));
-        _mm256_storeu_ps(acc.as_mut_ptr().add(b), _mm256_fmadd_ps(av, xv, cv));
-        b += 8;
-    }
-    if b + 4 <= bsz {
-        let av = _mm_loadu_ps(a.as_ptr().add(b));
-        let xv = _mm_loadu_ps(x.as_ptr().add(b));
-        let cv = _mm_loadu_ps(acc.as_ptr().add(b));
-        _mm_storeu_ps(acc.as_mut_ptr().add(b), _mm_fmadd_ps(av, xv, cv));
-        b += 4;
-    }
-    while b < bsz {
-        acc[b] = a[b].mul_add(x[b], acc[b]);
-        b += 1;
+    const MASKS: [i32; 2 * LANE_BLOCK] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+    let (wp, xp, op) = (w.as_ptr(), xs.as_ptr(), out.as_mut_ptr());
+    let dims = (in_dim, out_dim, bsz);
+    // SAFETY (every pointer below): a block starts at lane `b < bsz` and
+    // enables `n = min(8, bsz − b)` lanes, so it reads `xs[i·bsz + b + l]`
+    // and `out[g·bsz + b + l]` for `l < n`, `i < in_dim` and `g` below the
+    // group's end `≤ out_dim` — inside the lengths asserted above — and
+    // `w[i·out_dim + g]` likewise. Masked-off lanes are not accessed, and
+    // the mask itself is 8 consecutive words of the 16 in `MASKS`.
+    for b in (0..bsz).step_by(LANE_BLOCK) {
+        let n = (bsz - b).min(LANE_BLOCK);
+        let mask = _mm256_loadu_si256(MASKS.as_ptr().add(LANE_BLOCK - n) as *const __m256i);
+        let mut g = 0;
+        while g < out_dim {
+            let at = (wp.add(g), xp.add(b), op.add(g * bsz + b));
+            if g + 8 <= out_dim {
+                block::<8>(at, dims, mask);
+                g += 8;
+            } else {
+                block::<1>(at, dims, mask);
+                g += 1;
+            }
+        }
     }
 }
 
@@ -348,7 +508,31 @@ impl FastLstm {
     /// interleaved), updates `h`/`c` (`[h, bsz]`) in place, using `gates`
     /// (`[4h, bsz]`) as scratch. Each weight row is read once and applied
     /// to every lane, so the weight traffic of a step is independent of
-    /// `bsz`.
+    /// `bsz`. The gate epilogue is one sweep over the four contiguous
+    /// `[h·bsz]` blocks of `gates`.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn step_on(
+        &self,
+        fma: bool,
+        bsz: usize,
+        x: &[f32],
+        h: &mut [f32],
+        c: &mut [f32],
+        gates: &mut [f32],
+        qs: &mut QuantScratch,
+    ) {
+        let n = self.h * bsz;
+        debug_assert_eq!(x.len(), bsz * self.e);
+        debug_assert_eq!(gates.len(), 4 * n);
+        linear_on(fma, &self.wx, &self.b, bsz, x, gates, qs);
+        self.wh.accumulate(fma, bsz, h, gates, qs);
+        gate_sweep(gates, &mut h[..n], &mut c[..n]);
+    }
+
+    /// [`FastLstm::step_on`] on an explicit lane, for the parity proptests
+    /// (production code steps inside [`FastStack::forward_batch`]).
+    #[cfg(test)]
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn step_batch(
         &self,
@@ -360,34 +544,16 @@ impl FastLstm {
         gates: &mut [f32],
         qs: &mut QuantScratch,
     ) {
-        let hd = self.h;
-        let g4 = 4 * hd;
-        debug_assert_eq!(x.len(), bsz * self.e);
-        debug_assert_eq!(h.len(), bsz * hd);
-        debug_assert_eq!(c.len(), bsz * hd);
-        debug_assert_eq!(gates.len(), bsz * g4);
-        for (g, stripe) in gates.chunks_exact_mut(bsz).enumerate().take(g4) {
-            stripe.fill(self.b.data()[g]);
-        }
-        self.wx.accumulate(lane, bsz, x, gates, qs);
-        self.wh.accumulate(lane, bsz, h, gates, qs);
-        for j in 0..hd {
-            for b in 0..bsz {
-                let i = stable_sigmoid(gates[j * bsz + b]);
-                let f = stable_sigmoid(gates[(hd + j) * bsz + b]);
-                let g = gates[(2 * hd + j) * bsz + b].tanh();
-                let o = stable_sigmoid(gates[(3 * hd + j) * bsz + b]);
-                let cv = &mut c[j * bsz + b];
-                *cv = f * *cv + i * g;
-                h[j * bsz + b] = o * cv.tanh();
-            }
-        }
+        on_lane(
+            lane,
+            #[inline(always)]
+            |fma| self.step_on(fma, bsz, x, h, c, gates, qs),
+        )
     }
 
     /// One step of a single sequence — the `bsz == 1` case of
     /// [`FastLstm::step_batch`], kept as the per-item reference for the
-    /// parity proptests (production code always goes through the batched
-    /// entry points).
+    /// parity proptests.
     #[cfg(test)]
     pub(crate) fn step(
         &self,
@@ -418,13 +584,30 @@ pub(crate) fn fast_linear_batch(
     out: &mut [f32],
     qs: &mut QuantScratch,
 ) {
+    on_lane(
+        lane,
+        #[inline(always)]
+        |fma| linear_on(fma, w, b, bsz, xs, out, qs),
+    )
+}
+
+#[inline(always)]
+fn linear_on(
+    fma: bool,
+    w: &FastMat,
+    b: &Tensor,
+    bsz: usize,
+    xs: &[f32],
+    out: &mut [f32],
+    qs: &mut QuantScratch,
+) {
     let out_dim = w.cols();
     debug_assert_eq!(xs.len(), bsz * w.rows());
     debug_assert_eq!(out.len(), bsz * out_dim);
     for (g, stripe) in out.chunks_exact_mut(bsz).enumerate().take(out_dim) {
         stripe.fill(b.data()[g]);
     }
-    w.accumulate(lane, bsz, xs, out, qs);
+    w.accumulate(fma, bsz, xs, out, qs);
 }
 
 /// Dense layer `y = x W + b` over slices — the `bsz == 1` case of
@@ -444,6 +627,10 @@ pub(crate) fn fast_linear(lane: KernelLane, w: &FastMat, b: &Tensor, x: &[f32], 
 /// receives `(bucket chunk indices, t, bsz, activations, spare, quant
 /// scratch)` — the final interleaved activations plus a reusable spare
 /// buffer for the head computation — and scatters into the model's output.
+/// `bsz` there is the lane *stride*: the bucket's chunk count, padded up to
+/// a multiple of [`LANE_BLOCK`] when its last block is ≥ ¾ full;
+/// lane `b` of the bucket sits at offset `b`, and the lanes past the bucket
+/// repeat its last chunk and are read by nobody.
 /// Both fast models run their forwards through this one path, so
 /// bucketing, gathering, and stack chaining cannot drift apart between
 /// them.
@@ -479,10 +666,15 @@ pub(crate) fn forward_buckets(
         seq_b,
     } = scratch;
     for (t, bucket) in by_len {
-        let bsz = bucket.len();
+        let bsz = match bucket.len() {
+            n if n % LANE_BLOCK >= LANE_BLOCK * 3 / 4 => n.next_multiple_of(LANE_BLOCK),
+            n => n,
+        };
         seq_a.clear();
         seq_a.resize(t * bsz * d, 0.0);
-        for (b, &ci) in bucket.iter().enumerate() {
+        for b in 0..bsz {
+            // A dead lane repeats the bucket's last chunk.
+            let ci = bucket[b.min(bucket.len() - 1)];
             for (ti, key) in chunks[ci].iter().enumerate() {
                 let row = key.bucket(vocab);
                 let src = &emb.data()[row * d..(row + 1) * d];
@@ -516,7 +708,7 @@ pub(crate) struct Scratch {
     dc: AlignedVec<f32>,     // [h, bsz] decoder cell
     enc: AlignedVec<f32>,    // [t_in, h, bsz] encoder states
     scores: AlignedVec<f32>, // [t_in, bsz] attention scores
-    denom: AlignedVec<f32>,  // [bsz] softmax denominators
+    denom: AlignedVec<f32>,  // [2, bsz] softmax maxima, then denominators
     cat: AlignedVec<f32>,    // [2h, bsz] context ++ query
     feed: AlignedVec<f32>,   // [h, bsz] autoregressive feed
     pub(crate) quant: QuantScratch,
@@ -557,7 +749,7 @@ impl Scratch {
         fit(&mut self.dc, bsz * h);
         fit(&mut self.enc, t_in * bsz * h);
         fit(&mut self.scores, bsz * t_in);
-        fit(&mut self.denom, bsz);
+        fit(&mut self.denom, 2 * bsz);
         fit(&mut self.cat, bsz * 2 * h);
         fit(&mut self.feed, bsz * h);
         self.hs.clear();
@@ -601,85 +793,54 @@ impl FastStack {
             + self.attn_b.len() * std::mem::size_of::<f32>()
     }
 
-    /// Batched Luong attention: for every lane `b`, scores `query[·, b]`
-    /// against the `t_in` encoder states of that lane (`enc` is
-    /// `[t_in, h, bsz]` interleaved), softmaxes, builds the context ++
-    /// query concatenation in `cat`, and writes the combined tanh output
-    /// into `out` (`[h, bsz]`). Per lane the operation order matches the
-    /// historical single-item path exactly.
-    #[allow(clippy::too_many_arguments)]
-    fn attend_batch(
-        &self,
-        lane: KernelLane,
-        bsz: usize,
-        t_in: usize,
-        query: &[f32],
-        enc: &[f32],
-        scores: &mut [f32],
-        denom: &mut [f32],
-        cat: &mut [f32],
-        out: &mut [f32],
-        qs: &mut QuantScratch,
-    ) {
-        let h = self.enc.hidden();
-        for t in 0..t_in {
-            let (sc, state) = (
-                &mut scores[t * bsz..(t + 1) * bsz],
-                &enc[t * h * bsz..(t + 1) * h * bsz],
-            );
-            sc.fill(0.0);
-            for j in 0..h {
-                mul_acc(
-                    lane,
-                    bsz,
-                    &query[j * bsz..(j + 1) * bsz],
-                    &state[j * bsz..(j + 1) * bsz],
-                    sc,
-                );
+    /// Batched Luong attention, fused: for every lane `b`, scores the
+    /// decoder state `s.dh[·, b]` against the `t_in` encoder states of that
+    /// lane (`s.enc`, `[t_in, h, bsz]` interleaved), softmaxes, builds the
+    /// context ++ query concatenation in `s.cat`, and writes the combined
+    /// tanh output into `out` (`[h, bsz]`). Every loop's innermost axis is
+    /// the unit-stride batch stripe. Per lane, a score accumulates over the
+    /// hidden units in order, the denominator and the context over the
+    /// encoder steps in order — the single-item order at every `bsz`.
+    #[inline(always)]
+    fn attend_on(&self, fma: bool, bsz: usize, s: &mut Scratch, out: &mut [f32]) {
+        let (query, enc, scores) = (&s.dh[..], &s.enc[..], &mut s.scores[..]);
+        let n = query.len();
+        // Hidden unit outermost: consecutive FMAs go to different scores
+        // and pipeline. At `bsz == 1` a stripe is one element of a plain
+        // `[t, h]` layout, so the loops skip the per-stripe blocking.
+        scores.fill(0.0);
+        for (j, q) in query.chunks_exact(bsz).enumerate() {
+            let rows = scores.chunks_exact_mut(bsz).zip(enc.chunks_exact(n));
+            if bsz == 1 {
+                for (sc, state) in rows {
+                    sc[0] = madd(fma, q[0], state[j], sc[0]);
+                }
+            } else {
+                for (sc, state) in rows {
+                    stripe_madd(fma, q, &state[j * bsz..][..bsz], sc);
+                }
             }
         }
-        // Softmax per lane (strided walks over the interleaved scores),
-        // then fold the denominator into the scores so the context loop
+        // The denominator is folded into the scores, so the context loop
         // reads ready-made attention weights.
-        for b in 0..bsz {
-            let mut mx = f32::NEG_INFINITY;
-            for t in 0..t_in {
-                mx = mx.max(scores[t * bsz + b]);
-            }
-            let mut dn = 0.0;
-            for t in 0..t_in {
-                let s = (scores[t * bsz + b] - mx).exp();
-                scores[t * bsz + b] = s;
-                dn += s;
-            }
-            denom[b] = dn;
-        }
-        for t in 0..t_in {
-            for b in 0..bsz {
-                scores[t * bsz + b] /= denom[b];
+        softmax_stripes(scores, &mut s.denom, bsz);
+        let (ctx, tail) = s.cat.split_at_mut(n);
+        ctx.fill(0.0);
+        for (w, state) in scores.chunks_exact(bsz).zip(enc.chunks_exact(n)) {
+            if bsz == 1 {
+                for (c, &st) in ctx.iter_mut().zip(state) {
+                    *c = madd(fma, w[0], st, *c);
+                }
+            } else {
+                for (cj, st) in ctx.chunks_exact_mut(bsz).zip(state.chunks_exact(bsz)) {
+                    stripe_madd(fma, w, st, cj);
+                }
             }
         }
-        cat[..h * bsz].fill(0.0);
-        for t in 0..t_in {
-            let (w, state) = (
-                &scores[t * bsz..(t + 1) * bsz],
-                &enc[t * h * bsz..(t + 1) * h * bsz],
-            );
-            for j in 0..h {
-                mul_acc(
-                    lane,
-                    bsz,
-                    w,
-                    &state[j * bsz..(j + 1) * bsz],
-                    &mut cat[j * bsz..(j + 1) * bsz],
-                );
-            }
-        }
-        cat[h * bsz..2 * h * bsz].copy_from_slice(&query[..h * bsz]);
-        fast_linear_batch(lane, &self.attn_w, &self.attn_b, bsz, cat, out, qs);
-        for o in out.iter_mut() {
-            *o = o.tanh();
-        }
+        tail.copy_from_slice(query);
+        let (w, b) = (&self.attn_w, &self.attn_b);
+        linear_on(fma, w, b, bsz, &s.cat, out, &mut s.quant);
+        out.iter_mut().for_each(|o| *o = tanh_approx(*o));
     }
 
     /// Runs the stack over `bsz` same-length sequences. `inputs` is
@@ -687,7 +848,9 @@ impl FastStack {
     /// `out` is interleaved time-major `[t_out, h, bsz]`. `out_len = None`
     /// runs aligned (one output per input); `Some(n)` runs autoregressive.
     /// All intermediate state lives in `s` — the forward allocates nothing
-    /// beyond growing `out`/`s` on first use.
+    /// beyond growing `out`/`s` on first use. The lane is resolved here,
+    /// once: every step, attention pass and epilogue runs inlined in that
+    /// lane's code context.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn forward_batch(
         &self,
@@ -699,82 +862,39 @@ impl FastStack {
         s: &mut Scratch,
         out: &mut AlignedVec<f32>,
     ) {
-        let h = self.enc.hidden();
-        let e = self.enc.e;
+        let (e, n) = (self.enc.e, self.enc.hidden() * bsz);
         debug_assert_eq!(inputs.len(), t_in * bsz * e);
-        s.prepare(bsz, t_in, h);
-        for t in 0..t_in {
-            self.enc.step_batch(
-                lane,
-                bsz,
-                &inputs[t * bsz * e..(t + 1) * bsz * e],
-                &mut s.hs,
-                &mut s.cs,
-                &mut s.gates,
-                &mut s.quant,
-            );
-            s.enc[t * bsz * h..(t + 1) * bsz * h].copy_from_slice(&s.hs);
-        }
-        s.dh.copy_from_slice(&s.hs);
-        s.dc.copy_from_slice(&s.cs);
-        let t_out = out_len.unwrap_or(t_in);
+        s.prepare(bsz, t_in, self.enc.hidden());
         out.clear();
-        out.resize(t_out * bsz * h, 0.0);
-        match out_len {
-            None => {
-                for t in 0..t_in {
-                    self.dec.step_batch(
-                        lane,
-                        bsz,
-                        &s.enc[t * bsz * h..(t + 1) * bsz * h],
-                        &mut s.dh,
-                        &mut s.dc,
-                        &mut s.gates,
-                        &mut s.quant,
-                    );
-                    self.attend_batch(
-                        lane,
-                        bsz,
-                        t_in,
-                        &s.dh,
-                        &s.enc,
-                        &mut s.scores,
-                        &mut s.denom,
-                        &mut s.cat,
-                        &mut out[t * bsz * h..(t + 1) * bsz * h],
-                        &mut s.quant,
-                    );
+        out.resize(out_len.unwrap_or(t_in) * n, 0.0);
+        on_lane(
+            lane,
+            #[inline(always)]
+            |fma| {
+                for (t, x) in inputs.chunks_exact(bsz * e).enumerate() {
+                    let (h, c) = (&mut s.hs[..], &mut s.cs[..]);
+                    self.enc
+                        .step_on(fma, bsz, x, h, c, &mut s.gates, &mut s.quant);
+                    s.enc[t * n..(t + 1) * n].copy_from_slice(&s.hs);
                 }
-            }
-            Some(n) => {
+                s.dh.copy_from_slice(&s.hs);
+                s.dc.copy_from_slice(&s.cs);
                 s.feed.copy_from_slice(&s.hs);
-                for t in 0..n {
-                    self.dec.step_batch(
-                        lane,
-                        bsz,
-                        &s.feed,
-                        &mut s.dh,
-                        &mut s.dc,
-                        &mut s.gates,
-                        &mut s.quant,
-                    );
-                    let slot = &mut out[t * bsz * h..(t + 1) * bsz * h];
-                    self.attend_batch(
-                        lane,
-                        bsz,
-                        t_in,
-                        &s.dh,
-                        &s.enc,
-                        &mut s.scores,
-                        &mut s.denom,
-                        &mut s.cat,
-                        slot,
-                        &mut s.quant,
-                    );
+                for (t, slot) in out.chunks_exact_mut(n).enumerate() {
+                    // Aligned decoding reads the encoder state of its own step;
+                    // autoregressive decoding its previous output.
+                    let x = match out_len {
+                        None => &s.enc[t * n..(t + 1) * n],
+                        Some(_) => &s.feed[..],
+                    };
+                    let (h, c) = (&mut s.dh[..], &mut s.dc[..]);
+                    self.dec
+                        .step_on(fma, bsz, x, h, c, &mut s.gates, &mut s.quant);
+                    self.attend_on(fma, bsz, s, slot);
                     s.feed.copy_from_slice(slot);
                 }
-            }
-        }
+            },
+        )
     }
 
     /// Runs the stack over a single sequence — the `bsz == 1` case of
@@ -938,6 +1058,157 @@ mod tests {
             p,
         );
         assert!(q_stack.size_bytes() * 3 < f32_stack.size_bytes());
+    }
+
+    /// Dense grid over `[lo, hi]` in steps of 2⁻¹⁰.
+    fn grid(lo: f32, hi: f32) -> impl Iterator<Item = f32> {
+        let steps = ((hi - lo) * 1024.0) as usize;
+        (0..=steps).map(move |i| lo + i as f32 / 1024.0)
+    }
+
+    #[test]
+    fn approx_tanh_and_sigmoid_stay_under_their_stated_error() {
+        let (mut worst_t, mut worst_s) = (0.0f64, 0.0f64);
+        for x in grid(-20.0, 20.0) {
+            let xd = x as f64;
+            worst_t = worst_t.max((tanh_approx(x) as f64 - xd.tanh()).abs());
+            worst_s = worst_s.max((sigmoid_approx(x) as f64 - 1.0 / (1.0 + (-xd).exp())).abs());
+        }
+        println!("max abs error: tanh {worst_t:.3e}, sigmoid {worst_s:.3e}");
+        assert!(worst_t < TANH_MAX_ABS_ERR, "tanh error {worst_t:e}");
+        assert!(worst_s < TANH_MAX_ABS_ERR, "sigmoid error {worst_s:e}");
+    }
+
+    #[test]
+    fn approx_exp_stays_under_its_stated_error() {
+        let mut worst = 0.0f64;
+        let floor = exp_approx(EXP_MIN_ARG);
+        assert!(floor > 0.0 && floor < 1.7e-38);
+        for x in grid(-90.0, 0.0) {
+            let got = exp_approx(x);
+            if x < EXP_MIN_ARG {
+                assert_eq!(got.to_bits(), floor.to_bits(), "exp({x}) below the clamp");
+            } else {
+                let exact = (x as f64).exp();
+                worst = worst.max((got as f64 - exact).abs() / exact);
+            }
+        }
+        println!("max relative error: exp {worst:.3e}");
+        assert!(worst < EXP_MAX_REL_ERR, "exp error {worst:e}");
+        assert_eq!(exp_approx(0.0), 1.0);
+    }
+
+    #[test]
+    fn approx_tanh_and_sigmoid_are_bounded_odd_and_monotone() {
+        // Non-decreasing from one grid point to the next wherever a step
+        // moves the exact function by more than f32 rounding does (tanh on
+        // |x| ≤ 4.5, sigmoid on |x| ≤ 9). In the flat tails the quotient's
+        // last bits jitter, by less than the stated error.
+        let (mut prev_t, mut prev_s) = (-1.0f32, 0.0f32);
+        for x in grid(-20.0, 20.0) {
+            let (t, s) = (tanh_approx(x), sigmoid_approx(x));
+            assert!((-1.0..=1.0).contains(&t), "tanh({x}) = {t}");
+            assert!((0.0..=1.0).contains(&s), "sigmoid({x}) = {s}");
+            assert_eq!(tanh_approx(-x).to_bits(), (-t).to_bits(), "tanh odd at {x}");
+            let slack = |steep: f32| {
+                if x.abs() <= steep {
+                    0.0
+                } else {
+                    TANH_MAX_ABS_ERR
+                }
+            };
+            assert!(
+                ((prev_t - t) as f64) <= slack(4.5),
+                "tanh steps back at {x}"
+            );
+            assert!(
+                ((prev_s - s) as f64) <= slack(9.0),
+                "sigmoid steps back at {x}"
+            );
+            (prev_t, prev_s) = (t, s);
+        }
+        assert_eq!(sigmoid_approx(0.0), 0.5);
+        // Constant beyond the clamp, infinities included.
+        for x in [8.0f32, 20.0, 1e30, f32::INFINITY] {
+            assert_eq!(tanh_approx(x).to_bits(), tanh_approx(7.95).to_bits());
+            assert_eq!(tanh_approx(-x).to_bits(), tanh_approx(-7.95).to_bits());
+            assert_eq!(
+                sigmoid_approx(2.0 * x).to_bits(),
+                sigmoid_approx(15.9).to_bits()
+            );
+            assert_eq!(
+                sigmoid_approx(-2.0 * x).to_bits(),
+                sigmoid_approx(-15.9).to_bits()
+            );
+        }
+    }
+
+    /// A NaN logit must not come out as a confident bit.
+    #[test]
+    fn approx_nan_in_is_nan_out_on_every_lane() {
+        assert!(tanh_approx(f32::NAN).is_nan());
+        assert!(sigmoid_approx(f32::NAN).is_nan());
+        assert!(exp_approx(f32::NAN).is_nan());
+        for lane in lanes() {
+            let mut v = [0.25, f32::NAN, -3.0, f32::NAN, 1.0, 2.0, 3.0, 4.0, f32::NAN];
+            map_batch(lane, &mut v, sigmoid_approx);
+            let nan_at: Vec<usize> = (0..v.len()).filter(|&i| v[i].is_nan()).collect();
+            assert_eq!(nan_at, [1, 3, 8], "lane {}", lane.name());
+            let mut v = [f32::NAN, 0.5];
+            map_batch(lane, &mut v, tanh_approx);
+            assert!(v[0].is_nan() && !v[1].is_nan());
+            // One NaN score poisons its own lane's softmax and no other.
+            let mut scores = [0.1, f32::NAN, 0.3, 0.2, 0.5, 0.4];
+            let mut work = [0.0; 4];
+            on_lane(
+                lane,
+                #[inline(always)]
+                |_| softmax_stripes(&mut scores, &mut work, 2),
+            );
+            assert!(scores[1].is_nan() && scores[3].is_nan() && scores[5].is_nan());
+            assert!((scores[0] + scores[2] + scores[4] - 1.0).abs() < 1e-6);
+        }
+    }
+
+    /// Everything that is not a matmul or an FMA dot — the gate sweep, the
+    /// softmax, the `tanh`/`sigmoid` passes — is the same f32 operation
+    /// sequence on both lanes, so the outputs are equal bit for bit.
+    #[test]
+    fn approx_epilogues_are_bit_equal_across_lanes() {
+        if !KernelLane::Avx2.available() {
+            return;
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let mut rng = StdRng::seed_from_u64(0xE91);
+        for bsz in 1usize..=17 {
+            let (h, t) = (7usize, 9usize);
+            let mut draw =
+                |n: usize, r: f32| -> Vec<f32> { (0..n).map(|_| rng.gen_range(-r..r)).collect() };
+            let (gates, h0, c0) = (
+                draw(4 * h * bsz, 12.0),
+                draw(h * bsz, 1.0),
+                draw(h * bsz, 3.0),
+            );
+            let (scores0, acts) = (draw(t * bsz, 30.0), draw(h * bsz, 20.0));
+            let mut per_lane = Vec::new();
+            for lane in [KernelLane::Scalar, KernelLane::Avx2] {
+                let (mut hh, mut cc, mut sc) = (h0.clone(), c0.clone(), scores0.clone());
+                let mut work = vec![0.0f32; 2 * bsz];
+                on_lane(
+                    lane,
+                    #[inline(always)]
+                    |_| {
+                        gate_sweep(&gates, &mut hh, &mut cc);
+                        softmax_stripes(&mut sc, &mut work, bsz);
+                    },
+                );
+                let (mut th, mut sg) = (acts.clone(), acts.clone());
+                map_batch(lane, &mut th, tanh_approx);
+                map_batch(lane, &mut sg, sigmoid_approx);
+                per_lane.push([bits(&hh), bits(&cc), bits(&sc), bits(&th), bits(&sg)]);
+            }
+            assert_eq!(per_lane[0], per_lane[1], "bsz {bsz}");
+        }
     }
 
     /// Random batched input, interleaved time-major `[t, e, bsz]`.
@@ -1167,6 +1438,42 @@ mod tests {
             prop_assert_eq!(outs[0].len(), outs[1].len());
             for (i, (s, v)) in outs[0].iter().zip(outs[1].iter()).enumerate() {
                 prop_assert!((s - v).abs() < 1e-5, "elem {}: scalar {} vs avx2 {}", i, s, v);
+            }
+        }
+        /// The register-blocked AVX2 matmul accumulates every output element
+        /// in input-feature order with FMA, for every batch size: equal bit
+        /// for bit to a naive `mul_add` loop, across 4-output remainders,
+        /// 8-lane remainders and masked-off lanes.
+        #[test]
+        fn matacc_order_matches_a_naive_fma_reference(
+            seed in 0u64..1_000,
+            bsz in 1usize..18,
+            in_dim in 1usize..41,
+            out_dim in 1usize..131,
+        ) {
+            if !KernelLane::Avx2.available() {
+                return;
+            }
+            let mut rng = StdRng::seed_from_u64(seed);
+            let w = Tensor::rand_uniform(&mut rng, &[in_dim, out_dim], -1.0, 1.0);
+            let b = Tensor::rand_uniform(&mut rng, &[out_dim], -1.0, 1.0);
+            let xs: Vec<f32> = (0..bsz * in_dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let mut naive = vec![0.0f32; bsz * out_dim];
+            for g in 0..out_dim {
+                for l in 0..bsz {
+                    let mut acc = b.data()[g];
+                    for i in 0..in_dim {
+                        acc = xs[i * bsz + l].mul_add(w.at(i, g), acc);
+                    }
+                    naive[g * bsz + l] = acc;
+                }
+            }
+            let wm = FastMat::compile(w, GuidancePrecision::F32);
+            let mut got = vec![0.0f32; bsz * out_dim];
+            let mut qs = recmg_tensor::quant::QuantScratch::default();
+            fast_linear_batch(KernelLane::Avx2, &wm, &b, bsz, &xs, &mut got, &mut qs);
+            for (i, (x, y)) in got.iter().zip(&naive).enumerate() {
+                prop_assert_eq!(x.to_bits(), y.to_bits(), "elem {}: {} vs {}", i, x, y);
             }
         }
     }

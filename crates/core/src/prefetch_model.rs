@@ -22,7 +22,10 @@ use recmg_trace::VectorKey;
 
 use crate::codec::IndexCodec;
 use crate::config::{GuidancePrecision, RecMgConfig};
-use crate::fast::{fast_linear_batch, FastLstm, FastMat, FastScratch, FastStack};
+use crate::fast::{
+    fast_linear_batch, map_batch, sigmoid_approx, tanh_approx, FastLstm, FastMat, FastScratch,
+    FastStack,
+};
 use crate::labeling::PrefetchExample;
 
 /// Loss used for prefetch training.
@@ -470,9 +473,7 @@ impl FastPrefetchModel {
                         qs,
                     );
                 }
-                for v in spare.iter_mut() {
-                    *v = v.tanh();
-                }
+                map_batch(lane, spare, tanh_approx);
                 for ti in 0..n {
                     fast_linear_batch(
                         lane,
@@ -484,9 +485,10 @@ impl FastPrefetchModel {
                         qs,
                     );
                 }
+                map_batch(lane, &mut cur[..n * bsz], sigmoid_approx);
                 for (b, &ci) in bucket.iter().enumerate() {
                     for oi in 0..n {
-                        out[ci][oi] = recmg_tensor::stable_sigmoid(cur[oi * bsz + b]);
+                        out[ci][oi] = cur[oi * bsz + b];
                     }
                 }
             },
@@ -672,6 +674,45 @@ mod tests {
         }
         let codec = ring_codec();
         assert_eq!(m.predict(&keys, &codec), fast.predict(&keys, &codec));
+    }
+
+    /// The approximated epilogue does not move decoded keys: on a trained
+    /// model the compiled forward decodes the tape's keys on every chunk
+    /// none of whose tape codes sits within 1e-5 (the fast-vs-tape bound)
+    /// of a decode boundary.
+    #[test]
+    fn trained_fast_model_decodes_the_tape_keys() {
+        use rand::Rng;
+        let cfg = RecMgConfig::tiny();
+        let codec = ring_codec();
+        let mut m = PrefetchModel::new(&cfg);
+        m.train(
+            &ring_examples(&cfg, 48),
+            &codec,
+            PrefetchLoss::Chamfer { alpha: 0.7 },
+            6,
+            4,
+        );
+        let fast = m.compile();
+        let mut rng = StdRng::seed_from_u64(0xDEC2);
+        let (mut compared, mut on_the_line) = (0usize, 0usize);
+        for _ in 0..500 {
+            let keys: Vec<VectorKey> = (0..cfg.input_len)
+                .map(|_| key(rng.gen_range(0..24)))
+                .collect();
+            let near_boundary = m
+                .predict_codes(&keys)
+                .iter()
+                .any(|&c| codec.decode(c - 1e-5) != codec.decode(c + 1e-5));
+            if near_boundary {
+                on_the_line += 1;
+            } else {
+                compared += 1;
+                assert_eq!(fast.predict(&keys, &codec), m.predict(&keys, &codec));
+            }
+        }
+        println!("{compared} chunks decode equal; {on_the_line} within 1e-5 of a boundary skipped");
+        assert!(compared >= 400);
     }
 
     #[test]

@@ -41,7 +41,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use recmg_dlrm::BatchAccessStats;
 use recmg_trace::VectorKey;
@@ -480,6 +480,28 @@ impl std::fmt::Debug for ServingSession {
     }
 }
 
+/// Returns at `due` or as soon after as the thread is running: sleeps
+/// while more than `SPIN_MARGIN` remains, then spins on the clock. A due
+/// instant already past (every `serve()` request: arrival offset 0)
+/// returns at once.
+fn pace_until(due: Instant) {
+    /// `thread::sleep` overshoots its argument by ≈ 80 µs at the median and
+    /// ≈ 140 µs at p99 (timer slack plus idle exit); the margin covers the
+    /// p99 so the sleep itself almost never runs past `due`.
+    const SPIN_MARGIN: Duration = Duration::from_micros(200);
+    loop {
+        let left = due.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return;
+        }
+        if left > SPIN_MARGIN {
+            std::thread::sleep(left - SPIN_MARGIN);
+        } else {
+            std::hint::spin_loop();
+        }
+    }
+}
+
 impl ServingSession {
     /// Offers one request; returns immediately. The request is admitted to
     /// the bounded queue or rejected per the [`AdmissionPolicy`].
@@ -535,9 +557,12 @@ impl ServingSession {
     }
 
     /// Pulls `source` dry, pacing submissions to each request's arrival
-    /// offset (sleeping until `start + arrival`). Returns the number of
-    /// requests pulled; admission outcomes land in the final
-    /// [`SessionReport`].
+    /// offset: it sleeps to shortly before `start + arrival` and spins on
+    /// the clock for the rest ([`pace_until`]), because latency is timed
+    /// from the due instant and a bare `thread::sleep` wakes ≈ 80 µs past
+    /// it — lateness of the generator that every request would carry as
+    /// queue wait. Returns the number of requests pulled; admission
+    /// outcomes land in the final [`SessionReport`].
     pub fn ingest(&self, source: &mut dyn RequestSource) -> usize {
         self.ingest_multi(&mut [source])
     }
@@ -566,10 +591,7 @@ impl ServingSession {
             let request = heads[i].take().expect("head checked nonempty");
             pulled += 1;
             let arrival_at = start + request.arrival;
-            let now = Instant::now();
-            if arrival_at > now {
-                std::thread::sleep(arrival_at - now);
-            }
+            pace_until(arrival_at);
             let _ = self.submit_at(request, arrival_at);
             heads[i] = sources[i].next_request();
         }
@@ -1108,6 +1130,100 @@ pub(crate) mod tests {
     #[should_panic(expected = "at least one serving worker")]
     fn zero_worker_builder_panics() {
         let _ = SessionBuilder::new().workers(0).build(system(1));
+    }
+
+    /// 300 one-key requests due 1 ms apart; records the instant of every
+    /// pull (`pulls[0]` hands out request 1).
+    struct FixedGapSource {
+        issued: u64,
+        pulls: Vec<Instant>,
+    }
+
+    impl RequestSource for FixedGapSource {
+        fn next_request(&mut self) -> Option<Request> {
+            self.pulls.push(Instant::now());
+            (self.issued < 300).then(|| {
+                self.issued += 1;
+                Request {
+                    id: self.issued,
+                    keys: vec![VectorKey::new(
+                        recmg_trace::TableId(0),
+                        recmg_trace::RowId(1),
+                    )],
+                    arrival: Duration::from_millis(self.issued),
+                    deadline: None,
+                    tenant: 0,
+                }
+            })
+        }
+    }
+
+    fn median(mut v: Vec<Duration>) -> Duration {
+        v.sort();
+        v[v.len() / 2]
+    }
+
+    #[test]
+    fn ingest_pacing_submits_on_time_not_a_sleep_overshoot_late() {
+        // What a bare `thread::sleep` pacer would add to every request,
+        // measured here and now rather than assumed.
+        let gap = Duration::from_millis(1);
+        let overshoot = median(
+            (0..300)
+                .map(|_| {
+                    let t = Instant::now();
+                    std::thread::sleep(gap);
+                    t.elapsed() - gap
+                })
+                .collect(),
+        );
+        let session = SessionBuilder::new()
+            .workers(1)
+            .guidance(GuidanceMode::Inline)
+            .admission(AdmissionPolicy::unbounded())
+            .build(system(1));
+        let mut source = FixedGapSource {
+            issued: 0,
+            pulls: Vec::new(),
+        };
+        let before = Instant::now();
+        assert_eq!(session.ingest(&mut source), 300);
+        let (_sys, report) = session.drain();
+        assert_eq!(report.completed, 300);
+        // `ingest` took its start instant after `before`, so request k was
+        // due no earlier than `before + k ms`; it pulls the next request
+        // right after submitting k, so `pulls[k]` bounds submit k from above.
+        let pulls = &source.pulls;
+        assert_eq!(pulls.len(), 301);
+        let late: Vec<Duration> = (1u32..=300)
+            .zip(&pulls[1..])
+            .map(|(k, &pull)| {
+                let due = before + gap * k;
+                // Submit k waited for its due instant and pull k came
+                // after it: a pacer that wakes early shows here.
+                assert!(pull >= due, "request {k} left before it was due");
+                pull - due
+            })
+            .collect();
+        let late = median(late);
+        println!("median lateness: paced {late:?}, bare sleep {overshoot:?}");
+        assert!(
+            late < overshoot,
+            "paced submissions run {late:?} late; a bare sleep overshoots by {overshoot:?}"
+        );
+    }
+
+    #[test]
+    fn ingest_pacing_never_returns_early() {
+        for us in [0u64, 30, 150, 400, 1500] {
+            let due = Instant::now() + Duration::from_micros(us);
+            pace_until(due);
+            assert!(Instant::now() >= due);
+        }
+        // A due instant in the past returns at once.
+        let t = Instant::now();
+        pace_until(t - Duration::from_millis(5));
+        assert!(t.elapsed() < Duration::from_millis(5));
     }
 
     #[test]
