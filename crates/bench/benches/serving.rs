@@ -725,7 +725,6 @@ fn online_rebalance(models: &Models, smoke: bool) -> Section {
         unit: 64,
         hot_share: 0.10,
         read_dominance: 0.5,
-        ..ReplicationPolicy::default()
     });
     let flip_stream = [phase_a.clone(), phase_b.clone()].concat();
     let live = || {

@@ -19,8 +19,20 @@ use recmg_trace::VectorKey;
 use crate::backend::{BackendAdvice, BackendSpec, TierBackend, ROW_BYTES};
 use crate::config::{SketchConfig, TierCost};
 use crate::sketch::{WorkingSetStats, WorkingSetTracker};
+use crate::tier::MemoryTier;
 
 pub(crate) use crate::backend::FillHandle;
+
+/// The residents a shard move keeps ([`RecMgBuffer::commit_move`]).
+#[derive(Debug)]
+pub(crate) enum Kept {
+    /// The buffer's own residents, re-sized in place to this capacity (a
+    /// quiescent move).
+    Own(usize),
+    /// A warmed staging buffer and how many entries were copied into it
+    /// (a live migration's double-buffer commit).
+    Staged(GpuBuffer, u64),
+}
 
 /// Cumulative tier-traffic accounting of one [`RecMgBuffer`]: how many
 /// buffer events the backing memory tier served and what they cost under
@@ -270,29 +282,6 @@ impl RecMgBuffer {
         self.tracker.epoch_len()
     }
 
-    /// Swaps the tier cost model (a rebalance moved this buffer to another
-    /// tier). Traffic counters are cumulative and keep running.
-    pub fn set_cost(&mut self, cost: TierCost) {
-        self.cost = cost;
-    }
-
-    /// Charges the one-time cost of migrating the resident working set
-    /// into a new tier (`len × fill_ns` under the *destination* tier's
-    /// model) — called by the rebalancer when a shard changes tiers. The
-    /// charge lands in the *cumulative* counters: per-run report deltas
-    /// (which snapshot at session build, after any rebalance) deliberately
-    /// exclude it, so serving cost and placement-churn cost stay
-    /// separable. Callers that want churn in their metric snapshot
-    /// *per-shard* traffic
-    /// ([`ShardedRecMgSystem::shard_traffic`](crate::ShardedRecMgSystem::shard_traffic))
-    /// around the rebalance, as the serving bench's `migration_cost_ns`
-    /// field does — per-*tier* snapshots would be wrong across a
-    /// rebalance, because a moved shard's whole traffic history follows
-    /// it to its new tier.
-    pub fn charge_migration(&mut self, into: TierCost) {
-        self.traffic.cost_ns += self.buffer.len() as u64 * into.fill_ns;
-    }
-
     /// Re-sizes the buffer in place (shrinking evicts minimum-priority
     /// entries first), keeping traffic counters.
     ///
@@ -306,13 +295,38 @@ impl RecMgBuffer {
         self.rebuild_rows(self.backend);
     }
 
-    /// Moves the row bytes onto a different storage backend at the
-    /// current capacity (a rebalance changed this shard's home tier).
-    /// Rows are re-synthesized on the destination.
-    pub(crate) fn rebind_backend(&mut self, backend: BackendSpec) {
-        if backend != self.backend {
-            self.rebuild_rows(backend);
-        }
+    /// The one shard-move commit, for the quiescent rebalance and a live
+    /// migration alike: keeps `kept`'s residents, rebuilds their rows once
+    /// on the destination tier's backend, re-prices at its cost model and
+    /// charges every copied entry its `fill_ns`. Returns the charge.
+    ///
+    /// Traffic counters, the working-set tracker and the eviction speed
+    /// stay: only where the vectors live changes. The charge lands in the
+    /// *cumulative* counters, which a moved shard's whole history follows
+    /// to its new tier — so callers that want churn in a metric snapshot
+    /// *per-shard* traffic
+    /// ([`ShardedRecMgSystem::shard_traffic`](crate::ShardedRecMgSystem::shard_traffic))
+    /// around the move, as the serving bench does, not per-tier traffic.
+    pub(crate) fn commit_move(&mut self, to: &MemoryTier, kept: Kept) -> u64 {
+        let copied = match kept {
+            Kept::Own(capacity) => {
+                self.buffer.set_capacity(capacity);
+                self.buffer.len() as u64
+            }
+            Kept::Staged(mut staged, copied) => {
+                // Pins follow the shard, not the storage.
+                staged.set_pinned_tables(self.buffer.pinned_tables());
+                self.buffer = staged;
+                copied
+            }
+        };
+        let charge = copied * to.cost.fill_ns;
+        self.cost = to.cost;
+        self.traffic.cost_ns += charge;
+        // The old store (and its temp file, for file-backed tiers) is
+        // dropped here.
+        self.rebuild_rows(to.backend);
+        charge
     }
 
     /// Declares which tables' vectors are exempt from victim selection in
@@ -322,12 +336,11 @@ impl RecMgBuffer {
         self.buffer.set_pinned_tables(tables);
     }
 
-    /// Adds an auxiliary charge to the cumulative cost counter: live
-    /// migration staging fills and replica fills are real tier traffic
-    /// that did not pass through [`RecMgBuffer::access`] /
+    /// Adds a replica fill to the cumulative cost counter: real tier
+    /// traffic that did not pass through [`RecMgBuffer::access`] /
     /// [`RecMgBuffer::load_embeddings`]. Hit/miss/fill *counts* never move
     /// here — only cost — so demand conservation is unaffected.
-    pub fn charge_cost_ns(&mut self, ns: u64) {
+    pub(crate) fn charge_cost_ns(&mut self, ns: u64) {
         self.traffic.cost_ns += ns;
     }
 
@@ -337,37 +350,10 @@ impl RecMgBuffer {
     /// [`RecMgBuffer::access`]). Returns the nanoseconds saved (0 when the
     /// replica tier is not cheaper). Counts stay canonical on the home
     /// shard: replication only modulates *cost*, never hits/misses.
-    pub fn refund_hit(&mut self, served_hit_ns: u64) -> u64 {
+    pub(crate) fn refund_hit(&mut self, served_hit_ns: u64) -> u64 {
         let saved = self.cost.hit_ns.saturating_sub(served_hit_ns);
         self.traffic.cost_ns = self.traffic.cost_ns.saturating_sub(saved);
         saved
-    }
-
-    /// Swaps in a fully warmed replacement storage (live migration's
-    /// double-buffer commit) and re-prices the buffer at the destination
-    /// tier's cost model, returning the retired storage. Traffic counters,
-    /// the working-set tracker, and the eviction speed all stay — the
-    /// shard's identity and demand history are continuous across the
-    /// migration; only where its vectors live changes.
-    pub(crate) fn replace_storage(
-        &mut self,
-        mut buffer: GpuBuffer,
-        cost: TierCost,
-        backend: BackendSpec,
-    ) -> GpuBuffer {
-        // Pins follow the shard, not the storage: a freshly staged buffer
-        // inherits the pin set so a live migration cannot silently strip
-        // a pinned table's residency guarantee.
-        buffer.set_pinned_tables(self.buffer.pinned_tables());
-        self.cost = cost;
-        let retired = std::mem::replace(&mut self.buffer, buffer);
-        // Row bytes for the staged residents materialize on the
-        // destination backend; the old store (and its temp file, for
-        // file-backed tiers) is dropped before the retired metadata is
-        // returned — Drop order the migration stress test pins via
-        // `live_backend_files`.
-        self.rebuild_rows(backend);
-        retired
     }
 
     /// Demand access on the critical path: classifies the access and, on a
@@ -751,26 +737,26 @@ mod tests {
     }
 
     #[test]
-    fn replace_storage_keeps_history_and_reprices() {
-        let slow = TierCost::cxl_like();
-        let fast = TierCost::dram();
-        let mut b = priced(4, slow);
+    fn staged_move_keeps_history_and_reprices() {
+        let mut b = priced(4, TierCost::cxl_like());
         for r in 1..=3 {
             b.access(key(r));
         }
-        let counts_before = (b.traffic().hits, b.traffic().misses);
+        let before = b.traffic();
         let footprint = b.working_set().unique_keys;
         let mut staged = GpuBuffer::new(8);
         staged.insert(key(1), 4, false);
-        let old = b.replace_storage(staged, fast, BackendSpec::Dram);
-        assert_eq!(old.len(), 3, "retired storage returned intact");
+        let fast = MemoryTier::dram(8);
+        let charge = b.commit_move(&fast, Kept::Staged(staged, 1));
+        assert_eq!(charge, fast.cost.fill_ns, "one copied entry");
         assert_eq!(b.capacity(), 8);
-        assert_eq!(b.cost(), fast);
+        assert_eq!(b.cost(), fast.cost);
         // The staged resident's row materialized on the new backend.
         assert!(b.read_row(key(1)).is_some());
         assert!(b.read_row(key(2)).is_none());
         let t = b.traffic();
-        assert_eq!((t.hits, t.misses), counts_before, "counters continuous");
+        assert_eq!((t.hits, t.misses), (before.hits, before.misses));
+        assert_eq!(t.cost_ns, before.cost_ns + charge);
         assert_eq!(b.working_set().unique_keys, footprint, "sketch continuous");
         assert_eq!(b.access(key(1)), BufferAccess::CacheHit);
     }
@@ -782,14 +768,14 @@ mod tests {
             b.access(key(r));
         }
         assert_eq!(b.len(), 4);
-        b.resize(2);
-        assert_eq!(b.capacity(), 2);
-        assert_eq!(b.len(), 2);
-        let slow = TierCost::cxl_like();
-        b.charge_migration(slow);
-        b.set_cost(slow);
-        assert_eq!(b.traffic().cost_ns, 2 * slow.fill_ns);
-        assert_eq!(b.cost(), slow);
+        b.resize(3);
+        assert_eq!((b.capacity(), b.len()), (3, 3));
+        // An in-place move re-sizes first and charges the survivors.
+        let slow = MemoryTier::cxl(2);
+        assert_eq!(b.commit_move(&slow, Kept::Own(2)), 2 * slow.cost.fill_ns);
+        assert_eq!((b.capacity(), b.len()), (2, 2));
+        assert_eq!(b.traffic().cost_ns, 2 * slow.cost.fill_ns);
+        assert_eq!(b.cost(), slow.cost);
     }
 
     #[test]
@@ -820,9 +806,10 @@ mod tests {
         for r in 1..=4 {
             assert_eq!(b.read_row(key(r)).is_some(), b.buffer().contains(key(r)));
         }
-        // Rebinding to a file backend preserves the exact bytes.
+        // Moving to a file backend preserves the exact bytes.
         let survivors: Vec<_> = b.buffer().keys().collect();
-        b.rebind_backend(crate::backend::BackendSpec::File);
+        let file = MemoryTier::new("file", 2, TierCost::FREE).with_backend(BackendSpec::File);
+        b.commit_move(&file, Kept::Own(2));
         assert_eq!(b.backend_spec(), crate::backend::BackendSpec::File);
         for k in survivors {
             let mut expect = [0u8; ROW_BYTES];
@@ -836,7 +823,7 @@ mod tests {
 
         // The row side of the one-table design: whatever the metadata
         // does to slots — reuse on eviction, renumbering on a shrink,
-        // a fresh store on resize or rebind — a resident key's row is
+        // a fresh store on resize or move — a resident key's row is
         // its own bytes, inside the backend, at a slot nobody shares.
         #[test]
         fn rows_follow_slots(
@@ -866,11 +853,16 @@ mod tests {
                             b.promote_fill(key(r), 5);
                         }
                         7 => b.resize(other as usize % 12 + 1),
-                        _ => b.rebind_backend(match bits % 3 {
-                            0 => BackendSpec::Dram,
-                            1 => BackendSpec::MappedFile,
-                            _ => BackendSpec::File,
-                        }),
+                        _ => {
+                            let to = MemoryTier::new("to", 1, TierCost::FREE).with_backend(
+                                match bits % 3 {
+                                    0 => BackendSpec::Dram,
+                                    1 => BackendSpec::MappedFile,
+                                    _ => BackendSpec::File,
+                                },
+                            );
+                            b.commit_move(&to, Kept::Own(other as usize % 12 + 1));
+                        }
                     }
                     let mut slots: Vec<usize> = b.buffer().slots().map(|(s, _)| s).collect();
                     slots.sort_unstable();

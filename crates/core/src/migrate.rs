@@ -4,25 +4,31 @@
 //! within ~1 sketch epoch and then has to wait for a session drain before
 //! it may act — in production the system never drains. This module lets a
 //! [`ServingSession`](crate::ServingSession) re-place shards **while
-//! requests flow**:
+//! requests flow**, through the quiescent path's own pipeline: the same
+//! planner (placement policy, routing install, per-shard pin sets) and the
+//! same shard-move commit (rows rebuilt once on the destination tier,
+//! re-priced, every copied entry charged its `fill_ns`). Only where the
+//! kept residents come from differs — a warmed staging buffer instead of
+//! the buffer's own, re-sized in place:
 //!
-//! * **Epoch-versioned routing** ([`RouteTable`] / [`RouteEpoch`]): the
-//!   per-shard route (serve directly, mirror into a staging buffer, or
-//!   replica-accelerated) lives behind an arc-swap-style atomic pointer.
-//!   Workers [`pin`](RouteTable::pin) the current epoch wait-free on every
-//!   request; a single writer publishes a new epoch with one pointer
-//!   store and retires the old one only after every pinned reader has
-//!   drained past the epoch fence.
+//! * **Epoch-versioned routing** ([`RouteTable`] / [`RouteEpoch`]): every
+//!   shard is routed [`ShardRoute::Direct`] or [`ShardRoute::Migrating`]
+//!   (also mirror into a staging buffer), behind an arc-swap-style atomic
+//!   pointer. Workers [`pin`](RouteTable::pin) the current epoch once per
+//!   request without locks; a single writer publishes a new epoch with one
+//!   pointer store and retires the old one only after every pinned reader
+//!   has drained past the epoch fence. Replica installs and removals tick
+//!   the epoch too: it is the clock replica TTLs are measured against.
 //! * **Double-buffered placement** ([`LiveState`] + the background
 //!   rebalancer loop): on a phase-trigger or access-count fire, the
 //!   affected shard's new buffer is built at its new capacity/tier while
-//!   the old one keeps serving. It warms by *copy-on-access* (workers
-//!   mirror the keys they demand) plus a *paced background fill* of the
-//!   hottest resident entries; once warm the route is CASed back to
-//!   direct, in-flight requests drain past the fence, and the old buffer
-//!   is swapped out under the shard lock and retired. Fill charges land
-//!   in the shard's cumulative cost through the existing
-//!   `migration_cost_ns` accounting ([`MigrationReport`]).
+//!   the old one keeps serving. Staging starts with the shard's pin set
+//!   and warms by *copy-on-access* (workers mirror the demanded keys the
+//!   primary holds) plus a *paced background fill* of the primary's
+//!   residents, pinned tables first, hottest first; once warm the route
+//!   goes back to direct, in-flight requests drain past the fence, and the
+//!   staged storage is committed under the shard lock
+//!   ([`MigrationReport`]).
 //! * **Read-hot replication** ([`ReplicationPolicy`] / `ReplicaState`):
 //!   the working-set sketch decides
 //!   replication degree — shards that are hot *and* read-dominant get a
@@ -33,7 +39,7 @@
 //!   Replica entries are stamped with
 //!   the route epoch and invalidate through the same fence: a primary
 //!   miss (the "write") evicts the entry immediately, and entries older
-//!   than the policy's TTL in epochs decay to absent. Counts stay
+//!   than `TTL_EPOCHS` route epochs decay to absent. Counts stay
 //!   canonical on the home shard; replication only re-prices hits
 //!   ([`ReplicationReport`]).
 //!
@@ -53,11 +59,21 @@ use std::time::Duration;
 use recmg_cache::GpuBuffer;
 use recmg_trace::VectorKey;
 
-use crate::buffer_mgmt::{RecMgBuffer, TierTraffic};
-use crate::config::TierCost;
+use crate::buffer_mgmt::{Kept, TierTraffic};
 use crate::json::JsonWriter;
 use crate::sharding::{GuidanceCtx, Shard};
+use crate::table_profile::TableProfiler;
 use crate::tier::{RebalanceTrigger, ShardPlacement, TierTopology};
+
+/// Trigger-poll interval of the live rebalancer's background thread.
+const CHECK_EVERY: Duration = Duration::from_micros(500);
+/// Entries copied per background-fill step (under brief shard locks).
+const FILL_BATCH: usize = 64;
+/// Maximum replication degree per shard.
+const MAX_DEGREE: usize = 4;
+/// Replica entries older than this many route epochs decay to absent
+/// (lease-style freshness through the epoch fence).
+const TTL_EPOCHS: u64 = 8;
 
 /// Per-shard serving route within one [`RouteEpoch`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,10 +83,6 @@ pub enum ShardRoute {
     /// Primary stays authoritative; workers additionally mirror demanded
     /// keys into the shard's staging buffer (copy-on-access warming).
     Migrating,
-    /// Primary is authoritative and a fast-tier replica re-prices hits of
-    /// replica-resident keys (informational in the route — the replica
-    /// itself lives under the shard mutex).
-    Replicated,
 }
 
 /// One immutable routing snapshot: the route of every shard, versioned by
@@ -94,14 +106,6 @@ impl RouteEpoch {
             .get(shard)
             .copied()
             .unwrap_or(ShardRoute::Direct)
-    }
-
-    /// Shards currently marked [`ShardRoute::Replicated`].
-    pub fn replicated(&self) -> usize {
-        self.routes
-            .iter()
-            .filter(|&&r| r == ShardRoute::Replicated)
-            .count()
     }
 }
 
@@ -300,27 +304,20 @@ unsafe impl Sync for RouteTable {}
 pub struct ReplicationPolicy {
     /// Replica slots granted per degree.
     pub unit: usize,
-    /// Maximum replication degree per shard.
-    pub max_degree: usize,
     /// Minimum share of fresh demand (0..1] for a shard to qualify.
     pub hot_share: f64,
     /// Minimum hit fraction of fresh demand — replicas accelerate reads;
     /// a miss-heavy (write-like) stream invalidates faster than it
     /// serves.
     pub read_dominance: f64,
-    /// Replica entries older than this many route epochs decay to absent
-    /// (lease-style freshness through the epoch fence).
-    pub ttl_epochs: u64,
 }
 
 impl Default for ReplicationPolicy {
     fn default() -> Self {
         ReplicationPolicy {
             unit: 32,
-            max_degree: 4,
             hot_share: 0.25,
             read_dominance: 0.7,
-            ttl_epochs: 8,
         }
     }
 }
@@ -328,12 +325,13 @@ impl Default for ReplicationPolicy {
 impl ReplicationPolicy {
     /// Replication degree for a shard with the given share of fresh
     /// demand and hit fraction: 0 unless both thresholds qualify, then
-    /// `ceil(share × max_degree)` clamped to `[1, max_degree]`.
+    /// `ceil(share × max)` clamped to `[1, max]`, for a maximum degree of
+    /// 4.
     pub fn degree_for(&self, share: f64, hit_fraction: f64) -> usize {
         if share < self.hot_share || hit_fraction < self.read_dominance {
             return 0;
         }
-        ((share * self.max_degree as f64).ceil() as usize).clamp(1, self.max_degree)
+        ((share * MAX_DEGREE as f64).ceil() as usize).clamp(1, MAX_DEGREE)
     }
 
     /// Replica capacity for a shard: `degree × unit`, capped by the
@@ -348,8 +346,6 @@ impl ReplicationPolicy {
 /// Configuration of the session-embedded live rebalancer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LiveRebalanceConfig {
-    /// Trigger-poll interval of the background thread.
-    pub check_every: Duration,
     /// Access-count trigger: fire when this many fresh demand accesses
     /// accumulated since the last fire (0 disables the count trigger).
     pub min_new_accesses: u64,
@@ -360,8 +356,6 @@ pub struct LiveRebalanceConfig {
     /// Minimum fresh accesses between any two fires — the cooldown that
     /// keeps a noisy phase score from thrashing placements.
     pub cooldown: u64,
-    /// Entries copied per background-fill step (under brief shard locks).
-    pub fill_batch: usize,
     /// Pause between background-fill steps — the pacing that keeps
     /// warming from starving serving.
     pub fill_pause: Duration,
@@ -375,11 +369,9 @@ pub struct LiveRebalanceConfig {
 impl Default for LiveRebalanceConfig {
     fn default() -> Self {
         LiveRebalanceConfig {
-            check_every: Duration::from_micros(500),
             min_new_accesses: 0,
             phase_threshold: Some(0.5),
             cooldown: 256,
-            fill_batch: 64,
             fill_pause: Duration::from_micros(50),
             warm_fraction: 0.9,
             replication: None,
@@ -492,31 +484,38 @@ impl ReplicationReport {
             w.key("replica_cost_ns").raw(self.replica_cost_ns);
         });
     }
+
+    /// Adds `other`'s counters into `self` (a replica retiring into the
+    /// session totals).
+    pub(crate) fn accumulate(&mut self, other: &ReplicationReport) {
+        self.replicated_shards += other.replicated_shards;
+        self.replica_hits += other.replica_hits;
+        self.replica_fills += other.replica_fills;
+        self.invalidations += other.invalidations;
+        self.saved_cost_ns += other.saved_cost_ns;
+        self.replica_cost_ns += other.replica_cost_ns;
+    }
 }
 
-/// The double-buffered destination of one in-flight shard migration:
-/// a fresh buffer at the new capacity, priced at the destination tier.
+/// The double-buffered destination of one in-flight shard migration: a
+/// fresh buffer at the new capacity, carrying the shard's pin set.
 #[derive(Debug)]
 pub(crate) struct StagingBuffer {
     pub(crate) buffer: GpuBuffer,
     pub(crate) tier: usize,
-    pub(crate) cost: TierCost,
-    pub(crate) backend: crate::backend::BackendSpec,
     pub(crate) copy_fills: u64,
     pub(crate) background_fills: u64,
 }
 
 impl StagingBuffer {
-    fn new(
-        placement: &ShardPlacement,
-        cost: TierCost,
-        backend: crate::backend::BackendSpec,
-    ) -> Self {
+    fn new(placement: &ShardPlacement, pinned_tables: &[u32]) -> Self {
+        let mut buffer = GpuBuffer::new(placement.capacity.max(1));
+        // Pins hold from the first copy: neither admission below nor a
+        // concurrent mirror may evict a staged pinned row.
+        buffer.set_pinned_tables(pinned_tables);
         StagingBuffer {
-            buffer: GpuBuffer::new(placement.capacity.max(1)),
+            buffer,
             tier: placement.tier,
-            cost,
-            backend,
             copy_fills: 0,
             background_fills: 0,
         }
@@ -539,12 +538,24 @@ impl StagingBuffer {
     }
 
     /// One paced background-fill step: copies up to `batch` of the
-    /// primary's hottest entries (priority and prefetch flag preserved,
-    /// so first-touch classification survives the swap). Returns how many
+    /// primary's residents, pinned tables first and hottest first within
+    /// each class (priority and prefetch flag preserved, so first-touch
+    /// classification survives the swap). A smaller destination thus keeps
+    /// the pinned footprint, as an in-place shrink does. Returns how many
     /// were copied — 0 means there is nothing left worth copying.
     fn fill_step(&mut self, primary: &GpuBuffer, batch: usize) -> usize {
+        let pinned = |key: VectorKey| {
+            primary
+                .pinned_tables()
+                .binary_search(&key.table().0)
+                .is_ok()
+        };
+        let order = primary
+            .iter_hot_first()
+            .filter(|e| pinned(e.0))
+            .chain(primary.iter_hot_first().filter(|e| !pinned(e.0)));
         let mut filled = 0;
-        for (key, priority, prefetched) in primary.iter_hot_first() {
+        for (key, priority, prefetched) in order {
             if filled >= batch || self.buffer.is_full() {
                 break;
             }
@@ -564,24 +575,9 @@ impl StagingBuffer {
     }
 }
 
-/// Running totals the live subsystem accumulates across migrations and
-/// retired replicas.
-#[derive(Debug, Default)]
-pub(crate) struct LiveCounters {
-    pub(crate) migrations: AtomicU64,
-    pub(crate) resizes: AtomicU64,
-    pub(crate) copy_fills: AtomicU64,
-    pub(crate) background_fills: AtomicU64,
-    pub(crate) migration_cost_ns: AtomicU64,
-    pub(crate) replica_hits: AtomicU64,
-    pub(crate) replica_fills: AtomicU64,
-    pub(crate) invalidations: AtomicU64,
-    pub(crate) saved_cost_ns: AtomicU64,
-    pub(crate) replica_cost_ns: AtomicU64,
-}
-
 /// Shared state of a live-migration-enabled session: the route table,
-/// one staging slot per shard, counters, and the rebalancer's stop flag.
+/// one staging slot per shard, the session totals, and the rebalancer's
+/// stop flag.
 #[derive(Debug)]
 pub(crate) struct LiveState {
     pub(crate) cfg: LiveRebalanceConfig,
@@ -591,7 +587,11 @@ pub(crate) struct LiveState {
     /// plus manual [`ServingSession::migrate_shard`]
     /// (crate::ServingSession::migrate_shard) calls).
     migrating: Mutex<()>,
-    pub(crate) counters: LiveCounters,
+    /// Session totals. They change only when a migration commits or is
+    /// abandoned, a shard re-sizes in place, or a replica retires; the
+    /// session fills in `route_epoch` and the still-installed replicas at
+    /// drain. Taken after any shard lock, never before one.
+    pub(crate) totals: Mutex<(MigrationReport, ReplicationReport)>,
     pub(crate) stop: AtomicBool,
 }
 
@@ -602,15 +602,19 @@ impl LiveState {
             routes: RouteTable::new(num_shards),
             staging: (0..num_shards).map(|_| Mutex::new(None)).collect(),
             migrating: Mutex::new(()),
-            counters: LiveCounters::default(),
+            totals: Mutex::default(),
             stop: AtomicBool::new(false),
         }
+    }
+
+    fn totals(&self) -> std::sync::MutexGuard<'_, (MigrationReport, ReplicationReport)> {
+        self.totals.lock().expect("live totals lock poisoned")
     }
 
     /// Copy-on-access mirroring, called by workers for shards routed
     /// [`ShardRoute::Migrating`] — under the shard mutex, after the part
     /// was served against the (authoritative) primary.
-    pub(crate) fn mirror(&self, shard: &mut Shard, keys: &[VectorKey]) {
+    pub(crate) fn mirror(&self, shard: &Shard, keys: &[VectorKey]) {
         let mut slot = self.staging[shard.id]
             .lock()
             .expect("staging lock poisoned");
@@ -621,86 +625,25 @@ impl LiveState {
             return;
         };
         for &key in keys {
-            // Served keys are resident in the primary (a miss inserts);
-            // copy at the primary's current priority so the staged copy
-            // preserves relative eviction order.
-            let priority = shard
-                .buffer
-                .buffer()
-                .priority(key)
-                .unwrap_or(shard.buffer.eviction_speed());
-            if staging.admit(key, priority, false) {
-                staging.copy_fills += 1;
+            // Only rows the primary holds, at its current priority so the
+            // staged copy preserves relative eviction order. A served key
+            // is absent when its miss only queued an async fill (or a
+            // later miss evicted it); staging it would make it resident at
+            // commit without the fill ever being charged.
+            if let Some(priority) = shard.buffer.buffer().priority(key) {
+                if staging.admit(key, priority, false) {
+                    staging.copy_fills += 1;
+                }
             }
         }
     }
-
-    /// Snapshot of the migration counters as a report.
-    pub(crate) fn migration_report(&self) -> MigrationReport {
-        MigrationReport {
-            migrations: self.counters.migrations.load(Ordering::Acquire),
-            resizes: self.counters.resizes.load(Ordering::Acquire),
-            copy_fills: self.counters.copy_fills.load(Ordering::Acquire),
-            background_fills: self.counters.background_fills.load(Ordering::Acquire),
-            migration_cost_ns: self.counters.migration_cost_ns.load(Ordering::Acquire),
-            route_epoch: self.routes.current_epoch(),
-        }
-    }
-
-    /// Snapshot of the replication counters (retired replicas only — the
-    /// session folds still-installed replicas in at drain).
-    pub(crate) fn replication_report(&self) -> ReplicationReport {
-        ReplicationReport {
-            replicated_shards: 0,
-            replica_hits: self.counters.replica_hits.load(Ordering::Acquire),
-            replica_fills: self.counters.replica_fills.load(Ordering::Acquire),
-            invalidations: self.counters.invalidations.load(Ordering::Acquire),
-            saved_cost_ns: self.counters.saved_cost_ns.load(Ordering::Acquire),
-            replica_cost_ns: self.counters.replica_cost_ns.load(Ordering::Acquire),
-        }
-    }
-
-    /// Folds a retired (or drained) replica's counters into the totals.
-    pub(crate) fn fold_replica(&self, replica: &ReplicaState) {
-        let c = &self.counters;
-        c.replica_hits.fetch_add(replica.hits, Ordering::AcqRel);
-        c.replica_fills.fetch_add(replica.fills, Ordering::AcqRel);
-        c.invalidations
-            .fetch_add(replica.invalidations, Ordering::AcqRel);
-        c.saved_cost_ns
-            .fetch_add(replica.saved_cost_ns, Ordering::AcqRel);
-        c.replica_cost_ns
-            .fetch_add(replica.fill_cost_ns, Ordering::AcqRel);
-    }
-}
-
-/// Publishes shard `sid`'s settled (post-migration) route:
-/// [`ShardRoute::Replicated`] when a replication pass installed a replica
-/// while the shard was routed [`ShardRoute::Migrating`] (`set_replica`
-/// deliberately preserves the `Migrating` mark, so nothing else would
-/// restore `Replicated`), [`ShardRoute::Direct`] otherwise. The replica
-/// check cannot live inside the publish closure: holding the shard mutex
-/// across the epoch fence would deadlock against a pinned reader waiting
-/// on that same mutex.
-fn publish_settled_route(live: &LiveState, shards: &[Mutex<Shard>], sid: usize) {
-    let mark = if shards[sid]
-        .lock()
-        .expect("shard mutex poisoned")
-        .replica
-        .is_some()
-    {
-        ShardRoute::Replicated
-    } else {
-        ShardRoute::Direct
-    };
-    live.routes.publish_with(|routes| routes[sid] = mark);
 }
 
 /// Runs one full double-buffered migration of shard `sid` to `placement`:
 /// install staging, publish [`ShardRoute::Migrating`], paced warm-up,
 /// publish [`ShardRoute::Direct`] (the route CAS + epoch fence), then
-/// swap storage under the shard lock and retire the old buffer. Returns
-/// `false` if the migration was abandoned by a session stop.
+/// commit the staged storage under the shard lock. Returns `false` if the
+/// migration was abandoned by a session stop.
 pub(crate) fn migrate_shard(
     live: &LiveState,
     shards: &[Mutex<Shard>],
@@ -709,139 +652,111 @@ pub(crate) fn migrate_shard(
     placement: &ShardPlacement,
 ) -> bool {
     let _serial = live.migrating.lock().expect("migration lock poisoned");
-    let dest = topology.tier(placement.tier);
-    let (cost, backend) = (dest.cost, dest.backend);
     {
-        let mut slot = live.staging[sid].lock().expect("staging lock poisoned");
-        *slot = Some(StagingBuffer::new(placement, cost, backend));
+        let shard = shards[sid].lock().expect("shard mutex poisoned");
+        let pinned = shard.buffer.buffer().pinned_tables();
+        *live.staging[sid].lock().expect("staging lock poisoned") =
+            Some(StagingBuffer::new(placement, pinned));
     }
     live.routes
         .publish_with(|routes| routes[sid] = ShardRoute::Migrating);
     // Paced warm-up: brief shard+staging critical sections, sleeping
     // between steps so serving traffic keeps the locks most of the time.
-    loop {
+    let committed = loop {
         let warm = {
             let shard = shards[sid].lock().expect("shard mutex poisoned");
             let mut slot = live.staging[sid].lock().expect("staging lock poisoned");
             let staging = slot.as_mut().expect("staging installed above");
-            let filled = staging.fill_step(shard.buffer.buffer(), live.cfg.fill_batch);
+            let filled = staging.fill_step(shard.buffer.buffer(), FILL_BATCH);
             filled == 0 || staging.warm_enough(shard.buffer.len(), live.cfg.warm_fraction)
         };
         if warm {
-            break;
+            break true;
         }
         if live.stop.load(Ordering::Acquire) {
             // Session is draining: abandon the migration. The primary
             // never stopped being authoritative, so nothing is lost.
-            let staging = live.staging[sid]
-                .lock()
-                .expect("staging lock poisoned")
-                .take();
-            publish_settled_route(live, shards, sid);
-            if let Some(s) = staging {
-                let c = &live.counters;
-                c.copy_fills.fetch_add(s.copy_fills, Ordering::AcqRel);
-                c.background_fills
-                    .fetch_add(s.background_fills, Ordering::AcqRel);
-            }
-            return false;
+            break false;
         }
         std::thread::sleep(live.cfg.fill_pause);
-    }
+    };
     // The route CAS: after this publish returns, the epoch fence has
     // drained every request that could still mirror into staging.
-    publish_settled_route(live, shards, sid);
+    live.routes
+        .publish_with(|routes| routes[sid] = ShardRoute::Direct);
     let mut shard = shards[sid].lock().expect("shard mutex poisoned");
     let staging = live.staging[sid]
         .lock()
         .expect("staging lock poisoned")
         .take()
-        .expect("staging survives until commit");
-    let fills = staging.copy_fills + staging.background_fills;
-    let fill_cost = fills * staging.cost.fill_ns;
-    let retired = shard
-        .buffer
-        .replace_storage(staging.buffer, staging.cost, staging.backend);
-    shard.buffer.charge_cost_ns(fill_cost);
-    shard.tier = staging.tier;
-    let c = &live.counters;
-    c.migrations.fetch_add(1, Ordering::AcqRel);
-    c.copy_fills.fetch_add(staging.copy_fills, Ordering::AcqRel);
-    c.background_fills
-        .fetch_add(staging.background_fills, Ordering::AcqRel);
-    c.migration_cost_ns.fetch_add(fill_cost, Ordering::AcqRel);
-    drop(retired);
-    true
+        .expect("staging survives until commit or abandon");
+    let copied = staging.copy_fills + staging.background_fills;
+    let charge = if committed {
+        shard.tier = staging.tier;
+        let to = topology.tier(staging.tier);
+        shard
+            .buffer
+            .commit_move(to, Kept::Staged(staging.buffer, copied))
+    } else {
+        0
+    };
+    let (migration, _) = &mut *live.totals();
+    migration.migrations += u64::from(committed);
+    migration.copy_fills += staging.copy_fills;
+    migration.background_fills += staging.background_fills;
+    migration.migration_cost_ns += charge;
+    committed
 }
 
 /// Installs, re-sizes, or removes shard `sid`'s fast-tier replica under
-/// the shard mutex (`capacity == 0` removes; retired counters fold into
-/// the session totals), then publishes the route mark. Returns whether
-/// anything changed.
+/// the shard mutex (`capacity == 0` removes; a retired replica's counters
+/// fold into the session totals). Every change publishes one route epoch,
+/// the clock replica TTLs run on. Returns whether anything changed.
 pub(crate) fn set_replica(
     live: &LiveState,
     shards: &[Mutex<Shard>],
     topology: &TierTopology,
     sid: usize,
     capacity: usize,
-    ttl_epochs: u64,
 ) -> bool {
-    let fast = topology.tier(0).cost;
     let changed = {
         let mut shard = shards[sid].lock().expect("shard mutex poisoned");
         match (&mut shard.replica, capacity) {
             (None, 0) => false,
             (Some(_), 0) => {
-                let replica = shard.replica.take().expect("checked above");
-                live.fold_replica(&replica);
+                let retired = shard.replica.take().expect("checked above");
+                live.totals().1.accumulate(&retired.report);
                 true
             }
             (Some(replica), cap) => replica.set_capacity(cap),
             (None, cap) => {
-                shard.replica = Some(ReplicaState::new(
-                    cap,
-                    fast.hit_ns,
-                    fast.fill_ns,
-                    live.routes.epoch_handle(),
-                    ttl_epochs,
-                ));
+                let fast = topology.tier(0).cost;
+                let epoch = live.routes.epoch_handle();
+                shard.replica = Some(ReplicaState::new(cap, fast.hit_ns, fast.fill_ns, epoch));
                 true
             }
         }
     };
     if changed {
-        let mark = if capacity > 0 {
-            ShardRoute::Replicated
-        } else {
-            ShardRoute::Direct
-        };
-        live.routes.publish_with(|routes| {
-            if routes[sid] != ShardRoute::Migrating {
-                routes[sid] = mark;
-            }
-        });
+        live.routes.publish_with(|_| {});
     }
     changed
 }
 
-/// One reading per shard buffer, in shard order, each under a brief lock.
-fn read_buffers<T>(shards: &[Mutex<Shard>], read: impl Fn(&RecMgBuffer) -> T) -> Vec<T> {
+/// One reading per shard, in shard order, each under a brief lock.
+fn read_shards<T>(shards: &[Mutex<Shard>], read: impl Fn(&Shard) -> T) -> Vec<T> {
     shards
         .iter()
-        .map(|s| read(&s.lock().expect("shard mutex poisoned").buffer))
+        .map(|s| read(&s.lock().expect("shard mutex poisoned")))
         .collect()
 }
 
 /// The background live-rebalancer loop, run on its own thread for the
 /// lifetime of a live-enabled [`ServingSession`](crate::ServingSession):
-/// poll the trigger, re-run the system's placement policy on fresh
-/// traffic deltas, migrate/resize shards whose placement changed, and
-/// apply the replication policy.
-///
-/// A table-aware placement re-runs its pin/split analysis on each firing
-/// (merged per-table profiles across shards) and republishes the router's
-/// pin directory *before* any shard migrates/resizes, so drifted tables
-/// re-home under the new routing first — the live re-split path.
+/// poll the trigger, run the shared planner on fresh traffic deltas and
+/// merged table profiles, install every shard's pin set, migrate shards
+/// whose tier changed and re-size those whose capacity did, and apply the
+/// replication policy.
 pub(crate) fn live_loop(
     live: &LiveState,
     shards: &[Mutex<Shard>],
@@ -850,58 +765,36 @@ pub(crate) fn live_loop(
 ) {
     let mut trigger = live.cfg.trigger();
     while !live.stop.load(Ordering::Acquire) {
-        std::thread::sleep(live.cfg.check_every);
+        std::thread::sleep(CHECK_EVERY);
         if live.stop.load(Ordering::Acquire) {
             break;
         }
-        let (demands, scores): (Vec<u64>, Vec<f64>) =
-            read_buffers(shards, |b| (b.demand_count(), b.phase_score()))
-                .into_iter()
-                .unzip();
+        let (demands, scores): (Vec<u64>, Vec<f64>) = read_shards(shards, |s| {
+            (s.buffer.demand_count(), s.buffer.phase_score())
+        })
+        .into_iter()
+        .unzip();
         let Some(fire) = trigger.check(&demands, &scores) else {
             continue;
         };
-        let deltas = trigger.commit(fire, read_buffers(shards, RecMgBuffer::traffic));
-        let tables = crate::table_profile::TableProfiler::merge(
-            shards
-                .iter()
-                .map(|s| {
-                    let shard = s.lock().expect("shard mutex poisoned");
-                    shard.profiler.clone()
-                })
-                .collect::<Vec<_>>()
-                .iter()
-                .filter_map(|p| p.as_ref()),
-        );
-        let table_placement =
-            ctx.placement
-                .place_with_tables(shards.len(), &ctx.topology, &deltas, &tables);
-        router.install(&table_placement.tables);
-        // Buffer pin sets follow the routing install (before any shrink or
-        // staged migration below, so neither can displace a freshly
-        // pinned footprint; `replace_storage` carries pins across the
-        // double-buffer commit).
-        let pins =
-            crate::table_profile::pinned_tables_per_shard(&table_placement.tables, shards.len());
-        for (shard, shard_pins) in shards.iter().zip(&pins) {
-            let mut s = shard.lock().expect("shard mutex poisoned");
-            s.set_pinned_tables(shard_pins);
+        let deltas = trigger.commit(fire, read_shards(shards, |s| s.buffer.traffic()));
+        let profilers = read_shards(shards, |s| s.profiler.clone());
+        let tables = TableProfiler::merge(profilers.iter().flatten());
+        let (_, plan) = ctx.plan(router, &deltas, &tables);
+        for (shard, (_, pins)) in shards.iter().zip(&plan) {
+            let mut shard = shard.lock().expect("shard mutex poisoned");
+            shard.buffer.set_pinned_tables(pins);
         }
-        let placements = table_placement.placements;
-        for (sid, placement) in placements.iter().enumerate() {
+        for (sid, (placement, _)) in plan.iter().enumerate() {
             if live.stop.load(Ordering::Acquire) {
                 return;
             }
-            let (cur_tier, cur_cap) = {
-                let s = shards[sid].lock().expect("shard mutex poisoned");
-                (s.tier, s.buffer.capacity())
-            };
-            if placement.tier != cur_tier {
+            let mut shard = shards[sid].lock().expect("shard mutex poisoned");
+            if shard.tier != placement.tier {
+                drop(shard);
                 migrate_shard(live, shards, &ctx.topology, sid, placement);
-            } else if placement.capacity.max(1) != cur_cap {
-                let mut s = shards[sid].lock().expect("shard mutex poisoned");
-                s.buffer.resize(placement.capacity.max(1));
-                live.counters.resizes.fetch_add(1, Ordering::AcqRel);
+            } else if shard.apply_placement(placement, &ctx.topology) {
+                live.totals().0.resizes += 1;
             }
         }
         if let Some(policy) = live.cfg.replication {
@@ -944,14 +837,7 @@ fn replication_pass(
         } else {
             policy.capacity_for(share, hit_fraction, delta.unique_keys)
         };
-        set_replica(
-            live,
-            shards,
-            &ctx.topology,
-            sid,
-            capacity,
-            policy.ttl_epochs,
-        );
+        set_replica(live, shards, &ctx.topology, sid, capacity);
     }
 }
 
@@ -961,14 +847,13 @@ fn replication_pass(
 ///
 /// Entries are epoch-stamped against the session's route epoch: a primary
 /// miss (the write signal) invalidates immediately; an entry older than
-/// `ttl_epochs` route epochs decays to absent (lease-style freshness —
+/// `TTL_EPOCHS` route epochs decays to absent (lease-style freshness —
 /// hammered keys get cheaply re-filled, abandoned ones age out).
 /// Admission is two-touch ([`ReplicaState::offer`]): a key fills only on
 /// its second fresh hit, so one-touch keys never churn the replica.
 #[derive(Debug)]
 pub(crate) struct ReplicaState {
     capacity: usize,
-    ttl_epochs: u64,
     hit_ns: u64,
     fill_ns: u64,
     epoch: Arc<AtomicU64>,
@@ -977,34 +862,21 @@ pub(crate) struct ReplicaState {
     /// that have not yet earned a replica slot (see
     /// [`ReplicaState::offer`]). Bounded like `entries`.
     candidates: HashMap<VectorKey, u64>,
-    pub(crate) hits: u64,
-    pub(crate) fills: u64,
-    pub(crate) invalidations: u64,
-    pub(crate) saved_cost_ns: u64,
-    pub(crate) fill_cost_ns: u64,
+    /// This replica's activity (`replicated_shards` stays 0), folded into
+    /// the session totals when it retires.
+    pub(crate) report: ReplicationReport,
 }
 
 impl ReplicaState {
-    pub(crate) fn new(
-        capacity: usize,
-        hit_ns: u64,
-        fill_ns: u64,
-        epoch: Arc<AtomicU64>,
-        ttl_epochs: u64,
-    ) -> Self {
+    pub(crate) fn new(capacity: usize, hit_ns: u64, fill_ns: u64, epoch: Arc<AtomicU64>) -> Self {
         ReplicaState {
             capacity: capacity.max(1),
-            ttl_epochs: ttl_epochs.max(1),
             hit_ns,
             fill_ns,
             epoch,
             entries: HashMap::new(),
             candidates: HashMap::new(),
-            hits: 0,
-            fills: 0,
-            invalidations: 0,
-            saved_cost_ns: 0,
-            fill_cost_ns: 0,
+            report: ReplicationReport::default(),
         }
     }
 
@@ -1034,10 +906,10 @@ impl ReplicaState {
     pub(crate) fn probe(&mut self, key: VectorKey) -> bool {
         let now = self.now();
         match self.entries.get(&key) {
-            Some(&stamp) if now.saturating_sub(stamp) < self.ttl_epochs => true,
+            Some(&stamp) if now.saturating_sub(stamp) < TTL_EPOCHS => true,
             Some(_) => {
                 self.entries.remove(&key);
-                self.invalidations += 1;
+                self.report.invalidations += 1;
                 false
             }
             None => false,
@@ -1057,7 +929,7 @@ impl ReplicaState {
     pub(crate) fn offer(&mut self, key: VectorKey) -> bool {
         let now = self.now();
         match self.candidates.get(&key) {
-            Some(&stamp) if now.saturating_sub(stamp) < self.ttl_epochs => {
+            Some(&stamp) if now.saturating_sub(stamp) < TTL_EPOCHS => {
                 self.candidates.remove(&key);
                 self.fill(key);
                 true
@@ -1081,8 +953,8 @@ impl ReplicaState {
             evict_stalest(&mut self.entries);
         }
         self.entries.insert(key, self.now());
-        self.fills += 1;
-        self.fill_cost_ns += self.fill_ns;
+        self.report.replica_fills += 1;
+        self.report.replica_cost_ns += self.fill_ns;
     }
 
     /// Write invalidation: a primary miss means the replica copy (if any)
@@ -1092,7 +964,7 @@ impl ReplicaState {
     pub(crate) fn invalidate(&mut self, key: VectorKey) {
         self.candidates.remove(&key);
         if self.entries.remove(&key).is_some() {
-            self.invalidations += 1;
+            self.report.invalidations += 1;
         }
     }
 
@@ -1105,7 +977,7 @@ impl ReplicaState {
         }
         while self.entries.len() > capacity {
             evict_stalest(&mut self.entries);
-            self.invalidations += 1;
+            self.report.invalidations += 1;
         }
         // The candidate ledger shares the replica's bound; trimming
         // nominations is not an invalidation (nothing was ever served).
@@ -1133,6 +1005,7 @@ fn evict_stalest(stamps: &mut HashMap<VectorKey, u64>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SketchConfig;
     use recmg_trace::{RowId, TableId};
 
     fn key(r: u64) -> VectorKey {
@@ -1152,14 +1025,10 @@ mod tests {
             assert_eq!(pinned.route(2), ShardRoute::Migrating);
             assert_eq!(pinned.route(99), ShardRoute::Direct);
         }
-        table.publish_with(|r| {
-            r[2] = ShardRoute::Direct;
-            r[0] = ShardRoute::Replicated;
-        });
+        table.publish_with(|r| r[2] = ShardRoute::Direct);
         let pinned = table.pin();
         assert_eq!(pinned.epoch(), 2);
         assert_eq!(pinned.route(2), ShardRoute::Direct);
-        assert_eq!(pinned.replicated(), 1);
     }
 
     #[test]
@@ -1231,11 +1100,11 @@ mod tests {
     #[test]
     fn replica_probe_fill_and_write_invalidation() {
         let epoch = Arc::new(AtomicU64::new(0));
-        let mut rep = ReplicaState::new(2, 80, 300, Arc::clone(&epoch), 4);
+        let mut rep = ReplicaState::new(2, 80, 300, Arc::clone(&epoch));
         assert!(!rep.probe(key(1)));
         rep.fill(key(1));
         assert!(rep.probe(key(1)));
-        assert_eq!(rep.fill_cost_ns, 300);
+        assert_eq!(rep.report.replica_cost_ns, 300);
         // Capacity bound: filling a third key displaces the stalest.
         rep.fill(key(2));
         epoch.store(1, Ordering::Release);
@@ -1245,55 +1114,131 @@ mod tests {
         // Write invalidation.
         rep.invalidate(key(3));
         assert!(!rep.probe(key(3)));
-        assert!(rep.invalidations >= 1);
+        assert!(rep.report.invalidations >= 1);
     }
 
     #[test]
     fn replica_two_touch_admission_gates_fills() {
         let epoch = Arc::new(AtomicU64::new(0));
-        let mut rep = ReplicaState::new(2, 80, 300, Arc::clone(&epoch), 4);
+        let mut rep = ReplicaState::new(2, 80, 300, Arc::clone(&epoch));
         // First touch nominates without filling (and without charging).
         assert!(!rep.offer(key(1)));
-        assert_eq!((rep.fills, rep.fill_cost_ns), (0, 0));
+        assert_eq!(
+            (rep.report.replica_fills, rep.report.replica_cost_ns),
+            (0, 0)
+        );
         assert!(!rep.probe(key(1)));
         // Second fresh touch fills.
         assert!(rep.offer(key(1)));
         assert!(rep.probe(key(1)));
-        assert_eq!(rep.fills, 1);
+        assert_eq!(rep.report.replica_fills, 1);
         // A nomination staled past the TTL does not count as a touch:
         // the key re-nominates and must re-earn its slot.
         assert!(!rep.offer(key(2)));
-        epoch.store(4, Ordering::Release);
+        epoch.store(TTL_EPOCHS, Ordering::Release);
         assert!(!rep.offer(key(2)), "stale nomination re-nominates");
         assert!(rep.offer(key(2)));
         // A write drops the pending nomination too, without counting an
         // invalidation (the replica never held the key).
         assert!(!rep.offer(key(3)));
-        let inval_before = rep.invalidations;
+        let inval_before = rep.report.invalidations;
         rep.invalidate(key(3));
-        assert_eq!(rep.invalidations, inval_before);
+        assert_eq!(rep.report.invalidations, inval_before);
         assert!(!rep.offer(key(3)), "invalidated nomination starts over");
     }
 
     #[test]
     fn replica_entries_decay_past_ttl_epochs() {
         let epoch = Arc::new(AtomicU64::new(0));
-        let mut rep = ReplicaState::new(4, 80, 300, Arc::clone(&epoch), 3);
+        let mut rep = ReplicaState::new(4, 80, 300, Arc::clone(&epoch));
         rep.fill(key(7));
-        epoch.store(2, Ordering::Release);
+        epoch.store(TTL_EPOCHS - 1, Ordering::Release);
         assert!(rep.probe(key(7)), "within TTL");
-        epoch.store(3, Ordering::Release);
-        let inval_before = rep.invalidations;
+        epoch.store(TTL_EPOCHS, Ordering::Release);
+        let inval_before = rep.report.invalidations;
         assert!(!rep.probe(key(7)), "decayed past the epoch fence");
-        assert_eq!(rep.invalidations, inval_before + 1);
+        assert_eq!(rep.report.invalidations, inval_before + 1);
         // A refill restores service at the new epoch.
         rep.fill(key(7));
         assert!(rep.probe(key(7)));
     }
 
+    /// Regression: under async fills a miss only queues its fill, so the
+    /// key is not resident in the primary. The mirror used to stage it
+    /// anyway ("a miss inserts"), and the commit then made it resident
+    /// without the queued fill ever being charged.
     #[test]
-    fn migration_commit_preserves_replicated_mark() {
+    fn mirror_stages_only_rows_the_primary_holds() {
+        use crate::backend::{FillHandle, FillQueue};
         let topology = TierTopology::two_tier(8, 8);
+        let live = LiveState::new(1, LiveRebalanceConfig::default());
+        let home = ShardPlacement {
+            capacity: 8,
+            tier: 0,
+        };
+        let mut shard = Shard::placed(0, 4, &home, &topology, SketchConfig::default());
+        shard.buffer.set_fill_handle(Some(FillHandle {
+            queue: Arc::new(FillQueue::new(8)),
+            shard: 0,
+        }));
+        let dest = ShardPlacement {
+            capacity: 8,
+            tier: 1,
+        };
+        *live.staging[0].lock().expect("staging lock") = Some(StagingBuffer::new(&dest, &[]));
+        let fresh: Vec<VectorKey> = (0..4).map(key).collect();
+        for &k in &fresh {
+            assert_eq!(shard.buffer.access(k), recmg_cache::BufferAccess::Miss);
+        }
+        live.mirror(&shard, &fresh);
+        {
+            let slot = live.staging[0].lock().expect("staging lock");
+            let staging = slot.as_ref().expect("installed");
+            assert!(staging.buffer.is_empty(), "a queued miss was staged");
+            assert_eq!(staging.copy_fills, 0);
+        }
+        // Once its fill lands, the key is the primary's and mirrors.
+        assert!(shard.buffer.promote_fill(key(0), 5));
+        live.mirror(&shard, &fresh);
+        let slot = live.staging[0].lock().expect("staging lock");
+        let staging = slot.as_ref().expect("installed");
+        assert_eq!(staging.buffer.keys().collect::<Vec<_>>(), vec![key(0)]);
+        assert_eq!(staging.copy_fills, 1);
+    }
+
+    /// Regression: a staged move to a smaller capacity used to copy the
+    /// hottest rows first and drop a pinned table whose rows sat colder;
+    /// the in-place shrink keeps them. Both must keep every pinned row.
+    #[test]
+    fn staged_move_keeps_pinned_rows_like_the_in_place_move() {
+        let topology = TierTopology::two_tier(16, 16);
+        let pinned: Vec<VectorKey> = (0..2)
+            .map(|r| VectorKey::new(TableId(1), RowId(r)))
+            .collect();
+        let shard = || {
+            let home = ShardPlacement {
+                capacity: 8,
+                tier: 0,
+            };
+            let mut shard = Shard::placed(0, 4, &home, &topology, SketchConfig::default());
+            shard.buffer.set_pinned_tables(&[1]);
+            let hot: Vec<VectorKey> = (0..6).map(key).collect();
+            let all: Vec<VectorKey> = pinned.iter().chain(&hot).copied().collect();
+            for &k in &all {
+                shard.buffer.access(k);
+            }
+            // Pinned rows at priority 0, below six hotter unpinned rows.
+            let bits: Vec<bool> = all.iter().map(|k| k.table().0 != 1).collect();
+            shard.buffer.load_embeddings(&all, &bits, &[]);
+            shard
+        };
+        let dest = ShardPlacement {
+            capacity: 4,
+            tier: 1,
+        };
+
+        let mut in_place = shard();
+        assert!(in_place.apply_placement(&dest, &topology));
         let live = LiveState::new(
             1,
             LiveRebalanceConfig {
@@ -1302,32 +1247,16 @@ mod tests {
                 ..LiveRebalanceConfig::default()
             },
         );
-        let placement = ShardPlacement {
-            capacity: 8,
-            tier: 0,
-        };
-        let shards = vec![Mutex::new(Shard::placed(
-            0,
-            4,
-            &placement,
-            &topology,
-            crate::config::SketchConfig::default(),
-        ))];
-        assert!(set_replica(&live, &shards, &topology, 0, 4, 8));
-        assert_eq!(live.routes.pin().route(0), ShardRoute::Replicated);
-        // Migrating the shard publishes `Migrating` over the mark; the
-        // commit must settle back to `Replicated`, not clobber it to
-        // `Direct` (the replica itself never moved).
-        let dest = ShardPlacement {
-            capacity: 8,
-            tier: 1,
-        };
+        let shards = vec![Mutex::new(shard())];
         assert!(migrate_shard(&live, &shards, &topology, 0, &dest));
-        assert_eq!(live.routes.pin().route(0), ShardRoute::Replicated);
-        assert_eq!(live.routes.pin().replicated(), 1);
-        // Removing the replica settles the route to `Direct`.
-        assert!(set_replica(&live, &shards, &topology, 0, 0, 8));
-        assert_eq!(live.routes.pin().route(0), ShardRoute::Direct);
+        let staged = shards[0].lock().expect("shard lock");
+
+        for moved in [&in_place, &*staged] {
+            assert_eq!((moved.tier, moved.buffer.capacity()), (1, 4));
+            for &k in &pinned {
+                assert!(moved.buffer.buffer().contains(k), "pinned {k:?} dropped");
+            }
+        }
     }
 
     #[test]
@@ -1336,7 +1265,7 @@ mod tests {
             capacity: 2,
             tier: 0,
         };
-        let mut s = StagingBuffer::new(&placement, TierCost::FREE, Default::default());
+        let mut s = StagingBuffer::new(&placement, &[]);
         assert!(s.admit(key(1), 5, false));
         assert!(!s.admit(key(1), 5, false), "already staged");
         assert!(s.admit(key(2), 3, false));
@@ -1346,8 +1275,6 @@ mod tests {
         assert!(s.buffer.contains(key(4)));
         assert!(!s.buffer.contains(key(2)));
         assert!(s.warm_enough(2, 0.9));
-        assert!(
-            !StagingBuffer::new(&placement, TierCost::FREE, Default::default()).warm_enough(2, 0.5)
-        );
+        assert!(!StagingBuffer::new(&placement, &[]).warm_enough(2, 0.5));
     }
 }

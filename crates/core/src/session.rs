@@ -50,9 +50,7 @@ use crate::backend::{FillMode, FillPlaneReport};
 use crate::builder::SystemBuilder;
 use crate::config::{AdmissionPolicy, DegradeLevel, SlaBudget, TenantSpec};
 use crate::engine::{EngineReport, GuidanceMode};
-use crate::migrate::{
-    self, LiveRebalanceConfig, LiveState, MigrationReport, ReplicationReport, ShardRoute,
-};
+use crate::migrate::{self, LiveRebalanceConfig, LiveState, ShardRoute};
 use crate::plane::{JobSender, Plane};
 use crate::sharding::{GuidanceCtx, Guide, Shard, ShardRouter, ShardedRecMgSystem};
 use crate::tier::{ShardPlacement, TierUsage};
@@ -663,14 +661,12 @@ impl ServingSession {
             return false;
         };
         assert!(shard < self.shared.shards.len(), "shard out of range");
-        let ttl_epochs = live.cfg.replication.unwrap_or_default().ttl_epochs;
         migrate::set_replica(
             live,
             &self.shared.shards,
             &self.shared.ctx.topology,
             shard,
             capacity,
-            ttl_epochs,
         )
     }
 
@@ -762,22 +758,22 @@ impl ServingSession {
             .into_iter()
             .map(|m| m.into_inner().expect("shard lock"))
             .collect();
+        let (migration, mut replication) = match live {
+            Some(live) => {
+                let mut totals = live.totals.into_inner().expect("live totals lock");
+                totals.0.route_epoch = live.routes.current_epoch();
+                totals
+            }
+            None => Default::default(),
+        };
         // Strip replicas before handing the system back: replicas are a
         // session-lifetime accelerator, not part of the durable placement.
         // Their counters fold into the replication report.
-        let mut migration = MigrationReport::default();
-        let mut replication = ReplicationReport::default();
-        if let Some(live) = &live {
-            let mut replicated_shards = 0u64;
-            for shard in &mut shards {
-                if let Some(replica) = shard.replica.take() {
-                    replicated_shards += 1;
-                    live.fold_replica(&replica);
-                }
+        for shard in &mut shards {
+            if let Some(replica) = shard.replica.take() {
+                replication.replicated_shards += 1;
+                replication.accumulate(&replica.report);
             }
-            migration = live.migration_report();
-            replication = live.replication_report();
-            replication.replicated_shards = replicated_shards;
         }
         let plane_report = Plane::finish(plane, &mut shards, ctx.kernel_label());
         let system = ShardedRecMgSystem {
@@ -968,7 +964,7 @@ fn serve_request(
         // under the shard mutex (the primary stayed authoritative above).
         if let (Some(live), Some(route)) = (&shared.live, &route) {
             if route.route(sid) == ShardRoute::Migrating {
-                live.mirror(&mut shard, part);
+                live.mirror(&shard, part);
             }
         }
     }

@@ -30,7 +30,7 @@ use recmg_cache::{BufferAccess, GpuBuffer};
 use recmg_dlrm::{BatchAccessStats, BufferManager};
 use recmg_trace::VectorKey;
 
-use crate::buffer_mgmt::RecMgBuffer;
+use crate::buffer_mgmt::{Kept, RecMgBuffer, TierTraffic};
 use crate::builder::SystemBuilder;
 use crate::caching_model::{CachingModel, FastCachingModel};
 use crate::codec::FrequencyRankCodec;
@@ -40,7 +40,7 @@ use crate::fast::FastScratch;
 use crate::plane::PlanePort;
 use crate::prefetch_model::{FastPrefetchModel, PrefetchModel};
 use crate::system::RecMgSystem;
-use crate::table_profile::{TableDecision, TableProfile, TableProfiler};
+use crate::table_profile::{pinned_tables_per_shard, TableDecision, TableProfile, TableProfiler};
 use crate::tier::{PlacementPolicy, ShardPlacement, TierTopology, TierUsage};
 
 /// Maps embedding-vector keys onto shards.
@@ -305,6 +305,42 @@ impl GuidanceCtx {
             (KernelLane::Avx2, true) => "avx2+int8",
         }
     }
+
+    /// The one re-placement planner, shared by the quiescent
+    /// [`ShardedRecMgSystem::rebalance_from`] and the live rebalancer
+    /// ([`crate::migrate`]): runs the placement policy on per-shard
+    /// `stats` and merged table profiles, publishes its table routing,
+    /// and returns whether the routing changed plus each shard's placement
+    /// and buffer pin set.
+    ///
+    /// Routing goes out before any buffer shrinks, so a key re-homed by a
+    /// new pin stops landing on (and refilling) the shard about to lose
+    /// capacity; copies stranded under the old routing go cold and evict.
+    /// Callers install a shard's pin set before moving it, so neither a
+    /// resize nor a staged move can displace a freshly pinned footprint.
+    pub(crate) fn plan(
+        &self,
+        router: &ShardRouter,
+        stats: &[TierTraffic],
+        tables: &[TableProfile],
+    ) -> (bool, Vec<(ShardPlacement, Vec<u32>)>) {
+        let shards = router.num_shards();
+        assert_eq!(stats.len(), shards, "need one stat entry per shard");
+        let placement = self
+            .placement
+            .place_with_tables(shards, &self.topology, stats, tables);
+        assert_eq!(
+            placement.placements.len(),
+            shards,
+            "placement policy must return one placement per shard"
+        );
+        let changed = router.install(&placement.tables);
+        let pins = pinned_tables_per_shard(&placement.tables, shards);
+        (
+            changed,
+            placement.placements.into_iter().zip(pins).collect(),
+        )
+    }
 }
 
 /// Guidance computed for one chunk: the caching model's keep bits plus the
@@ -385,40 +421,26 @@ impl Shard {
         }
     }
 
-    /// Applies a new placement in place: re-sizes the buffer (shrinking
-    /// evicts coldest entries first) and/or moves it to another tier
-    /// (charging the migration of the resident working set to the
-    /// destination tier's cost). Returns whether anything changed.
+    /// Applies a new placement in place: a tier change is a shard move
+    /// that keeps the buffer's own residents, re-sized (shrinking evicts
+    /// coldest entries first); a capacity-only change re-sizes. Returns
+    /// whether anything changed.
     pub(crate) fn apply_placement(
         &mut self,
         placement: &ShardPlacement,
         topology: &TierTopology,
     ) -> bool {
-        let mut changed = false;
         let capacity = placement.capacity.max(1);
-        if capacity != self.buffer.capacity() {
-            self.buffer.resize(capacity);
-            changed = true;
-        }
         if placement.tier != self.tier {
-            let tier = topology.tier(placement.tier);
-            self.buffer.charge_migration(tier.cost);
-            self.buffer.set_cost(tier.cost);
-            // The row bytes move too: rebuild the store on the
-            // destination tier's storage backend.
-            self.buffer.rebind_backend(tier.backend);
+            self.buffer
+                .commit_move(topology.tier(placement.tier), Kept::Own(capacity));
             self.tier = placement.tier;
-            changed = true;
+        } else if capacity != self.buffer.capacity() {
+            self.buffer.resize(capacity);
+        } else {
+            return false;
         }
-        changed
-    }
-
-    /// Installs the RecShard pin set for this shard's buffer: vectors of
-    /// these tables are exempt from victim selection, so a pinned table's
-    /// whole footprint stays resident under miss churn (an empty slice
-    /// clears the set).
-    pub(crate) fn set_pinned_tables(&mut self, tables: &[u32]) {
-        self.buffer.set_pinned_tables(tables);
+        true
     }
 
     /// Demand access bookkeeping.
@@ -447,8 +469,8 @@ impl Shard {
                 replica.invalidate(key);
             } else if replica.probe(key) {
                 let saved = self.buffer.refund_hit(replica.hit_ns());
-                replica.hits += 1;
-                replica.saved_cost_ns += saved;
+                replica.report.replica_hits += 1;
+                replica.report.saved_cost_ns += saved;
             } else if replica.offer(key) {
                 self.buffer.charge_cost_ns(replica.fill_ns());
             }
@@ -710,13 +732,13 @@ impl ShardedRecMgSystem {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn shard_traffic(&self, i: usize) -> crate::buffer_mgmt::TierTraffic {
+    pub fn shard_traffic(&self, i: usize) -> TierTraffic {
         self.shards[i].buffer.traffic()
     }
 
     /// Cumulative tier traffic of every shard buffer, in shard order —
     /// the stat vector the [`crate::Rebalancer`] snapshots and deltas.
-    pub fn shard_traffics(&self) -> Vec<crate::buffer_mgmt::TierTraffic> {
+    pub fn shard_traffics(&self) -> Vec<TierTraffic> {
         self.shards.iter().map(|s| s.buffer.traffic()).collect()
     }
 
@@ -822,38 +844,11 @@ impl ShardedRecMgSystem {
     /// # Panics
     ///
     /// Panics if `stats` does not hold one entry per shard.
-    pub fn rebalance_from(&mut self, stats: &[crate::buffer_mgmt::TierTraffic]) -> bool {
-        assert_eq!(
-            stats.len(),
-            self.shards.len(),
-            "need one stat entry per shard"
-        );
-        let tables = self.table_profiles();
-        let placement = self.ctx.placement.place_with_tables(
-            self.shards.len(),
-            &self.ctx.topology,
-            stats,
-            &tables,
-        );
-        assert_eq!(
-            placement.placements.len(),
-            self.shards.len(),
-            "placement policy must return one placement per shard"
-        );
-        // Publish routing decisions before shrinking any buffer, so a key
-        // re-homed by a new pin stops landing on (and refilling) the shard
-        // that is about to lose capacity. Copies stranded under the old
-        // routing simply go cold and evict. Buffer pin sets install in the
-        // same step (before any shrink) so a resize never displaces a
-        // freshly pinned footprint.
-        let mut changed = self.router.install(&placement.tables);
-        let pins =
-            crate::table_profile::pinned_tables_per_shard(&placement.tables, self.shards.len());
-        for ((shard, shard_placement), shard_pins) in
-            self.shards.iter_mut().zip(&placement.placements).zip(&pins)
-        {
-            shard.set_pinned_tables(shard_pins);
-            changed |= shard.apply_placement(shard_placement, &self.ctx.topology);
+    pub fn rebalance_from(&mut self, stats: &[TierTraffic]) -> bool {
+        let (mut changed, plan) = self.ctx.plan(&self.router, stats, &self.table_profiles());
+        for (shard, (placement, pins)) in self.shards.iter_mut().zip(&plan) {
+            shard.buffer.set_pinned_tables(pins);
+            changed |= shard.apply_placement(placement, &self.ctx.topology);
         }
         changed
     }

@@ -7,7 +7,8 @@
 //! same stream:
 //!
 //! * `static` — placement frozen at its cold-start guess;
-//! * `live`   — a [`LiveRebalancer`] watches the per-shard sketches and,
+//! * `live`   — the session's live rebalancer
+//!   ([`SessionBuilder::live`]) watches the per-shard sketches and,
 //!   on count/phase-trigger fires, double-buffers shards to better
 //!   tiers/capacities behind an epoch-versioned routing table (readers
 //!   never block) and replicates read-hot slow-tier shards into fast
@@ -119,7 +120,6 @@ fn main() {
                     unit: 64,
                     hot_share: 0.10,
                     read_dominance: 0.5,
-                    ..ReplicationPolicy::default()
                 }),
             );
         }

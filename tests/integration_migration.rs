@@ -2,7 +2,7 @@
 //! to serving results, and demand counts are conserved exactly while
 //! routes flip under concurrent load.
 //!
-//! Three oracles pin the subsystem:
+//! These oracles pin the subsystem:
 //!
 //! * **1-shard parity**: a session that live-migrates its only shard
 //!   between tiers after every batch (full double-buffered warm-up, route
@@ -21,19 +21,23 @@
 //!   decay once the route-epoch clock outruns the TTL — decayed entries
 //!   count as invalidations and must be re-filled before serving again.
 //! * **Storage hygiene**: a migration stress over file-backed tiers swaps
-//!   shard storage (`replace_storage`) on every route flip; once the
+//!   shard storage (the shard-move commit) on every route flip; once the
 //!   session drains and the system drops, every `mmap`/file backing
 //!   object must be gone — no leaked fds or temp files.
+//! * **One shard move**: a quiescent `rebalance()` and a live migration
+//!   to the same placements leave every shard with the same tier,
+//!   capacity, residents, rows and charged cost.
 
+use std::collections::HashSet;
 use std::time::Duration;
 
 use proptest::prelude::*;
 
 use recmg_repro::core::{
-    live_backend_files, train_recmg, AdmissionPolicy, BackendSpec, CachingModel,
-    FrequencyRankCodec, GuidanceMode, LiveRebalanceConfig, MemoryTier, RecMgConfig, Request,
-    SessionBuilder, ShardPlacement, ShardedRecMgSystem, SystemBuilder, TierCost, TierTopology,
-    TrainOptions,
+    live_backend_files, synth_row, train_recmg, AdmissionPolicy, BackendSpec, CachingModel,
+    FrequencyRankCodec, GuidanceMode, LiveRebalanceConfig, MemoryTier, PlacementPolicy,
+    RecMgConfig, Request, SessionBuilder, ShardPlacement, ShardedRecMgSystem, SystemBuilder,
+    TierCost, TierTopology, TierTraffic, TrainOptions, ROW_BYTES,
 };
 use recmg_repro::dlrm::{BatchAccessStats, BufferManager};
 use recmg_repro::trace::{RowId, SyntheticConfig, TableId, TraceStats, VectorKey};
@@ -45,7 +49,6 @@ fn manual_live() -> LiveRebalanceConfig {
     LiveRebalanceConfig {
         min_new_accesses: 0,
         phase_threshold: None,
-        fill_batch: 4096,
         fill_pause: Duration::ZERO,
         warm_fraction: 1.0,
         ..LiveRebalanceConfig::default()
@@ -134,7 +137,7 @@ fn one_shard_live_migration_matches_sequential_results_exactly() {
     assert_eq!(report.engine.stats, ref_stats, "migration changed results");
     assert_eq!(system.prefetches_issued(), reference.prefetches_issued());
     assert_eq!(report.engine.migration.migrations, flips);
-    assert!(report.engine.migration.route_epoch >= 2 * flips);
+    assert_eq!(report.engine.migration.route_epoch, 2 * flips);
     assert!(report.engine.migration.background_fills > 0);
     assert!(report.engine.migration.migration_cost_ns > 0);
     // Odd number of batches left the shard wherever the last flip put it.
@@ -207,8 +210,8 @@ fn concurrent_migrations_and_replicas_conserve_every_access() {
 }
 
 /// Migration stress over file-backed tiers: every route flip swaps the
-/// shard's storage onto the destination tier's backend via
-/// `replace_storage`. Conservation still holds, the surviving storage is
+/// shard's storage onto the destination tier's backend through the
+/// shard-move commit. Conservation still holds, the surviving storage is
 /// readable, and — once the session drains and the system drops — every
 /// backing file is gone.
 #[test]
@@ -355,6 +358,8 @@ fn replica_hits_save_cost_and_decay_past_ttl() {
     serve_hot(3);
 
     let (_, report) = session.drain();
+    // One migration (2) + one replica install (1) + nine refreshes.
+    assert_eq!(report.engine.migration.route_epoch, 12);
     let replication = report.engine.replication;
     assert_eq!(replication.replicated_shards, 1);
     assert!(
@@ -370,6 +375,115 @@ fn replica_hits_save_cost_and_decay_past_ttl() {
     assert!(replication.replica_cost_ns > 0, "fills are not free");
     // Counts stay canonical: every access of every round is accounted.
     assert_eq!(report.engine.stats.total(), next_id * hot.len() as u64);
+}
+
+/// A placement script: `before` until the policy has observations,
+/// `after` from then on.
+#[derive(Debug)]
+struct Scripted {
+    before: Vec<ShardPlacement>,
+    after: Vec<ShardPlacement>,
+}
+
+impl PlacementPolicy for Scripted {
+    fn name(&self) -> &'static str {
+        "scripted"
+    }
+
+    fn place(&self, _: usize, _: &TierTopology, stats: &[TierTraffic]) -> Vec<ShardPlacement> {
+        if stats.iter().all(|t| t.demand() == 0) {
+            self.before.clone()
+        } else {
+            self.after.clone()
+        }
+    }
+}
+
+/// The two re-placement paths end in the same shard move: a quiescent
+/// `rebalance()` (storage re-sized in place) and a live migration (storage
+/// warmed in a staging buffer) leave every shard on the same tier, at the
+/// same capacity, with the same residents and rows, having charged the
+/// same cost.
+#[test]
+fn in_place_and_staged_moves_agree() {
+    let place = |capacity, tier| ShardPlacement { capacity, tier };
+    // Every shard changes tier, and each destination holds all the
+    // residents its source buffer can have.
+    let script = || Scripted {
+        before: vec![place(24, 0), place(24, 1)],
+        after: vec![place(40, 1), place(24, 0)],
+    };
+    let build = || {
+        let cfg = RecMgConfig::tiny();
+        let caching = CachingModel::new(&cfg);
+        let codec = FrequencyRankCodec::from_accesses(&[VectorKey::new(TableId(0), RowId(1))]);
+        SystemBuilder::new(&caching, None, codec)
+            .shards(2)
+            .topology(TierTopology::two_tier(64, 64))
+            .placement(script())
+            .guidance(GuidanceMode::Inline)
+            .build()
+    };
+    let batches: Vec<Vec<VectorKey>> = (0..40u64)
+        .map(|b| {
+            (0..16u64)
+                .map(|i| VectorKey::new(TableId((i % 3) as u32), RowId((b * 7 + i * 5) % 120)))
+                .collect()
+        })
+        .collect();
+
+    let mut in_place = build();
+    for batch in &batches {
+        in_place.process_batch(batch);
+    }
+    assert!(in_place.rebalance());
+
+    let session = SessionBuilder::new()
+        .workers(1)
+        .guidance(GuidanceMode::Inline)
+        .admission(AdmissionPolicy::unbounded())
+        .live(manual_live())
+        .build(build());
+    for (id, batch) in batches.iter().enumerate() {
+        session
+            .submit(request(id as u64, batch.clone()))
+            .expect("unbounded admission");
+    }
+    while session.completed_requests() < batches.len() as u64 {
+        std::thread::yield_now();
+    }
+    for (sid, placement) in script().after.into_iter().enumerate() {
+        assert!(
+            session.migrate_shard(sid, placement),
+            "quiesced move commits"
+        );
+    }
+    let (staged, _) = session.drain();
+
+    for sid in 0..2 {
+        assert_eq!(in_place.shard_tier(sid), 1 - sid, "shard {sid} moved");
+        assert_eq!(in_place.shard_tier(sid), staged.shard_tier(sid));
+        let (a, b) = (in_place.shard_buffer(sid), staged.shard_buffer(sid));
+        assert_eq!(a.capacity(), b.capacity());
+        assert!(!a.is_empty());
+        let residents = |buffer: &recmg_repro::cache::GpuBuffer| -> HashSet<VectorKey> {
+            buffer.keys().collect()
+        };
+        assert_eq!(residents(a), residents(b), "shard {sid} residents");
+        assert_eq!(
+            in_place.shard_traffic(sid).cost_ns,
+            staged.shard_traffic(sid).cost_ns,
+            "shard {sid} charge"
+        );
+        for system in [&in_place, &staged] {
+            let buffer = system.shard_recmg_buffer(sid);
+            for key in buffer.buffer().keys() {
+                let mut want = [0u8; ROW_BYTES];
+                synth_row(key, &mut want);
+                assert_eq!(buffer.read_row(key), Some(want));
+            }
+        }
+    }
 }
 
 proptest! {
