@@ -41,10 +41,12 @@ pub enum GuidanceMode {
     /// more chunks already in flight skips fresh guidance for the
     /// arriving chunk (the paper's non-blocking skip-ahead rule), so
     /// `max_lag: 0` disables guidance entirely; after such a skip the
-    /// producing worker pauses briefly (bounded, ~tens of ms worst case,
-    /// while holding that shard's lock) so the plane can drain the
-    /// backlog as one coalesced batch instead of every following chunk
-    /// skipping too. Each plane thread drains up to `max_batch` pending
+    /// producing worker paces itself (bounded, ~tens of ms worst case,
+    /// while holding that shard's lock) until the backlog drains, instead
+    /// of every following chunk skipping too. While a full batch is queued
+    /// behind the one a plane thread is computing, the pacing worker
+    /// computes it on its own core rather than waiting; otherwise it
+    /// waits on the plane. Each plane thread drains up to `max_batch` pending
     /// chunks per wakeup and runs them as *one* batched model forward per
     /// model, amortizing weight traffic across shards — which is why
     /// `max_lag` tolerates a deeper backlog than the pre-batching plane

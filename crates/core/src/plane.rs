@@ -27,20 +27,33 @@
 //!   batch. The notify takes (and drops) the gate lock first, so it is
 //!   ordered after any `in_flight` check a waiter made before blocking
 //!   and the wakeup cannot be missed.
+//! * **helper**: a worker pacing at the lag limit does not sleep while a
+//!   full batch waits behind the one the plane is computing
+//!   ([`Plane::pending`] ≥ 2 × `max_batch`): it drains that batch itself
+//!   and runs the plane's own drain tail ([`Plane::compute_and_park`]),
+//!   so its idle core becomes a second guidance consumer. Lock order is
+//!   shard mutex → receiver (`try_lock` only: a plane thread holds it
+//!   while draining, or while blocked in `recv` on an empty channel) →
+//!   slot mutex; the plane never takes a shard lock. The gate lock is *not*
+//!   held while computing — the drain tail's own notify takes it — and
+//!   the helper re-checks `in_flight` under it before each wait, exactly
+//!   as the pure waiter did.
 //!
-//! The pacing wait is *bounded* (5 × 5 ms) because it runs with the shard
-//! mutex held: sibling workers' demand accesses to that shard — including
-//! SLA-degraded ones, and the fill plane's promotions — queue behind it.
-//! A healthy plane notifies well inside one quantum; one that made no
-//! progress costs the shard a few more §VI-C skips, never a stall.
+//! The pacing wait is *bounded* (5 × 5 ms, helping included) because it
+//! runs with the shard mutex held: sibling workers' demand accesses to
+//! that shard — including SLA-degraded ones, and the fill plane's
+//! promotions — queue behind it. A healthy plane notifies well inside one
+//! quantum; one that made no progress costs the shard a few more §VI-C
+//! skips, never a stall.
 //!
 //! Everything here is private to the crate: the session owns a [`Plane`]
 //! for the lifetime of a background-guided run and reads it back as a
 //! [`GuidancePlaneReport`] ([`Plane::finish`]).
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use recmg_trace::VectorKey;
 
@@ -58,6 +71,11 @@ pub(crate) struct GuidanceJob {
 /// The workers' end of the plane's job channel. The plane threads exit
 /// once every clone is dropped.
 pub(crate) type JobSender = mpsc::Sender<GuidanceJob>;
+
+/// One lag-gate wait of [`PlanePort::pace`], and how many of them bound
+/// the whole pace (helping included).
+const PACE_QUANTUM: Duration = Duration::from_millis(5);
+const PACE_QUANTA: u32 = 5;
 
 /// Computed guidance waiting to be applied to a shard.
 struct GuidanceUpdate {
@@ -134,12 +152,22 @@ impl Plane {
     }
 
     /// Shard `sid`'s side of the handshake, for one served sub-batch.
-    pub(crate) fn port<'a>(&'a self, sid: usize, tx: &'a JobSender) -> PlanePort<'a> {
+    /// `router` and `scratch` (the serving worker's own) are what the port
+    /// needs to compute a batch when it helps while pacing.
+    pub(crate) fn port<'a>(
+        &'a self,
+        sid: usize,
+        tx: &'a JobSender,
+        router: &'a ShardRouter,
+        scratch: &'a RefCell<FastScratch>,
+    ) -> PlanePort<'a> {
         PlanePort {
             plane: self,
             slot: &self.completed[sid],
             in_flight: &self.in_flight[sid],
             tx,
+            router,
+            scratch,
         }
     }
 
@@ -155,11 +183,10 @@ impl Plane {
         let mut jobs: Vec<GuidanceJob> = Vec::with_capacity(self.max_batch);
         let mut scratch = FastScratch::default();
         loop {
-            jobs.clear();
             {
                 // Hold the receiver only while draining; the batched forward
-                // below runs lock-free so sibling plane threads can drain the
-                // next backlog concurrently.
+                // below runs lock-free so sibling plane threads (and pacing
+                // helpers) can drain the next backlog concurrently.
                 let rx = self.rx.lock().expect("rx lock");
                 let Ok(first) = rx.recv() else {
                     break; // all workers done
@@ -167,40 +194,76 @@ impl Plane {
                 jobs.push(first);
                 jobs.extend(rx.try_iter().take(self.max_batch - 1));
             }
-            self.drains.fetch_add(1, Ordering::Relaxed);
-            self.chunks.fetch_add(jobs.len() as u64, Ordering::Relaxed);
-            self.max_batch_seen
-                .fetch_max(jobs.len() as u64, Ordering::Relaxed);
-
-            let batch: Vec<(&[VectorKey], bool, usize)> = jobs
-                .iter()
-                .map(|j| (j.chunk.as_slice(), j.armed, j.shard))
-                .collect();
-            let (guidance, forwards) =
-                Shard::compute_guidance_batch(&batch, ctx, router, &mut scratch);
-            self.model_forwards.fetch_add(forwards, Ordering::Relaxed);
-
-            for (job, (bits, prefetched)) in jobs.drain(..).zip(guidance) {
-                let slot = &self.completed[job.shard];
-                {
-                    let mut updates = slot.updates.lock().expect("completed lock");
-                    updates.push(GuidanceUpdate {
-                        chunk: job.chunk,
-                        bits,
-                        prefetched,
-                    });
-                    slot.len.store(updates.len(), Ordering::Release);
-                }
-                // Decrement only after the update is visible, so a shard never
-                // sees "plane idle" with its guidance still un-parked.
-                self.in_flight[job.shard].fetch_sub(1, Ordering::AcqRel);
-            }
-            // Wake producers pacing on the lag gate. Taking (and dropping) the
-            // gate lock orders this notify after any in-flight check a waiter
-            // made before blocking, so the wakeup cannot be missed.
-            drop(self.lag_gate.lock().expect("lag gate lock"));
-            self.lag_cv.notify_all();
+            self.compute_and_park(&mut jobs, ctx, router, &mut scratch);
         }
+    }
+
+    /// A pacing worker's turn as a plane consumer: takes one full batch
+    /// off the job channel and runs the drain tail on it. Declines —
+    /// returning `false` — unless a full batch waits behind the one the
+    /// plane is computing (`pending ≥ 2 × max_batch`), so a helper never
+    /// splits what the plane would have coalesced, and when the receiver
+    /// is held (a plane thread is blocked in `recv` on an empty channel,
+    /// or is draining it right now).
+    fn help(&self, ctx: &GuidanceCtx, router: &ShardRouter, scratch: &mut FastScratch) -> bool {
+        if self.pending() < 2 * self.max_batch {
+            return false;
+        }
+        let Ok(rx) = self.rx.try_lock() else {
+            return false;
+        };
+        let mut jobs: Vec<GuidanceJob> = rx.try_iter().take(self.max_batch).collect();
+        drop(rx);
+        if jobs.is_empty() {
+            return false;
+        }
+        self.compute_and_park(&mut jobs, ctx, router, scratch);
+        true
+    }
+
+    /// The one drain tail, shared by plane threads and pacing helpers:
+    /// one batched forward per model over `jobs`, each update parked in
+    /// its shard's mailbox, `in_flight` decremented after parking, then
+    /// the lag gate notified. Leaves `jobs` empty.
+    fn compute_and_park(
+        &self,
+        jobs: &mut Vec<GuidanceJob>,
+        ctx: &GuidanceCtx,
+        router: &ShardRouter,
+        scratch: &mut FastScratch,
+    ) {
+        self.drains.fetch_add(1, Ordering::Relaxed);
+        self.chunks.fetch_add(jobs.len() as u64, Ordering::Relaxed);
+        self.max_batch_seen
+            .fetch_max(jobs.len() as u64, Ordering::Relaxed);
+
+        let batch: Vec<(&[VectorKey], bool, usize)> = jobs
+            .iter()
+            .map(|j| (j.chunk.as_slice(), j.armed, j.shard))
+            .collect();
+        let (guidance, forwards) = Shard::compute_guidance_batch(&batch, ctx, router, scratch);
+        self.model_forwards.fetch_add(forwards, Ordering::Relaxed);
+
+        for (job, (bits, prefetched)) in jobs.drain(..).zip(guidance) {
+            let slot = &self.completed[job.shard];
+            {
+                let mut updates = slot.updates.lock().expect("completed lock");
+                updates.push(GuidanceUpdate {
+                    chunk: job.chunk,
+                    bits,
+                    prefetched,
+                });
+                slot.len.store(updates.len(), Ordering::Release);
+            }
+            // Decrement only after the update is visible, so a shard never
+            // sees "plane idle" with its guidance still un-parked.
+            self.in_flight[job.shard].fetch_sub(1, Ordering::AcqRel);
+        }
+        // Wake producers pacing on the lag gate. Taking (and dropping) the
+        // gate lock orders this notify after any in-flight check a waiter
+        // made before blocking, so the wakeup cannot be missed.
+        drop(self.lag_gate.lock().expect("lag gate lock"));
+        self.lag_cv.notify_all();
     }
 
     /// Closes out a run once every worker and plane thread is joined:
@@ -241,12 +304,14 @@ impl Plane {
 
 /// One shard's view of the plane while a worker serves a sub-batch on it:
 /// the shard's mailbox and backlog counter (resolved once, not per key)
-/// plus the worker's sender.
+/// plus the worker's sender, router and model scratch.
 pub(crate) struct PlanePort<'a> {
     plane: &'a Plane,
     slot: &'a CompletedSlot,
     in_flight: &'a AtomicUsize,
     tx: &'a JobSender,
+    router: &'a ShardRouter,
+    scratch: &'a RefCell<FastScratch>,
 }
 
 impl PlanePort<'_> {
@@ -286,28 +351,46 @@ impl PlanePort<'_> {
     /// wakes to a full coalescing batch. Under sustained saturation the
     /// steady state is one skipped chunk per burst (guided fraction ≈
     /// 1 - 1/burst); when the plane keeps up nothing is skipped at all.
-    pub(crate) fn pace(&self) {
+    ///
+    /// While a full batch is queued behind the plane's, the producer
+    /// computes it instead of waiting ([`Plane::help`]): the core it would
+    /// have slept on becomes a second guidance consumer.
+    pub(crate) fn pace(&self, ctx: &GuidanceCtx) {
         if self.plane.max_lag == 0 {
             // The plane accepts no work: plain skip-ahead.
             return;
         }
         let low_water = self.plane.max_lag / 4;
-        let mut gate = self.plane.lag_gate.lock().expect("lag gate lock");
-        let mut waits = 0u32;
         // The pacing wait runs with this shard's mutex held, so it must
         // stay short: a healthy plane drains a batch in well under a
         // timeout quantum (the notify is what actually wakes the
-        // producer), and if it has made no progress after a few quanta we
-        // fall back to racing ahead (more §VI-C skips) rather than
-        // stalling sibling workers' — including SLA-degraded — demand
-        // accesses on the lock.
-        while self.in_flight.load(Ordering::Acquire) > low_water && waits < 5 {
-            let (g, _) = self
+        // producer), and if it has made no progress after a few quanta —
+        // or helping has used up their time — we fall back to racing
+        // ahead (more §VI-C skips) rather than stalling sibling workers'
+        // — including SLA-degraded — demand accesses on the lock.
+        let give_up = Instant::now() + PACE_QUANTUM * PACE_QUANTA;
+        let mut waits = 0u32;
+        while self.in_flight.load(Ordering::Acquire) > low_water && waits < PACE_QUANTA {
+            let now = Instant::now();
+            if now >= give_up {
+                break;
+            }
+            if self
                 .plane
-                .lag_cv
-                .wait_timeout(gate, Duration::from_millis(5))
-                .expect("lag gate lock");
-            gate = g;
+                .help(ctx, self.router, &mut self.scratch.borrow_mut())
+            {
+                continue;
+            }
+            let gate = self.plane.lag_gate.lock().expect("lag gate lock");
+            if self.in_flight.load(Ordering::Acquire) > low_water {
+                let quantum = PACE_QUANTUM.min(give_up - now);
+                drop(
+                    self.plane
+                        .lag_cv
+                        .wait_timeout(gate, quantum)
+                        .expect("lag gate lock"),
+                );
+            }
             waits += 1;
         }
     }
@@ -347,5 +430,113 @@ impl PlanePort<'_> {
             self.in_flight.fetch_sub(1, Ordering::AcqRel);
         }
         sent
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::session::tests::system;
+    use recmg_trace::{RowId, TableId};
+
+    /// Chunk `c` of a made-up stream: `len` distinct keys.
+    fn chunk(c: u64, len: usize) -> Vec<VectorKey> {
+        (0..len as u64)
+            .map(|i| VectorKey::new(TableId((c % 3) as u32), RowId(c * 31 + i)))
+            .collect()
+    }
+
+    fn parked(plane: &Plane, sid: usize) -> usize {
+        let slot = &plane.completed[sid];
+        let len = slot.len.load(Ordering::Acquire);
+        assert_eq!(len, slot.updates.lock().expect("completed lock").len());
+        len
+    }
+
+    fn take_queued(plane: &Plane) -> usize {
+        plane.rx.lock().expect("rx lock").try_iter().count()
+    }
+
+    /// With no plane thread at all, the paced worker is the only consumer:
+    /// it computes full batches until its shard is at the low-water mark,
+    /// parks the updates in the mailbox, and counts them as plane drains.
+    #[test]
+    fn a_paced_worker_drains_its_backlog_without_a_plane_thread() {
+        let sys = system(2);
+        let input_len = sys.ctx.cfg.input_len;
+        let (max_lag, max_batch) = (8, 2);
+        let (plane, tx) = Plane::new(2, max_lag, max_batch);
+        let scratch = RefCell::new(FastScratch::default());
+        let port = plane.port(0, &tx, &sys.router, &scratch);
+        for c in 0..max_lag as u64 {
+            assert!(port.offer(0, chunk(c, input_len), c % 2 == 0));
+        }
+
+        let started = Instant::now();
+        port.pace(&sys.ctx);
+        let took = started.elapsed();
+
+        let low_water = max_lag / 4;
+        let in_flight = plane.in_flight[0].load(Ordering::Acquire);
+        assert!(
+            in_flight <= low_water,
+            "in_flight {in_flight} > {low_water}"
+        );
+        assert_eq!(parked(&plane, 0), max_lag - in_flight);
+        assert_eq!(parked(&plane, 1), 0);
+        assert_eq!(take_queued(&plane), in_flight);
+        assert_eq!(
+            plane.chunks.load(Ordering::Relaxed),
+            (max_lag - in_flight) as u64
+        );
+        assert_eq!(
+            plane.drains.load(Ordering::Relaxed),
+            ((max_lag - in_flight) / max_batch) as u64
+        );
+        assert_eq!(
+            plane.max_batch_seen.load(Ordering::Relaxed),
+            max_batch as u64
+        );
+        assert!(plane.model_forwards.load(Ordering::Relaxed) > 0);
+        assert!(
+            took < PACE_QUANTUM * PACE_QUANTA / 2,
+            "pace took {took:?}: it waited instead of helping"
+        );
+    }
+
+    /// The helper takes a batch only while a full one would still be left
+    /// for the plane: below 2 × `max_batch` pending it computes nothing,
+    /// and at exactly 2 × `max_batch` it takes one full batch and leaves
+    /// the other queued.
+    #[test]
+    fn pace_never_takes_a_partial_batch() {
+        let sys = system(2);
+        let input_len = sys.ctx.cfg.input_len;
+        let (max_lag, max_batch) = (8, 4);
+        let (plane, tx) = Plane::new(2, max_lag, max_batch);
+        let scratch = RefCell::new(FastScratch::default());
+        let port = plane.port(1, &tx, &sys.router, &scratch);
+        let below = 2 * max_batch - 1;
+        for c in 0..below as u64 {
+            assert!(port.offer(1, chunk(c, input_len), true));
+        }
+
+        port.pace(&sys.ctx);
+        assert_eq!(plane.in_flight[1].load(Ordering::Acquire), below);
+        assert_eq!(parked(&plane, 1), 0);
+        assert_eq!(plane.drains.load(Ordering::Relaxed), 0);
+        assert_eq!(plane.model_forwards.load(Ordering::Relaxed), 0);
+
+        assert!(port.offer(1, chunk(below as u64, input_len), true));
+        port.pace(&sys.ctx);
+        assert_eq!(plane.in_flight[1].load(Ordering::Acquire), max_batch);
+        assert_eq!(parked(&plane, 1), max_batch);
+        assert_eq!(plane.drains.load(Ordering::Relaxed), 1);
+        assert_eq!(plane.chunks.load(Ordering::Relaxed), max_batch as u64);
+        assert_eq!(
+            plane.max_batch_seen.load(Ordering::Relaxed),
+            max_batch as u64
+        );
+        assert_eq!(take_queued(&plane), max_batch);
     }
 }

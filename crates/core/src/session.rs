@@ -37,6 +37,7 @@
 //! the sequential [`RecMgSystem`](crate::RecMgSystem) counts exactly — the
 //! parity oracle of `tests/integration_streaming.rs`.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -50,6 +51,7 @@ use crate::backend::{FillMode, FillPlaneReport};
 use crate::builder::SystemBuilder;
 use crate::config::{AdmissionPolicy, DegradeLevel, SlaBudget, TenantSpec};
 use crate::engine::{EngineReport, GuidanceMode};
+use crate::fast::FastScratch;
 use crate::migrate::{self, LiveRebalanceConfig, LiveState, ShardRoute};
 use crate::plane::{JobSender, Plane};
 use crate::sharding::{GuidanceCtx, Guide, Shard, ShardRouter, ShardedRecMgSystem};
@@ -879,6 +881,9 @@ fn worker_loop(shared: &SessionShared, tx: Option<JobSender>) -> WorkerLog {
     // every request, so the per-request path allocates nothing once the
     // per-shard capacities have warmed up.
     let mut parts: Vec<Vec<VectorKey>> = Vec::new();
+    // Model-forward buffers for the plane batches this worker computes
+    // while pacing at a shard's lag limit (`PlanePort::pace`).
+    let scratch = RefCell::new(FastScratch::default());
     while let Some(request) = pop_request(shared) {
         let dequeued = Instant::now();
         let counters = &shared.counters.tenants[request.tenant];
@@ -902,6 +907,7 @@ fn worker_loop(shared: &SessionShared, tx: Option<JobSender>) -> WorkerLog {
             tx.as_ref(),
             &mut log.stats,
             &mut parts,
+            &scratch,
         );
         let finished = Instant::now();
         log.samples.push(RequestSample {
@@ -924,7 +930,8 @@ fn worker_loop(shared: &SessionShared, tx: Option<JobSender>) -> WorkerLog {
 
 /// Serves one request's keys across its home shards at the chosen
 /// degradation level. `parts` is the worker's reusable split scratch
-/// ([`ShardRouter::split_into`]).
+/// ([`ShardRouter::split_into`]) and `scratch` its model scratch for
+/// pacing help.
 fn serve_request(
     shared: &SessionShared,
     keys: &[VectorKey],
@@ -932,6 +939,7 @@ fn serve_request(
     tx: Option<&JobSender>,
     stats: &mut BatchAccessStats,
     parts: &mut Vec<Vec<VectorKey>>,
+    scratch: &RefCell<FastScratch>,
 ) {
     shared.router.split_into(keys, parts);
     // One route pin covers the whole request: the snapshot cannot tear,
@@ -943,7 +951,11 @@ fn serve_request(
             continue;
         }
         let mut shard = shared.shards[sid].lock().expect("shard lock");
-        let port = shared.plane.as_ref().zip(tx).map(|(p, tx)| p.port(sid, tx));
+        let port = shared
+            .plane
+            .as_ref()
+            .zip(tx)
+            .map(|(p, tx)| p.port(sid, tx, &shared.router, scratch));
         let guide = match (degrade, port) {
             (DegradeLevel::None, Some(port)) => Guide::Plane(port),
             (DegradeLevel::None, None) => Guide::Inline(&shared.router),

@@ -371,7 +371,7 @@ pub(crate) struct Shard {
     unguided_chunks: u64,
     /// Reused model-forward buffers for this shard's inline guidance, so
     /// the inline hot path allocates nothing per chunk (the background
-    /// plane holds its own per-thread scratch).
+    /// plane threads and pacing workers hold their own per-thread scratch).
     scratch: FastScratch,
     /// Fast-tier replica of this shard's read-hot keys, installed by a
     /// live session's [`ReplicationPolicy`](crate::ReplicationPolicy).
@@ -562,7 +562,7 @@ impl Shard {
     /// * [`Guide::Plane`] — guidance the plane has finished is applied
     ///   before each access; the chunk is offered to the plane unless the
     ///   shard is at its lag limit, in which case the producer paces
-    ///   itself after the skip;
+    ///   itself after the skip (computing queued plane batches meanwhile);
     /// * [`Guide::Stale`] — no fresh guidance at all (a degraded request;
     ///   its worker first applies whatever the plane had already parked);
     ///
@@ -609,7 +609,7 @@ impl Shard {
                         self.pending.drain(..input_len);
                         self.unguided_chunks += 1;
                         if let Guide::Plane(port) = guide {
-                            port.pace();
+                            port.pace(ctx);
                         }
                     }
                 }
