@@ -584,8 +584,8 @@ fn working_set_estimation(models: &Models, smoke: bool) -> Section {
 ///   [`Rebalancer::try_rebalance`] re-places on the pure phase-B delta;
 /// * `live` — one session with a [`LiveRebalanceConfig`]: the background
 ///   rebalancer detects the flip by phase trigger and re-places under
-///   load (double-buffered staging, copy-on-access + paced fill, one
-///   route publish), with sketch-driven read-hot replication on top.
+///   load (the quiescent shard move, under each moved shard's mutex),
+///   with sketch-driven read-hot replication on top.
 ///
 /// `hit_weighted_cost_ns` is the cumulative per-tier access cost
 /// including migration fills and replica charges/refunds, so live vs
@@ -709,23 +709,14 @@ fn online_rebalance(models: &Models, smoke: bool) -> Section {
     // recover; the dedicated replication rows below isolate that
     // effect on a workload shaped for it.
     let accesses_per_phase = (batches_per_phase * 60) as u64;
-    let live_cfg = LiveRebalanceConfig {
-        // Commit only fully-warm staging, with no fill pacing: the
-        // copy is still charged at tier fill cost, but the window in
-        // which live traffic races a half-built buffer is minimal —
-        // migration disruption should show up as charged fill work,
-        // not as nondeterministic miss storms.
-        fill_pause: Duration::ZERO,
-        warm_fraction: 1.0,
-        ..LiveRebalanceConfig::default()
-    }
-    .with_min_new_accesses(accesses_per_phase / 2)
-    .with_cooldown(2 * epoch)
-    .with_replication(ReplicationPolicy {
-        unit: 64,
-        hot_share: 0.10,
-        read_dominance: 0.5,
-    });
+    let live_cfg = LiveRebalanceConfig::default()
+        .with_min_new_accesses(accesses_per_phase / 2)
+        .with_cooldown(2 * epoch)
+        .with_replication(ReplicationPolicy {
+            unit: 64,
+            hot_share: 0.10,
+            read_dominance: 0.5,
+        });
     let flip_stream = [phase_a.clone(), phase_b.clone()].concat();
     let live = || {
         let (sys, report) = serve(build_system(), Some(live_cfg), flip_stream.clone());
@@ -932,13 +923,9 @@ fn multi_tenant_burst(models: &Models, smoke: bool) -> Section {
 
     // One flash burst's hot-set accesses halve the trigger's count gate,
     // so the phase fire lands inside the burst that caused it.
-    let live_cfg = LiveRebalanceConfig {
-        fill_pause: Duration::ZERO,
-        warm_fraction: 1.0,
-        ..LiveRebalanceConfig::default()
-    }
-    .with_min_new_accesses((200 * keys_per_request / 2) as u64)
-    .with_cooldown(2 * epoch);
+    let live_cfg = LiveRebalanceConfig::default()
+        .with_min_new_accesses((200 * keys_per_request / 2) as u64)
+        .with_cooldown(2 * epoch);
 
     let run_scenario = |scenario: &'static str, besteffort_chain: MarkovArrivals| {
         let session = SessionBuilder::new()

@@ -70,7 +70,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 
 /// Deterministically synthesizes the row bytes of `key`. Every backend
 /// stores the same function of the key, so parity across backends is
-/// bit-exact and a migrated/staged store can be rebuilt without copying
+/// bit-exact and a migrated store can be rebuilt without copying
 /// bytes tier-to-tier.
 pub fn synth_row(key: VectorKey, out: &mut [u8]) {
     let mut state = key.as_u64() ^ 0x5851_f42d_4c95_7f2d;

@@ -23,17 +23,6 @@ use crate::tier::MemoryTier;
 
 pub(crate) use crate::backend::FillHandle;
 
-/// The residents a shard move keeps ([`RecMgBuffer::commit_move`]).
-#[derive(Debug)]
-pub(crate) enum Kept {
-    /// The buffer's own residents, re-sized in place to this capacity (a
-    /// quiescent move).
-    Own(usize),
-    /// A warmed staging buffer and how many entries were copied into it
-    /// (a live migration's double-buffer commit).
-    Staged(GpuBuffer, u64),
-}
-
 /// Cumulative tier-traffic accounting of one [`RecMgBuffer`]: how many
 /// buffer events the backing memory tier served and what they cost under
 /// that tier's [`TierCost`] model. Counters merge losslessly across shards
@@ -295,10 +284,12 @@ impl RecMgBuffer {
         self.rebuild_rows(self.backend);
     }
 
-    /// The one shard-move commit, for the quiescent rebalance and a live
-    /// migration alike: keeps `kept`'s residents, rebuilds their rows once
-    /// on the destination tier's backend, re-prices at its cost model and
-    /// charges every copied entry its `fill_ns`. Returns the charge.
+    /// The one shard move, for the quiescent rebalance and a live
+    /// migration alike: keeps the buffer's own residents re-sized to
+    /// `capacity` (shrinking evicts coldest unpinned entries first),
+    /// rebuilds their rows once on the destination tier's backend,
+    /// re-prices at its cost model and charges every kept entry its
+    /// `fill_ns`. Returns the charge.
     ///
     /// Traffic counters, the working-set tracker and the eviction speed
     /// stay: only where the vectors live changes. The charge lands in the
@@ -307,20 +298,9 @@ impl RecMgBuffer {
     /// *per-shard* traffic
     /// ([`ShardedRecMgSystem::shard_traffic`](crate::ShardedRecMgSystem::shard_traffic))
     /// around the move, as the serving bench does, not per-tier traffic.
-    pub(crate) fn commit_move(&mut self, to: &MemoryTier, kept: Kept) -> u64 {
-        let copied = match kept {
-            Kept::Own(capacity) => {
-                self.buffer.set_capacity(capacity);
-                self.buffer.len() as u64
-            }
-            Kept::Staged(mut staged, copied) => {
-                // Pins follow the shard, not the storage.
-                staged.set_pinned_tables(self.buffer.pinned_tables());
-                self.buffer = staged;
-                copied
-            }
-        };
-        let charge = copied * to.cost.fill_ns;
+    pub(crate) fn commit_move(&mut self, to: &MemoryTier, capacity: usize) -> u64 {
+        self.buffer.set_capacity(capacity);
+        let charge = self.buffer.len() as u64 * to.cost.fill_ns;
         self.cost = to.cost;
         self.traffic.cost_ns += charge;
         // The old store (and its temp file, for file-backed tiers) is
@@ -737,23 +717,21 @@ mod tests {
     }
 
     #[test]
-    fn staged_move_keeps_history_and_reprices() {
+    fn a_move_keeps_history_and_reprices() {
         let mut b = priced(4, TierCost::cxl_like());
         for r in 1..=3 {
             b.access(key(r));
         }
         let before = b.traffic();
         let footprint = b.working_set().unique_keys;
-        let mut staged = GpuBuffer::new(8);
-        staged.insert(key(1), 4, false);
         let fast = MemoryTier::dram(8);
-        let charge = b.commit_move(&fast, Kept::Staged(staged, 1));
-        assert_eq!(charge, fast.cost.fill_ns, "one copied entry");
+        let charge = b.commit_move(&fast, 8);
+        assert_eq!(charge, 3 * fast.cost.fill_ns, "three kept residents");
         assert_eq!(b.capacity(), 8);
         assert_eq!(b.cost(), fast.cost);
-        // The staged resident's row materialized on the new backend.
+        // The kept residents' rows materialized on the new backend.
         assert!(b.read_row(key(1)).is_some());
-        assert!(b.read_row(key(2)).is_none());
+        assert!(b.read_row(key(4)).is_none());
         let t = b.traffic();
         assert_eq!((t.hits, t.misses), (before.hits, before.misses));
         assert_eq!(t.cost_ns, before.cost_ns + charge);
@@ -772,7 +750,7 @@ mod tests {
         assert_eq!((b.capacity(), b.len()), (3, 3));
         // An in-place move re-sizes first and charges the survivors.
         let slow = MemoryTier::cxl(2);
-        assert_eq!(b.commit_move(&slow, Kept::Own(2)), 2 * slow.cost.fill_ns);
+        assert_eq!(b.commit_move(&slow, 2), 2 * slow.cost.fill_ns);
         assert_eq!((b.capacity(), b.len()), (2, 2));
         assert_eq!(b.traffic().cost_ns, 2 * slow.cost.fill_ns);
         assert_eq!(b.cost(), slow.cost);
@@ -809,7 +787,7 @@ mod tests {
         // Moving to a file backend preserves the exact bytes.
         let survivors: Vec<_> = b.buffer().keys().collect();
         let file = MemoryTier::new("file", 2, TierCost::FREE).with_backend(BackendSpec::File);
-        b.commit_move(&file, Kept::Own(2));
+        b.commit_move(&file, 2);
         assert_eq!(b.backend_spec(), crate::backend::BackendSpec::File);
         for k in survivors {
             let mut expect = [0u8; ROW_BYTES];
@@ -861,7 +839,7 @@ mod tests {
                                     _ => BackendSpec::File,
                                 },
                             );
-                            b.commit_move(&to, Kept::Own(other as usize % 12 + 1));
+                            b.commit_move(&to, other as usize % 12 + 1);
                         }
                     }
                     let mut slots: Vec<usize> = b.buffer().slots().map(|(s, _)| s).collect();

@@ -151,8 +151,6 @@ mod tests {
         MigrationReport {
             migrations: 2,
             resizes: 1,
-            copy_fills: 40,
-            background_fills: 12,
             migration_cost_ns: 46_800,
             route_epoch: 5,
         }
@@ -332,7 +330,7 @@ mod tests {
     fn golden_migration_report() {
         assert_eq!(
             migration().to_json(),
-            r#"{"migrations": 2, "resizes": 1, "copy_fills": 40, "background_fills": 12, "migration_cost_ns": 46800, "route_epoch": 5}"#
+            r#"{"migrations": 2, "resizes": 1, "migration_cost_ns": 46800, "route_epoch": 5}"#
         );
     }
 
@@ -385,7 +383,7 @@ mod tests {
     fn golden_engine_report() {
         assert_eq!(
             engine().to_json(),
-            r#"{"batches": 25, "keys": 150, "hit_rate": 0.8000, "guided_fraction": 0.7500, "keys_per_sec": 1215.0, "elapsed_secs": 0.1235, "plane": {"model_forwards": 18, "drains": 9, "chunks": 31, "mean_batch": 3.44, "max_batch": 8, "late_chunks": 2, "kernel_lane": "avx2+int8"}, "access_cost_ns": 197530, "unique_keys": 77, "max_phase_score": 0.5124, "migration": {"migrations": 2, "resizes": 1, "copy_fills": 40, "background_fills": 12, "migration_cost_ns": 46800, "route_epoch": 5}, "replication": {"replicated_shards": 1, "replica_hits": 300, "replica_fills": 24, "invalidations": 6, "saved_cost_ns": 81000, "replica_cost_ns": 7200}, "calibration": [{"tier": "dram", "backend": "dram", "probe_rows": 128, "hit_ns": 12, "miss_ns": 340, "fill_ns": 95}, {"tier": "mapped_file", "backend": "mmap", "probe_rows": 128, "hit_ns": 57, "miss_ns": 340, "fill_ns": 95}], "fills": {"queued": 50, "coalesced": 9, "dropped": 2, "promoted": 39}, "tiers": [{"tier": "dram", "shards": 3, "capacity": 128, "resident": 97, "hits": 120, "misses": 30, "prefetch_fills": 7, "demand_fills": 3, "cost_ns": 98765, "unique_keys": 41}, {"tier": "cxl", "shards": 5, "capacity": 128, "resident": 97, "hits": 0, "misses": 30, "prefetch_fills": 7, "demand_fills": 3, "cost_ns": 98765, "unique_keys": 41}], "tables": [{"table": 3, "size": 40000, "accesses": 1234, "demand_share": 0.0385, "skew": 1.234, "unique_rows": 812, "pinned_shard": 2, "hot_rows": 64}, {"table": 9, "size": 40000, "accesses": 1234, "demand_share": 0.0385, "skew": 1.234, "unique_rows": 812, "pinned_shard": -1, "hot_rows": 64}]}"#
+            r#"{"batches": 25, "keys": 150, "hit_rate": 0.8000, "guided_fraction": 0.7500, "keys_per_sec": 1215.0, "elapsed_secs": 0.1235, "plane": {"model_forwards": 18, "drains": 9, "chunks": 31, "mean_batch": 3.44, "max_batch": 8, "late_chunks": 2, "kernel_lane": "avx2+int8"}, "access_cost_ns": 197530, "unique_keys": 77, "max_phase_score": 0.5124, "migration": {"migrations": 2, "resizes": 1, "migration_cost_ns": 46800, "route_epoch": 5}, "replication": {"replicated_shards": 1, "replica_hits": 300, "replica_fills": 24, "invalidations": 6, "saved_cost_ns": 81000, "replica_cost_ns": 7200}, "calibration": [{"tier": "dram", "backend": "dram", "probe_rows": 128, "hit_ns": 12, "miss_ns": 340, "fill_ns": 95}, {"tier": "mapped_file", "backend": "mmap", "probe_rows": 128, "hit_ns": 57, "miss_ns": 340, "fill_ns": 95}], "fills": {"queued": 50, "coalesced": 9, "dropped": 2, "promoted": 39}, "tiers": [{"tier": "dram", "shards": 3, "capacity": 128, "resident": 97, "hits": 120, "misses": 30, "prefetch_fills": 7, "demand_fills": 3, "cost_ns": 98765, "unique_keys": 41}, {"tier": "cxl", "shards": 5, "capacity": 128, "resident": 97, "hits": 0, "misses": 30, "prefetch_fills": 7, "demand_fills": 3, "cost_ns": 98765, "unique_keys": 41}], "tables": [{"table": 3, "size": 40000, "accesses": 1234, "demand_share": 0.0385, "skew": 1.234, "unique_rows": 812, "pinned_shard": 2, "hot_rows": 64}, {"table": 9, "size": 40000, "accesses": 1234, "demand_share": 0.0385, "skew": 1.234, "unique_rows": 812, "pinned_shard": -1, "hot_rows": 64}]}"#
         );
     }
 
@@ -422,11 +420,11 @@ mod tests {
     fn golden_session_report() {
         assert_eq!(
             session(Some(sla())).to_json(),
-            r#"{"engine": {"batches": 25, "keys": 150, "hit_rate": 0.8000, "guided_fraction": 0.7500, "keys_per_sec": 1215.0, "elapsed_secs": 0.1235, "plane": {"model_forwards": 18, "drains": 9, "chunks": 31, "mean_batch": 3.44, "max_batch": 8, "late_chunks": 2, "kernel_lane": "avx2+int8"}, "access_cost_ns": 197530, "unique_keys": 77, "max_phase_score": 0.5124, "migration": {"migrations": 2, "resizes": 1, "copy_fills": 40, "background_fills": 12, "migration_cost_ns": 46800, "route_epoch": 5}, "replication": {"replicated_shards": 1, "replica_hits": 300, "replica_fills": 24, "invalidations": 6, "saved_cost_ns": 81000, "replica_cost_ns": 7200}, "calibration": [{"tier": "dram", "backend": "dram", "probe_rows": 128, "hit_ns": 12, "miss_ns": 340, "fill_ns": 95}, {"tier": "mapped_file", "backend": "mmap", "probe_rows": 128, "hit_ns": 57, "miss_ns": 340, "fill_ns": 95}], "fills": {"queued": 50, "coalesced": 9, "dropped": 2, "promoted": 39}, "tiers": [{"tier": "dram", "shards": 3, "capacity": 128, "resident": 97, "hits": 120, "misses": 30, "prefetch_fills": 7, "demand_fills": 3, "cost_ns": 98765, "unique_keys": 41}, {"tier": "cxl", "shards": 5, "capacity": 128, "resident": 97, "hits": 0, "misses": 30, "prefetch_fills": 7, "demand_fills": 3, "cost_ns": 98765, "unique_keys": 41}], "tables": [{"table": 3, "size": 40000, "accesses": 1234, "demand_share": 0.0385, "skew": 1.234, "unique_rows": 812, "pinned_shard": 2, "hot_rows": 64}, {"table": 9, "size": 40000, "accesses": 1234, "demand_share": 0.0385, "skew": 1.234, "unique_rows": 812, "pinned_shard": -1, "hot_rows": 64}]}, "submitted": 40, "completed": 30, "rejected_queue_full": 4, "rejected_deadline": 2, "shed_in_queue": 4, "shed_rate": 0.2500, "latency": {"count": 30, "p50_ms": 1.500, "p95_ms": 4.250, "p99_ms": 9.875, "mean_ms": 2.001, "max_ms": 12.000}, "queue_wait": {"count": 30, "p50_ms": 1.500, "p95_ms": 4.250, "p99_ms": 9.875, "mean_ms": 2.001, "max_ms": 12.000}, "sla": {"budget_ms": 8.000, "met": 22, "missed": 3, "attainment": 0.8800, "degraded_skip_ahead": 4, "degraded_prefetch_off": 1}, "tenants": [{"name": "budgeted", "weight": 3, "submitted": 20, "completed": 15, "rejected_queue_full": 2, "rejected_deadline": 1, "shed_in_queue": 2, "latency": {"count": 15, "p50_ms": 1.500, "p95_ms": 4.250, "p99_ms": 9.875, "mean_ms": 2.001, "max_ms": 12.000}, "queue_wait": {"count": 15, "p50_ms": 1.500, "p95_ms": 4.250, "p99_ms": 9.875, "mean_ms": 2.001, "max_ms": 12.000}, "sla": {"budget_ms": 8.000, "met": 22, "missed": 3, "attainment": 0.8800, "degraded_skip_ahead": 4, "degraded_prefetch_off": 1}}, {"name": "besteffort", "weight": 0.5, "submitted": 20, "completed": 15, "rejected_queue_full": 2, "rejected_deadline": 1, "shed_in_queue": 2, "latency": {"count": 15, "p50_ms": 1.500, "p95_ms": 4.250, "p99_ms": 9.875, "mean_ms": 2.001, "max_ms": 12.000}, "queue_wait": {"count": 15, "p50_ms": 1.500, "p95_ms": 4.250, "p99_ms": 9.875, "mean_ms": 2.001, "max_ms": 12.000}, "sla": null}]}"#
+            r#"{"engine": {"batches": 25, "keys": 150, "hit_rate": 0.8000, "guided_fraction": 0.7500, "keys_per_sec": 1215.0, "elapsed_secs": 0.1235, "plane": {"model_forwards": 18, "drains": 9, "chunks": 31, "mean_batch": 3.44, "max_batch": 8, "late_chunks": 2, "kernel_lane": "avx2+int8"}, "access_cost_ns": 197530, "unique_keys": 77, "max_phase_score": 0.5124, "migration": {"migrations": 2, "resizes": 1, "migration_cost_ns": 46800, "route_epoch": 5}, "replication": {"replicated_shards": 1, "replica_hits": 300, "replica_fills": 24, "invalidations": 6, "saved_cost_ns": 81000, "replica_cost_ns": 7200}, "calibration": [{"tier": "dram", "backend": "dram", "probe_rows": 128, "hit_ns": 12, "miss_ns": 340, "fill_ns": 95}, {"tier": "mapped_file", "backend": "mmap", "probe_rows": 128, "hit_ns": 57, "miss_ns": 340, "fill_ns": 95}], "fills": {"queued": 50, "coalesced": 9, "dropped": 2, "promoted": 39}, "tiers": [{"tier": "dram", "shards": 3, "capacity": 128, "resident": 97, "hits": 120, "misses": 30, "prefetch_fills": 7, "demand_fills": 3, "cost_ns": 98765, "unique_keys": 41}, {"tier": "cxl", "shards": 5, "capacity": 128, "resident": 97, "hits": 0, "misses": 30, "prefetch_fills": 7, "demand_fills": 3, "cost_ns": 98765, "unique_keys": 41}], "tables": [{"table": 3, "size": 40000, "accesses": 1234, "demand_share": 0.0385, "skew": 1.234, "unique_rows": 812, "pinned_shard": 2, "hot_rows": 64}, {"table": 9, "size": 40000, "accesses": 1234, "demand_share": 0.0385, "skew": 1.234, "unique_rows": 812, "pinned_shard": -1, "hot_rows": 64}]}, "submitted": 40, "completed": 30, "rejected_queue_full": 4, "rejected_deadline": 2, "shed_in_queue": 4, "shed_rate": 0.2500, "latency": {"count": 30, "p50_ms": 1.500, "p95_ms": 4.250, "p99_ms": 9.875, "mean_ms": 2.001, "max_ms": 12.000}, "queue_wait": {"count": 30, "p50_ms": 1.500, "p95_ms": 4.250, "p99_ms": 9.875, "mean_ms": 2.001, "max_ms": 12.000}, "sla": {"budget_ms": 8.000, "met": 22, "missed": 3, "attainment": 0.8800, "degraded_skip_ahead": 4, "degraded_prefetch_off": 1}, "tenants": [{"name": "budgeted", "weight": 3, "submitted": 20, "completed": 15, "rejected_queue_full": 2, "rejected_deadline": 1, "shed_in_queue": 2, "latency": {"count": 15, "p50_ms": 1.500, "p95_ms": 4.250, "p99_ms": 9.875, "mean_ms": 2.001, "max_ms": 12.000}, "queue_wait": {"count": 15, "p50_ms": 1.500, "p95_ms": 4.250, "p99_ms": 9.875, "mean_ms": 2.001, "max_ms": 12.000}, "sla": {"budget_ms": 8.000, "met": 22, "missed": 3, "attainment": 0.8800, "degraded_skip_ahead": 4, "degraded_prefetch_off": 1}}, {"name": "besteffort", "weight": 0.5, "submitted": 20, "completed": 15, "rejected_queue_full": 2, "rejected_deadline": 1, "shed_in_queue": 2, "latency": {"count": 15, "p50_ms": 1.500, "p95_ms": 4.250, "p99_ms": 9.875, "mean_ms": 2.001, "max_ms": 12.000}, "queue_wait": {"count": 15, "p50_ms": 1.500, "p95_ms": 4.250, "p99_ms": 9.875, "mean_ms": 2.001, "max_ms": 12.000}, "sla": null}]}"#
         );
         assert_eq!(
             session(None).to_json(),
-            r#"{"engine": {"batches": 25, "keys": 150, "hit_rate": 0.8000, "guided_fraction": 0.7500, "keys_per_sec": 1215.0, "elapsed_secs": 0.1235, "plane": {"model_forwards": 18, "drains": 9, "chunks": 31, "mean_batch": 3.44, "max_batch": 8, "late_chunks": 2, "kernel_lane": "avx2+int8"}, "access_cost_ns": 197530, "unique_keys": 77, "max_phase_score": 0.5124, "migration": {"migrations": 2, "resizes": 1, "copy_fills": 40, "background_fills": 12, "migration_cost_ns": 46800, "route_epoch": 5}, "replication": {"replicated_shards": 1, "replica_hits": 300, "replica_fills": 24, "invalidations": 6, "saved_cost_ns": 81000, "replica_cost_ns": 7200}, "calibration": [{"tier": "dram", "backend": "dram", "probe_rows": 128, "hit_ns": 12, "miss_ns": 340, "fill_ns": 95}, {"tier": "mapped_file", "backend": "mmap", "probe_rows": 128, "hit_ns": 57, "miss_ns": 340, "fill_ns": 95}], "fills": {"queued": 50, "coalesced": 9, "dropped": 2, "promoted": 39}, "tiers": [{"tier": "dram", "shards": 3, "capacity": 128, "resident": 97, "hits": 120, "misses": 30, "prefetch_fills": 7, "demand_fills": 3, "cost_ns": 98765, "unique_keys": 41}, {"tier": "cxl", "shards": 5, "capacity": 128, "resident": 97, "hits": 0, "misses": 30, "prefetch_fills": 7, "demand_fills": 3, "cost_ns": 98765, "unique_keys": 41}], "tables": [{"table": 3, "size": 40000, "accesses": 1234, "demand_share": 0.0385, "skew": 1.234, "unique_rows": 812, "pinned_shard": 2, "hot_rows": 64}, {"table": 9, "size": 40000, "accesses": 1234, "demand_share": 0.0385, "skew": 1.234, "unique_rows": 812, "pinned_shard": -1, "hot_rows": 64}]}, "submitted": 40, "completed": 30, "rejected_queue_full": 4, "rejected_deadline": 2, "shed_in_queue": 4, "shed_rate": 0.2500, "latency": {"count": 30, "p50_ms": 1.500, "p95_ms": 4.250, "p99_ms": 9.875, "mean_ms": 2.001, "max_ms": 12.000}, "queue_wait": {"count": 30, "p50_ms": 1.500, "p95_ms": 4.250, "p99_ms": 9.875, "mean_ms": 2.001, "max_ms": 12.000}, "sla": null, "tenants": [{"name": "budgeted", "weight": 3, "submitted": 20, "completed": 15, "rejected_queue_full": 2, "rejected_deadline": 1, "shed_in_queue": 2, "latency": {"count": 15, "p50_ms": 1.500, "p95_ms": 4.250, "p99_ms": 9.875, "mean_ms": 2.001, "max_ms": 12.000}, "queue_wait": {"count": 15, "p50_ms": 1.500, "p95_ms": 4.250, "p99_ms": 9.875, "mean_ms": 2.001, "max_ms": 12.000}, "sla": {"budget_ms": 8.000, "met": 22, "missed": 3, "attainment": 0.8800, "degraded_skip_ahead": 4, "degraded_prefetch_off": 1}}, {"name": "besteffort", "weight": 0.5, "submitted": 20, "completed": 15, "rejected_queue_full": 2, "rejected_deadline": 1, "shed_in_queue": 2, "latency": {"count": 15, "p50_ms": 1.500, "p95_ms": 4.250, "p99_ms": 9.875, "mean_ms": 2.001, "max_ms": 12.000}, "queue_wait": {"count": 15, "p50_ms": 1.500, "p95_ms": 4.250, "p99_ms": 9.875, "mean_ms": 2.001, "max_ms": 12.000}, "sla": null}]}"#
+            r#"{"engine": {"batches": 25, "keys": 150, "hit_rate": 0.8000, "guided_fraction": 0.7500, "keys_per_sec": 1215.0, "elapsed_secs": 0.1235, "plane": {"model_forwards": 18, "drains": 9, "chunks": 31, "mean_batch": 3.44, "max_batch": 8, "late_chunks": 2, "kernel_lane": "avx2+int8"}, "access_cost_ns": 197530, "unique_keys": 77, "max_phase_score": 0.5124, "migration": {"migrations": 2, "resizes": 1, "migration_cost_ns": 46800, "route_epoch": 5}, "replication": {"replicated_shards": 1, "replica_hits": 300, "replica_fills": 24, "invalidations": 6, "saved_cost_ns": 81000, "replica_cost_ns": 7200}, "calibration": [{"tier": "dram", "backend": "dram", "probe_rows": 128, "hit_ns": 12, "miss_ns": 340, "fill_ns": 95}, {"tier": "mapped_file", "backend": "mmap", "probe_rows": 128, "hit_ns": 57, "miss_ns": 340, "fill_ns": 95}], "fills": {"queued": 50, "coalesced": 9, "dropped": 2, "promoted": 39}, "tiers": [{"tier": "dram", "shards": 3, "capacity": 128, "resident": 97, "hits": 120, "misses": 30, "prefetch_fills": 7, "demand_fills": 3, "cost_ns": 98765, "unique_keys": 41}, {"tier": "cxl", "shards": 5, "capacity": 128, "resident": 97, "hits": 0, "misses": 30, "prefetch_fills": 7, "demand_fills": 3, "cost_ns": 98765, "unique_keys": 41}], "tables": [{"table": 3, "size": 40000, "accesses": 1234, "demand_share": 0.0385, "skew": 1.234, "unique_rows": 812, "pinned_shard": 2, "hot_rows": 64}, {"table": 9, "size": 40000, "accesses": 1234, "demand_share": 0.0385, "skew": 1.234, "unique_rows": 812, "pinned_shard": -1, "hot_rows": 64}]}, "submitted": 40, "completed": 30, "rejected_queue_full": 4, "rejected_deadline": 2, "shed_in_queue": 4, "shed_rate": 0.2500, "latency": {"count": 30, "p50_ms": 1.500, "p95_ms": 4.250, "p99_ms": 9.875, "mean_ms": 2.001, "max_ms": 12.000}, "queue_wait": {"count": 30, "p50_ms": 1.500, "p95_ms": 4.250, "p99_ms": 9.875, "mean_ms": 2.001, "max_ms": 12.000}, "sla": null, "tenants": [{"name": "budgeted", "weight": 3, "submitted": 20, "completed": 15, "rejected_queue_full": 2, "rejected_deadline": 1, "shed_in_queue": 2, "latency": {"count": 15, "p50_ms": 1.500, "p95_ms": 4.250, "p99_ms": 9.875, "mean_ms": 2.001, "max_ms": 12.000}, "queue_wait": {"count": 15, "p50_ms": 1.500, "p95_ms": 4.250, "p99_ms": 9.875, "mean_ms": 2.001, "max_ms": 12.000}, "sla": {"budget_ms": 8.000, "met": 22, "missed": 3, "attainment": 0.8800, "degraded_skip_ahead": 4, "degraded_prefetch_off": 1}}, {"name": "besteffort", "weight": 0.5, "submitted": 20, "completed": 15, "rejected_queue_full": 2, "rejected_deadline": 1, "shed_in_queue": 2, "latency": {"count": 15, "p50_ms": 1.500, "p95_ms": 4.250, "p99_ms": 9.875, "mean_ms": 2.001, "max_ms": 12.000}, "queue_wait": {"count": 15, "p50_ms": 1.500, "p95_ms": 4.250, "p99_ms": 9.875, "mean_ms": 2.001, "max_ms": 12.000}, "sla": null}]}"#
         );
     }
 }

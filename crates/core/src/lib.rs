@@ -51,12 +51,12 @@
 //!    live system within one sketch epoch of a skew flip (placement runs
 //!    on per-epoch traffic deltas, never cumulative history).
 //! 8. **Live migration** ([`migrate`]): sessions built with
-//!    [`SessionBuilder::live`] re-place shards with zero quiescence — an
-//!    epoch-versioned [`RouteTable`] routes every request wait-free, a
-//!    background rebalancer double-buffers the affected shard (copy-on-
-//!    access plus a paced fill) and commits with one route publish, and a
+//!    [`SessionBuilder::live`] re-place shards without a drain — a
+//!    background rebalancer runs the quiescent planner and makes the
+//!    quiescent shard move under the shard mutex, which is the whole
+//!    fence between a move and the requests around it, and a
 //!    sketch-driven [`ReplicationPolicy`] gives read-hot slow-tier shards
-//!    fast-tier replicas that invalidate through the same epoch fence.
+//!    fast-tier replicas whose entries decay on a route-epoch clock.
 //! 9. **Statistical per-table placement** ([`table_profile`]): a
 //!    [`TableProfiler`] on the demand path builds per-table
 //!    [`TableProfile`]s (size, demand share, fitted power-law skew,
@@ -143,10 +143,7 @@ pub use engine::{EngineReport, GuidanceMode, GuidancePlaneReport, ServeOptions};
 pub use fast::{active_lane, FastScratch, KernelLane};
 pub use json::JsonWriter;
 pub use labeling::{build_training_data, Chunk, PrefetchExample, TrainingData};
-pub use migrate::{
-    LiveRebalanceConfig, MigrationReport, ReplicationPolicy, ReplicationReport, RouteEpoch,
-    RouteTable, ShardRoute,
-};
+pub use migrate::{LiveRebalanceConfig, MigrationReport, ReplicationPolicy, ReplicationReport};
 pub use prefetch_model::{
     FastPrefetchModel, PrefetchEval, PrefetchLoss, PrefetchModel, PrefetchTrainingReport,
 };

@@ -1,4 +1,4 @@
-//! Live migration: zero-quiescence rebalancing and hot-shard replication.
+//! Live migration: zero-drain rebalancing and hot-shard replication.
 //!
 //! The quiescent [`Rebalancer`](crate::Rebalancer) detects a hot-set flip
 //! within ~1 sketch epoch and then has to wait for a session drain before
@@ -6,29 +6,19 @@
 //! [`ServingSession`](crate::ServingSession) re-place shards **while
 //! requests flow**, through the quiescent path's own pipeline: the same
 //! planner (placement policy, routing install, per-shard pin sets) and the
-//! same shard-move commit (rows rebuilt once on the destination tier,
-//! re-priced, every copied entry charged its `fill_ns`). Only where the
-//! kept residents come from differs — a warmed staging buffer instead of
-//! the buffer's own, re-sized in place:
+//! same shard move.
 //!
-//! * **Epoch-versioned routing** ([`RouteTable`] / [`RouteEpoch`]): every
-//!   shard is routed [`ShardRoute::Direct`] or [`ShardRoute::Migrating`]
-//!   (also mirror into a staging buffer), behind an arc-swap-style atomic
-//!   pointer. Workers [`pin`](RouteTable::pin) the current epoch once per
-//!   request without locks; a single writer publishes a new epoch with one
-//!   pointer store and retires the old one only after every pinned reader
-//!   has drained past the epoch fence. Replica installs and removals tick
-//!   the epoch too: it is the clock replica TTLs are measured against.
-//! * **Double-buffered placement** ([`LiveState`] + the background
-//!   rebalancer loop): on a phase-trigger or access-count fire, the
-//!   affected shard's new buffer is built at its new capacity/tier while
-//!   the old one keeps serving. Staging starts with the shard's pin set
-//!   and warms by *copy-on-access* (workers mirror the demanded keys the
-//!   primary holds) plus a *paced background fill* of the primary's
-//!   residents, pinned tables first, hottest first; once warm the route
-//!   goes back to direct, in-flight requests drain past the fence, and the
-//!   staged storage is committed under the shard lock
-//!   ([`MigrationReport`]).
+//! * **The shard mutex is the fence** (`LiveState` + the background
+//!   rebalancer loop): on a phase-trigger or access-count fire, every
+//!   shard whose tier changed is moved under its own mutex — its tier is
+//!   set and its buffer keeps its own residents at the new capacity, with
+//!   their rows rebuilt once on the destination backend, re-priced, and
+//!   every kept entry charged the destination's `fill_ns`
+//!   ([`MigrationReport`]). Workers serve a shard under the same mutex, so
+//!   a request sees the shard entirely before the move or entirely after
+//!   it. Moves are rare, planned events (a few per phase flip), so
+//!   a worker waiting out one rebuild costs less than any per-request
+//!   handshake would.
 //! * **Read-hot replication** ([`ReplicationPolicy`] / `ReplicaState`):
 //!   the working-set sketch decides
 //!   replication degree — shards that are hot *and* read-dominant get a
@@ -36,30 +26,33 @@
 //!   fleets replicate celebrity keys. Admission is two-touch: a key
 //!   earns its replica slot on its second fresh primary hit, so a hot
 //!   set larger than the replica cannot churn it with one-touch fills.
-//!   Replica entries are stamped with
-//!   the route epoch and invalidate through the same fence: a primary
-//!   miss (the "write") evicts the entry immediately, and entries older
-//!   than `TTL_EPOCHS` route epochs decay to absent. Counts stay
+//!   Replica entries are stamped with the route epoch — a session clock
+//!   that ticks once per shard move, replica change and
+//!   [`refresh_routes`](crate::ServingSession::refresh_routes) call. A
+//!   primary miss (the "write") evicts the entry immediately, and entries
+//!   older than `TTL_EPOCHS` route epochs decay to absent. Counts stay
 //!   canonical on the home shard; replication only re-prices hits
 //!   ([`ReplicationReport`]).
 //!
 //! Demand conservation is the load-bearing invariant: every demand access
-//! is recorded exactly once on whatever buffer is primary under the shard
-//! mutex, staging/replica fills never count as demand, and the
-//! double-buffer swap replaces only the storage — traffic counters and
-//! the sketch stay on the shard. A migration is therefore invisible to
-//! hit/miss totals (pinned by the 1-shard parity oracle in
-//! `tests/integration_migration.rs`).
+//! is recorded exactly once on the shard's buffer under the shard mutex,
+//! replica fills never count as demand, and a move replaces only the
+//! storage — traffic counters and the sketch stay on the shard. A
+//! migration is therefore invisible to hit/miss totals (pinned by the
+//! 1-shard parity oracle in `tests/integration_migration.rs`).
+//!
+//! [`RouteTable`], [`RouteEpoch`] and [`ShardRoute`] are not used by the
+//! serving path; they remain only because the benchmark harness times
+//! [`RouteTable::pin`] (`benchmark/src/micro.rs`).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use recmg_cache::GpuBuffer;
 use recmg_trace::VectorKey;
 
-use crate::buffer_mgmt::{Kept, TierTraffic};
+use crate::buffer_mgmt::TierTraffic;
 use crate::json::JsonWriter;
 use crate::sharding::{GuidanceCtx, Shard};
 use crate::table_profile::TableProfiler;
@@ -67,8 +60,6 @@ use crate::tier::{RebalanceTrigger, ShardPlacement, TierTopology};
 
 /// Trigger-poll interval of the live rebalancer's background thread.
 const CHECK_EVERY: Duration = Duration::from_micros(500);
-/// Entries copied per background-fill step (under brief shard locks).
-const FILL_BATCH: usize = 64;
 /// Maximum replication degree per shard.
 const MAX_DEGREE: usize = 4;
 /// Replica entries older than this many route epochs decay to absent
@@ -76,6 +67,9 @@ const MAX_DEGREE: usize = 4;
 const TTL_EPOCHS: u64 = 8;
 
 /// Per-shard serving route within one [`RouteEpoch`].
+///
+/// Kept only for the benchmark harness (`benchmark/src/micro.rs`).
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardRoute {
     /// Serve the primary buffer only.
@@ -88,6 +82,9 @@ pub enum ShardRoute {
 /// One immutable routing snapshot: the route of every shard, versioned by
 /// a monotonically increasing epoch. Workers read a whole epoch at once,
 /// so a request can never observe a torn route update.
+///
+/// Kept only for the benchmark harness (`benchmark/src/micro.rs`).
+#[doc(hidden)]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouteEpoch {
     epoch: u64,
@@ -129,11 +126,12 @@ impl RouteEpoch {
 /// assert_eq!(pinned.epoch(), 1);
 /// assert_eq!(pinned.route(1), ShardRoute::Migrating);
 /// ```
+///
+/// Kept only for the benchmark harness (`benchmark/src/micro.rs`).
+#[doc(hidden)]
 #[derive(Debug)]
 pub struct RouteTable {
     ptr: AtomicPtr<RouteEpoch>,
-    /// Shared with replica buffers so decay-TTL checks read the live
-    /// epoch without reaching back into the table.
     epoch: Arc<AtomicU64>,
     /// Reader pin counts, indexed by epoch parity.
     pins: [AtomicUsize; 2],
@@ -184,11 +182,6 @@ impl RouteTable {
     /// The current epoch number (monotonic).
     pub fn current_epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
-    }
-
-    /// Handle to the live epoch counter (replica TTL checks read it).
-    pub(crate) fn epoch_handle(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.epoch)
     }
 
     /// Pins and returns the current route snapshot. Lock-free: retries
@@ -356,12 +349,6 @@ pub struct LiveRebalanceConfig {
     /// Minimum fresh accesses between any two fires — the cooldown that
     /// keeps a noisy phase score from thrashing placements.
     pub cooldown: u64,
-    /// Pause between background-fill steps — the pacing that keeps
-    /// warming from starving serving.
-    pub fill_pause: Duration,
-    /// Staging is warm enough to commit once it holds this fraction of
-    /// `min(primary residency, staging capacity)`.
-    pub warm_fraction: f64,
     /// Optional read-hot replication on top of migration.
     pub replication: Option<ReplicationPolicy>,
 }
@@ -372,8 +359,6 @@ impl Default for LiveRebalanceConfig {
             min_new_accesses: 0,
             phase_threshold: Some(0.5),
             cooldown: 256,
-            fill_pause: Duration::from_micros(50),
-            warm_fraction: 0.9,
             replication: None,
         }
     }
@@ -415,18 +400,15 @@ impl LiveRebalanceConfig {
 /// the session ran without a live rebalancer.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MigrationReport {
-    /// Completed double-buffered tier migrations.
+    /// Shard moves, each committed under the shard mutex.
     pub migrations: u64,
-    /// In-place capacity-only re-sizes (no tier change, no staging).
+    /// In-place capacity-only re-sizes (no tier change).
     pub resizes: u64,
-    /// Staging entries warmed by copy-on-access mirroring.
-    pub copy_fills: u64,
-    /// Staging entries warmed by the paced background filler.
-    pub background_fills: u64,
-    /// Fill charges of committed migrations (`fills × destination
-    /// fill_ns`), also added to the migrated shard's cumulative cost.
+    /// Fill charges of the moves (`kept residents × destination
+    /// fill_ns`), also added to each moved shard's cumulative cost.
     pub migration_cost_ns: u64,
-    /// Route epochs published (0 = the route never changed).
+    /// The route-epoch clock at drain: one tick per shard move, replica
+    /// change and `refresh_routes` call (0 = nothing ever ticked).
     pub route_epoch: u64,
 }
 
@@ -441,8 +423,6 @@ impl MigrationReport {
         w.object(|w| {
             w.key("migrations").raw(self.migrations);
             w.key("resizes").raw(self.resizes);
-            w.key("copy_fills").raw(self.copy_fills);
-            w.key("background_fills").raw(self.background_fills);
             w.key("migration_cost_ns").raw(self.migration_cost_ns);
             w.key("route_epoch").raw(self.route_epoch);
         });
@@ -497,111 +477,28 @@ impl ReplicationReport {
     }
 }
 
-/// The double-buffered destination of one in-flight shard migration: a
-/// fresh buffer at the new capacity, carrying the shard's pin set.
-#[derive(Debug)]
-pub(crate) struct StagingBuffer {
-    pub(crate) buffer: GpuBuffer,
-    pub(crate) tier: usize,
-    pub(crate) copy_fills: u64,
-    pub(crate) background_fills: u64,
-}
-
-impl StagingBuffer {
-    fn new(placement: &ShardPlacement, pinned_tables: &[u32]) -> Self {
-        let mut buffer = GpuBuffer::new(placement.capacity.max(1));
-        // Pins hold from the first copy: neither admission below nor a
-        // concurrent mirror may evict a staged pinned row.
-        buffer.set_pinned_tables(pinned_tables);
-        StagingBuffer {
-            buffer,
-            tier: placement.tier,
-            copy_fills: 0,
-            background_fills: 0,
-        }
-    }
-
-    /// Copy-on-access admission: mirrors a just-demanded key. A full
-    /// staging buffer only displaces a colder entry.
-    pub(crate) fn admit(&mut self, key: VectorKey, priority: u64, prefetched: bool) -> bool {
-        if self.buffer.contains(key) {
-            return false;
-        }
-        if self.buffer.is_full() {
-            if self.buffer.min_priority().unwrap_or(0) >= priority {
-                return false;
-            }
-            self.buffer.evict_min();
-        }
-        self.buffer.insert(key, priority, prefetched);
-        true
-    }
-
-    /// One paced background-fill step: copies up to `batch` of the
-    /// primary's residents, pinned tables first and hottest first within
-    /// each class (priority and prefetch flag preserved, so first-touch
-    /// classification survives the swap). A smaller destination thus keeps
-    /// the pinned footprint, as an in-place shrink does. Returns how many
-    /// were copied — 0 means there is nothing left worth copying.
-    fn fill_step(&mut self, primary: &GpuBuffer, batch: usize) -> usize {
-        let pinned = |key: VectorKey| {
-            primary
-                .pinned_tables()
-                .binary_search(&key.table().0)
-                .is_ok()
-        };
-        let order = primary
-            .iter_hot_first()
-            .filter(|e| pinned(e.0))
-            .chain(primary.iter_hot_first().filter(|e| !pinned(e.0)));
-        let mut filled = 0;
-        for (key, priority, prefetched) in order {
-            if filled >= batch || self.buffer.is_full() {
-                break;
-            }
-            if self.buffer.contains(key) {
-                continue;
-            }
-            self.buffer.insert(key, priority, prefetched);
-            self.background_fills += 1;
-            filled += 1;
-        }
-        filled
-    }
-
-    fn warm_enough(&self, primary_len: usize, warm_fraction: f64) -> bool {
-        let target = primary_len.min(self.buffer.capacity());
-        self.buffer.len() as f64 >= target as f64 * warm_fraction
-    }
-}
-
-/// Shared state of a live-migration-enabled session: the route table,
-/// one staging slot per shard, the session totals, and the rebalancer's
-/// stop flag.
+/// Shared state of a live-rebalancing session: the route-epoch clock, the
+/// session totals, and the rebalancer's stop flag.
 #[derive(Debug)]
 pub(crate) struct LiveState {
     pub(crate) cfg: LiveRebalanceConfig,
-    pub(crate) routes: RouteTable,
-    staging: Vec<Mutex<Option<StagingBuffer>>>,
-    /// Serializes whole-migration critical sections (the background loop
-    /// plus manual [`ServingSession::migrate_shard`]
-    /// (crate::ServingSession::migrate_shard) calls).
-    migrating: Mutex<()>,
-    /// Session totals. They change only when a migration commits or is
-    /// abandoned, a shard re-sizes in place, or a replica retires; the
-    /// session fills in `route_epoch` and the still-installed replicas at
-    /// drain. Taken after any shard lock, never before one.
+    /// The route-epoch clock replica TTLs run on, shared with every
+    /// replica. Ticks once per shard move, replica change and
+    /// [`refresh_routes`](crate::ServingSession::refresh_routes) call.
+    epoch: Arc<AtomicU64>,
+    /// Session totals. They change only when a shard moves or re-sizes in
+    /// place, or a replica retires; the session fills in `route_epoch`
+    /// and the still-installed replicas at drain. Taken after any shard
+    /// lock, never before one.
     pub(crate) totals: Mutex<(MigrationReport, ReplicationReport)>,
     pub(crate) stop: AtomicBool,
 }
 
 impl LiveState {
-    pub(crate) fn new(num_shards: usize, cfg: LiveRebalanceConfig) -> Self {
+    pub(crate) fn new(cfg: LiveRebalanceConfig) -> Self {
         LiveState {
             cfg,
-            routes: RouteTable::new(num_shards),
-            staging: (0..num_shards).map(|_| Mutex::new(None)).collect(),
-            migrating: Mutex::new(()),
+            epoch: Arc::new(AtomicU64::new(0)),
             totals: Mutex::default(),
             stop: AtomicBool::new(false),
         }
@@ -611,106 +508,44 @@ impl LiveState {
         self.totals.lock().expect("live totals lock poisoned")
     }
 
-    /// Copy-on-access mirroring, called by workers for shards routed
-    /// [`ShardRoute::Migrating`] — under the shard mutex, after the part
-    /// was served against the (authoritative) primary.
-    pub(crate) fn mirror(&self, shard: &Shard, keys: &[VectorKey]) {
-        let mut slot = self.staging[shard.id]
-            .lock()
-            .expect("staging lock poisoned");
-        let Some(staging) = slot.as_mut() else {
-            // The migration committed (or was abandoned) after this
-            // request pinned its route: the primary already is the new
-            // buffer, nothing to mirror.
-            return;
-        };
-        for &key in keys {
-            // Only rows the primary holds, at its current priority so the
-            // staged copy preserves relative eviction order. A served key
-            // is absent when its miss only queued an async fill (or a
-            // later miss evicted it); staging it would make it resident at
-            // commit without the fill ever being charged.
-            if let Some(priority) = shard.buffer.buffer().priority(key) {
-                if staging.admit(key, priority, false) {
-                    staging.copy_fills += 1;
-                }
-            }
-        }
+    /// The current route epoch.
+    pub(crate) fn route_epoch(&self) -> u64 {
+        self.epoch.load(Ordering::Acquire)
+    }
+
+    /// Advances the route-epoch clock; returns the new epoch.
+    pub(crate) fn tick(&self) -> u64 {
+        self.epoch.fetch_add(1, Ordering::AcqRel) + 1
     }
 }
 
-/// Runs one full double-buffered migration of shard `sid` to `placement`:
-/// install staging, publish [`ShardRoute::Migrating`], paced warm-up,
-/// publish [`ShardRoute::Direct`] (the route CAS + epoch fence), then
-/// commit the staged storage under the shard lock. Returns `false` if the
-/// migration was abandoned by a session stop.
+/// Moves shard `sid` to `placement` while requests flow: the quiescent
+/// shard move, under the shard mutex. The destination tier is resolved
+/// before the lock is taken, so an out-of-range tier panics without
+/// poisoning the shard. Ticks the route epoch and counts the move and its
+/// charge.
 pub(crate) fn migrate_shard(
     live: &LiveState,
     shards: &[Mutex<Shard>],
     topology: &TierTopology,
     sid: usize,
     placement: &ShardPlacement,
-) -> bool {
-    let _serial = live.migrating.lock().expect("migration lock poisoned");
-    {
-        let shard = shards[sid].lock().expect("shard mutex poisoned");
-        let pinned = shard.buffer.buffer().pinned_tables();
-        *live.staging[sid].lock().expect("staging lock poisoned") =
-            Some(StagingBuffer::new(placement, pinned));
-    }
-    live.routes
-        .publish_with(|routes| routes[sid] = ShardRoute::Migrating);
-    // Paced warm-up: brief shard+staging critical sections, sleeping
-    // between steps so serving traffic keeps the locks most of the time.
-    let committed = loop {
-        let warm = {
-            let shard = shards[sid].lock().expect("shard mutex poisoned");
-            let mut slot = live.staging[sid].lock().expect("staging lock poisoned");
-            let staging = slot.as_mut().expect("staging installed above");
-            let filled = staging.fill_step(shard.buffer.buffer(), FILL_BATCH);
-            filled == 0 || staging.warm_enough(shard.buffer.len(), live.cfg.warm_fraction)
-        };
-        if warm {
-            break true;
-        }
-        if live.stop.load(Ordering::Acquire) {
-            // Session is draining: abandon the migration. The primary
-            // never stopped being authoritative, so nothing is lost.
-            break false;
-        }
-        std::thread::sleep(live.cfg.fill_pause);
+) {
+    let to = topology.tier(placement.tier);
+    let charge = {
+        let mut shard = shards[sid].lock().expect("shard mutex poisoned");
+        shard.tier = placement.tier;
+        shard.buffer.commit_move(to, placement.capacity.max(1))
     };
-    // The route CAS: after this publish returns, the epoch fence has
-    // drained every request that could still mirror into staging.
-    live.routes
-        .publish_with(|routes| routes[sid] = ShardRoute::Direct);
-    let mut shard = shards[sid].lock().expect("shard mutex poisoned");
-    let staging = live.staging[sid]
-        .lock()
-        .expect("staging lock poisoned")
-        .take()
-        .expect("staging survives until commit or abandon");
-    let copied = staging.copy_fills + staging.background_fills;
-    let charge = if committed {
-        shard.tier = staging.tier;
-        let to = topology.tier(staging.tier);
-        shard
-            .buffer
-            .commit_move(to, Kept::Staged(staging.buffer, copied))
-    } else {
-        0
-    };
+    live.tick();
     let (migration, _) = &mut *live.totals();
-    migration.migrations += u64::from(committed);
-    migration.copy_fills += staging.copy_fills;
-    migration.background_fills += staging.background_fills;
+    migration.migrations += 1;
     migration.migration_cost_ns += charge;
-    committed
 }
 
 /// Installs, re-sizes, or removes shard `sid`'s fast-tier replica under
 /// the shard mutex (`capacity == 0` removes; a retired replica's counters
-/// fold into the session totals). Every change publishes one route epoch,
+/// fold into the session totals). Every change ticks the route epoch,
 /// the clock replica TTLs run on. Returns whether anything changed.
 pub(crate) fn set_replica(
     live: &LiveState,
@@ -731,14 +566,14 @@ pub(crate) fn set_replica(
             (Some(replica), cap) => replica.set_capacity(cap),
             (None, cap) => {
                 let fast = topology.tier(0).cost;
-                let epoch = live.routes.epoch_handle();
+                let epoch = Arc::clone(&live.epoch);
                 shard.replica = Some(ReplicaState::new(cap, fast.hit_ns, fast.fill_ns, epoch));
                 true
             }
         }
     };
     if changed {
-        live.routes.publish_with(|_| {});
+        live.tick();
     }
     changed
 }
@@ -1163,118 +998,62 @@ mod tests {
         assert!(rep.probe(key(7)));
     }
 
-    /// Regression: under async fills a miss only queues its fill, so the
-    /// key is not resident in the primary. The mirror used to stage it
-    /// anyway ("a miss inserts"), and the commit then made it resident
-    /// without the queued fill ever being charged.
+    /// A live move is the quiescent move under the shard mutex: a move to
+    /// a smaller capacity keeps the pinned table's cold rows, and a key
+    /// whose async fill is still queued is not resident afterwards, so the
+    /// charge covers exactly the kept residents.
     #[test]
-    fn mirror_stages_only_rows_the_primary_holds() {
+    fn a_live_move_keeps_pinned_rows_and_copies_only_residents() {
         use crate::backend::{FillHandle, FillQueue};
-        let topology = TierTopology::two_tier(8, 8);
-        let live = LiveState::new(1, LiveRebalanceConfig::default());
+        let topology = TierTopology::two_tier(16, 16);
         let home = ShardPlacement {
             capacity: 8,
             tier: 0,
         };
         let mut shard = Shard::placed(0, 4, &home, &topology, SketchConfig::default());
+        shard.buffer.set_pinned_tables(&[1]);
+        let pinned: Vec<VectorKey> = (0..2)
+            .map(|r| VectorKey::new(TableId(1), RowId(r)))
+            .collect();
+        let hot: Vec<VectorKey> = (0..6).map(key).collect();
+        let all: Vec<VectorKey> = pinned.iter().chain(&hot).copied().collect();
+        for &k in &all {
+            shard.buffer.access(k);
+        }
+        // Pinned rows at priority 0, below six hotter unpinned rows.
+        let bits: Vec<bool> = all.iter().map(|k| k.table().0 != 1).collect();
+        shard.buffer.load_embeddings(&all, &bits, &[]);
+        // From here on a miss only queues its fill.
         shard.buffer.set_fill_handle(Some(FillHandle {
             queue: Arc::new(FillQueue::new(8)),
             shard: 0,
         }));
-        let dest = ShardPlacement {
-            capacity: 8,
-            tier: 1,
-        };
-        *live.staging[0].lock().expect("staging lock") = Some(StagingBuffer::new(&dest, &[]));
-        let fresh: Vec<VectorKey> = (0..4).map(key).collect();
-        for &k in &fresh {
-            assert_eq!(shard.buffer.access(k), recmg_cache::BufferAccess::Miss);
-        }
-        live.mirror(&shard, &fresh);
-        {
-            let slot = live.staging[0].lock().expect("staging lock");
-            let staging = slot.as_ref().expect("installed");
-            assert!(staging.buffer.is_empty(), "a queued miss was staged");
-            assert_eq!(staging.copy_fills, 0);
-        }
-        // Once its fill lands, the key is the primary's and mirrors.
-        assert!(shard.buffer.promote_fill(key(0), 5));
-        live.mirror(&shard, &fresh);
-        let slot = live.staging[0].lock().expect("staging lock");
-        let staging = slot.as_ref().expect("installed");
-        assert_eq!(staging.buffer.keys().collect::<Vec<_>>(), vec![key(0)]);
-        assert_eq!(staging.copy_fills, 1);
-    }
+        let queued = key(99);
+        assert_eq!(shard.buffer.access(queued), recmg_cache::BufferAccess::Miss);
 
-    /// Regression: a staged move to a smaller capacity used to copy the
-    /// hottest rows first and drop a pinned table whose rows sat colder;
-    /// the in-place shrink keeps them. Both must keep every pinned row.
-    #[test]
-    fn staged_move_keeps_pinned_rows_like_the_in_place_move() {
-        let topology = TierTopology::two_tier(16, 16);
-        let pinned: Vec<VectorKey> = (0..2)
-            .map(|r| VectorKey::new(TableId(1), RowId(r)))
-            .collect();
-        let shard = || {
-            let home = ShardPlacement {
-                capacity: 8,
-                tier: 0,
-            };
-            let mut shard = Shard::placed(0, 4, &home, &topology, SketchConfig::default());
-            shard.buffer.set_pinned_tables(&[1]);
-            let hot: Vec<VectorKey> = (0..6).map(key).collect();
-            let all: Vec<VectorKey> = pinned.iter().chain(&hot).copied().collect();
-            for &k in &all {
-                shard.buffer.access(k);
-            }
-            // Pinned rows at priority 0, below six hotter unpinned rows.
-            let bits: Vec<bool> = all.iter().map(|k| k.table().0 != 1).collect();
-            shard.buffer.load_embeddings(&all, &bits, &[]);
-            shard
-        };
+        let live = LiveState::new(LiveRebalanceConfig::default());
+        let shards = vec![Mutex::new(shard)];
         let dest = ShardPlacement {
             capacity: 4,
             tier: 1,
         };
+        migrate_shard(&live, &shards, &topology, 0, &dest);
 
-        let mut in_place = shard();
-        assert!(in_place.apply_placement(&dest, &topology));
-        let live = LiveState::new(
-            1,
-            LiveRebalanceConfig {
-                fill_pause: Duration::ZERO,
-                warm_fraction: 1.0,
-                ..LiveRebalanceConfig::default()
-            },
-        );
-        let shards = vec![Mutex::new(shard())];
-        assert!(migrate_shard(&live, &shards, &topology, 0, &dest));
-        let staged = shards[0].lock().expect("shard lock");
-
-        for moved in [&in_place, &*staged] {
-            assert_eq!((moved.tier, moved.buffer.capacity()), (1, 4));
-            for &k in &pinned {
-                assert!(moved.buffer.buffer().contains(k), "pinned {k:?} dropped");
-            }
+        let moved = shards[0].lock().expect("shard lock");
+        assert_eq!((moved.tier, moved.buffer.capacity()), (1, 4));
+        for &k in &pinned {
+            assert!(moved.buffer.buffer().contains(k), "pinned {k:?} dropped");
         }
-    }
-
-    #[test]
-    fn staging_admission_keeps_hottest() {
-        let placement = ShardPlacement {
-            capacity: 2,
-            tier: 0,
-        };
-        let mut s = StagingBuffer::new(&placement, &[]);
-        assert!(s.admit(key(1), 5, false));
-        assert!(!s.admit(key(1), 5, false), "already staged");
-        assert!(s.admit(key(2), 3, false));
-        // Full: colder entries are refused, hotter displace the minimum.
-        assert!(!s.admit(key(3), 2, false));
-        assert!(s.admit(key(4), 9, true));
-        assert!(s.buffer.contains(key(4)));
-        assert!(!s.buffer.contains(key(2)));
-        assert!(s.warm_enough(2, 0.9));
-        assert!(!StagingBuffer::new(&placement, &[]).warm_enough(2, 0.5));
+        assert!(
+            !moved.buffer.buffer().contains(queued),
+            "a queued fill moved"
+        );
+        let (migration, _) = *live.totals();
+        assert_eq!(migration.migrations, 1);
+        assert_eq!(
+            migration.migration_cost_ns,
+            moved.buffer.len() as u64 * topology.tier(1).cost.fill_ns
+        );
+        assert_eq!(live.route_epoch(), 1);
     }
 }

@@ -472,9 +472,7 @@ mod tests {
             assert!(port.offer(0, chunk(c, input_len), c % 2 == 0));
         }
 
-        let started = Instant::now();
         port.pace(&sys.ctx);
-        let took = started.elapsed();
 
         let low_water = max_lag / 4;
         let in_flight = plane.in_flight[0].load(Ordering::Acquire);
@@ -498,10 +496,6 @@ mod tests {
             max_batch as u64
         );
         assert!(plane.model_forwards.load(Ordering::Relaxed) > 0);
-        assert!(
-            took < PACE_QUANTUM * PACE_QUANTA / 2,
-            "pace took {took:?}: it waited instead of helping"
-        );
     }
 
     /// The helper takes a batch only while a full one would still be left

@@ -52,7 +52,7 @@ use crate::builder::SystemBuilder;
 use crate::config::{AdmissionPolicy, DegradeLevel, SlaBudget, TenantSpec};
 use crate::engine::{EngineReport, GuidanceMode};
 use crate::fast::FastScratch;
-use crate::migrate::{self, LiveRebalanceConfig, LiveState, ShardRoute};
+use crate::migrate::{self, LiveRebalanceConfig, LiveState};
 use crate::plane::{JobSender, Plane};
 use crate::sharding::{GuidanceCtx, Guide, Shard, ShardRouter, ShardedRecMgSystem};
 use crate::tier::{ShardPlacement, TierUsage};
@@ -200,8 +200,7 @@ struct SessionShared {
     counters: Arc<ProgressCounters>,
     plane: Option<Plane>,
     /// Live-migration state when the session was built with
-    /// [`SessionBuilder::live`]; `None` keeps the serving path free of
-    /// route pins entirely.
+    /// [`SessionBuilder::live`].
     live: Option<LiveState>,
 }
 
@@ -392,7 +391,7 @@ impl SessionBuilder {
             }),
             tenants,
             plane,
-            live: self.live.map(|cfg| LiveState::new(num_shards, cfg)),
+            live: self.live.map(LiveState::new),
         });
 
         let plane_threads = (0..plane_threads)
@@ -628,27 +627,36 @@ impl ServingSession {
         self.shared.plane.as_ref().map_or(0, Plane::pending)
     }
 
-    /// Manually live-migrates shard `shard` to `placement` while requests
-    /// flow — the same double-buffered dance the background rebalancer
-    /// runs, blocking until the migration commits (or is abandoned by a
-    /// concurrent drain). Returns whether the migration committed; `false`
-    /// also when the session was built without [`SessionBuilder::live`].
+    /// Manually moves shard `shard` to `placement` while requests flow —
+    /// the move the background rebalancer makes: the quiescent shard move,
+    /// under the shard mutex, so a request serves the shard entirely
+    /// before or entirely after it. Returns `true` once the move is done;
+    /// `false` only when the session was built without
+    /// [`SessionBuilder::live`].
     ///
     /// # Panics
     ///
-    /// Panics if `shard` or `placement.tier` is out of range.
+    /// Panics if `shard` or `placement.tier` is out of range, before any
+    /// shard is locked.
     pub fn migrate_shard(&self, shard: usize, placement: ShardPlacement) -> bool {
         let Some(live) = &self.shared.live else {
             return false;
         };
         assert!(shard < self.shared.shards.len(), "shard out of range");
+        let tiers = self.shared.ctx.topology.num_tiers();
+        assert!(
+            placement.tier < tiers,
+            "tier {} out of range ({tiers} tiers)",
+            placement.tier
+        );
         migrate::migrate_shard(
             live,
             &self.shared.shards,
             &self.shared.ctx.topology,
             shard,
             &placement,
-        )
+        );
+        true
     }
 
     /// Manually installs (or, with `capacity == 0`, removes) a fast-tier
@@ -672,33 +680,28 @@ impl ServingSession {
         )
     }
 
-    /// The current route epoch (0 when live rebalancing is off or the
-    /// route never changed).
+    /// The current route epoch: the clock replica TTLs run on, one tick
+    /// per shard move, replica change and
+    /// [`refresh_routes`](ServingSession::refresh_routes) call (0 when
+    /// live rebalancing is off or nothing ticked yet).
     pub fn route_epoch(&self) -> u64 {
-        self.shared
-            .live
-            .as_ref()
-            .map_or(0, |live| live.routes.current_epoch())
+        self.shared.live.as_ref().map_or(0, LiveState::route_epoch)
     }
 
-    /// Publishes a no-op route epoch — advances the epoch clock that
-    /// replica-entry TTLs are measured against (useful for tests pinning
-    /// decay behaviour). Returns the new epoch; 0 when live rebalancing
-    /// is off.
+    /// Ticks the route epoch without changing anything else — advances
+    /// the clock replica-entry TTLs are measured against (useful for tests
+    /// pinning decay behaviour). Returns the new epoch; 0 when live
+    /// rebalancing is off.
     pub fn refresh_routes(&self) -> u64 {
-        self.shared
-            .live
-            .as_ref()
-            .map_or(0, |live| live.routes.publish_with(|_| {}))
+        self.shared.live.as_ref().map_or(0, LiveState::tick)
     }
 
     /// Closes the queue, serves everything already admitted, joins all
     /// threads, and returns the (warm) system together with the session
     /// report.
     pub fn drain(mut self) -> (ShardedRecMgSystem, SessionReport) {
-        // Stop the live rebalancer before anything else: a warm-up loop
-        // mid-flight abandons its staging (the primary never stopped being
-        // authoritative), so teardown never waits on a fill schedule.
+        // Stop the live rebalancer before anything else: it finishes the
+        // shard move in hand and makes no more.
         if let Some(live) = &self.shared.live {
             live.stop.store(true, Ordering::Release);
         }
@@ -762,8 +765,9 @@ impl ServingSession {
             .collect();
         let (migration, mut replication) = match live {
             Some(live) => {
+                let route_epoch = live.route_epoch();
                 let mut totals = live.totals.into_inner().expect("live totals lock");
-                totals.0.route_epoch = live.routes.current_epoch();
+                totals.0.route_epoch = route_epoch;
                 totals
             }
             None => Default::default(),
@@ -942,10 +946,6 @@ fn serve_request(
     scratch: &RefCell<FastScratch>,
 ) {
     shared.router.split_into(keys, parts);
-    // One route pin covers the whole request: the snapshot cannot tear,
-    // and a concurrent migration commit waits at its epoch fence until
-    // this guard drops (so a mirror below never races the buffer swap).
-    let route = shared.live.as_ref().map(|live| live.routes.pin());
     for (sid, part) in parts.iter().enumerate() {
         if part.is_empty() {
             continue;
@@ -971,14 +971,6 @@ fn serve_request(
             }
         };
         shard.serve(part, stats, &shared.ctx, &guide);
-        // Copy-on-access warming: a shard mid-migration gets the keys this
-        // request just demanded mirrored into its staging buffer, still
-        // under the shard mutex (the primary stayed authoritative above).
-        if let (Some(live), Some(route)) = (&shared.live, &route) {
-            if route.route(sid) == ShardRoute::Migrating {
-                live.mirror(&shard, part);
-            }
-        }
     }
 }
 

@@ -30,7 +30,7 @@ use recmg_cache::{BufferAccess, GpuBuffer};
 use recmg_dlrm::{BatchAccessStats, BufferManager};
 use recmg_trace::VectorKey;
 
-use crate::buffer_mgmt::{Kept, RecMgBuffer, TierTraffic};
+use crate::buffer_mgmt::{RecMgBuffer, TierTraffic};
 use crate::builder::SystemBuilder;
 use crate::caching_model::{CachingModel, FastCachingModel};
 use crate::codec::FrequencyRankCodec;
@@ -317,7 +317,7 @@ impl GuidanceCtx {
     /// new pin stops landing on (and refilling) the shard about to lose
     /// capacity; copies stranded under the old routing go cold and evict.
     /// Callers install a shard's pin set before moving it, so neither a
-    /// resize nor a staged move can displace a freshly pinned footprint.
+    /// resize nor a move can displace a freshly pinned footprint.
     pub(crate) fn plan(
         &self,
         router: &ShardRouter,
@@ -433,7 +433,7 @@ impl Shard {
         let capacity = placement.capacity.max(1);
         if placement.tier != self.tier {
             self.buffer
-                .commit_move(topology.tier(placement.tier), Kept::Own(capacity));
+                .commit_move(topology.tier(placement.tier), capacity);
             self.tier = placement.tier;
         } else if capacity != self.buffer.capacity() {
             self.buffer.resize(capacity);

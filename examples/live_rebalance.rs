@@ -9,9 +9,9 @@
 //! * `static` — placement frozen at its cold-start guess;
 //! * `live`   — the session's live rebalancer
 //!   ([`SessionBuilder::live`]) watches the per-shard sketches and,
-//!   on count/phase-trigger fires, double-buffers shards to better
-//!   tiers/capacities behind an epoch-versioned routing table (readers
-//!   never block) and replicates read-hot slow-tier shards into fast
+//!   on count/phase-trigger fires, moves shards to better
+//!   tiers/capacities under each shard's own mutex (the quiescent shard
+//!   move, no drain) and replicates read-hot slow-tier shards into fast
 //!   memory.
 //!
 //! Every copy the migrator makes is charged into the same hit-weighted
@@ -19,8 +19,6 @@
 //! live session pays for its own migrations.
 //!
 //! Run with: `cargo run --release --example live_rebalance`
-
-use std::time::Duration;
 
 use recmg_repro::core::{
     AdmissionPolicy, BatchSource, CachingModel, CardinalityWorkingSet, ClosedLoopSource,
@@ -109,18 +107,14 @@ fn main() {
             .admission(AdmissionPolicy::unbounded());
         if live {
             builder = builder.live(
-                LiveRebalanceConfig {
-                    fill_pause: Duration::ZERO,
-                    warm_fraction: 1.0,
-                    ..LiveRebalanceConfig::default()
-                }
-                .with_min_new_accesses(accesses_per_phase / 2)
-                .with_cooldown(2 * EPOCH)
-                .with_replication(ReplicationPolicy {
-                    unit: 64,
-                    hot_share: 0.10,
-                    read_dominance: 0.5,
-                }),
+                LiveRebalanceConfig::default()
+                    .with_min_new_accesses(accesses_per_phase / 2)
+                    .with_cooldown(2 * EPOCH)
+                    .with_replication(ReplicationPolicy {
+                        unit: 64,
+                        hot_share: 0.10,
+                        read_dominance: 0.5,
+                    }),
             );
         }
         let session = builder.build(build_system(&caching, &codec_keys));
@@ -173,10 +167,11 @@ fn main() {
 
     println!(
         "\nThe live session never drains: triggers fire mid-stream, shards are\n\
-         double-buffered into their new tier while the old buffer keeps serving,\n\
-         and the routing table flips in one atomic epoch publish. The flip's new\n\
-         hot shards get promoted (and the squeezed-out one replicated) within a\n\
-         sketch epoch or two, which is where the cost gap comes from.\n\
+         moved to their new tier under their own mutex while the other shards\n\
+         keep serving, and a request sees each shard before or after a move.\n\
+         The flip's new hot shards get promoted (and the squeezed-out one\n\
+         replicated) within a sketch epoch or two, which is where the cost gap\n\
+         comes from.\n\
          The serving bench's online_rebalance section runs this same scenario\n\
          against a drain-based reactive baseline: `cargo bench -p recmg-bench\n\
          --bench serving`."

@@ -1,16 +1,17 @@
-//! Live-migration correctness: zero-quiescence rebalancing is invisible
+//! Live-migration correctness: rebalancing without a drain is invisible
 //! to serving results, and demand counts are conserved exactly while
-//! routes flip under concurrent load.
+//! shards move under concurrent load.
 //!
 //! These oracles pin the subsystem:
 //!
 //! * **1-shard parity**: a session that live-migrates its only shard
-//!   between tiers after every batch (full double-buffered warm-up, route
-//!   publish, storage swap) produces byte-identical hit/miss/prefetch
-//!   counts to the sequential system — migration moves vectors, never
-//!   results. The capacity is sized to the trace's unique-key footprint
-//!   so residency membership (which the staged copy preserves exactly) is
-//!   the only thing that matters, independent of eviction tie-breaking.
+//!   between tiers after every batch (the quiescent shard move under the
+//!   shard mutex: residents kept, rows rebuilt on the destination)
+//!   produces byte-identical hit/miss/prefetch counts to the sequential
+//!   system — migration moves vectors, never results. The capacity is
+//!   sized to the trace's unique-key footprint so residency membership
+//!   (which the move preserves exactly) is the only thing that matters,
+//!   independent of eviction tie-breaking.
 //! * **Conservation under concurrency**: workers hammer all shards while
 //!   the main thread flips tiers and toggles replicas mid-flight; every
 //!   submitted key is served exactly once (no lost or duplicated hits),
@@ -21,12 +22,14 @@
 //!   decay once the route-epoch clock outruns the TTL — decayed entries
 //!   count as invalidations and must be re-filled before serving again.
 //! * **Storage hygiene**: a migration stress over file-backed tiers swaps
-//!   shard storage (the shard-move commit) on every route flip; once the
+//!   shard storage (the shard-move commit) on every tier flip; once the
 //!   session drains and the system drops, every `mmap`/file backing
 //!   object must be gone — no leaked fds or temp files.
 //! * **One shard move**: a quiescent `rebalance()` and a live migration
 //!   to the same placements leave every shard with the same tier,
 //!   capacity, residents, rows and charged cost.
+//! * **Bad input**: an out-of-range tier panics before any shard is
+//!   locked, so the session keeps serving and drains cleanly.
 
 use std::collections::HashSet;
 use std::time::Duration;
@@ -43,14 +46,11 @@ use recmg_repro::dlrm::{BatchAccessStats, BufferManager};
 use recmg_repro::trace::{RowId, SyntheticConfig, TableId, TraceStats, VectorKey};
 
 /// A live config with every automatic trigger disabled: migrations and
-/// replicas move only when a test says so, and warm-up copies the whole
-/// resident set before committing.
+/// replicas move only when a test says so.
 fn manual_live() -> LiveRebalanceConfig {
     LiveRebalanceConfig {
         min_new_accesses: 0,
         phase_threshold: None,
-        fill_pause: Duration::ZERO,
-        warm_fraction: 1.0,
         ..LiveRebalanceConfig::default()
     }
 }
@@ -84,7 +84,7 @@ fn one_shard_live_migration_matches_sequential_results_exactly() {
     let cfg = RecMgConfig::tiny();
     let trace = SyntheticConfig::tiny(211).generate();
     // Capacity covers the whole key space: residency membership (which
-    // the staged copy preserves exactly) fully determines hit/miss.
+    // the move preserves exactly) fully determines hit/miss.
     let capacity = TraceStats::compute(&trace).buffer_capacity(100.0);
     let trained = train_recmg(
         &trace.accesses()[..trace.len() / 2],
@@ -137,8 +137,7 @@ fn one_shard_live_migration_matches_sequential_results_exactly() {
     assert_eq!(report.engine.stats, ref_stats, "migration changed results");
     assert_eq!(system.prefetches_issued(), reference.prefetches_issued());
     assert_eq!(report.engine.migration.migrations, flips);
-    assert_eq!(report.engine.migration.route_epoch, 2 * flips);
-    assert!(report.engine.migration.background_fills > 0);
+    assert_eq!(report.engine.migration.route_epoch, flips);
     assert!(report.engine.migration.migration_cost_ns > 0);
     // Odd number of batches left the shard wherever the last flip put it.
     assert_eq!(system.shard_tier(0), (flips as usize) % 2);
@@ -358,8 +357,8 @@ fn replica_hits_save_cost_and_decay_past_ttl() {
     serve_hot(3);
 
     let (_, report) = session.drain();
-    // One migration (2) + one replica install (1) + nine refreshes.
-    assert_eq!(report.engine.migration.route_epoch, 12);
+    // One migration + one replica install + nine refreshes.
+    assert_eq!(report.engine.migration.route_epoch, 11);
     let replication = report.engine.replication;
     assert_eq!(replication.replicated_shards, 1);
     assert!(
@@ -400,12 +399,11 @@ impl PlacementPolicy for Scripted {
 }
 
 /// The two re-placement paths end in the same shard move: a quiescent
-/// `rebalance()` (storage re-sized in place) and a live migration (storage
-/// warmed in a staging buffer) leave every shard on the same tier, at the
-/// same capacity, with the same residents and rows, having charged the
-/// same cost.
+/// `rebalance()` and a live migration leave every shard on the same tier,
+/// at the same capacity, with the same residents and rows, having charged
+/// the same cost.
 #[test]
-fn in_place_and_staged_moves_agree() {
+fn live_and_quiescent_moves_agree() {
     let place = |capacity, tier| ShardPlacement { capacity, tier };
     // Every shard changes tier, and each destination holds all the
     // residents its source buffer can have.
@@ -458,12 +456,12 @@ fn in_place_and_staged_moves_agree() {
             "quiesced move commits"
         );
     }
-    let (staged, _) = session.drain();
+    let (live, _) = session.drain();
 
     for sid in 0..2 {
         assert_eq!(in_place.shard_tier(sid), 1 - sid, "shard {sid} moved");
-        assert_eq!(in_place.shard_tier(sid), staged.shard_tier(sid));
-        let (a, b) = (in_place.shard_buffer(sid), staged.shard_buffer(sid));
+        assert_eq!(in_place.shard_tier(sid), live.shard_tier(sid));
+        let (a, b) = (in_place.shard_buffer(sid), live.shard_buffer(sid));
         assert_eq!(a.capacity(), b.capacity());
         assert!(!a.is_empty());
         let residents = |buffer: &recmg_repro::cache::GpuBuffer| -> HashSet<VectorKey> {
@@ -472,10 +470,10 @@ fn in_place_and_staged_moves_agree() {
         assert_eq!(residents(a), residents(b), "shard {sid} residents");
         assert_eq!(
             in_place.shard_traffic(sid).cost_ns,
-            staged.shard_traffic(sid).cost_ns,
+            live.shard_traffic(sid).cost_ns,
             "shard {sid} charge"
         );
-        for system in [&in_place, &staged] {
+        for system in [&in_place, &live] {
             let buffer = system.shard_recmg_buffer(sid);
             for key in buffer.buffer().keys() {
                 let mut want = [0u8; ROW_BYTES];
@@ -484,6 +482,35 @@ fn in_place_and_staged_moves_agree() {
             }
         }
     }
+}
+
+/// An out-of-range tier panics before the shard is locked: the shard is
+/// not poisoned, so the next request is served and the session drains.
+#[test]
+fn migrate_shard_rejects_a_bad_tier_without_poisoning_the_shard() {
+    let system = untrained_system(1, 16, 48);
+    let capacity = system.capacity();
+    let session = SessionBuilder::new()
+        .workers(1)
+        .guidance(GuidanceMode::Inline)
+        .admission(AdmissionPolicy::unbounded())
+        .live(manual_live())
+        .build(system);
+
+    let bad = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        session.migrate_shard(0, ShardPlacement { capacity, tier: 9 })
+    }));
+    assert!(bad.is_err(), "an out-of-range tier must panic");
+
+    let keys = (0..8)
+        .map(|r| VectorKey::new(TableId(0), RowId(r)))
+        .collect();
+    session
+        .submit(request(0, keys))
+        .expect("unbounded admission");
+    let (_, report) = session.drain();
+    assert_eq!(report.completed, 1);
+    assert_eq!(report.engine.migration.migrations, 0);
 }
 
 proptest! {
