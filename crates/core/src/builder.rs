@@ -246,6 +246,7 @@ impl<'a> SystemBuilder<'a> {
             },
             router,
             shards,
+            plane: None,
         }
     }
 }

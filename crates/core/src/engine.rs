@@ -87,12 +87,15 @@ pub struct GuidancePlaneReport {
     pub chunks: u64,
     /// Largest number of chunks coalesced into one drain.
     pub max_batch: u64,
-    /// Plane lag at teardown: chunks whose guidance landed only at drain,
-    /// after the last access of the run. They count as guided (the model
-    /// ran and the update was applied, warming the returned system exactly
-    /// like an inline apply between batches), but a plane that keeps up
-    /// holds this near `shards × max_lag` or below — it is the lag signal
-    /// a capacity planner should watch.
+    /// Plane lag at teardown: chunks whose guidance had not landed when
+    /// the run's last access was served. A drained session computes and
+    /// applies them before it returns; a `serve()` call applies those
+    /// already computed and leaves the rest to the plane it keeps running,
+    /// so they land during the next call. Either way they count as guided
+    /// once applied (the model ran, and the update warms the buffer
+    /// exactly like an inline apply between batches), but a plane that
+    /// keeps up holds this near `shards × max_lag` or below — it is the
+    /// lag signal a capacity planner should watch.
     pub late_chunks: u64,
     /// Kernel lane the guidance forwards ran on: the runtime-dispatched
     /// SIMD lane plus a `+int8` suffix when the compiled models are
@@ -151,7 +154,9 @@ pub struct EngineReport {
     pub stats: BatchAccessStats,
     /// Request batches served.
     pub batches: usize,
-    /// Chunks that received model guidance during this run.
+    /// Chunks whose model guidance was applied during this run (after a
+    /// `serve()` call, the last chunks' guidance may land in the next
+    /// call — see [`GuidancePlaneReport::late_chunks`]).
     pub guided_chunks: u64,
     /// Chunks formed during this run.
     pub total_chunks: u64,
@@ -249,6 +254,16 @@ impl ShardedRecMgSystem {
     /// is rejected or shed). Returns merged stats plus guidance accounting
     /// for this run.
     ///
+    /// Under [`GuidanceMode::Background`] the guidance plane outlives the
+    /// call. The call returns once its last request is served; the chunks
+    /// the plane has not computed by then stay queued on its threads,
+    /// which keep computing them. The next call with the same mode takes
+    /// the plane over and applies that guidance at each shard's next
+    /// access, so a run of calls computes it while serving instead of at
+    /// the end of every call, with the serving core idle.
+    /// [`settle_guidance`](ShardedRecMgSystem::settle_guidance) lands it
+    /// without another call; a call in another mode lands it first.
+    ///
     /// Queued requests own their keys, so each call copies the batch
     /// slices once on ingestion; callers that already hold owned batches
     /// can skip the copy by driving a session directly with
@@ -273,6 +288,7 @@ impl ShardedRecMgSystem {
             ctx: self.ctx.clone(),
             router: self.router.clone(),
             shards: std::mem::take(&mut self.shards),
+            plane: self.plane.take(),
         };
         let session = SessionBuilder::new()
             .workers(opts.workers)
@@ -280,8 +296,9 @@ impl ShardedRecMgSystem {
             .admission(AdmissionPolicy::unbounded())
             .build(system);
         session.ingest(&mut BatchSource::new(batches));
-        let (system, report) = session.drain();
+        let (system, report) = session.close();
         self.shards = system.shards;
+        self.plane = system.plane;
         report.engine
     }
 }
@@ -339,13 +356,143 @@ mod tests {
         assert!(report.guided_fraction() <= 1.0);
         assert!(report.keys_per_sec() > 0.0);
         assert!(report.elapsed_secs > 0.0);
-        // Plane accounting: every guided chunk went through the plane
-        // (late ones included), and no drained batch exceeded the knob.
-        assert_eq!(report.plane.chunks, report.guided_chunks);
-        assert!(report.plane.late_chunks <= report.plane.chunks);
+        // Plane accounting: no drained batch exceeded the knob, and the
+        // plane owes at most `max_lag` chunks per shard at the end.
         assert!(report.plane.max_batch <= 4);
         assert!(report.plane.model_forwards > 0);
         assert!(report.plane.mean_batch() >= 1.0);
+        assert!(report.plane.late_chunks <= 4 * 8);
+        // Every chunk the plane took is computed once, in the call or
+        // after it, and lands once: in the call, or when the guidance it
+        // still owed is settled.
+        let settled = sys.settle_guidance();
+        assert!(settled.late_chunks <= report.plane.late_chunks);
+        assert!(report.plane.late_chunks <= report.plane.chunks + settled.chunks);
+        assert_eq!(
+            report.plane.chunks + settled.chunks,
+            report.guided_chunks + settled.late_chunks
+        );
+        assert_eq!(
+            sys.guided_chunks(),
+            report.guided_chunks + settled.late_chunks
+        );
+        assert_eq!(
+            sys.guided_chunks() + sys.unguided_chunks(),
+            sys.total_chunks()
+        );
+    }
+
+    const CARRIED: ServeOptions = ServeOptions {
+        workers: 1,
+        guidance: GuidanceMode::Background {
+            threads: 1,
+            max_lag: 4,
+            max_batch: 4,
+        },
+    };
+
+    /// Two background calls share one plane: the second takes over the
+    /// plane the first left running, with the guidance it still owed, and
+    /// every chunk lands exactly once across the calls and the settle.
+    #[test]
+    fn the_guidance_plane_outlives_a_serve_call() {
+        let trace = SyntheticConfig::tiny(46).generate();
+        let batches = trace.batches(10);
+        let (first, second) = batches.split_at(batches.len() / 2);
+        let mut sys = system(4);
+        let a = sys.serve(first, &CARRIED);
+        let plane = sys.plane.as_ref().expect("the plane runs on").plane();
+        let b = sys.serve(second, &CARRIED);
+        let still = sys.plane.as_ref().expect("the plane runs on").plane();
+        assert!(std::sync::Arc::ptr_eq(&plane, &still));
+        let settled = sys.settle_guidance();
+        assert!(sys.plane.is_none());
+        assert_eq!(sys.settle_guidance(), GuidancePlaneReport::default());
+        assert!(settled.late_chunks <= b.plane.late_chunks);
+        assert_eq!(
+            a.plane.chunks + b.plane.chunks + settled.chunks,
+            a.guided_chunks + b.guided_chunks + settled.late_chunks
+        );
+        assert_eq!(
+            a.guided_chunks + b.guided_chunks + settled.late_chunks,
+            sys.guided_chunks()
+        );
+        assert_eq!(
+            sys.guided_chunks() + sys.unguided_chunks(),
+            sys.total_chunks()
+        );
+        assert_eq!(a.stats.total() + b.stats.total(), trace.len() as u64);
+    }
+
+    /// Dropping a system that carries a plane closes the plane's channel:
+    /// its threads compute what was queued and exit on their own.
+    #[test]
+    fn dropping_the_system_stops_its_carried_plane() {
+        use std::time::{Duration, Instant};
+        let trace = SyntheticConfig::tiny(48).generate();
+        let mut sys = system(4);
+        sys.serve(&trace.batches(10), &CARRIED);
+        let plane = std::sync::Arc::downgrade(&sys.plane.as_ref().expect("running").plane());
+        drop(sys);
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while plane.upgrade().is_some() {
+            assert!(
+                Instant::now() < deadline,
+                "a plane thread outlived its system"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Whatever else drives the shards after a background `serve()` lands
+    /// the guidance its plane still owes first, so chunk accounting is
+    /// whole again without a `settle_guidance` call.
+    #[test]
+    fn other_entry_points_land_the_carried_guidance_first() {
+        let trace = SyntheticConfig::tiny(47).generate();
+        let batches = trace.batches(10);
+        fn drained(sys: &mut ShardedRecMgSystem, guidance: GuidanceMode) {
+            let owned = std::mem::replace(sys, system(1));
+            *sys = SessionBuilder::new()
+                .guidance(guidance)
+                .build(owned)
+                .drain()
+                .0;
+        }
+        type Entry = fn(&mut ShardedRecMgSystem, &[&[VectorKey]]);
+        let entry_points: [(&str, Entry); 5] = [
+            ("inline serve", |sys, b| {
+                let inline = ServeOptions {
+                    workers: 1,
+                    guidance: GuidanceMode::Inline,
+                };
+                sys.serve(b, &inline);
+            }),
+            ("process_batch", |sys, b| {
+                sys.process_batch(b[0]);
+            }),
+            ("rebalance", |sys, _| {
+                sys.rebalance();
+            }),
+            ("drained session, same mode", |sys, _| {
+                drained(sys, CARRIED.guidance)
+            }),
+            ("drained session, inline", |sys, _| {
+                drained(sys, GuidanceMode::Inline)
+            }),
+        ];
+        for (name, enter) in entry_points {
+            let mut sys = system(4);
+            sys.serve(&batches, &CARRIED);
+            assert!(sys.plane.is_some(), "{name}");
+            enter(&mut sys, &batches);
+            assert!(sys.plane.is_none(), "{name}: the plane was not settled");
+            assert_eq!(
+                sys.guided_chunks() + sys.unguided_chunks(),
+                sys.total_chunks(),
+                "{name}: a chunk's guidance was lost"
+            );
+        }
     }
 
     #[test]

@@ -27,7 +27,9 @@
 //!    background guidance plane (the private `plane` module — the paper's
 //!    §VI-C skip-ahead rule), or stale priorities. One shard reproduces
 //!    [`RecMgSystem`] exactly; [`engine`] keeps the batch-shaped
-//!    `serve()` entry point and the run report.
+//!    `serve()` entry point — whose background plane outlives the call,
+//!    computing one call's guidance backlog while the next serves — and
+//!    the run report.
 //! 5. **Streaming** ([`session`]): a [`RequestSource`] (batches, Poisson /
 //!    uniform / Markov-modulated synthetic arrivals, trace replay, or a
 //!    closed loop over any of them) feeds a [`ServingSession`] — bounded

@@ -46,18 +46,27 @@
 //! quantum; one that made no progress costs the shard a few more §VI-C
 //! skips, never a stall.
 //!
-//! Everything here is private to the crate: the session owns a [`Plane`]
-//! for the lifetime of a background-guided run and reads it back as a
-//! [`GuidancePlaneReport`] ([`Plane::finish`]).
+//! A plane outlives the run that started it. A session starts a
+//! [`RunningPlane`] — or takes over the one a system carries — and closes
+//! each run with [`Plane::land`]: the guidance already parked is applied,
+//! and what is still queued stays queued. `drain` then joins the plane
+//! threads and lands the rest; `serve()` hands the plane back with the
+//! system instead, so the chunks its last accesses left behind are
+//! computed while the next call serves, on the cores that call keeps
+//! busy, rather than at the end of this one with the serving core idle.
+//!
+//! Everything here is private to the crate; a run's accounting leaves as
+//! a [`GuidancePlaneReport`].
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use recmg_trace::VectorKey;
 
-use crate::engine::GuidancePlaneReport;
+use crate::engine::{GuidanceMode, GuidancePlaneReport};
 use crate::fast::FastScratch;
 use crate::sharding::{GuidanceCtx, Shard, ShardRouter};
 
@@ -173,7 +182,8 @@ impl Plane {
 
     /// Plane-thread body: coalesce every pending chunk (up to `max_batch`)
     /// into one batched model forward per model, then scatter the
-    /// per-shard updates. Exits when every sender (worker) is gone.
+    /// per-shard updates. Exits when every sender — the workers' and the
+    /// [`RunningPlane`]'s own — is gone.
     ///
     /// Under multi-shard load the plane's weight traffic is O(drained
     /// batches), not O(chunks) — while a drain is being computed, workers
@@ -246,17 +256,17 @@ impl Plane {
 
         for (job, (bits, prefetched)) in jobs.drain(..).zip(guidance) {
             let slot = &self.completed[job.shard];
-            {
-                let mut updates = slot.updates.lock().expect("completed lock");
-                updates.push(GuidanceUpdate {
-                    chunk: job.chunk,
-                    bits,
-                    prefetched,
-                });
-                slot.len.store(updates.len(), Ordering::Release);
-            }
+            let mut updates = slot.updates.lock().expect("completed lock");
+            updates.push(GuidanceUpdate {
+                chunk: job.chunk,
+                bits,
+                prefetched,
+            });
+            slot.len.store(updates.len(), Ordering::Release);
             // Decrement only after the update is visible, so a shard never
-            // sees "plane idle" with its guidance still un-parked.
+            // sees "plane idle" with its guidance still un-parked — and
+            // under the slot lock, so [`Plane::land`] counts a chunk as
+            // parked or in flight, never both.
             self.in_flight[job.shard].fetch_sub(1, Ordering::AcqRel);
         }
         // Wake producers pacing on the lag gate. Taking (and dropping) the
@@ -266,39 +276,124 @@ impl Plane {
         self.lag_cv.notify_all();
     }
 
-    /// Closes out a run once every worker and plane thread is joined:
-    /// applies the guidance still parked in the mailboxes and returns the
-    /// plane's accounting (all zeros for `None`, an inline-guided run).
+    /// Closes out a run once its workers are joined: applies the guidance
+    /// parked in the mailboxes and returns the plane's accounting since
+    /// the previous close-out (the counters restart at zero, so a plane
+    /// that serves several runs reports each one's share). The kernel
+    /// lane is the caller's to fill in.
     ///
     /// Guidance computed after its shard went idle is still valid buffer
     /// reprioritization — applying it hands the system back warm. The
     /// model ran and the update lands exactly as an inline apply between
-    /// batches would, so it counts as guided; it is *also* tallied as
-    /// plane lag (`late_chunks`: it landed after the last access of the
-    /// run), which is the metric a capacity planner should watch.
-    pub(crate) fn finish(
-        plane: Option<Plane>,
-        shards: &mut [Shard],
-        kernel_lane: &'static str,
-    ) -> GuidancePlaneReport {
+    /// batches would, so it counts as guided. `late_chunks` is the plane
+    /// lag a capacity planner should watch: every chunk whose guidance had
+    /// not landed when the run's last access was served — parked and
+    /// applied here, or still queued on a plane that runs on past the run
+    /// (its guidance lands at the next run's first access of the shard).
+    pub(crate) fn land(&self, shards: &mut [Shard]) -> GuidancePlaneReport {
         let mut report = GuidancePlaneReport {
-            kernel_lane,
+            model_forwards: self.model_forwards.swap(0, Ordering::Relaxed),
+            drains: self.drains.swap(0, Ordering::Relaxed),
+            chunks: self.chunks.swap(0, Ordering::Relaxed),
+            max_batch: self.max_batch_seen.swap(0, Ordering::Relaxed),
             ..GuidancePlaneReport::default()
         };
-        let Some(plane) = plane else {
-            return report;
-        };
-        report.model_forwards = plane.model_forwards.into_inner();
-        report.drains = plane.drains.into_inner();
-        report.chunks = plane.chunks.into_inner();
-        report.max_batch = plane.max_batch_seen.into_inner();
-        for (shard, slot) in shards.iter_mut().zip(plane.completed) {
-            for u in slot.updates.into_inner().expect("completed lock") {
-                report.late_chunks += 1;
+        for ((shard, slot), in_flight) in
+            shards.iter_mut().zip(&self.completed).zip(&self.in_flight)
+        {
+            let parked = {
+                let mut updates = slot.updates.lock().expect("completed lock");
+                slot.len.store(0, Ordering::Release);
+                report.late_chunks += (updates.len() + in_flight.load(Ordering::Acquire)) as u64;
+                std::mem::take(&mut *updates)
+            };
+            for u in parked {
                 shard.apply_guidance(&u.chunk, &u.bits, &u.prefetched);
             }
         }
         report
+    }
+}
+
+/// A [`Plane`] with its threads and the prototype job sender: what a
+/// session starts in background mode, and what a system carries from one
+/// `serve()` call to the next. Dropping it closes the channel once every
+/// worker's sender is gone too; the threads then compute what is left
+/// and exit on their own.
+pub(crate) struct RunningPlane {
+    plane: Arc<Plane>,
+    tx: JobSender,
+    threads: Vec<JoinHandle<()>>,
+    mode: GuidanceMode,
+}
+
+impl RunningPlane {
+    /// Starts the plane threads of a background `mode`, one mailbox per
+    /// shard of `router`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threads` or `max_batch` is zero.
+    pub(crate) fn start(mode: GuidanceMode, ctx: &GuidanceCtx, router: &ShardRouter) -> Self {
+        let GuidanceMode::Background {
+            threads,
+            max_lag,
+            max_batch,
+        } = mode
+        else {
+            unreachable!("an inline-guided run starts no plane");
+        };
+        assert!(threads > 0, "need at least one guidance thread");
+        let (plane, tx) = Plane::new(router.num_shards(), max_lag, max_batch);
+        let plane = Arc::new(plane);
+        let threads = (0..threads)
+            .map(|_| {
+                let (plane, ctx, router) = (Arc::clone(&plane), ctx.clone(), router.clone());
+                std::thread::spawn(move || plane.run(&ctx, &router))
+            })
+            .collect();
+        RunningPlane {
+            plane,
+            tx,
+            threads,
+            mode,
+        }
+    }
+
+    /// Whether this plane was started for `mode` — a session that guides
+    /// any other way cannot take it over.
+    pub(crate) fn runs(&self, mode: GuidanceMode) -> bool {
+        self.mode == mode
+    }
+
+    /// The plane the session's workers and close-out share.
+    pub(crate) fn plane(&self) -> Arc<Plane> {
+        Arc::clone(&self.plane)
+    }
+
+    /// A sender for one serving worker.
+    pub(crate) fn sender(&self) -> JobSender {
+        self.tx.clone()
+    }
+
+    /// Closes the job channel and joins the plane threads, which first
+    /// compute everything still queued. Every worker's sender must be gone
+    /// already, or this waits for them.
+    pub(crate) fn join(self) -> Arc<Plane> {
+        drop(self.tx);
+        for handle in self.threads {
+            handle.join().expect("guidance plane does not panic");
+        }
+        self.plane
+    }
+}
+
+impl std::fmt::Debug for RunningPlane {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RunningPlane")
+            .field("mode", &self.mode)
+            .field("pending", &self.plane.pending())
+            .finish_non_exhaustive()
     }
 }
 
@@ -532,5 +627,46 @@ mod tests {
             max_batch as u64
         );
         assert_eq!(take_queued(&plane), max_batch);
+    }
+
+    /// Closing out a run applies what is parked and leaves what is queued
+    /// for the plane to compute; both count as late, once per close-out
+    /// while they stay unlanded, and the work counters restart each time.
+    #[test]
+    fn land_applies_the_parked_and_leaves_the_queued_to_the_plane() {
+        let mut sys = system(2);
+        let input_len = sys.ctx.cfg.input_len;
+        let (max_lag, max_batch) = (8, 4);
+        let (plane, tx) = Plane::new(2, max_lag, max_batch);
+        let scratch = RefCell::new(FastScratch::default());
+        let port = plane.port(1, &tx, &sys.router, &scratch);
+        for c in 0..max_lag as u64 {
+            assert!(port.offer(1, chunk(c, input_len), true));
+        }
+        // The helper computes one full batch; the other stays queued.
+        port.pace(&sys.ctx);
+        assert_eq!(parked(&plane, 1), max_batch);
+
+        let first = plane.land(&mut sys.shards);
+        assert_eq!(first.late_chunks, max_lag as u64);
+        assert_eq!((first.drains, first.chunks), (1, max_batch as u64));
+        assert_eq!(first.max_batch, max_batch as u64);
+        assert_eq!(parked(&plane, 1), 0);
+        assert_eq!(sys.guided_chunks(), max_batch as u64);
+
+        let again = plane.land(&mut sys.shards);
+        assert_eq!(again.late_chunks, (max_lag - max_batch) as u64);
+        assert_eq!((again.drains, again.chunks, again.max_batch), (0, 0, 0));
+        assert_eq!(sys.guided_chunks(), max_batch as u64);
+
+        // The plane computes the rest once the channel closes behind it.
+        drop(tx);
+        plane.run(&sys.ctx, &sys.router);
+        assert_eq!(plane.pending(), 0);
+        let last = plane.land(&mut sys.shards);
+        assert_eq!(last.late_chunks, (max_lag - max_batch) as u64);
+        assert_eq!(last.chunks, (max_lag - max_batch) as u64);
+        assert_eq!(sys.guided_chunks(), max_lag as u64);
+        assert_eq!(plane.land(&mut sys.shards), GuidancePlaneReport::default());
     }
 }

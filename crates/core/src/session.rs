@@ -25,7 +25,8 @@
 //!   ([`SlaBudget`]) guidance degrades per request, skip-ahead first, then
 //!   prefetch-off, reusing the paper's §VI-C skip machinery. The
 //!   background guidance threads, their mailboxes and the lag gate are the
-//!   private `plane` module's; this one only spawns and joins them;
+//!   private `plane` module's; this one starts them (or takes over the
+//!   plane a `serve()` call left running) and joins them;
 //! * [`drain`](ServingSession::drain) joins every thread and folds the
 //!   per-worker logs (no locks on the serving path) into a
 //!   [`SessionReport`] (private `report` module, re-exported here).
@@ -50,10 +51,10 @@ use recmg_trace::VectorKey;
 use crate::backend::{FillMode, FillPlaneReport};
 use crate::builder::SystemBuilder;
 use crate::config::{AdmissionPolicy, DegradeLevel, SlaBudget, TenantSpec};
-use crate::engine::{EngineReport, GuidanceMode};
+use crate::engine::{EngineReport, GuidanceMode, GuidancePlaneReport};
 use crate::fast::FastScratch;
 use crate::migrate::{self, LiveRebalanceConfig, LiveState};
-use crate::plane::{JobSender, Plane};
+use crate::plane::{JobSender, Plane, RunningPlane};
 use crate::sharding::{GuidanceCtx, Guide, Shard, ShardRouter, ShardedRecMgSystem};
 use crate::tier::{ShardPlacement, TierUsage};
 
@@ -198,7 +199,7 @@ struct SessionShared {
     /// [`Request::tenant`].
     tenants: Vec<TenantSpec>,
     counters: Arc<ProgressCounters>,
-    plane: Option<Plane>,
+    plane: Option<Arc<Plane>>,
     /// Live-migration state when the session was built with
     /// [`SessionBuilder::live`].
     live: Option<LiveState>,
@@ -329,13 +330,16 @@ impl SessionBuilder {
     /// Consumes `system` and starts the session's worker (and, in
     /// background guidance mode, plane) threads. [`ServingSession::drain`]
     /// returns the system. Guidance scheduling falls back to the system's
-    /// build-time default when not set on this builder.
+    /// build-time default when not set on this builder. A guidance plane
+    /// left running by a [`serve`](ShardedRecMgSystem::serve) call is
+    /// taken over when its mode matches; otherwise its guidance lands
+    /// ([`ShardedRecMgSystem::settle_guidance`]) before the session starts.
     ///
     /// # Panics
     ///
     /// Panics if `workers` is zero, background guidance is configured with
     /// zero threads, or the SLA budget is invalid.
-    pub fn build(self, system: ShardedRecMgSystem) -> ServingSession {
+    pub fn build(self, mut system: ShardedRecMgSystem) -> ServingSession {
         assert!(self.workers > 0, "need at least one serving worker");
         if let Some(sla) = &self.sla {
             sla.validate();
@@ -349,6 +353,12 @@ impl SessionBuilder {
             tenant.validate();
         }
         let guidance = self.guidance.unwrap_or(system.default_guidance());
+        // A plane carried over from a `serve()` call runs on only under
+        // the same mode; otherwise what it owes lands before the counters
+        // below are read.
+        if system.plane.as_ref().is_some_and(|p| !p.runs(guidance)) {
+            system.settle_guidance();
+        }
         let tiers_before = system.tier_usage();
         let fills_before = system.fill_report();
         let guided_before = system.guided_chunks();
@@ -357,20 +367,12 @@ impl SessionBuilder {
             ctx,
             router,
             shards,
+            plane: carried,
         } = system;
-        let num_shards = router.num_shards();
-
-        let (plane, proto_tx, plane_threads) = match guidance {
-            GuidanceMode::Inline => (None, None, 0),
-            GuidanceMode::Background {
-                threads,
-                max_lag,
-                max_batch,
-            } => {
-                assert!(threads > 0, "need at least one guidance thread");
-                let (plane, tx) = Plane::new(num_shards, max_lag, max_batch);
-                (Some(plane), Some(tx), threads)
-            }
+        let plane = match (guidance, carried) {
+            (GuidanceMode::Inline, _) => None,
+            (_, Some(running)) => Some(running),
+            (mode, None) => Some(RunningPlane::start(mode, &ctx, &router)),
         };
 
         let shared = Arc::new(SessionShared {
@@ -390,24 +392,14 @@ impl SessionBuilder {
                 drained: AtomicBool::new(false),
             }),
             tenants,
-            plane,
+            plane: plane.as_ref().map(RunningPlane::plane),
             live: self.live.map(LiveState::new),
         });
-
-        let plane_threads = (0..plane_threads)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || {
-                    let plane = shared.plane.as_ref().expect("background mode");
-                    plane.run(&shared.ctx, &shared.router)
-                })
-            })
-            .collect();
 
         let workers = (0..self.workers)
             .map(|_| {
                 let shared = Arc::clone(&shared);
-                let tx = proto_tx.clone();
+                let tx = plane.as_ref().map(RunningPlane::sender);
                 std::thread::spawn(move || worker_loop(&shared, tx))
             })
             .collect();
@@ -439,10 +431,9 @@ impl SessionBuilder {
         ServingSession {
             shared,
             workers,
-            plane_threads,
+            plane,
             rebalancer,
             fill_threads,
-            proto_tx,
             epoch: Instant::now(),
             guided_before,
             chunks_before,
@@ -458,10 +449,9 @@ impl SessionBuilder {
 pub struct ServingSession {
     shared: Arc<SessionShared>,
     workers: Vec<JoinHandle<WorkerLog>>,
-    plane_threads: Vec<JoinHandle<()>>,
+    plane: Option<RunningPlane>,
     rebalancer: Option<JoinHandle<()>>,
     fill_threads: Vec<JoinHandle<()>>,
-    proto_tx: Option<JobSender>,
     epoch: Instant,
     guided_before: u64,
     chunks_before: u64,
@@ -473,7 +463,7 @@ impl std::fmt::Debug for ServingSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServingSession")
             .field("workers", &self.workers.len())
-            .field("plane_threads", &self.plane_threads.len())
+            .field("plane", &self.plane)
             .field("queue_len", &self.queue_len())
             .finish_non_exhaustive()
     }
@@ -624,7 +614,7 @@ impl ServingSession {
     /// a caller wait for full guidance quiescence — the lockstep oracle of
     /// `tests/integration_streaming.rs`.
     pub fn plane_pending(&self) -> usize {
-        self.shared.plane.as_ref().map_or(0, Plane::pending)
+        self.shared.plane.as_deref().map_or(0, Plane::pending)
     }
 
     /// Manually moves shard `shard` to `placement` while requests flow —
@@ -698,8 +688,30 @@ impl ServingSession {
 
     /// Closes the queue, serves everything already admitted, joins all
     /// threads, and returns the (warm) system together with the session
-    /// report.
-    pub fn drain(mut self) -> (ShardedRecMgSystem, SessionReport) {
+    /// report. The guidance a background plane still owed is computed
+    /// and applied before this returns, and the report counts it.
+    pub fn drain(self) -> (ShardedRecMgSystem, SessionReport) {
+        let (epoch, tiers_before) = (self.epoch, self.tiers_before.clone());
+        let (mut system, mut report) = self.close();
+        let settled = system.settle_guidance();
+        let engine = &mut report.engine;
+        engine.guided_chunks += settled.late_chunks;
+        engine.plane.model_forwards += settled.model_forwards;
+        engine.plane.drains += settled.drains;
+        engine.plane.chunks += settled.chunks;
+        engine.plane.max_batch = engine.plane.max_batch.max(settled.max_batch);
+        engine.tiers = tiers_since(&system, &tiers_before);
+        engine.elapsed_secs = epoch.elapsed().as_secs_f64();
+        (system, report)
+    }
+
+    /// [`drain`](ServingSession::drain) up to the guidance plane, which
+    /// goes back with the system still running: the guidance it has
+    /// parked is applied, and the chunks it has not computed stay queued
+    /// for the next session over the system (or a
+    /// [`ShardedRecMgSystem::settle_guidance`]) to land —
+    /// [`ShardedRecMgSystem::serve`]'s close.
+    pub(crate) fn close(mut self) -> (ShardedRecMgSystem, SessionReport) {
         // Stop the live rebalancer before anything else: it finishes the
         // shard move in hand and makes no more.
         if let Some(live) = &self.shared.live {
@@ -724,15 +736,9 @@ impl ServingSession {
             stats.accumulate(log.stats);
             samples.extend(log.samples);
         }
-        // All worker-held senders are dropped; dropping the prototype
-        // closes the channel and lets the plane exit.
-        drop(self.proto_tx.take());
-        for handle in self.plane_threads.drain(..) {
-            handle.join().expect("guidance plane does not panic");
-        }
-        // Close the fill queue last among the planes: `close` lets the
-        // fill threads drain the backlog, so every queued fill either
-        // lands as a promotion or stays counted in the report.
+        // Close the fill queue once no worker can queue a fill: `close`
+        // lets the fill threads drain the backlog, so every queued fill
+        // either lands as a promotion or stays counted in the report.
         if let Some(queue) = &self.shared.ctx.fill_queue {
             queue.close();
         }
@@ -781,20 +787,17 @@ impl ServingSession {
                 replication.accumulate(&replica.report);
             }
         }
-        let plane_report = Plane::finish(plane, &mut shards, ctx.kernel_label());
+        let plane_report = GuidancePlaneReport {
+            kernel_lane: ctx.kernel_label(),
+            ..plane.map_or_else(Default::default, |p| p.land(&mut shards))
+        };
         let system = ShardedRecMgSystem {
             ctx,
             router,
             shards,
+            plane: self.plane.take(),
         };
-        // Per-tier report: occupancy at drain, traffic as the delta over
-        // this session (tier counters are cumulative on the buffers).
-        let tiers: Vec<TierUsage> = system
-            .tier_usage()
-            .iter()
-            .zip(&self.tiers_before)
-            .map(|(now, before)| now.delta_since(before))
-            .collect();
+        let tiers = tiers_since(&system, &self.tiers_before);
 
         let latency = LatencySummary::from_durations(samples.iter().map(|s| s.latency).collect());
         let queue_wait =
@@ -857,6 +860,17 @@ impl ServingSession {
         };
         (system, report)
     }
+}
+
+/// Per-tier report: occupancy now, traffic as the delta since `before`
+/// (tier counters are cumulative on the buffers).
+fn tiers_since(system: &ShardedRecMgSystem, before: &[TierUsage]) -> Vec<TierUsage> {
+    system
+        .tier_usage()
+        .iter()
+        .zip(before)
+        .map(|(now, before)| now.delta_since(before))
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -1300,7 +1314,7 @@ pub(crate) mod tests {
                 .capacity(64)
                 .guidance(GuidanceMode::Inline),
         );
-        assert_eq!(session.plane_threads.len(), 0);
+        assert!(session.plane.is_none());
         session.ingest(&mut BatchSource::new(&trace.batches(10)));
         let (_sys, report) = session.drain();
         assert_eq!(report.engine.stats.total(), trace.len() as u64);

@@ -35,9 +35,9 @@ use crate::builder::SystemBuilder;
 use crate::caching_model::{CachingModel, FastCachingModel};
 use crate::codec::FrequencyRankCodec;
 use crate::config::RecMgConfig;
-use crate::engine::GuidanceMode;
+use crate::engine::{GuidanceMode, GuidancePlaneReport};
 use crate::fast::FastScratch;
-use crate::plane::PlanePort;
+use crate::plane::{PlanePort, RunningPlane};
 use crate::prefetch_model::{FastPrefetchModel, PrefetchModel};
 use crate::system::RecMgSystem;
 use crate::table_profile::{pinned_tables_per_shard, TableDecision, TableProfile, TableProfiler};
@@ -644,6 +644,13 @@ pub struct ShardedRecMgSystem {
     pub(crate) ctx: GuidanceCtx,
     pub(crate) router: ShardRouter,
     pub(crate) shards: Vec<Shard>,
+    /// The background guidance plane a [`serve`](Self::serve) call left
+    /// running, with the guidance it had not computed when the call's
+    /// last access was served; the next call with the same
+    /// [`GuidanceMode`] takes it over ([`Self::settle_guidance`]). Every
+    /// other `&mut` entry point that touches the shards settles it first;
+    /// the field goes once `serve()` keeps one session across calls.
+    pub(crate) plane: Option<RunningPlane>,
 }
 
 impl ShardedRecMgSystem {
@@ -822,6 +829,28 @@ impl ShardedRecMgSystem {
         usages
     }
 
+    /// Lands the guidance a [`serve`](Self::serve) call left to the
+    /// background plane it keeps running: joins the plane threads once
+    /// they have computed everything still queued, and applies it. Returns
+    /// the plane's accounting since the call's close: `chunks` it computed
+    /// since then and `late_chunks`, the chunks whose guidance landed here
+    /// (all zeros when no plane was carried). The next `serve()` call with
+    /// the same [`GuidanceMode`] would instead have computed those chunks
+    /// while it served, so call this only to read a fully guided system —
+    /// its guidance counters or buffer contents — after `serve()`.
+    /// [`process_batch`](BufferManager::process_batch), the rebalancing
+    /// methods and a session with a different guidance mode settle first
+    /// on their own.
+    pub fn settle_guidance(&mut self) -> GuidancePlaneReport {
+        let Some(running) = self.plane.take() else {
+            return GuidancePlaneReport::default();
+        };
+        GuidancePlaneReport {
+            kernel_lane: self.ctx.kernel_label(),
+            ..running.join().land(&mut self.shards)
+        }
+    }
+
     /// Re-places every shard by running the system's placement policy
     /// against the observed *cumulative* per-shard demand mass — see
     /// [`ShardedRecMgSystem::rebalance_from`] for the stat-vector form the
@@ -845,6 +874,7 @@ impl ShardedRecMgSystem {
     ///
     /// Panics if `stats` does not hold one entry per shard.
     pub fn rebalance_from(&mut self, stats: &[TierTraffic]) -> bool {
+        self.settle_guidance();
         let (mut changed, plan) = self.ctx.plan(&self.router, stats, &self.table_profiles());
         for (shard, (placement, pins)) in self.shards.iter_mut().zip(&plan) {
             shard.buffer.set_pinned_tables(pins);
@@ -980,7 +1010,9 @@ impl ShardedRecMgSystem {
     /// skipped by a lagging guidance plane), across shards. Background
     /// guidance still in flight at session teardown is computed and
     /// applied during drain (counted guided, reported as plane lag), so
-    /// after a drained session `guided + unguided == total`.
+    /// after a drained session — or a [`serve`](Self::serve) call followed
+    /// by [`settle_guidance`](Self::settle_guidance) —
+    /// `guided + unguided == total`.
     pub fn unguided_chunks(&self) -> u64 {
         self.shards.iter().map(|s| s.unguided_chunks).sum()
     }
@@ -1013,6 +1045,9 @@ impl BufferManager for ShardedRecMgSystem {
     }
 
     fn process_batch(&mut self, batch: &[VectorKey]) -> BatchAccessStats {
+        // Inline guidance applies in chunk order: whatever a background
+        // plane still owes lands first.
+        self.settle_guidance();
         // A system whose shards were moved into a session that panicked
         // mid-serve has no shards; zipping against the empty vec would
         // silently drop every key, so fail loudly instead.

@@ -133,6 +133,50 @@ fn concurrent_engine_matches_totals_and_reports_guidance() {
     assert!(report.guided_chunks + sys.unguided_chunks() <= report.total_chunks);
 }
 
+/// A run of background `serve()` calls shares one guidance plane: each
+/// call leaves the chunks the plane has not computed to the next, and
+/// every chunk's guidance still lands exactly once — in the call that
+/// served it, a later call, or the final settle — with no call owing more
+/// than `max_lag` chunks per shard.
+#[test]
+fn serve_calls_hand_the_plane_on_and_land_every_chunk_once() {
+    let (trace, trained, capacity) = trained_setup();
+    let batches = trace.batches(10);
+    let (shards, max_lag) = (4, 4);
+    let mut sys = recmg_repro::core::SystemBuilder::from_trained(&trained)
+        .shards(shards)
+        .capacity(capacity)
+        .build();
+    let opts = ServeOptions {
+        workers: 2,
+        guidance: GuidanceMode::Background {
+            threads: 2,
+            max_lag,
+            max_batch: 8,
+        },
+    };
+    let (mut served, mut guided, mut computed) = (0, 0, 0);
+    for call in batches.chunks(batches.len().div_ceil(8)) {
+        let report = sys.serve(call, &opts);
+        served += report.stats.total();
+        guided += report.guided_chunks;
+        computed += report.plane.chunks;
+        assert!(report.plane.late_chunks <= (shards * max_lag) as u64);
+    }
+    let settled = sys.settle_guidance();
+    assert_eq!(served, trace.len() as u64);
+    assert_eq!(
+        computed + settled.chunks,
+        guided + settled.late_chunks,
+        "a plane chunk was lost or counted twice"
+    );
+    assert_eq!(guided + settled.late_chunks, sys.guided_chunks());
+    assert_eq!(
+        sys.guided_chunks() + sys.unguided_chunks(),
+        sys.total_chunks()
+    );
+}
+
 fn key_strategy() -> impl Strategy<Value = VectorKey> {
     (0u32..16, 0u64..512).prop_map(|(t, r)| VectorKey::new(TableId(t), RowId(r)))
 }
