@@ -418,11 +418,11 @@ impl GpuBuffer {
 
     /// Iterates over resident entries as `(key, effective_priority,
     /// prefetched)`, hottest (highest-stamp) first; within a stamp,
-    /// newest placement first — the exact reverse of eviction order. Live
-    /// migration uses this to warm a staging buffer top-down so a smaller
-    /// destination keeps the hottest mass, and the `prefetched` flag lets
-    /// the copy preserve first-touch prefetch-hit classification across
-    /// the swap.
+    /// newest placement first — the exact reverse of eviction order. Its
+    /// user is the reference-model property test (`buffer_model` in
+    /// `tests/integration_properties.rs`), which compares the whole
+    /// listing, priorities and `prefetched` flags included, against its
+    /// model after every operation.
     pub fn iter_hot_first(&self) -> impl Iterator<Item = (VectorKey, u64, bool)> + '_ {
         self.by_stamp
             .values()

@@ -495,6 +495,38 @@ mod tests {
         }
     }
 
+    /// Promoting fills drives the shards too: on an async-fill system,
+    /// `drain_fills` lands the guidance a carried plane still owes before
+    /// the first fill.
+    #[test]
+    fn draining_fills_lands_the_carried_guidance_first() {
+        use crate::backend::FillMode;
+        use crate::prefetch_model::PrefetchModel;
+        let cfg = RecMgConfig::tiny();
+        let trace = SyntheticConfig::tiny(49).generate();
+        let codec = FrequencyRankCodec::from_accesses(&trace.accesses()[..500]);
+        let (caching, prefetch) = (CachingModel::new(&cfg), PrefetchModel::new(&cfg));
+        let mut sys = ShardedRecMgSystem::builder(&caching, Some(&prefetch), codec)
+            .shards(4)
+            .capacity(64)
+            .fill_mode(FillMode::Async {
+                threads: 1,
+                queue_depth: 64,
+            })
+            .build();
+        sys.serve(&trace.batches(10), &CARRIED);
+        assert!(sys.plane.is_some());
+        sys.drain_fills();
+        assert!(
+            sys.plane.is_none(),
+            "fills were promoted before the owed guidance"
+        );
+        assert_eq!(
+            sys.guided_chunks() + sys.unguided_chunks(),
+            sys.total_chunks()
+        );
+    }
+
     #[test]
     fn background_skips_count_as_unguided() {
         let trace = SyntheticConfig::tiny(43).generate();

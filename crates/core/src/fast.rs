@@ -45,13 +45,25 @@
 //! When the last [`LANE_BLOCK`] of a bucket is at least three quarters
 //! full, [`forward_buckets`] pads the lane stride to the block width with
 //! dead lanes that repeat the bucket's last chunk: a 6-chunk batch then
-//! runs every epilogue and attention stripe as one full vector instead of
-//! six scalar lanes, the dead lanes cost nothing extra (the matmul's
-//! vector was 8 wide anyway) and their outputs are never read. (Repeats,
+//! runs every epilogue and the softmax as one full vector instead of six
+//! scalar lanes, the dead lanes cost nothing extra (the matmul's and the
+//! attention reductions' vectors were 8 wide anyway) and their outputs
+//! are never read. (Repeats,
 //! not zeros: an all-zero lane would hand the int8 path a subnormal
 //! activation scale.) An emptier block stays unpadded — up to five scalar
 //! lanes cost no more than a vector's worth of epilogue, and the int8
 //! matmul's narrow-batch path pays per lane.
+//!
+//! **Register blocking.** Both AVX2 kernels hold their outputs in ymm
+//! accumulators across the whole reduction and store each once: the
+//! matmul ([`matacc_avx2`]) and the attention's score and context
+//! reductions ([`stripe_dots_avx2`]), per block of ≤ 8 lanes and group of
+//! up to 8 outputs. A B8 caching forward (default config, 2-vCPU Xeon)
+//! then splits as encoder matmul 24 µs, decoder matmul 35, gate sweeps 28,
+//! attention 23 (its combine matmul 11, softmax 5, the two reductions 7)
+//! and the rest 7, of 117; with a load-FMA-store per stripe the two
+//! reductions took 36 of 143. The gate epilogues are the largest part that
+//! is not a matmul.
 //!
 //! Weight layout is taken from the owning model's parameter order, which is
 //! fixed by construction: embedding table, then per stack
@@ -69,8 +81,9 @@ pub use recmg_tensor::simd::{active_lane, KernelLane};
 
 use crate::config::GuidancePrecision;
 
-/// Lanes per AVX2 vector: the batch-block width of [`matacc_avx2`] and the
-/// stride multiple [`forward_buckets`] pads to.
+/// Lanes per AVX2 vector: the batch-block width of [`matacc_avx2`] and
+/// [`stripe_dots_avx2`], and the stride multiple [`forward_buckets`] pads
+/// to.
 const LANE_BLOCK: usize = 8;
 
 /// Resolves `lane` once and runs `f` in that lane's code context:
@@ -96,31 +109,6 @@ fn on_lane<R>(lane: KernelLane, f: impl FnOnce(bool) -> R) -> R {
     }
     let _ = lane;
     f(false)
-}
-
-/// `a · b + c`: fused on the AVX2 lane, rounded twice on the scalar lane.
-#[inline(always)]
-fn madd(fma: bool, a: f32, b: f32, c: f32) -> f32 {
-    if fma {
-        a.mul_add(b, c)
-    } else {
-        a * b + c
-    }
-}
-
-/// `acc[b] ← a[b] · x[b] + acc[b]` over one batch stripe (the attention
-/// dot and context inner loop), in [`LANE_BLOCK`]-lane blocks of constant
-/// trip count so a padded stride compiles to straight vector code.
-#[inline(always)]
-fn stripe_madd(fma: bool, a: &[f32], x: &[f32], acc: &mut [f32]) {
-    let ((a8, a1), (x8, x1)) = (a.as_chunks::<LANE_BLOCK>(), x.as_chunks::<LANE_BLOCK>());
-    let (c8, c1) = acc.as_chunks_mut::<LANE_BLOCK>();
-    for ((c, a), x) in c8.iter_mut().zip(a8).zip(x8) {
-        *c = std::array::from_fn(|l| madd(fma, a[l], x[l], c[l]));
-    }
-    for ((c, a), x) in c1.iter_mut().zip(a1).zip(x1) {
-        *c = madd(fma, *a, *x, *c);
-    }
 }
 
 /// Max |[`tanh_approx`] − tanh| and max |[`sigmoid_approx`] − sigmoid| over
@@ -347,6 +335,11 @@ fn matacc_scalar(
     }
 }
 
+/// The load/store masks of the AVX2 kernels: the 8 words from
+/// `LANE_BLOCK − n` on enable the first `n` lanes of a block.
+#[cfg(target_arch = "x86_64")]
+const LANE_MASKS: [i32; 2 * LANE_BLOCK] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+
 /// The AVX2+FMA lane. At `bsz == 1` it vectorizes 8-wide over the output
 /// axis. At `bsz > 1` the interleaved layout makes the batch axis
 /// unit-stride: per block of ≤ 8 lanes and group of `G` outputs it holds
@@ -419,7 +412,6 @@ unsafe fn matacc_avx2(
             _mm256_maskstore_ps(o.add(g * bsz), mask, *a);
         }
     }
-    const MASKS: [i32; 2 * LANE_BLOCK] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
     let (wp, xp, op) = (w.as_ptr(), xs.as_ptr(), out.as_mut_ptr());
     let dims = (in_dim, out_dim, bsz);
     // SAFETY (every pointer below): a block starts at lane `b < bsz` and
@@ -427,10 +419,10 @@ unsafe fn matacc_avx2(
     // and `out[g·bsz + b + l]` for `l < n`, `i < in_dim` and `g` below the
     // group's end `≤ out_dim` — inside the lengths asserted above — and
     // `w[i·out_dim + g]` likewise. Masked-off lanes are not accessed, and
-    // the mask itself is 8 consecutive words of the 16 in `MASKS`.
+    // the mask itself is 8 consecutive words of the 16 in `LANE_MASKS`.
     for b in (0..bsz).step_by(LANE_BLOCK) {
         let n = (bsz - b).min(LANE_BLOCK);
-        let mask = _mm256_loadu_si256(MASKS.as_ptr().add(LANE_BLOCK - n) as *const __m256i);
+        let mask = _mm256_loadu_si256(LANE_MASKS.as_ptr().add(LANE_BLOCK - n) as *const __m256i);
         let mut g = 0;
         while g < out_dim {
             let at = (wp.add(g), xp.add(b), op.add(g * bsz + b));
@@ -440,6 +432,121 @@ unsafe fn matacc_avx2(
             } else {
                 block::<1>(at, dims, mask);
                 g += 1;
+            }
+        }
+    }
+}
+
+/// The two reductions of [`FastStack::attend_on`] as one shape:
+/// `out[g·bsz + l] = Σ_i a[i·bsz + l] · x[g·gs + i·is + l]` over the
+/// interleaved batch, for `i < a.len() / bsz` and `g < out.len() / bsz`.
+/// The scores take `a` = the query, `i` = hidden unit and `g` = encoder
+/// step (`(is, gs) = (bsz, h·bsz)`); the context takes `a` = the attention
+/// weights, `i` = step and `g` = hidden unit (`(is, gs) = (h·bsz, bsz)`).
+/// Every element accumulates from 0 in `i` order: fused on the AVX2 lane
+/// ([`stripe_dots_avx2`]), with plain multiply-add here.
+#[inline(always)]
+fn stripe_dots(
+    fma: bool,
+    bsz: usize,
+    a: &[f32],
+    x: &[f32],
+    strides: (usize, usize),
+    out: &mut [f32],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if fma {
+        // SAFETY: `fma` is true only inside `on_lane`'s AVX2+FMA context;
+        // `stripe_dots_avx2` checks the slice lengths it indexes by.
+        return unsafe { stripe_dots_avx2(bsz, a, x, strides, out) };
+    }
+    let _ = fma;
+    let (is, gs) = strides;
+    out.fill(0.0);
+    // `i` outermost: consecutive multiply-adds go to different outputs.
+    for (i, ai) in a.chunks_exact(bsz).enumerate() {
+        for (g, o) in out.chunks_exact_mut(bsz).enumerate() {
+            let xs = &x[g * gs + i * is..][..bsz];
+            for ((o, &av), &xv) in o.iter_mut().zip(ai).zip(xs) {
+                *o += av * xv;
+            }
+        }
+    }
+}
+
+/// The AVX2+FMA lane of [`stripe_dots`], register-blocked like
+/// [`matacc_avx2`]: per block of ≤ 8 lanes and group of up to 8 outputs
+/// it holds the group's stripes in registers across the whole `i` loop
+/// and stores each once — one load of `a` and `G` loads of `x` per `G`
+/// FMAs, where a load-FMA-store per `(i, g)` pair paid four memory
+/// operations per FMA. A block narrower than 8 lanes runs the same code
+/// under a load/store mask, so `bsz == 1` takes no separate path.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn stripe_dots_avx2(
+    bsz: usize,
+    a: &[f32],
+    x: &[f32],
+    (is, gs): (usize, usize),
+    out: &mut [f32],
+) {
+    use std::arch::x86_64::*;
+    let (len, groups) = (a.len() / bsz, out.len() / bsz);
+    assert_eq!(a.len(), len * bsz);
+    assert_eq!(out.len(), groups * bsz);
+    if len == 0 || groups == 0 {
+        out.fill(0.0);
+        return;
+    }
+    assert!((groups - 1) * gs + (len - 1) * is + bsz <= x.len());
+    /// `o[g·bsz + l] = Σ_i a[i·bsz + l] · x[g·gs + i·is + l]` for `g < G`
+    /// and the lanes `l` enabled in `mask`.
+    #[inline(always)]
+    unsafe fn block<const G: usize>(
+        (a, x, o): (*const f32, *const f32, *mut f32),
+        (len, is, gs, bsz): (usize, usize, usize, usize),
+        mask: __m256i,
+    ) {
+        let mut acc = [_mm256_setzero_ps(); G];
+        for i in 0..len {
+            let av = _mm256_maskload_ps(a.add(i * bsz), mask);
+            for (g, c) in acc.iter_mut().enumerate() {
+                let xv = _mm256_maskload_ps(x.add(g * gs + i * is), mask);
+                *c = _mm256_fmadd_ps(av, xv, *c);
+            }
+        }
+        for (g, c) in acc.iter().enumerate() {
+            _mm256_maskstore_ps(o.add(g * bsz), mask, *c);
+        }
+    }
+    let (ap, xp, op) = (a.as_ptr(), x.as_ptr(), out.as_mut_ptr());
+    let dims = (len, is, gs, bsz);
+    // SAFETY (every pointer below): a block starts at lane `b < bsz` and
+    // enables `n = min(8, bsz − b)` lanes, so for `l < n`, `i < len` and
+    // `g < groups` it reads `a[i·bsz + b + l]` and
+    // `x[g·gs + i·is + b + l]` and writes `out[g·bsz + b + l]` — inside
+    // the bounds asserted above. Masked-off lanes are not accessed, and the
+    // mask is 8 consecutive words of the 16 in `LANE_MASKS`.
+    // `attend_order_matches_a_naive_fma_reference` sweeps partial lane
+    // blocks and partial groups on both reductions.
+    for b in (0..bsz).step_by(LANE_BLOCK) {
+        let n = (bsz - b).min(LANE_BLOCK);
+        let mask = _mm256_loadu_si256(LANE_MASKS.as_ptr().add(LANE_BLOCK - n) as *const __m256i);
+        for g in (0..groups).step_by(8) {
+            let at = (ap.add(b), xp.add(g * gs + b), op.add(g * bsz + b));
+            match groups - g {
+                1 => block::<1>(at, dims, mask),
+                2 => block::<2>(at, dims, mask),
+                3 => block::<3>(at, dims, mask),
+                4 => block::<4>(at, dims, mask),
+                5 => block::<5>(at, dims, mask),
+                6 => block::<6>(at, dims, mask),
+                7 => block::<7>(at, dims, mask),
+                _ => block::<8>(at, dims, mask),
             }
         }
     }
@@ -805,38 +912,12 @@ impl FastStack {
     fn attend_on(&self, fma: bool, bsz: usize, s: &mut Scratch, out: &mut [f32]) {
         let (query, enc, scores) = (&s.dh[..], &s.enc[..], &mut s.scores[..]);
         let n = query.len();
-        // Hidden unit outermost: consecutive FMAs go to different scores
-        // and pipeline. At `bsz == 1` a stripe is one element of a plain
-        // `[t, h]` layout, so the loops skip the per-stripe blocking.
-        scores.fill(0.0);
-        for (j, q) in query.chunks_exact(bsz).enumerate() {
-            let rows = scores.chunks_exact_mut(bsz).zip(enc.chunks_exact(n));
-            if bsz == 1 {
-                for (sc, state) in rows {
-                    sc[0] = madd(fma, q[0], state[j], sc[0]);
-                }
-            } else {
-                for (sc, state) in rows {
-                    stripe_madd(fma, q, &state[j * bsz..][..bsz], sc);
-                }
-            }
-        }
-        // The denominator is folded into the scores, so the context loop
-        // reads ready-made attention weights.
+        stripe_dots(fma, bsz, query, enc, (bsz, n), scores);
+        // The denominator is folded into the scores, so the context
+        // reduction reads ready-made attention weights.
         softmax_stripes(scores, &mut s.denom, bsz);
         let (ctx, tail) = s.cat.split_at_mut(n);
-        ctx.fill(0.0);
-        for (w, state) in scores.chunks_exact(bsz).zip(enc.chunks_exact(n)) {
-            if bsz == 1 {
-                for (c, &st) in ctx.iter_mut().zip(state) {
-                    *c = madd(fma, w[0], st, *c);
-                }
-            } else {
-                for (cj, st) in ctx.chunks_exact_mut(bsz).zip(state.chunks_exact(bsz)) {
-                    stripe_madd(fma, w, st, cj);
-                }
-            }
-        }
+        stripe_dots(fma, bsz, scores, enc, (n, bsz), ctx);
         tail.copy_from_slice(query);
         let (w, b) = (&self.attn_w, &self.attn_b);
         linear_on(fma, w, b, bsz, &s.cat, out, &mut s.quant);
@@ -1474,6 +1555,67 @@ mod tests {
             fast_linear_batch(KernelLane::Avx2, &wm, &b, bsz, &xs, &mut got, &mut qs);
             for (i, (x, y)) in got.iter().zip(&naive).enumerate() {
                 prop_assert_eq!(x.to_bits(), y.to_bits(), "elem {}: {} vs {}", i, x, y);
+            }
+        }
+
+        /// The register-blocked AVX2 attention accumulates every score over
+        /// the hidden units and every context element over the steps, from
+        /// 0 and in order, with FMA: its output equals a naive per-lane
+        /// `mul_add` attention bit for bit, across partial step groups,
+        /// partial hidden-unit groups and masked-off lanes.
+        #[test]
+        fn attend_order_matches_a_naive_fma_reference(
+            seed in 0u64..1_000,
+            bsz in 1usize..18,
+            t_in in 1usize..18,
+            h in 1usize..41,
+        ) {
+            if !KernelLane::Avx2.available() {
+                return;
+            }
+            let mut rng = StdRng::seed_from_u64(seed);
+            let lstm = || FastLstm::new(
+                Tensor::zeros(&[1, 4 * h]),
+                Tensor::zeros(&[h, 4 * h]),
+                Tensor::zeros(&[4 * h]),
+                GuidancePrecision::F32,
+            );
+            let (enc_cell, dec_cell) = (lstm(), lstm());
+            let w = Tensor::rand_uniform(&mut rng, &[2 * h, h], -0.5, 0.5);
+            let b = Tensor::rand_uniform(&mut rng, &[h], -0.5, 0.5);
+            let p = GuidancePrecision::F32;
+            let stack = FastStack::new(enc_cell, dec_cell, w.clone(), b.clone(), p);
+            let mut s = Scratch::default();
+            s.prepare(bsz, t_in, h);
+            s.dh.iter_mut().for_each(|v| *v = rng.gen_range(-1.0..1.0));
+            s.enc.iter_mut().for_each(|v| *v = rng.gen_range(-1.0..1.0));
+            let (q, enc) = (s.dh.to_vec(), s.enc.to_vec());
+            let mut got = vec![0.0f32; h * bsz];
+            on_lane(
+                KernelLane::Avx2,
+                #[inline(always)]
+                |fma| stack.attend_on(fma, bsz, &mut s, &mut got),
+            );
+            let at = |t: usize, j: usize, l: usize| enc[(t * h + j) * bsz + l];
+            for l in 0..bsz {
+                let qs: Vec<f32> = (0..h).map(|j| q[j * bsz + l]).collect();
+                let scores: Vec<f32> = (0..t_in)
+                    .map(|t| (0..h).fold(0.0, |acc, j| qs[j].mul_add(at(t, j, l), acc)))
+                    .collect();
+                let mx = scores.iter().fold(f32::NEG_INFINITY, |m, &v| if v > m { v } else { m });
+                let e: Vec<f32> = scores.iter().map(|&v| exp_approx(v - mx)).collect();
+                let dn = e.iter().fold(0.0, |d, &v| d + v);
+                let cat: Vec<f32> = (0..h)
+                    .map(|j| (0..t_in).fold(0.0, |acc, t| (e[t] / dn).mul_add(at(t, j, l), acc)))
+                    .chain(qs)
+                    .collect();
+                for g in 0..h {
+                    let pre = (0..2 * h).fold(b.data()[g], |a, i| cat[i].mul_add(w.at(i, g), a));
+                    let (x, y) = (got[g * bsz + l], tanh_approx(pre));
+                    prop_assert_eq!(
+                        x.to_bits(), y.to_bits(), "lane {} unit {}: {} vs {}", l, g, x, y
+                    );
+                }
             }
         }
     }

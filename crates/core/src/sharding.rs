@@ -648,8 +648,9 @@ pub struct ShardedRecMgSystem {
     /// running, with the guidance it had not computed when the call's
     /// last access was served; the next call with the same
     /// [`GuidanceMode`] takes it over ([`Self::settle_guidance`]). Every
-    /// other `&mut` entry point that touches the shards settles it first;
-    /// the field goes once `serve()` keeps one session across calls.
+    /// other `&mut` entry point that touches the shards settles it first,
+    /// by reaching them through `shards_mut`; the field goes once
+    /// `serve()` keeps one session across calls.
     pub(crate) plane: Option<RunningPlane>,
 }
 
@@ -716,17 +717,19 @@ impl ShardedRecMgSystem {
 
     /// Synchronously drains the async fill queue, promoting every queued
     /// key into its shard (the in-session equivalent runs on background
-    /// fill threads). Returns the number of fills that landed. A no-op
-    /// (0) in blocking mode, and right after a session, whose drain
-    /// already landed the backlog. The sequential path
+    /// fill threads). Returns the number of fills that landed: 0 in
+    /// blocking mode, where it touches nothing, and right after a session,
+    /// whose drain already landed the backlog. In async mode the guidance
+    /// a carried plane still owes lands first. The sequential path
     /// ([`BufferManager::process_batch`]) calls this after every batch.
     pub fn drain_fills(&mut self) -> u64 {
         let Some(queue) = self.ctx.fill_queue.clone() else {
             return 0;
         };
+        let (shards, ..) = self.shards_mut();
         let mut landed = 0;
         while let Some((sid, key, fill_ns)) = queue.pop_now() {
-            if self.shards[sid].buffer.promote_fill(key, fill_ns) {
+            if shards[sid].buffer.promote_fill(key, fill_ns) {
                 queue.note_promoted();
                 landed += 1;
             }
@@ -838,9 +841,9 @@ impl ShardedRecMgSystem {
     /// the same [`GuidanceMode`] would instead have computed those chunks
     /// while it served, so call this only to read a fully guided system —
     /// its guidance counters or buffer contents — after `serve()`.
-    /// [`process_batch`](BufferManager::process_batch), the rebalancing
-    /// methods and a session with a different guidance mode settle first
-    /// on their own.
+    /// [`process_batch`](BufferManager::process_batch),
+    /// [`drain_fills`](Self::drain_fills), the rebalancing methods and a
+    /// session with a different guidance mode settle first on their own.
     pub fn settle_guidance(&mut self) -> GuidancePlaneReport {
         let Some(running) = self.plane.take() else {
             return GuidancePlaneReport::default();
@@ -849,6 +852,15 @@ impl ShardedRecMgSystem {
             kernel_lane: self.ctx.kernel_label(),
             ..running.join().land(&mut self.shards)
         }
+    }
+
+    /// The shards, for an entry point that drives them, with the read-only
+    /// context and router beside them. The guidance a carried
+    /// [`plane`](Self::plane) still owes lands first, so every `&mut`
+    /// path to the shards keeps the settle rule by going through here.
+    fn shards_mut(&mut self) -> (&mut [Shard], &GuidanceCtx, &ShardRouter) {
+        self.settle_guidance();
+        (&mut self.shards, &self.ctx, &self.router)
     }
 
     /// Re-places every shard by running the system's placement policy
@@ -874,11 +886,12 @@ impl ShardedRecMgSystem {
     ///
     /// Panics if `stats` does not hold one entry per shard.
     pub fn rebalance_from(&mut self, stats: &[TierTraffic]) -> bool {
-        self.settle_guidance();
-        let (mut changed, plan) = self.ctx.plan(&self.router, stats, &self.table_profiles());
-        for (shard, (placement, pins)) in self.shards.iter_mut().zip(&plan) {
+        let (shards, ctx, router) = self.shards_mut();
+        let profiles = TableProfiler::merge(shards.iter().filter_map(|s| s.profiler.as_ref()));
+        let (mut changed, plan) = ctx.plan(router, stats, &profiles);
+        for (shard, (placement, pins)) in shards.iter_mut().zip(&plan) {
             shard.buffer.set_pinned_tables(pins);
-            changed |= shard.apply_placement(placement, &self.ctx.topology);
+            changed |= shard.apply_placement(placement, &ctx.topology);
         }
         changed
     }
@@ -1047,26 +1060,26 @@ impl BufferManager for ShardedRecMgSystem {
     fn process_batch(&mut self, batch: &[VectorKey]) -> BatchAccessStats {
         // Inline guidance applies in chunk order: whatever a background
         // plane still owes lands first.
-        self.settle_guidance();
+        let (shards, ctx, router) = self.shards_mut();
         // A system whose shards were moved into a session that panicked
         // mid-serve has no shards; zipping against the empty vec would
         // silently drop every key, so fail loudly instead.
         assert_eq!(
-            self.shards.len(),
-            self.router.num_shards(),
+            shards.len(),
+            router.num_shards(),
             "shard count must match the router (was a serving session abandoned mid-panic?)"
         );
         // Deterministic sequential path: shards are disjoint, so serving
         // them one after another produces the same counts as any
         // interleaving that preserves per-shard order.
         let mut stats = BatchAccessStats::default();
-        let guide = Guide::Inline(&self.router);
-        if self.router.num_shards() == 1 {
-            self.shards[0].serve(batch, &mut stats, &self.ctx, &guide);
+        let guide = Guide::Inline(router);
+        if router.num_shards() == 1 {
+            shards[0].serve(batch, &mut stats, ctx, &guide);
         } else {
-            let parts = self.router.split(batch);
-            for (shard, keys) in self.shards.iter_mut().zip(&parts) {
-                shard.serve(keys, &mut stats, &self.ctx, &guide);
+            let parts = router.split(batch);
+            for (shard, keys) in shards.iter_mut().zip(&parts) {
+                shard.serve(keys, &mut stats, ctx, &guide);
             }
         }
         // Fill threads exist only inside a session. Here the misses this
