@@ -581,7 +581,7 @@ fn working_set_estimation(models: &Models, smoke: bool) -> Section {
 ///   re-place while drained: one stop-the-world drain at the flip to
 ///   snapshot traffic, a second one 8 batches into phase B (charitably,
 ///   about when a sketch window could have detected the flip) where
-///   [`Rebalancer::try_rebalance`] re-places on the pure phase-B delta;
+///   [`Rebalancer::maybe_rebalance`] re-places on the pure phase-B delta;
 /// * `live` — one session with a [`LiveRebalanceConfig`]: the background
 ///   rebalancer detects the flip by phase trigger and re-places under
 ///   load (the quiescent shard move, under each moved shard's mutex),
@@ -690,11 +690,9 @@ fn online_rebalance(models: &Models, smoke: bool) -> Section {
     let react_after = 8usize;
     let mut rb = Rebalancer::new((react_after * 60) as u64);
     let (mut sys, r1) = serve(build_system(), None, phase_a.clone());
-    rb.try_rebalance(&mut sys, 0)
-        .expect("drained session has no queue");
+    rb.maybe_rebalance(&mut sys);
     let (mut sys, r2) = serve(sys, None, phase_b[..react_after].to_vec());
-    rb.try_rebalance(&mut sys, 0)
-        .expect("drained session has no queue");
+    rb.maybe_rebalance(&mut sys);
     let (sys, r3) = serve(sys, None, phase_b[react_after..].to_vec());
     rows.push(row("quiescent_reactive", 2, &sys, &[&r1, &r2, &r3]));
 
@@ -785,7 +783,7 @@ fn online_rebalance(models: &Models, smoke: bool) -> Section {
         },
         "phase-flip stream served closed-loop (2 outstanding, 2 workers); the live row \
                  never drains (background phase-triggered migration + read-hot replication); \
-                 quiescent_reactive stops the world twice (flip snapshot, then try_rebalance 8 \
+                 quiescent_reactive stops the world twice (flip snapshot, then maybe_rebalance 8 \
                  batches into phase B); hit_weighted_cost_ns is cumulative per-tier access cost \
                  including migration fills and replica charges; p99_ns is closed-loop \
                  per-request latency",

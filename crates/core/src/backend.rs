@@ -501,11 +501,6 @@ impl TierCalibration {
         TierCost::synthetic(self.hit_ns, self.miss_ns, self.fill_ns)
     }
 
-    /// One JSON object with fixed field names.
-    pub fn to_json(&self) -> String {
-        JsonWriter::render(|w| self.write_json(w))
-    }
-
     /// Writes the probe results as one JSON object.
     pub fn write_json(&self, w: &mut JsonWriter) {
         w.object(|w| {
@@ -530,11 +525,6 @@ pub struct CalibrationReport {
 }
 
 impl CalibrationReport {
-    /// `[{...}, ...]` — a JSON array of per-tier calibrations.
-    pub fn to_json(&self) -> String {
-        JsonWriter::render(|w| self.write_json(w))
-    }
-
     /// Writes the per-tier calibrations as one JSON array.
     pub fn write_json(&self, w: &mut JsonWriter) {
         w.array(&self.tiers, TierCalibration::write_json);
@@ -668,11 +658,6 @@ impl FillPlaneReport {
             dropped: self.dropped.saturating_sub(before.dropped),
             promoted: self.promoted.saturating_sub(before.promoted),
         }
-    }
-
-    /// One JSON object with fixed field names.
-    pub fn to_json(&self) -> String {
-        JsonWriter::render(|w| self.write_json(w))
     }
 
     /// Writes the counters as one JSON object.
@@ -894,7 +879,7 @@ mod tests {
             );
             let cost = cal.cost();
             assert_eq!(cost.hit_ns, cal.hit_ns);
-            let json = cal.to_json();
+            let json = JsonWriter::render(|w| cal.write_json(w));
             assert!(json.contains("\"backend\": "));
             assert!(json.contains(spec.name()));
         }
@@ -976,7 +961,7 @@ mod tests {
         };
         let d = now.delta_since(&before);
         assert_eq!((d.queued, d.coalesced, d.dropped, d.promoted), (4, 2, 2, 4));
-        let json = d.to_json();
+        let json = JsonWriter::render(|w| d.write_json(w));
         for field in ["queued", "coalesced", "dropped", "promoted"] {
             assert!(json.contains(&format!("\"{field}\": ")), "{json}");
         }

@@ -217,14 +217,9 @@ impl EngineReport {
         TierUsage::total_cost_ns(&self.tiers)
     }
 
-    /// Machine-readable summary with fixed field names — the single
-    /// serializer used by every bench that emits an engine report, so
+    /// Writes the report as one JSON object with fixed field names — the
+    /// single serializer every bench that emits an engine report uses, so
     /// `guided_fraction` / `keys_per_sec` are never re-derived ad hoc.
-    pub fn to_json(&self) -> String {
-        JsonWriter::render(|w| self.write_json(w))
-    }
-
-    /// Writes the report as one JSON object.
     pub fn write_json(&self, w: &mut JsonWriter) {
         w.object(|w| {
             w.key("batches").raw(self.batches);
@@ -424,8 +419,8 @@ mod tests {
         assert_eq!(a.stats.total() + b.stats.total(), trace.len() as u64);
     }
 
-    /// Dropping a system that carries a plane closes the plane's channel:
-    /// its threads compute what was queued and exit on their own.
+    /// Dropping a system that carries a plane closes the plane: its
+    /// threads compute what was queued and exit on their own.
     #[test]
     fn dropping_the_system_stops_its_carried_plane() {
         use std::time::{Duration, Instant};
@@ -578,7 +573,7 @@ mod tests {
                 guidance: GuidanceMode::Inline,
             },
         );
-        let json = report.to_json();
+        let json = JsonWriter::render(|w| report.write_json(w));
         for field in [
             "\"batches\"",
             "\"keys\"",
@@ -648,7 +643,7 @@ mod tests {
         assert_eq!(t0.profile.table, 0);
         assert_eq!(t0.profile.unique_rows, 4);
         assert!((t0.profile.demand_share - 0.5).abs() < 0.05);
-        let json = report.to_json();
+        let json = JsonWriter::render(|w| report.write_json(w));
         for field in [
             "\"demand_share\"",
             "\"skew\"",

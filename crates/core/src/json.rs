@@ -312,7 +312,7 @@ mod tests {
     #[test]
     fn golden_tier_usage() {
         assert_eq!(
-            tier("dram", 3, 120).to_json(),
+            JsonWriter::render(|w| tier("dram", 3, 120).write_json(w)),
             r#"{"tier": "dram", "shards": 3, "capacity": 128, "resident": 97, "hits": 120, "misses": 30, "prefetch_fills": 7, "demand_fills": 3, "cost_ns": 98765, "unique_keys": 41}"#
         );
     }
@@ -329,7 +329,7 @@ mod tests {
     #[test]
     fn golden_migration_report() {
         assert_eq!(
-            migration().to_json(),
+            JsonWriter::render(|w| migration().write_json(w)),
             r#"{"migrations": 2, "resizes": 1, "migration_cost_ns": 46800, "route_epoch": 5}"#
         );
     }
@@ -337,7 +337,7 @@ mod tests {
     #[test]
     fn golden_replication_report() {
         assert_eq!(
-            replication().to_json(),
+            JsonWriter::render(|w| replication().write_json(w)),
             r#"{"replicated_shards": 1, "replica_hits": 300, "replica_fills": 24, "invalidations": 6, "saved_cost_ns": 81000, "replica_cost_ns": 7200}"#
         );
     }
@@ -345,7 +345,7 @@ mod tests {
     #[test]
     fn golden_tier_calibration() {
         assert_eq!(
-            calibrated("dram", "dram", 12).to_json(),
+            JsonWriter::render(|w| calibrated("dram", "dram", 12).write_json(w)),
             r#"{"tier": "dram", "backend": "dram", "probe_rows": 128, "hit_ns": 12, "miss_ns": 340, "fill_ns": 95}"#
         );
     }
@@ -353,16 +353,19 @@ mod tests {
     #[test]
     fn golden_calibration_report() {
         assert_eq!(
-            calibration().to_json(),
+            JsonWriter::render(|w| calibration().write_json(w)),
             r#"[{"tier": "dram", "backend": "dram", "probe_rows": 128, "hit_ns": 12, "miss_ns": 340, "fill_ns": 95}, {"tier": "mapped_file", "backend": "mmap", "probe_rows": 128, "hit_ns": 57, "miss_ns": 340, "fill_ns": 95}]"#
         );
-        assert_eq!(CalibrationReport::default().to_json(), "[]");
+        assert_eq!(
+            JsonWriter::render(|w| CalibrationReport::default().write_json(w)),
+            "[]"
+        );
     }
 
     #[test]
     fn golden_fill_plane_report() {
         assert_eq!(
-            fills().to_json(),
+            JsonWriter::render(|w| fills().write_json(w)),
             r#"{"queued": 50, "coalesced": 9, "dropped": 2, "promoted": 39}"#
         );
     }
@@ -370,11 +373,11 @@ mod tests {
     #[test]
     fn golden_table_report() {
         assert_eq!(
-            table(3, Some(2)).to_json(),
+            JsonWriter::render(|w| table(3, Some(2)).write_json(w)),
             r#"{"table": 3, "size": 40000, "accesses": 1234, "demand_share": 0.0385, "skew": 1.234, "unique_rows": 812, "pinned_shard": 2, "hot_rows": 64}"#
         );
         assert_eq!(
-            table(9, None).to_json(),
+            JsonWriter::render(|w| table(9, None).write_json(w)),
             r#"{"table": 9, "size": 40000, "accesses": 1234, "demand_share": 0.0385, "skew": 1.234, "unique_rows": 812, "pinned_shard": -1, "hot_rows": 64}"#
         );
     }
@@ -382,7 +385,7 @@ mod tests {
     #[test]
     fn golden_engine_report() {
         assert_eq!(
-            engine().to_json(),
+            JsonWriter::render(|w| engine().write_json(w)),
             r#"{"batches": 25, "keys": 150, "hit_rate": 0.8000, "guided_fraction": 0.7500, "keys_per_sec": 1215.0, "elapsed_secs": 0.1235, "plane": {"model_forwards": 18, "drains": 9, "chunks": 31, "mean_batch": 3.44, "max_batch": 8, "late_chunks": 2, "kernel_lane": "avx2+int8"}, "access_cost_ns": 197530, "unique_keys": 77, "max_phase_score": 0.5124, "migration": {"migrations": 2, "resizes": 1, "migration_cost_ns": 46800, "route_epoch": 5}, "replication": {"replicated_shards": 1, "replica_hits": 300, "replica_fills": 24, "invalidations": 6, "saved_cost_ns": 81000, "replica_cost_ns": 7200}, "calibration": [{"tier": "dram", "backend": "dram", "probe_rows": 128, "hit_ns": 12, "miss_ns": 340, "fill_ns": 95}, {"tier": "mapped_file", "backend": "mmap", "probe_rows": 128, "hit_ns": 57, "miss_ns": 340, "fill_ns": 95}], "fills": {"queued": 50, "coalesced": 9, "dropped": 2, "promoted": 39}, "tiers": [{"tier": "dram", "shards": 3, "capacity": 128, "resident": 97, "hits": 120, "misses": 30, "prefetch_fills": 7, "demand_fills": 3, "cost_ns": 98765, "unique_keys": 41}, {"tier": "cxl", "shards": 5, "capacity": 128, "resident": 97, "hits": 0, "misses": 30, "prefetch_fills": 7, "demand_fills": 3, "cost_ns": 98765, "unique_keys": 41}], "tables": [{"table": 3, "size": 40000, "accesses": 1234, "demand_share": 0.0385, "skew": 1.234, "unique_rows": 812, "pinned_shard": 2, "hot_rows": 64}, {"table": 9, "size": 40000, "accesses": 1234, "demand_share": 0.0385, "skew": 1.234, "unique_rows": 812, "pinned_shard": -1, "hot_rows": 64}]}"#
         );
     }
@@ -399,7 +402,7 @@ mod tests {
     #[test]
     fn golden_sla_outcome() {
         assert_eq!(
-            sla().to_json(),
+            JsonWriter::render(|w| sla().write_json(w)),
             r#"{"budget_ms": 8.000, "met": 22, "missed": 3, "attainment": 0.8800, "degraded_skip_ahead": 4, "degraded_prefetch_off": 1}"#
         );
     }
@@ -407,11 +410,11 @@ mod tests {
     #[test]
     fn golden_tenant_report() {
         assert_eq!(
-            tenant("budgeted", 3.0, Some(sla())).to_json(),
+            JsonWriter::render(|w| tenant("budgeted", 3.0, Some(sla())).write_json(w)),
             r#"{"name": "budgeted", "weight": 3, "submitted": 20, "completed": 15, "rejected_queue_full": 2, "rejected_deadline": 1, "shed_in_queue": 2, "latency": {"count": 15, "p50_ms": 1.500, "p95_ms": 4.250, "p99_ms": 9.875, "mean_ms": 2.001, "max_ms": 12.000}, "queue_wait": {"count": 15, "p50_ms": 1.500, "p95_ms": 4.250, "p99_ms": 9.875, "mean_ms": 2.001, "max_ms": 12.000}, "sla": {"budget_ms": 8.000, "met": 22, "missed": 3, "attainment": 0.8800, "degraded_skip_ahead": 4, "degraded_prefetch_off": 1}}"#
         );
         assert_eq!(
-            tenant("besteffort", 0.5, None).to_json(),
+            JsonWriter::render(|w| tenant("besteffort", 0.5, None).write_json(w)),
             r#"{"name": "besteffort", "weight": 0.5, "submitted": 20, "completed": 15, "rejected_queue_full": 2, "rejected_deadline": 1, "shed_in_queue": 2, "latency": {"count": 15, "p50_ms": 1.500, "p95_ms": 4.250, "p99_ms": 9.875, "mean_ms": 2.001, "max_ms": 12.000}, "queue_wait": {"count": 15, "p50_ms": 1.500, "p95_ms": 4.250, "p99_ms": 9.875, "mean_ms": 2.001, "max_ms": 12.000}, "sla": null}"#
         );
     }
@@ -419,11 +422,11 @@ mod tests {
     #[test]
     fn golden_session_report() {
         assert_eq!(
-            session(Some(sla())).to_json(),
+            JsonWriter::render(|w| session(Some(sla())).write_json(w)),
             r#"{"engine": {"batches": 25, "keys": 150, "hit_rate": 0.8000, "guided_fraction": 0.7500, "keys_per_sec": 1215.0, "elapsed_secs": 0.1235, "plane": {"model_forwards": 18, "drains": 9, "chunks": 31, "mean_batch": 3.44, "max_batch": 8, "late_chunks": 2, "kernel_lane": "avx2+int8"}, "access_cost_ns": 197530, "unique_keys": 77, "max_phase_score": 0.5124, "migration": {"migrations": 2, "resizes": 1, "migration_cost_ns": 46800, "route_epoch": 5}, "replication": {"replicated_shards": 1, "replica_hits": 300, "replica_fills": 24, "invalidations": 6, "saved_cost_ns": 81000, "replica_cost_ns": 7200}, "calibration": [{"tier": "dram", "backend": "dram", "probe_rows": 128, "hit_ns": 12, "miss_ns": 340, "fill_ns": 95}, {"tier": "mapped_file", "backend": "mmap", "probe_rows": 128, "hit_ns": 57, "miss_ns": 340, "fill_ns": 95}], "fills": {"queued": 50, "coalesced": 9, "dropped": 2, "promoted": 39}, "tiers": [{"tier": "dram", "shards": 3, "capacity": 128, "resident": 97, "hits": 120, "misses": 30, "prefetch_fills": 7, "demand_fills": 3, "cost_ns": 98765, "unique_keys": 41}, {"tier": "cxl", "shards": 5, "capacity": 128, "resident": 97, "hits": 0, "misses": 30, "prefetch_fills": 7, "demand_fills": 3, "cost_ns": 98765, "unique_keys": 41}], "tables": [{"table": 3, "size": 40000, "accesses": 1234, "demand_share": 0.0385, "skew": 1.234, "unique_rows": 812, "pinned_shard": 2, "hot_rows": 64}, {"table": 9, "size": 40000, "accesses": 1234, "demand_share": 0.0385, "skew": 1.234, "unique_rows": 812, "pinned_shard": -1, "hot_rows": 64}]}, "submitted": 40, "completed": 30, "rejected_queue_full": 4, "rejected_deadline": 2, "shed_in_queue": 4, "shed_rate": 0.2500, "latency": {"count": 30, "p50_ms": 1.500, "p95_ms": 4.250, "p99_ms": 9.875, "mean_ms": 2.001, "max_ms": 12.000}, "queue_wait": {"count": 30, "p50_ms": 1.500, "p95_ms": 4.250, "p99_ms": 9.875, "mean_ms": 2.001, "max_ms": 12.000}, "sla": {"budget_ms": 8.000, "met": 22, "missed": 3, "attainment": 0.8800, "degraded_skip_ahead": 4, "degraded_prefetch_off": 1}, "tenants": [{"name": "budgeted", "weight": 3, "submitted": 20, "completed": 15, "rejected_queue_full": 2, "rejected_deadline": 1, "shed_in_queue": 2, "latency": {"count": 15, "p50_ms": 1.500, "p95_ms": 4.250, "p99_ms": 9.875, "mean_ms": 2.001, "max_ms": 12.000}, "queue_wait": {"count": 15, "p50_ms": 1.500, "p95_ms": 4.250, "p99_ms": 9.875, "mean_ms": 2.001, "max_ms": 12.000}, "sla": {"budget_ms": 8.000, "met": 22, "missed": 3, "attainment": 0.8800, "degraded_skip_ahead": 4, "degraded_prefetch_off": 1}}, {"name": "besteffort", "weight": 0.5, "submitted": 20, "completed": 15, "rejected_queue_full": 2, "rejected_deadline": 1, "shed_in_queue": 2, "latency": {"count": 15, "p50_ms": 1.500, "p95_ms": 4.250, "p99_ms": 9.875, "mean_ms": 2.001, "max_ms": 12.000}, "queue_wait": {"count": 15, "p50_ms": 1.500, "p95_ms": 4.250, "p99_ms": 9.875, "mean_ms": 2.001, "max_ms": 12.000}, "sla": null}]}"#
         );
         assert_eq!(
-            session(None).to_json(),
+            JsonWriter::render(|w| session(None).write_json(w)),
             r#"{"engine": {"batches": 25, "keys": 150, "hit_rate": 0.8000, "guided_fraction": 0.7500, "keys_per_sec": 1215.0, "elapsed_secs": 0.1235, "plane": {"model_forwards": 18, "drains": 9, "chunks": 31, "mean_batch": 3.44, "max_batch": 8, "late_chunks": 2, "kernel_lane": "avx2+int8"}, "access_cost_ns": 197530, "unique_keys": 77, "max_phase_score": 0.5124, "migration": {"migrations": 2, "resizes": 1, "migration_cost_ns": 46800, "route_epoch": 5}, "replication": {"replicated_shards": 1, "replica_hits": 300, "replica_fills": 24, "invalidations": 6, "saved_cost_ns": 81000, "replica_cost_ns": 7200}, "calibration": [{"tier": "dram", "backend": "dram", "probe_rows": 128, "hit_ns": 12, "miss_ns": 340, "fill_ns": 95}, {"tier": "mapped_file", "backend": "mmap", "probe_rows": 128, "hit_ns": 57, "miss_ns": 340, "fill_ns": 95}], "fills": {"queued": 50, "coalesced": 9, "dropped": 2, "promoted": 39}, "tiers": [{"tier": "dram", "shards": 3, "capacity": 128, "resident": 97, "hits": 120, "misses": 30, "prefetch_fills": 7, "demand_fills": 3, "cost_ns": 98765, "unique_keys": 41}, {"tier": "cxl", "shards": 5, "capacity": 128, "resident": 97, "hits": 0, "misses": 30, "prefetch_fills": 7, "demand_fills": 3, "cost_ns": 98765, "unique_keys": 41}], "tables": [{"table": 3, "size": 40000, "accesses": 1234, "demand_share": 0.0385, "skew": 1.234, "unique_rows": 812, "pinned_shard": 2, "hot_rows": 64}, {"table": 9, "size": 40000, "accesses": 1234, "demand_share": 0.0385, "skew": 1.234, "unique_rows": 812, "pinned_shard": -1, "hot_rows": 64}]}, "submitted": 40, "completed": 30, "rejected_queue_full": 4, "rejected_deadline": 2, "shed_in_queue": 4, "shed_rate": 0.2500, "latency": {"count": 30, "p50_ms": 1.500, "p95_ms": 4.250, "p99_ms": 9.875, "mean_ms": 2.001, "max_ms": 12.000}, "queue_wait": {"count": 30, "p50_ms": 1.500, "p95_ms": 4.250, "p99_ms": 9.875, "mean_ms": 2.001, "max_ms": 12.000}, "sla": null, "tenants": [{"name": "budgeted", "weight": 3, "submitted": 20, "completed": 15, "rejected_queue_full": 2, "rejected_deadline": 1, "shed_in_queue": 2, "latency": {"count": 15, "p50_ms": 1.500, "p95_ms": 4.250, "p99_ms": 9.875, "mean_ms": 2.001, "max_ms": 12.000}, "queue_wait": {"count": 15, "p50_ms": 1.500, "p95_ms": 4.250, "p99_ms": 9.875, "mean_ms": 2.001, "max_ms": 12.000}, "sla": {"budget_ms": 8.000, "met": 22, "missed": 3, "attainment": 0.8800, "degraded_skip_ahead": 4, "degraded_prefetch_off": 1}}, {"name": "besteffort", "weight": 0.5, "submitted": 20, "completed": 15, "rejected_queue_full": 2, "rejected_deadline": 1, "shed_in_queue": 2, "latency": {"count": 15, "p50_ms": 1.500, "p95_ms": 4.250, "p99_ms": 9.875, "mean_ms": 2.001, "max_ms": 12.000}, "queue_wait": {"count": 15, "p50_ms": 1.500, "p95_ms": 4.250, "p99_ms": 9.875, "mean_ms": 2.001, "max_ms": 12.000}, "sla": null}]}"#
         );
     }

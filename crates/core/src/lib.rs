@@ -163,8 +163,8 @@ pub use table_profile::{
     TableReport,
 };
 pub use tier::{
-    CardinalityWorkingSet, EvenSplit, HotFirst, MemoryTier, PlacementPolicy, RebalanceDeferred,
-    Rebalancer, ShardPlacement, TierTopology, TierUsage, WorkingSet,
+    CardinalityWorkingSet, EvenSplit, HotFirst, MemoryTier, PlacementPolicy, Rebalancer,
+    ShardPlacement, TierTopology, TierUsage, WorkingSet,
 };
 pub use trace::{
     parse_criteo_line, parse_indices_line, profile_trace, read_trace, FileTraceSource, TraceFormat,

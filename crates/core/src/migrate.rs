@@ -413,11 +413,6 @@ pub struct MigrationReport {
 }
 
 impl MigrationReport {
-    /// JSON object with stable field names.
-    pub fn to_json(&self) -> String {
-        JsonWriter::render(|w| self.write_json(w))
-    }
-
     /// Writes the counters as one JSON object.
     pub fn write_json(&self, w: &mut JsonWriter) {
         w.object(|w| {
@@ -448,11 +443,6 @@ pub struct ReplicationReport {
 }
 
 impl ReplicationReport {
-    /// JSON object with stable field names.
-    pub fn to_json(&self) -> String {
-        JsonWriter::render(|w| self.write_json(w))
-    }
-
     /// Writes the counters as one JSON object.
     pub fn write_json(&self, w: &mut JsonWriter) {
         w.object(|w| {

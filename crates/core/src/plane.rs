@@ -12,32 +12,31 @@
 //! at `max_lag` skips the chunk instead — it rides on stale priorities —
 //! and then paces itself ([`PlanePort::pace`]).
 //!
-//! The handshake between a serving worker (holding its shard's mutex) and
-//! the plane threads, per shard:
+//! The handshake between the serving workers (each holding its shard's
+//! mutex) and the plane threads is one lock. The job queue, every shard's
+//! parked updates and in-flight count, the `closed` flag, the idle-thread
+//! count and the work counters are one `PlaneState` under one mutex, with
+//! two condvars beside it: plane threads wait on `work` for a job, and
+//! workers pacing at the lag limit wait on `progress` for their shard's
+//! backlog to fall. Every waiter checks its condition under the lock its
+//! waker changes it under, so no wakeup is lost, and a chunk is queued,
+//! being computed, or parked — never two of these — whenever anyone looks.
 //!
-//! * **mailbox** (`CompletedSlot`): the plane parks computed updates under
-//!   the slot's mutex and mirrors the count into `len` (`Release`); the
-//!   worker's per-access check is one `Acquire` load of `len`, and only a
-//!   non-zero count takes the lock.
-//! * **`in_flight`**: incremented by the worker before the send,
-//!   decremented by the plane only *after* the update is parked — a shard
-//!   never sees "plane idle" with its guidance still un-parked, which is
-//!   what lets a caller wait for quiescence on [`Plane::pending`].
-//! * **lag gate**: a condvar the plane notifies after every drained
-//!   batch. The notify takes (and drops) the gate lock first, so it is
-//!   ordered after any `in_flight` check a waiter made before blocking
-//!   and the wakeup cannot be missed.
-//! * **helper**: a worker pacing at the lag limit does not sleep while a
-//!   full batch waits behind the one the plane is computing
-//!   ([`Plane::pending`] ≥ 2 × `max_batch`): it drains that batch itself
-//!   and runs the plane's own drain tail ([`Plane::compute_and_park`]),
-//!   so its idle core becomes a second guidance consumer. Lock order is
-//!   shard mutex → receiver (`try_lock` only: a plane thread holds it
-//!   while draining, or while blocked in `recv` on an empty channel) →
-//!   slot mutex; the plane never takes a shard lock. The gate lock is *not*
-//!   held while computing — the drain tail's own notify takes it — and
-//!   the helper re-checks `in_flight` under it before each wait, exactly
-//!   as the pure waiter did.
+//! * **offer**: queue the chunk and count it in flight for its shard;
+//!   notify `work` only when a plane thread is idle.
+//! * **take and park**: a plane thread — or a worker pacing at the lag
+//!   limit while a full batch waits behind the one being computed
+//!   ([`Plane::pending`] ≥ 2 × `max_batch`, so it never splits a batch) —
+//!   takes up to `max_batch` queued chunks, computes them with no lock
+//!   held, and parks the updates, dropping the in-flight counts in the
+//!   same critical section ([`Plane::compute_and_park`]).
+//! * **apply**: the one read outside the lock is a per-shard mirror of the
+//!   parked count, written under it, so a worker's per-access check is
+//!   one atomic load; only a non-zero count takes the lock, and the
+//!   updates are applied after it is released.
+//!
+//! Lock order is shard mutex → plane lock; the plane never takes a shard
+//! lock, and no model forward runs under the plane lock.
 //!
 //! The pacing wait is *bounded* (5 × 5 ms, helping included) because it
 //! runs with the shard mutex held: sibling workers' demand accesses to
@@ -59,8 +58,9 @@
 //! a [`GuidancePlaneReport`].
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -71,17 +71,13 @@ use crate::fast::FastScratch;
 use crate::sharding::{GuidanceCtx, Shard, ShardRouter};
 
 /// A chunk handed to the plane.
-pub(crate) struct GuidanceJob {
+struct GuidanceJob {
     shard: usize,
     chunk: Vec<VectorKey>,
     armed: bool,
 }
 
-/// The workers' end of the plane's job channel. The plane threads exit
-/// once every clone is dropped.
-pub(crate) type JobSender = mpsc::Sender<GuidanceJob>;
-
-/// One lag-gate wait of [`PlanePort::pace`], and how many of them bound
+/// One `progress` wait of [`PlanePort::pace`], and how many of them bound
 /// the whole pace (helping included).
 const PACE_QUANTUM: Duration = Duration::from_millis(5);
 const PACE_QUANTA: u32 = 5;
@@ -93,71 +89,100 @@ struct GuidanceUpdate {
     prefetched: Vec<VectorKey>,
 }
 
-/// Per-shard mailbox of computed guidance. `len` mirrors the vector length
-/// (both only change under the mutex) so the serving fast path can check
-/// "anything to apply?" with one atomic load instead of taking the lock on
-/// every access.
+impl GuidanceUpdate {
+    fn apply(&self, shard: &mut Shard, keep_prefetch: bool) {
+        let prefetched: &[VectorKey] = if keep_prefetch { &self.prefetched } else { &[] };
+        shard.apply_guidance(&self.chunk, &self.bits, prefetched);
+    }
+}
+
+/// One shard's share of the plane state.
 #[derive(Default)]
-struct CompletedSlot {
-    updates: Mutex<Vec<GuidanceUpdate>>,
-    len: AtomicUsize,
+struct ShardMail {
+    /// Computed guidance not yet applied.
+    parked: Vec<GuidanceUpdate>,
+    /// Chunks offered and not yet parked: queued or being computed.
+    in_flight: usize,
+}
+
+/// Everything the plane threads and the serving workers share, under the
+/// plane's one lock.
+struct PlaneState {
+    jobs: VecDeque<GuidanceJob>,
+    shards: Vec<ShardMail>,
+    /// Set by [`Plane::close`]: offers are refused, and plane threads exit
+    /// once the queue is dry.
+    closed: bool,
+    /// Plane threads blocked on `work`.
+    idle: usize,
+    /// Work since the last [`Plane::land`] (`late_chunks` is counted
+    /// there, the kernel lane by the caller).
+    report: GuidancePlaneReport,
+}
+
+impl PlaneState {
+    /// Chunks offered whose guidance is not parked yet, across shards.
+    fn pending(&self) -> usize {
+        self.shards.iter().map(|s| s.in_flight).sum()
+    }
 }
 
 /// Plane state shared by serving workers and plane threads.
 pub(crate) struct Plane {
-    rx: Mutex<mpsc::Receiver<GuidanceJob>>,
-    completed: Vec<CompletedSlot>,
-    in_flight: Vec<AtomicUsize>,
-    /// Exact-wakeup gate for producer pacing: the plane notifies after
-    /// every drained batch; a worker whose shard is at the lag limit waits
-    /// here instead of sleeping blind, so it resumes the moment the
-    /// backlog clears rather than a sleep-quantum later.
-    lag_gate: Mutex<()>,
-    lag_cv: Condvar,
+    state: Mutex<PlaneState>,
+    /// Where plane threads wait for a job (or for the close).
+    work: Condvar,
+    /// Where pacing workers wait for parked guidance.
+    progress: Condvar,
+    /// `ShardMail::parked.len()` per shard, stored under the lock: the
+    /// serving path's "anything to apply?" is one load. `Relaxed` is
+    /// enough, because the mirror publishes nothing: the updates are only
+    /// read under the lock, and a stale zero only defers an apply to a
+    /// later access.
+    parked: Vec<AtomicUsize>,
     max_lag: usize,
     max_batch: usize,
-    /// Batched model forwards run (one per model invocation per drain).
-    model_forwards: AtomicU64,
-    /// Drain iterations that processed at least one chunk.
-    drains: AtomicU64,
-    /// Chunks computed by the plane.
-    chunks: AtomicU64,
-    /// Largest coalesced batch observed.
-    max_batch_seen: AtomicU64,
 }
 
 impl Plane {
-    /// A plane over `num_shards` mailboxes, plus the sender workers clone.
+    /// An open plane over `num_shards` shards, with nothing queued.
     ///
     /// # Panics
     ///
     /// Panics if `max_batch` is zero.
-    pub(crate) fn new(num_shards: usize, max_lag: usize, max_batch: usize) -> (Self, JobSender) {
+    pub(crate) fn new(num_shards: usize, max_lag: usize, max_batch: usize) -> Self {
         assert!(max_batch > 0, "need a positive guidance batch size");
-        let (tx, rx) = mpsc::channel();
-        let plane = Plane {
-            rx: Mutex::new(rx),
-            completed: (0..num_shards).map(|_| CompletedSlot::default()).collect(),
-            in_flight: (0..num_shards).map(|_| AtomicUsize::new(0)).collect(),
-            lag_gate: Mutex::new(()),
-            lag_cv: Condvar::new(),
+        Plane {
+            state: Mutex::new(PlaneState {
+                jobs: VecDeque::new(),
+                shards: (0..num_shards).map(|_| ShardMail::default()).collect(),
+                closed: false,
+                idle: 0,
+                report: GuidancePlaneReport::default(),
+            }),
+            work: Condvar::new(),
+            progress: Condvar::new(),
+            parked: (0..num_shards).map(|_| AtomicUsize::new(0)).collect(),
             max_lag,
             max_batch,
-            model_forwards: AtomicU64::new(0),
-            drains: AtomicU64::new(0),
-            chunks: AtomicU64::new(0),
-            max_batch_seen: AtomicU64::new(0),
-        };
-        (plane, tx)
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, PlaneState> {
+        self.state.lock().expect("plane lock")
     }
 
     /// Chunks offered to the plane whose guidance has not been computed
     /// yet, across shards.
     pub(crate) fn pending(&self) -> usize {
-        self.in_flight
-            .iter()
-            .map(|c| c.load(Ordering::Acquire))
-            .sum()
+        self.lock().pending()
+    }
+
+    /// Refuses every later offer; plane threads compute what is still
+    /// queued and then return from [`Plane::run`].
+    pub(crate) fn close(&self) {
+        self.lock().closed = true;
+        self.work.notify_all();
     }
 
     /// Shard `sid`'s side of the handshake, for one served sub-batch.
@@ -166,118 +191,99 @@ impl Plane {
     pub(crate) fn port<'a>(
         &'a self,
         sid: usize,
-        tx: &'a JobSender,
         router: &'a ShardRouter,
         scratch: &'a RefCell<FastScratch>,
     ) -> PlanePort<'a> {
         PlanePort {
             plane: self,
-            slot: &self.completed[sid],
-            in_flight: &self.in_flight[sid],
-            tx,
+            sid,
             router,
             scratch,
         }
     }
 
     /// Plane-thread body: coalesce every pending chunk (up to `max_batch`)
-    /// into one batched model forward per model, then scatter the
-    /// per-shard updates. Exits when every sender — the workers' and the
-    /// [`RunningPlane`]'s own — is gone.
+    /// into one batched model forward per model, then park the per-shard
+    /// updates. Returns once the plane is closed and its queue is dry.
     ///
-    /// Under multi-shard load the plane's weight traffic is O(drained
-    /// batches), not O(chunks) — while a drain is being computed, workers
-    /// keep appending jobs to the channel, so the next drain naturally
-    /// coalesces the backlog.
+    /// Under multi-shard load the plane's weight traffic is O(batches),
+    /// not O(chunks) — while a batch is being computed, workers keep
+    /// queueing chunks, so the next take naturally coalesces the backlog.
     pub(crate) fn run(&self, ctx: &GuidanceCtx, router: &ShardRouter) {
         let mut jobs: Vec<GuidanceJob> = Vec::with_capacity(self.max_batch);
         let mut scratch = FastScratch::default();
+        let mut state = self.lock();
         loop {
-            {
-                // Hold the receiver only while draining; the batched forward
-                // below runs lock-free so sibling plane threads (and pacing
-                // helpers) can drain the next backlog concurrently.
-                let rx = self.rx.lock().expect("rx lock");
-                let Ok(first) = rx.recv() else {
-                    break; // all workers done
-                };
-                jobs.push(first);
-                jobs.extend(rx.try_iter().take(self.max_batch - 1));
+            if self.take(&mut state, &mut jobs) {
+                drop(state);
+                state = self.compute_and_park(&mut jobs, ctx, router, &mut scratch);
+            } else if state.closed {
+                return;
+            } else {
+                state.idle += 1;
+                state = self.work.wait(state).expect("plane lock");
+                state.idle -= 1;
             }
-            self.compute_and_park(&mut jobs, ctx, router, &mut scratch);
         }
     }
 
-    /// A pacing worker's turn as a plane consumer: takes one full batch
-    /// off the job channel and runs the drain tail on it. Declines —
-    /// returning `false` — unless a full batch waits behind the one the
-    /// plane is computing (`pending ≥ 2 × max_batch`), so a helper never
-    /// splits what the plane would have coalesced, and when the receiver
-    /// is held (a plane thread is blocked in `recv` on an empty channel,
-    /// or is draining it right now).
-    fn help(&self, ctx: &GuidanceCtx, router: &ShardRouter, scratch: &mut FastScratch) -> bool {
-        if self.pending() < 2 * self.max_batch {
+    /// Moves up to `max_batch` queued chunks into `jobs` and counts the
+    /// batch; `false` when nothing is queued.
+    fn take(&self, state: &mut PlaneState, jobs: &mut Vec<GuidanceJob>) -> bool {
+        let n = state.jobs.len().min(self.max_batch);
+        if n == 0 {
             return false;
         }
-        let Ok(rx) = self.rx.try_lock() else {
-            return false;
-        };
-        let mut jobs: Vec<GuidanceJob> = rx.try_iter().take(self.max_batch).collect();
-        drop(rx);
-        if jobs.is_empty() {
-            return false;
-        }
-        self.compute_and_park(&mut jobs, ctx, router, scratch);
+        jobs.extend(state.jobs.drain(..n));
+        let report = &mut state.report;
+        report.drains += 1;
+        report.chunks += n as u64;
+        report.max_batch = report.max_batch.max(n as u64);
         true
     }
 
-    /// The one drain tail, shared by plane threads and pacing helpers:
-    /// one batched forward per model over `jobs`, each update parked in
-    /// its shard's mailbox, `in_flight` decremented after parking, then
-    /// the lag gate notified. Leaves `jobs` empty.
+    /// The one batch tail, shared by plane threads and pacing helpers:
+    /// one batched forward per model over `jobs` with no lock held; then,
+    /// back under the lock (returned to the caller), every update parked
+    /// with its shard's in-flight count dropped, and pacing workers woken.
+    /// Leaves `jobs` empty.
     fn compute_and_park(
         &self,
         jobs: &mut Vec<GuidanceJob>,
         ctx: &GuidanceCtx,
         router: &ShardRouter,
         scratch: &mut FastScratch,
-    ) {
-        self.drains.fetch_add(1, Ordering::Relaxed);
-        self.chunks.fetch_add(jobs.len() as u64, Ordering::Relaxed);
-        self.max_batch_seen
-            .fetch_max(jobs.len() as u64, Ordering::Relaxed);
-
+    ) -> MutexGuard<'_, PlaneState> {
         let batch: Vec<(&[VectorKey], bool, usize)> = jobs
             .iter()
             .map(|j| (j.chunk.as_slice(), j.armed, j.shard))
             .collect();
         let (guidance, forwards) = Shard::compute_guidance_batch(&batch, ctx, router, scratch);
-        self.model_forwards.fetch_add(forwards, Ordering::Relaxed);
 
+        let mut state = self.lock();
+        state.report.model_forwards += forwards;
         for (job, (bits, prefetched)) in jobs.drain(..).zip(guidance) {
-            let slot = &self.completed[job.shard];
-            let mut updates = slot.updates.lock().expect("completed lock");
-            updates.push(GuidanceUpdate {
+            let mail = &mut state.shards[job.shard];
+            mail.in_flight -= 1;
+            mail.parked.push(GuidanceUpdate {
                 chunk: job.chunk,
                 bits,
                 prefetched,
             });
-            slot.len.store(updates.len(), Ordering::Release);
-            // Decrement only after the update is visible, so a shard never
-            // sees "plane idle" with its guidance still un-parked — and
-            // under the slot lock, so [`Plane::land`] counts a chunk as
-            // parked or in flight, never both.
-            self.in_flight[job.shard].fetch_sub(1, Ordering::AcqRel);
+            self.parked[job.shard].store(mail.parked.len(), Ordering::Relaxed);
         }
-        // Wake producers pacing on the lag gate. Taking (and dropping) the
-        // gate lock orders this notify after any in-flight check a waiter
-        // made before blocking, so the wakeup cannot be missed.
-        drop(self.lag_gate.lock().expect("lag gate lock"));
-        self.lag_cv.notify_all();
+        self.progress.notify_all();
+        state
+    }
+
+    /// Takes shard `sid`'s parked updates and zeroes its mirror.
+    fn take_parked(&self, state: &mut PlaneState, sid: usize) -> Vec<GuidanceUpdate> {
+        self.parked[sid].store(0, Ordering::Relaxed);
+        std::mem::take(&mut state.shards[sid].parked)
     }
 
     /// Closes out a run once its workers are joined: applies the guidance
-    /// parked in the mailboxes and returns the plane's accounting since
+    /// parked for every shard and returns the plane's accounting since
     /// the previous close-out (the counters restart at zero, so a plane
     /// that serves several runs reports each one's share). The kernel
     /// lane is the caller's to fill in.
@@ -291,45 +297,32 @@ impl Plane {
     /// applied here, or still queued on a plane that runs on past the run
     /// (its guidance lands at the next run's first access of the shard).
     pub(crate) fn land(&self, shards: &mut [Shard]) -> GuidancePlaneReport {
-        let mut report = GuidancePlaneReport {
-            model_forwards: self.model_forwards.swap(0, Ordering::Relaxed),
-            drains: self.drains.swap(0, Ordering::Relaxed),
-            chunks: self.chunks.swap(0, Ordering::Relaxed),
-            max_batch: self.max_batch_seen.swap(0, Ordering::Relaxed),
-            ..GuidancePlaneReport::default()
-        };
-        for ((shard, slot), in_flight) in
-            shards.iter_mut().zip(&self.completed).zip(&self.in_flight)
-        {
-            let parked = {
-                let mut updates = slot.updates.lock().expect("completed lock");
-                slot.len.store(0, Ordering::Release);
-                report.late_chunks += (updates.len() + in_flight.load(Ordering::Acquire)) as u64;
-                std::mem::take(&mut *updates)
-            };
-            for u in parked {
-                shard.apply_guidance(&u.chunk, &u.bits, &u.prefetched);
+        let mut state = self.lock();
+        let mut report = std::mem::take(&mut state.report);
+        for (sid, shard) in shards.iter_mut().enumerate() {
+            let mail = &state.shards[sid];
+            report.late_chunks += (mail.parked.len() + mail.in_flight) as u64;
+            for update in self.take_parked(&mut state, sid) {
+                update.apply(shard, true);
             }
         }
         report
     }
 }
 
-/// A [`Plane`] with its threads and the prototype job sender: what a
-/// session starts in background mode, and what a system carries from one
-/// `serve()` call to the next. Dropping it closes the channel once every
-/// worker's sender is gone too; the threads then compute what is left
+/// A [`Plane`] with its threads: what a session starts in background
+/// mode, and what a system carries from one `serve()` call to the next.
+/// Dropping it closes the plane; the threads then compute what is left
 /// and exit on their own.
 pub(crate) struct RunningPlane {
     plane: Arc<Plane>,
-    tx: JobSender,
     threads: Vec<JoinHandle<()>>,
     mode: GuidanceMode,
 }
 
 impl RunningPlane {
-    /// Starts the plane threads of a background `mode`, one mailbox per
-    /// shard of `router`.
+    /// Starts the plane threads of a background `mode` over the shards of
+    /// `router`.
     ///
     /// # Panics
     ///
@@ -344,8 +337,7 @@ impl RunningPlane {
             unreachable!("an inline-guided run starts no plane");
         };
         assert!(threads > 0, "need at least one guidance thread");
-        let (plane, tx) = Plane::new(router.num_shards(), max_lag, max_batch);
-        let plane = Arc::new(plane);
+        let plane = Arc::new(Plane::new(router.num_shards(), max_lag, max_batch));
         let threads = (0..threads)
             .map(|_| {
                 let (plane, ctx, router) = (Arc::clone(&plane), ctx.clone(), router.clone());
@@ -354,7 +346,6 @@ impl RunningPlane {
             .collect();
         RunningPlane {
             plane,
-            tx,
             threads,
             mode,
         }
@@ -371,20 +362,20 @@ impl RunningPlane {
         Arc::clone(&self.plane)
     }
 
-    /// A sender for one serving worker.
-    pub(crate) fn sender(&self) -> JobSender {
-        self.tx.clone()
-    }
-
-    /// Closes the job channel and joins the plane threads, which first
-    /// compute everything still queued. Every worker's sender must be gone
-    /// already, or this waits for them.
-    pub(crate) fn join(self) -> Arc<Plane> {
-        drop(self.tx);
-        for handle in self.threads {
+    /// Closes the plane and joins its threads, which first compute
+    /// everything still queued.
+    pub(crate) fn join(mut self) -> Arc<Plane> {
+        self.plane.close();
+        for handle in self.threads.drain(..) {
             handle.join().expect("guidance plane does not panic");
         }
-        self.plane
+        self.plane()
+    }
+}
+
+impl Drop for RunningPlane {
+    fn drop(&mut self) {
+        self.plane.close();
     }
 }
 
@@ -397,14 +388,11 @@ impl std::fmt::Debug for RunningPlane {
     }
 }
 
-/// One shard's view of the plane while a worker serves a sub-batch on it:
-/// the shard's mailbox and backlog counter (resolved once, not per key)
-/// plus the worker's sender, router and model scratch.
+/// One shard's view of the plane while a worker serves a sub-batch on it,
+/// plus the worker's router and model scratch.
 pub(crate) struct PlanePort<'a> {
     plane: &'a Plane,
-    slot: &'a CompletedSlot,
-    in_flight: &'a AtomicUsize,
-    tx: &'a JobSender,
+    sid: usize,
     router: &'a ShardRouter,
     scratch: &'a RefCell<FastScratch>,
 }
@@ -418,28 +406,26 @@ impl PlanePort<'_> {
     /// [`DegradeLevel::PrefetchOff`]: crate::config::DegradeLevel::PrefetchOff
     #[inline]
     pub(crate) fn apply_ready(&self, shard: &mut Shard, keep_prefetch: bool) {
-        if self.slot.len.load(Ordering::Acquire) == 0 {
+        if self.plane.parked[self.sid].load(Ordering::Relaxed) == 0 {
             return;
         }
-        let mut updates = self.slot.updates.lock().expect("completed lock");
-        for u in updates.drain(..) {
-            let prefetched: &[VectorKey] = if keep_prefetch { &u.prefetched } else { &[] };
-            shard.apply_guidance(&u.chunk, &u.bits, prefetched);
+        let parked = self.plane.take_parked(&mut self.plane.lock(), self.sid);
+        for update in parked {
+            update.apply(shard, keep_prefetch);
         }
-        self.slot.len.store(0, Ordering::Release);
     }
 
     /// Whether the shard is below the plane's lag limit. At the limit the
     /// arriving chunk runs on stale guidance — the §VI-C skip, verbatim.
     pub(crate) fn has_room(&self) -> bool {
-        self.in_flight.load(Ordering::Acquire) < self.plane.max_lag
+        self.plane.lock().shards[self.sid].in_flight < self.plane.max_lag
     }
 
     /// Producer pacing after a skip. What changes with the coalescing
     /// plane is what happens *next*: instead of racing further ahead and
     /// converting every following chunk into a skip too (which is how
     /// `guided_fraction` collapsed under multi-shard load), the producer
-    /// paces itself on the lag gate until the plane has drained the
+    /// paces itself on `progress` until the plane has drained the
     /// backlog to a low-water mark. The hysteresis makes production bursty
     /// on purpose — one wake/sleep cycle per `max_lag - low_water` chunks,
     /// so context switches amortize over the burst and the plane always
@@ -447,17 +433,18 @@ impl PlanePort<'_> {
     /// steady state is one skipped chunk per burst (guided fraction ≈
     /// 1 - 1/burst); when the plane keeps up nothing is skipped at all.
     ///
-    /// While a full batch is queued behind the plane's, the producer
-    /// computes it instead of waiting ([`Plane::help`]): the core it would
-    /// have slept on becomes a second guidance consumer.
+    /// While a full batch is queued behind the one being computed, the
+    /// producer computes it instead of waiting: the core it would have
+    /// slept on becomes a second guidance consumer.
     pub(crate) fn pace(&self, ctx: &GuidanceCtx) {
-        if self.plane.max_lag == 0 {
+        let plane = self.plane;
+        if plane.max_lag == 0 {
             // The plane accepts no work: plain skip-ahead.
             return;
         }
-        let low_water = self.plane.max_lag / 4;
+        let low_water = plane.max_lag / 4;
         // The pacing wait runs with this shard's mutex held, so it must
-        // stay short: a healthy plane drains a batch in well under a
+        // stay short: a healthy plane parks a batch in well under a
         // timeout quantum (the notify is what actually wakes the
         // producer), and if it has made no progress after a few quanta —
         // or helping has used up their time — we fall back to racing
@@ -465,41 +452,39 @@ impl PlanePort<'_> {
         // — including SLA-degraded — demand accesses on the lock.
         let give_up = Instant::now() + PACE_QUANTUM * PACE_QUANTA;
         let mut waits = 0u32;
-        while self.in_flight.load(Ordering::Acquire) > low_water && waits < PACE_QUANTA {
+        let mut jobs = Vec::new();
+        let mut state = plane.lock();
+        while state.shards[self.sid].in_flight > low_water && waits < PACE_QUANTA {
             let now = Instant::now();
             if now >= give_up {
                 break;
             }
-            if self
-                .plane
-                .help(ctx, self.router, &mut self.scratch.borrow_mut())
-            {
+            if state.pending() >= 2 * plane.max_batch && plane.take(&mut state, &mut jobs) {
+                drop(state);
+                let scratch = &mut self.scratch.borrow_mut();
+                state = plane.compute_and_park(&mut jobs, ctx, self.router, scratch);
                 continue;
             }
-            let gate = self.plane.lag_gate.lock().expect("lag gate lock");
-            if self.in_flight.load(Ordering::Acquire) > low_water {
-                let quantum = PACE_QUANTUM.min(give_up - now);
-                drop(
-                    self.plane
-                        .lag_cv
-                        .wait_timeout(gate, quantum)
-                        .expect("lag gate lock"),
-                );
-            }
+            let quantum = PACE_QUANTUM.min(give_up - now);
+            state = plane
+                .progress
+                .wait_timeout(state, quantum)
+                .expect("plane lock")
+                .0;
             waits += 1;
         }
     }
 
-    /// Hands shard `shard`'s completed chunk to the plane, `armed` saying
+    /// Queues the shard's completed chunk for the plane, `armed` saying
     /// whether the shard's own prefetch gate is open. Returns `false` if
-    /// the plane already shut down (can only happen at teardown): the
-    /// chunk found no consumer.
+    /// the plane is closed (can only happen at teardown): the chunk found
+    /// no consumer.
     ///
     /// Plane-pressure degradation, mirroring the SLA ladder
     /// ([`DegradeLevel::PrefetchOff`]): when the plane's total backlog has
     /// built past an eighth of its aggregate lag budget (`shards ×
     /// max_lag`, so the threshold scales with the shard count instead of
-    /// choking prefetch at high shard counts), the chunk is sent for
+    /// choking prefetch at high shard counts), the chunk is queued for
     /// caching guidance only. The autoregressive prefetch forward is ~2×
     /// the caching forward; shedding it first keeps the plane's priority
     /// signal fresh for everyone instead of letting speculative work
@@ -511,20 +496,27 @@ impl PlanePort<'_> {
     /// starving the warmup counter forever.
     ///
     /// [`DegradeLevel::PrefetchOff`]: crate::config::DegradeLevel::PrefetchOff
-    pub(crate) fn offer(&self, shard: usize, chunk: Vec<VectorKey>, armed: bool) -> bool {
-        let shed_at = (self.plane.completed.len() * self.plane.max_lag / 8).max(1);
-        let armed = armed && self.plane.pending() <= shed_at;
-        self.in_flight.fetch_add(1, Ordering::AcqRel);
-        let job = GuidanceJob {
-            shard,
+    pub(crate) fn offer(&self, chunk: Vec<VectorKey>, armed: bool) -> bool {
+        let plane = self.plane;
+        let mut state = plane.lock();
+        if state.closed {
+            return false;
+        }
+        let shed_at = (state.shards.len() * plane.max_lag / 8).max(1);
+        let armed = armed && state.pending() <= shed_at;
+        state.shards[self.sid].in_flight += 1;
+        state.jobs.push_back(GuidanceJob {
+            shard: self.sid,
             chunk,
             armed,
-        };
-        let sent = self.tx.send(job).is_ok();
-        if !sent {
-            self.in_flight.fetch_sub(1, Ordering::AcqRel);
+        });
+        // A futex notify is a syscall even with nobody waiting.
+        let wake = state.idle > 0;
+        drop(state);
+        if wake {
+            plane.work.notify_one();
         }
-        sent
+        true
     }
 }
 
@@ -542,55 +534,54 @@ mod tests {
     }
 
     fn parked(plane: &Plane, sid: usize) -> usize {
-        let slot = &plane.completed[sid];
-        let len = slot.len.load(Ordering::Acquire);
-        assert_eq!(len, slot.updates.lock().expect("completed lock").len());
+        let len = plane.lock().shards[sid].parked.len();
+        assert_eq!(plane.parked[sid].load(Ordering::Relaxed), len);
         len
     }
 
     fn take_queued(plane: &Plane) -> usize {
-        plane.rx.lock().expect("rx lock").try_iter().count()
+        plane.lock().jobs.drain(..).count()
+    }
+
+    fn in_flight(plane: &Plane, sid: usize) -> usize {
+        plane.lock().shards[sid].in_flight
+    }
+
+    fn counters(plane: &Plane) -> GuidancePlaneReport {
+        plane.lock().report
     }
 
     /// With no plane thread at all, the paced worker is the only consumer:
     /// it computes full batches until its shard is at the low-water mark,
-    /// parks the updates in the mailbox, and counts them as plane drains.
+    /// parks the updates, and counts them as plane drains.
     #[test]
     fn a_paced_worker_drains_its_backlog_without_a_plane_thread() {
         let sys = system(2);
         let input_len = sys.ctx.cfg.input_len;
         let (max_lag, max_batch) = (8, 2);
-        let (plane, tx) = Plane::new(2, max_lag, max_batch);
+        let plane = Plane::new(2, max_lag, max_batch);
         let scratch = RefCell::new(FastScratch::default());
-        let port = plane.port(0, &tx, &sys.router, &scratch);
+        let port = plane.port(0, &sys.router, &scratch);
         for c in 0..max_lag as u64 {
-            assert!(port.offer(0, chunk(c, input_len), c % 2 == 0));
+            assert!(port.offer(chunk(c, input_len), c % 2 == 0));
         }
 
         port.pace(&sys.ctx);
 
         let low_water = max_lag / 4;
-        let in_flight = plane.in_flight[0].load(Ordering::Acquire);
+        let in_flight = in_flight(&plane, 0);
         assert!(
             in_flight <= low_water,
             "in_flight {in_flight} > {low_water}"
         );
         assert_eq!(parked(&plane, 0), max_lag - in_flight);
         assert_eq!(parked(&plane, 1), 0);
+        let report = counters(&plane);
+        assert_eq!(report.chunks, (max_lag - in_flight) as u64);
+        assert_eq!(report.drains, ((max_lag - in_flight) / max_batch) as u64);
+        assert_eq!(report.max_batch, max_batch as u64);
+        assert!(report.model_forwards > 0);
         assert_eq!(take_queued(&plane), in_flight);
-        assert_eq!(
-            plane.chunks.load(Ordering::Relaxed),
-            (max_lag - in_flight) as u64
-        );
-        assert_eq!(
-            plane.drains.load(Ordering::Relaxed),
-            ((max_lag - in_flight) / max_batch) as u64
-        );
-        assert_eq!(
-            plane.max_batch_seen.load(Ordering::Relaxed),
-            max_batch as u64
-        );
-        assert!(plane.model_forwards.load(Ordering::Relaxed) > 0);
     }
 
     /// The helper takes a batch only while a full one would still be left
@@ -602,30 +593,27 @@ mod tests {
         let sys = system(2);
         let input_len = sys.ctx.cfg.input_len;
         let (max_lag, max_batch) = (8, 4);
-        let (plane, tx) = Plane::new(2, max_lag, max_batch);
+        let plane = Plane::new(2, max_lag, max_batch);
         let scratch = RefCell::new(FastScratch::default());
-        let port = plane.port(1, &tx, &sys.router, &scratch);
+        let port = plane.port(1, &sys.router, &scratch);
         let below = 2 * max_batch - 1;
         for c in 0..below as u64 {
-            assert!(port.offer(1, chunk(c, input_len), true));
+            assert!(port.offer(chunk(c, input_len), true));
         }
 
         port.pace(&sys.ctx);
-        assert_eq!(plane.in_flight[1].load(Ordering::Acquire), below);
+        assert_eq!(in_flight(&plane, 1), below);
         assert_eq!(parked(&plane, 1), 0);
-        assert_eq!(plane.drains.load(Ordering::Relaxed), 0);
-        assert_eq!(plane.model_forwards.load(Ordering::Relaxed), 0);
+        assert_eq!(counters(&plane), GuidancePlaneReport::default());
 
-        assert!(port.offer(1, chunk(below as u64, input_len), true));
+        assert!(port.offer(chunk(below as u64, input_len), true));
         port.pace(&sys.ctx);
-        assert_eq!(plane.in_flight[1].load(Ordering::Acquire), max_batch);
+        assert_eq!(in_flight(&plane, 1), max_batch);
         assert_eq!(parked(&plane, 1), max_batch);
-        assert_eq!(plane.drains.load(Ordering::Relaxed), 1);
-        assert_eq!(plane.chunks.load(Ordering::Relaxed), max_batch as u64);
-        assert_eq!(
-            plane.max_batch_seen.load(Ordering::Relaxed),
-            max_batch as u64
-        );
+        let report = counters(&plane);
+        assert_eq!(report.drains, 1);
+        assert_eq!(report.chunks, max_batch as u64);
+        assert_eq!(report.max_batch, max_batch as u64);
         assert_eq!(take_queued(&plane), max_batch);
     }
 
@@ -637,11 +625,11 @@ mod tests {
         let mut sys = system(2);
         let input_len = sys.ctx.cfg.input_len;
         let (max_lag, max_batch) = (8, 4);
-        let (plane, tx) = Plane::new(2, max_lag, max_batch);
+        let plane = Plane::new(2, max_lag, max_batch);
         let scratch = RefCell::new(FastScratch::default());
-        let port = plane.port(1, &tx, &sys.router, &scratch);
+        let port = plane.port(1, &sys.router, &scratch);
         for c in 0..max_lag as u64 {
-            assert!(port.offer(1, chunk(c, input_len), true));
+            assert!(port.offer(chunk(c, input_len), true));
         }
         // The helper computes one full batch; the other stays queued.
         port.pace(&sys.ctx);
@@ -659,8 +647,8 @@ mod tests {
         assert_eq!((again.drains, again.chunks, again.max_batch), (0, 0, 0));
         assert_eq!(sys.guided_chunks(), max_batch as u64);
 
-        // The plane computes the rest once the channel closes behind it.
-        drop(tx);
+        // A closed plane's thread computes the rest before it returns.
+        plane.close();
         plane.run(&sys.ctx, &sys.router);
         assert_eq!(plane.pending(), 0);
         let last = plane.land(&mut sys.shards);
@@ -668,5 +656,42 @@ mod tests {
         assert_eq!(last.chunks, (max_lag - max_batch) as u64);
         assert_eq!(sys.guided_chunks(), max_lag as u64);
         assert_eq!(plane.land(&mut sys.shards), GuidancePlaneReport::default());
+    }
+
+    /// `close` wakes an idle plane thread, which returns; a closed plane
+    /// refuses offers without counting them, and `run` on it, closed and
+    /// empty, returns at once.
+    #[test]
+    fn a_closed_plane_refuses_offers_and_stops_its_threads() {
+        let mut sys = system(2);
+        let input_len = sys.ctx.cfg.input_len;
+        let plane = Arc::new(Plane::new(2, 8, 4));
+        let idle = {
+            let (plane, ctx, router) = (Arc::clone(&plane), sys.ctx.clone(), sys.router.clone());
+            std::thread::spawn(move || plane.run(&ctx, &router))
+        };
+        while plane.lock().idle == 0 {
+            std::thread::yield_now();
+        }
+
+        plane.close();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !idle.is_finished() {
+            assert!(
+                Instant::now() < deadline,
+                "close left the idle thread asleep"
+            );
+            std::thread::yield_now();
+        }
+        idle.join().expect("plane thread does not panic");
+
+        let scratch = RefCell::new(FastScratch::default());
+        let port = plane.port(0, &sys.router, &scratch);
+        assert!(!port.offer(chunk(0, input_len), true));
+        assert_eq!(plane.pending(), 0);
+        assert_eq!(take_queued(&plane), 0);
+        plane.run(&sys.ctx, &sys.router);
+        assert_eq!(plane.land(&mut sys.shards), GuidancePlaneReport::default());
+        assert_eq!(sys.total_chunks(), 0);
     }
 }

@@ -141,11 +141,6 @@ impl SlaOutcome {
         outcome
     }
 
-    /// JSON object with stable field names.
-    pub fn to_json(&self) -> String {
-        JsonWriter::render(|w| self.write_json(w))
-    }
-
     /// Writes the outcome as one JSON object.
     pub fn write_json(&self, w: &mut JsonWriter) {
         w.object(|w| {
@@ -207,11 +202,6 @@ impl TenantReport {
         self.rejected_queue_full + self.rejected_deadline + self.shed_in_queue
     }
 
-    /// JSON object with stable field names.
-    pub fn to_json(&self) -> String {
-        JsonWriter::render(|w| self.write_json(w))
-    }
-
     /// Writes the tenant slice as one JSON object.
     pub fn write_json(&self, w: &mut JsonWriter) {
         w.object(|w| {
@@ -269,12 +259,6 @@ impl SessionReport {
             (self.rejected_queue_full + self.rejected_deadline + self.shed_in_queue) as f64
                 / self.submitted as f64
         }
-    }
-
-    /// Machine-readable summary with fixed field names; embeds the
-    /// [`EngineReport`] under `"engine"`.
-    pub fn to_json(&self) -> String {
-        JsonWriter::render(|w| self.write_json(w))
     }
 
     /// Writes the report as one JSON object.

@@ -24,7 +24,7 @@
 //!   the session's guidance mode select — under latency pressure
 //!   ([`SlaBudget`]) guidance degrades per request, skip-ahead first, then
 //!   prefetch-off, reusing the paper's §VI-C skip machinery. The
-//!   background guidance threads, their mailboxes and the lag gate are the
+//!   background guidance threads and their one-lock handshake are the
 //!   private `plane` module's; this one starts them (or takes over the
 //!   plane a `serve()` call left running) and joins them;
 //! * [`drain`](ServingSession::drain) joins every thread and folds the
@@ -54,7 +54,7 @@ use crate::config::{AdmissionPolicy, DegradeLevel, SlaBudget, TenantSpec};
 use crate::engine::{EngineReport, GuidanceMode, GuidancePlaneReport};
 use crate::fast::FastScratch;
 use crate::migrate::{self, LiveRebalanceConfig, LiveState};
-use crate::plane::{JobSender, Plane, RunningPlane};
+use crate::plane::{Plane, RunningPlane};
 use crate::sharding::{GuidanceCtx, Guide, Shard, ShardRouter, ShardedRecMgSystem};
 use crate::tier::{ShardPlacement, TierUsage};
 
@@ -113,11 +113,13 @@ pub(crate) struct ProgressCounters {
     pub(crate) drained: AtomicBool,
 }
 
-/// The session's per-tenant request queues plus the weighted-fair
-/// bookkeeping, all under the one queue mutex (so `closed` and the
-/// condvar protocol are unchanged from the single-queue session).
+/// The session's per-tenant request queues, the weighted-fair
+/// bookkeeping and the `closed` flag, all under the one queue mutex.
 struct TenantQueues {
     queues: Vec<VecDeque<Admitted>>,
+    /// Set by [`ServingSession::drain`]: workers exit once the queues are
+    /// empty.
+    closed: bool,
     /// The weighted-fair share history: requests dequeued per tenant,
     /// lifted on a return from idle ([`TenantQueues::push`]).
     served: Vec<u64>,
@@ -131,6 +133,7 @@ impl TenantQueues {
     fn new(tenants: usize) -> Self {
         TenantQueues {
             queues: (0..tenants).map(|_| VecDeque::new()).collect(),
+            closed: false,
             served: vec![0; tenants],
             virtual_time: 0.0,
         }
@@ -192,7 +195,6 @@ struct SessionShared {
     shards: Vec<Mutex<Shard>>,
     queue: Mutex<TenantQueues>,
     available: Condvar,
-    closed: AtomicBool,
     admission: AdmissionPolicy,
     sla: Option<SlaBudget>,
     /// The tenant table (always at least the one default tenant); index =
@@ -381,7 +383,6 @@ impl SessionBuilder {
             shards: shards.into_iter().map(Mutex::new).collect(),
             queue: Mutex::new(TenantQueues::new(tenants.len())),
             available: Condvar::new(),
-            closed: AtomicBool::new(false),
             admission: self.admission,
             sla: self.sla,
             counters: Arc::new(ProgressCounters {
@@ -399,8 +400,7 @@ impl SessionBuilder {
         let workers = (0..self.workers)
             .map(|_| {
                 let shared = Arc::clone(&shared);
-                let tx = plane.as_ref().map(RunningPlane::sender);
-                std::thread::spawn(move || worker_loop(&shared, tx))
+                std::thread::spawn(move || worker_loop(&shared))
             })
             .collect();
 
@@ -720,13 +720,7 @@ impl ServingSession {
         if let Some(handle) = self.rebalancer.take() {
             handle.join().expect("live rebalancer does not panic");
         }
-        {
-            // Set `closed` under the queue lock: a worker holds that lock
-            // from its empty-check to its condvar wait, so the flag cannot
-            // slip into that window and lose the wakeup.
-            let _queue = self.shared.queue.lock().expect("queue lock");
-            self.shared.closed.store(true, Ordering::Release);
-        }
+        self.shared.queue.lock().expect("queue lock").closed = true;
         self.shared.available.notify_all();
 
         let mut stats = BatchAccessStats::default();
@@ -886,14 +880,14 @@ fn pop_request(shared: &SessionShared) -> Option<Admitted> {
         if let Some(request) = queue.pop_fair(&shared.tenants) {
             return Some(request);
         }
-        if shared.closed.load(Ordering::Acquire) {
+        if queue.closed {
             return None;
         }
         queue = shared.available.wait(queue).expect("queue lock");
     }
 }
 
-fn worker_loop(shared: &SessionShared, tx: Option<JobSender>) -> WorkerLog {
+fn worker_loop(shared: &SessionShared) -> WorkerLog {
     let mut log = WorkerLog::default();
     // Per-worker shard-split scratch: the router refills these vectors on
     // every request, so the per-request path allocates nothing once the
@@ -922,7 +916,6 @@ fn worker_loop(shared: &SessionShared, tx: Option<JobSender>) -> WorkerLog {
             shared,
             &request.keys,
             degrade,
-            tx.as_ref(),
             &mut log.stats,
             &mut parts,
             &scratch,
@@ -942,7 +935,6 @@ fn worker_loop(shared: &SessionShared, tx: Option<JobSender>) -> WorkerLog {
             .completed_requests
             .fetch_add(1, Ordering::AcqRel);
     }
-    // Dropping `tx` here (worker exit) releases the plane channel.
     log
 }
 
@@ -954,7 +946,6 @@ fn serve_request(
     shared: &SessionShared,
     keys: &[VectorKey],
     degrade: DegradeLevel,
-    tx: Option<&JobSender>,
     stats: &mut BatchAccessStats,
     parts: &mut Vec<Vec<VectorKey>>,
     scratch: &RefCell<FastScratch>,
@@ -968,8 +959,7 @@ fn serve_request(
         let port = shared
             .plane
             .as_ref()
-            .zip(tx)
-            .map(|(p, tx)| p.port(sid, tx, &shared.router, scratch));
+            .map(|p| p.port(sid, &shared.router, scratch));
         let guide = match (degrade, port) {
             (DegradeLevel::None, Some(port)) => Guide::Plane(port),
             (DegradeLevel::None, None) => Guide::Inline(&shared.router),
@@ -1015,6 +1005,7 @@ pub(crate) mod tests {
     use crate::caching_model::CachingModel;
     use crate::codec::FrequencyRankCodec;
     use crate::config::RecMgConfig;
+    use crate::json::JsonWriter;
     use crate::prefetch_model::PrefetchModel;
     use recmg_trace::SyntheticConfig;
     use std::sync::mpsc;
@@ -1058,7 +1049,7 @@ pub(crate) mod tests {
         assert!(report.latency.p95 <= report.latency.p99);
         assert!(report.latency.p99 <= report.latency.max);
         assert!(sys.total_chunks() > 0);
-        assert!(report.to_json().contains("\"shed_rate\": 0.0000"));
+        assert!(JsonWriter::render(|w| report.write_json(w)).contains("\"shed_rate\": 0.0000"));
     }
 
     #[test]
@@ -1323,7 +1314,7 @@ pub(crate) mod tests {
         assert_eq!(report.engine.tiers[0].name, "dram");
         assert_eq!(report.engine.tiers[0].traffic.demand(), trace.len() as u64);
         assert!(report.engine.access_cost_ns() > 0);
-        assert!(report.to_json().contains("\"tiers\""));
+        assert!(JsonWriter::render(|w| report.write_json(w)).contains("\"tiers\""));
     }
 
     // -- Multi-tenant sessions --------------------------------------------
@@ -1340,7 +1331,7 @@ pub(crate) mod tests {
         assert_eq!(t.name, "default");
         assert_eq!(t.submitted, 2);
         assert_eq!(t.completed, 2);
-        assert!(report.to_json().contains("\"tenants\""));
+        assert!(JsonWriter::render(|w| report.write_json(w)).contains("\"tenants\""));
     }
 
     #[test]

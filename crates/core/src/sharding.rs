@@ -601,7 +601,7 @@ impl Shard {
                         port.apply_ready(self, true);
                         let armed = self.prefetch_armed(ctx);
                         let chunk: Vec<VectorKey> = self.pending.drain(..input_len).collect();
-                        if !port.offer(self.id, chunk, armed) {
+                        if !port.offer(chunk, armed) {
                             self.unguided_chunks += 1;
                         }
                     }
@@ -1387,30 +1387,6 @@ mod tests {
         assert_eq!(sys.capacity(), 64, "working-set shares conserve capacity");
         assert_eq!(rb.rebalances(), 2);
         assert_eq!(rb.phase_fires(), 0, "no phase trigger configured");
-    }
-
-    #[test]
-    fn rebalance_fire_defers_while_queue_nonempty() {
-        use crate::tier::Rebalancer;
-        let mut sys = delta_rebalancer_system();
-        let router = sys.router();
-        let mut rb = Rebalancer::new(1);
-        let a = fresh_keys_for_shard(&router, 0, 400, 0);
-        sys.process_batch(&a);
-        let before = sys.shard_buffer(0).capacity();
-        // A fire during nonzero queue depth is a typed deferral that
-        // neither acts nor consumes the trigger.
-        let err = rb.try_rebalance(&mut sys, 3).unwrap_err();
-        assert_eq!(err.queue_depth, 3);
-        assert_eq!(sys.shard_buffer(0).capacity(), before, "did not act");
-        assert_eq!((rb.fires(), rb.deferrals()), (0, 1));
-        assert!(err.to_string().contains("queue depth 3"));
-        // The same fire re-raises on the next quiescent check.
-        assert!(rb.try_rebalance(&mut sys, 0).expect("quiescent"));
-        assert_eq!((rb.fires(), rb.rebalances()), (1, 1));
-        // No pending fire: Ok(false) regardless of queue depth.
-        assert!(!rb.try_rebalance(&mut sys, 9).expect("no fire pending"));
-        assert_eq!(rb.deferrals(), 1);
     }
 
     #[test]

@@ -112,12 +112,6 @@ pub struct TableReport {
 }
 
 impl TableReport {
-    /// Fixed-field JSON row (`pinned_shard` is −1 for hash-routed tables,
-    /// keeping the document free of nulls).
-    pub fn to_json(&self) -> String {
-        JsonWriter::render(|w| self.write_json(w))
-    }
-
     /// Writes the row as one JSON object.
     pub fn write_json(&self, w: &mut JsonWriter) {
         w.object(|w| {

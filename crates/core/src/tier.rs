@@ -643,11 +643,6 @@ impl TierUsage {
         self.traffic.cost_ns
     }
 
-    /// Machine-readable summary with fixed field names.
-    pub fn to_json(&self) -> String {
-        JsonWriter::render(|w| self.write_json(w))
-    }
-
     /// Writes the usage as one JSON object.
     pub fn write_json(&self, w: &mut JsonWriter) {
         w.object(|w| {
@@ -713,7 +708,6 @@ pub struct Rebalancer {
     fires: u64,
     rebalances: u64,
     phase_fires: u64,
-    deferrals: u64,
 }
 
 /// The one count + phase rebalance trigger, shared by the quiescent
@@ -833,30 +827,6 @@ impl RebalanceTrigger {
     }
 }
 
-/// A rebalance trigger fired while the system was **not quiescent**
-/// (nonzero serving queue depth), so acting would have resized buffers
-/// under in-flight load. The fire is *not* consumed: trigger state is
-/// untouched and the same fire re-raises on the next quiescent check.
-/// Sessions that cannot drain should use the live subsystem
-/// ([`SessionBuilder::live`](crate::SessionBuilder::live)) instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RebalanceDeferred {
-    /// The serving queue depth observed at the fire.
-    pub queue_depth: usize,
-}
-
-impl std::fmt::Display for RebalanceDeferred {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "rebalance deferred: system not quiescent (queue depth {})",
-            self.queue_depth
-        )
-    }
-}
-
-impl std::error::Error for RebalanceDeferred {}
-
 impl Rebalancer {
     /// A rebalancer that re-places after every `min_new_accesses` observed
     /// demand accesses (count trigger only).
@@ -871,7 +841,6 @@ impl Rebalancer {
             fires: 0,
             rebalances: 0,
             phase_fires: 0,
-            deferrals: 0,
         }
     }
 
@@ -912,41 +881,18 @@ impl Rebalancer {
     /// materialized only when a trigger actually fires. This is what
     /// makes "call it after every batch" a reasonable contract.
     pub fn maybe_rebalance(&mut self, system: &mut ShardedRecMgSystem) -> bool {
-        match self.try_rebalance(system, 0) {
-            Ok(changed) => changed,
-            Err(_) => unreachable!("zero queue depth never defers"),
-        }
-    }
-
-    /// Quiescence-checked [`Rebalancer::maybe_rebalance`]: the caller
-    /// passes the serving queue depth it observes (e.g.
-    /// [`ServingSession::queue_len`](crate::ServingSession::queue_len)),
-    /// and a trigger that fires while the depth is nonzero returns
-    /// [`RebalanceDeferred`] instead of silently resizing a non-quiescent
-    /// system. A deferred fire consumes **no** trigger state — snapshots,
-    /// hysteresis, and counters are untouched, so the same fire re-raises
-    /// as soon as the queue drains.
-    pub fn try_rebalance(
-        &mut self,
-        system: &mut ShardedRecMgSystem,
-        queue_depth: usize,
-    ) -> Result<bool, RebalanceDeferred> {
         let Some(fire) = self
             .trigger
             .check(&system.shard_demands(), &system.shard_phase_scores())
         else {
-            return Ok(false);
+            return false;
         };
-        if queue_depth > 0 {
-            self.deferrals += 1;
-            return Err(RebalanceDeferred { queue_depth });
-        }
         self.fires += 1;
         self.phase_fires += u64::from(fire.phase);
         let deltas = self.trigger.commit(fire, system.shard_traffics());
         let changed = system.rebalance_from(&deltas);
         self.rebalances += u64::from(changed);
-        Ok(changed)
+        changed
     }
 
     /// Trigger firings (whether or not placement moved anything).
@@ -962,12 +908,6 @@ impl Rebalancer {
     /// Rebalances that moved at least one shard.
     pub fn rebalances(&self) -> u64 {
         self.rebalances
-    }
-
-    /// Fires deferred because the system was not quiescent
-    /// ([`Rebalancer::try_rebalance`] with nonzero queue depth).
-    pub fn deferrals(&self) -> u64 {
-        self.deferrals
     }
 }
 
@@ -1287,7 +1227,7 @@ mod tests {
                 unique_keys: 5,
             },
         };
-        let json = u.to_json();
+        let json = JsonWriter::render(|w| u.write_json(w));
         for field in [
             "\"tier\": \"dram\"",
             "\"shards\": 2",

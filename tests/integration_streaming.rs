@@ -250,11 +250,11 @@ fn trace_replay_session_covers_the_trace() {
     assert!((sla.attainment() - 1.0).abs() < 1e-9);
 }
 
-/// Stress for the pacing helper's lock order (shard mutex → job receiver
-/// by `try_lock` → mailbox): with `max_lag: 2` and `max_batch: 1` both
-/// workers pace, and help, on nearly every chunk while the plane thread
-/// drains the same channel. Every round must conserve chunks and keys;
-/// a deadlock trips the watchdog instead of hanging the suite.
+/// Stress for the plane's one lock: with `max_lag: 2` and `max_batch: 1`
+/// both workers pace, and help, on nearly every chunk while one or two
+/// plane threads take from the same queue. Every round must conserve
+/// chunks and keys; a deadlock trips the watchdog instead of hanging the
+/// suite.
 #[test]
 fn paced_helping_conserves_chunks_under_two_workers() {
     let (done_tx, done_rx) = std::sync::mpsc::channel();
@@ -264,42 +264,44 @@ fn paced_helping_conserves_chunks_under_two_workers() {
         let prefetch = recmg_repro::core::PrefetchModel::new(&cfg);
         let trace = SyntheticConfig::tiny(29).generate();
         let accesses = trace.accesses();
-        for round in 0..120usize {
-            let codec = recmg_repro::core::FrequencyRankCodec::from_accesses(&accesses[..500]);
-            let system = ShardedRecMgSystem::builder(&caching, Some(&prefetch), codec)
-                .shards(4)
-                .capacity(64)
-                .build();
-            let session = SessionBuilder::new()
-                .workers(2)
-                .guidance(GuidanceMode::Background {
-                    threads: 1,
-                    max_lag: 2,
-                    max_batch: 1,
-                })
-                .admission(AdmissionPolicy::unbounded())
-                .build(system);
-            let start = (round * 97) % (accesses.len() - 800);
-            let requests: Vec<Vec<VectorKey>> = accesses[start..start + 800]
-                .chunks(40)
-                .map(<[VectorKey]>::to_vec)
-                .collect();
-            session.ingest(&mut BatchSource::from_vecs(requests));
-            let (sys, report) = session.drain();
-            assert_eq!(
-                sys.guided_chunks() + sys.unguided_chunks(),
-                sys.total_chunks(),
-                "round {round}: a chunk was counted twice or not at all"
-            );
-            assert_eq!(
-                report.engine.plane.chunks, report.engine.guided_chunks,
-                "round {round}: plane output not applied"
-            );
-            assert_eq!(
-                report.engine.stats.total(),
-                800,
-                "round {round}: keys served"
-            );
+        for threads in [1, 2] {
+            for round in 0..120usize {
+                let codec = recmg_repro::core::FrequencyRankCodec::from_accesses(&accesses[..500]);
+                let system = ShardedRecMgSystem::builder(&caching, Some(&prefetch), codec)
+                    .shards(4)
+                    .capacity(64)
+                    .build();
+                let session = SessionBuilder::new()
+                    .workers(2)
+                    .guidance(GuidanceMode::Background {
+                        threads,
+                        max_lag: 2,
+                        max_batch: 1,
+                    })
+                    .admission(AdmissionPolicy::unbounded())
+                    .build(system);
+                let start = (round * 97) % (accesses.len() - 800);
+                let requests: Vec<Vec<VectorKey>> = accesses[start..start + 800]
+                    .chunks(40)
+                    .map(<[VectorKey]>::to_vec)
+                    .collect();
+                session.ingest(&mut BatchSource::from_vecs(requests));
+                let (sys, report) = session.drain();
+                assert_eq!(
+                    sys.guided_chunks() + sys.unguided_chunks(),
+                    sys.total_chunks(),
+                    "{threads} threads, round {round}: a chunk was counted twice or not at all"
+                );
+                assert_eq!(
+                    report.engine.plane.chunks, report.engine.guided_chunks,
+                    "{threads} threads, round {round}: plane output not applied"
+                );
+                assert_eq!(
+                    report.engine.stats.total(),
+                    800,
+                    "{threads} threads, round {round}: keys served"
+                );
+            }
         }
         done_tx.send(()).expect("watchdog alive");
     });
