@@ -376,8 +376,17 @@ impl FastCachingModel {
         chunks: &[&[VectorKey]],
         scratch: &mut FastScratch,
     ) -> Vec<Vec<f32>> {
+        self.probs_batch_on(crate::fast::active_lane(), chunks, scratch)
+    }
+
+    /// [`FastCachingModel::probs_batch_with`] on an explicit kernel lane.
+    pub(crate) fn probs_batch_on(
+        &self,
+        lane: crate::fast::KernelLane,
+        chunks: &[&[VectorKey]],
+        scratch: &mut FastScratch,
+    ) -> Vec<Vec<f32>> {
         let mut out: Vec<Vec<f32>> = chunks.iter().map(|c| vec![0.0f32; c.len()]).collect();
-        let lane = crate::fast::active_lane();
         let h = self.head_w.rows();
         crate::fast::forward_buckets(
             lane,

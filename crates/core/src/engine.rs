@@ -99,7 +99,7 @@ pub struct GuidancePlaneReport {
     pub late_chunks: u64,
     /// Kernel lane the guidance forwards ran on: the runtime-dispatched
     /// SIMD lane plus a `+int8` suffix when the compiled models are
-    /// quantized (`"scalar"`, `"avx2"`, `"scalar+int8"`, `"avx2+int8"`).
+    /// quantized (`"scalar"`, `"avx2"`, `"avx512"`, each optionally `+int8`).
     /// Empty in a default report that never touched a system.
     pub kernel_lane: &'static str,
 }

@@ -6,11 +6,13 @@
 //! performance improvement, compared with no optimization" (§VI-C). This
 //! module is the analogous optimization in the reproduction: a forward pass
 //! over raw `f32` slices with preallocated scratch buffers, bypassing the
-//! autograd tape entirely, with two kernel lanes selected at runtime
+//! autograd tape entirely, with three kernel lanes selected at runtime
 //! ([`KernelLane`]): a portable scalar lane that doubles as the correctness
-//! oracle, and an AVX2+FMA lane whose vector loads are unit-stride across
-//! the batch axis. The lane is resolved once per forward ([`on_lane`]);
-//! everything below it is inlined into that lane's code context.
+//! oracle, an AVX2+FMA lane whose vector loads are unit-stride across the
+//! batch axis, and an AVX-512 lane whose dense layers run 16 wide
+//! ([`linear_avx512`]) and which runs the AVX2 code everywhere else. The
+//! lane is resolved once per forward ([`on_lane`]); everything below it is
+//! inlined into that lane's code context.
 //!
 //! **What is approximated.** No libm transcendental runs in a forward:
 //! every `tanh`, sigmoid and softmax `exp` — LSTM gates, attention, the
@@ -20,11 +22,14 @@
 //! bounded by the constants beside them (a few 1e-7; the `approx_*` tests
 //! check the bounds over dense grids), which keeps the forward within the
 //! 1e-5 the tape-parity tests allow. Rust never contracts `a * b + c` into
-//! an FMA, so the same body compiled with and without AVX2 gives
-//! **bit-identical** results: on every epilogue the two lanes are equal,
-//! not close. They differ only where the AVX2 lane asks for FMA by name —
-//! the matmul and the attention dot products — which skips one rounding
-//! per multiply-add; the 1e-5 lane-parity suite bounds that.
+//! an FMA, so the same body compiled with or without AVX2 or AVX-512 —
+//! however wide LLVM vectorizes it — gives **bit-identical** results: on
+//! every epilogue the lanes are equal, not close. The vector lanes differ
+//! from the scalar one only where they ask for FMA by name — the matmul
+//! and the attention dot products — which skips one rounding per
+//! multiply-add; the 1e-5 lane-parity suite bounds that. The AVX-512 lane
+//! asks for the same FMAs in the same order as the AVX2 lane, so those two
+//! are bit-identical everywhere.
 //!
 //! Every kernel is *batched*: it advances `bsz` independent sequences per
 //! pass over the weights, so a guidance plane serving many shards reads
@@ -34,8 +39,8 @@
 //! of the same code path, which is what makes batched-vs-single parity a
 //! structural property rather than a numerical accident: per item, the
 //! sequence of f32 operations is identical regardless of batch size — the
-//! scalar lane accumulates with plain multiply-add, the AVX2 lane with FMA,
-//! each uniformly across every batch size.
+//! scalar lane accumulates with plain multiply-add, the vector lanes with
+//! FMA, each uniformly across every batch size.
 //!
 //! Batched tensors are flat row-major slices in *batch-interleaved*
 //! time-major layout: `[t, dim, bsz]`, element `(t, b, j)` at
@@ -52,18 +57,28 @@
 //! not zeros: an all-zero lane would hand the int8 path a subnormal
 //! activation scale.) An emptier block stays unpadded — up to five scalar
 //! lanes cost no more than a vector's worth of epilogue, and the int8
-//! matmul's narrow-batch path pays per lane.
+//! matmul's narrow-batch path pays per lane. On the AVX-512 lane a padded
+//! block also runs the dense layers as 16-wide tiles, so padding from half
+//! full pays there (B4 37.1 → 25.3 µs per caching chunk, B5 31.7 → 19.6,
+//! 20 of 20 interleaved reps) but costs on the AVX2 lane (B4 40.5 → 47.6,
+//! B5 34.8 → 35.7; prefetch 79.3 → 82.2 at B5), so the ¾ rule stands for
+//! both.
 //!
 //! **Register blocking.** Both AVX2 kernels hold their outputs in ymm
 //! accumulators across the whole reduction and store each once: the
 //! matmul ([`matacc_avx2`]) and the attention's score and context
 //! reductions ([`stripe_dots_avx2`]), per block of ≤ 8 lanes and group of
-//! up to 8 outputs. A B8 caching forward (default config, 2-vCPU Xeon)
-//! then splits as encoder matmul 24 µs, decoder matmul 35, gate sweeps 28,
-//! attention 23 (its combine matmul 11, softmax 5, the two reductions 7)
-//! and the rest 7, of 117; with a load-FMA-store per stripe the two
-//! reductions took 36 of 143. The gate epilogues are the largest part that
-//! is not a matmul.
+//! up to 8 outputs. The AVX-512 lane's dense layer ([`linear_avx512`])
+//! holds up to 48 outputs of a full 8-lane block in 24 zmm accumulators,
+//! with one 128-bit weight broadcast per two 16-wide FMAs where AVX2 needs
+//! one broadcast per 8-wide FMA; the LSTM step is one such layer over
+//! `x` and `h`. A B8 caching forward (default config, 2-vCPU Xeon, both
+//! lanes timed back to back, rdtsc split, timer overhead included) splits
+//! as follows, AVX2 → AVX-512: encoder matmul 29.5 → 14.4 µs, decoder matmul 40.4 → 19.0,
+//! gate sweeps 33.0 → 22.3, attention 27 → 22 (combine matmul 10.5 → 5.5,
+//! softmax 5.5 → 6.0, the two reductions 8.1 → 8.6, tanh 2.8 → 1.9) and
+//! the rest 8.1 → 8.6, of 138 → 86. The gate sweeps are now the largest
+//! single part, above either matmul.
 //!
 //! Weight layout is taken from the owning model's parameter order, which is
 //! fixed by construction: embedding table, then per stack
@@ -86,29 +101,55 @@ use crate::config::GuidancePrecision;
 /// to.
 const LANE_BLOCK: usize = 8;
 
-/// Resolves `lane` once and runs `f` in that lane's code context:
-/// `f(true)` inlined into an AVX2+FMA function when the lane is
-/// [`KernelLane::Avx2`] and the CPU has both features, `f(false)` in plain
-/// code otherwise. The kernels below take that flag as `fma`; `true` comes
-/// from here and nowhere else, which is what lets them call
-/// [`matacc_avx2`]. Everything that runs under `f` must be the closure
-/// itself or `#[inline(always)]`: a helper left out of line is compiled
-/// without the features, and its `mul_add` becomes a libm call.
+/// A lane as [`on_lane`] resolved and entered: `Avx2` only inside its
+/// AVX2+FMA context, `Avx512` only inside its AVX-512 context (which
+/// enables AVX2 and FMA too), `Scalar` anywhere. Only `on_lane` builds one,
+/// which is what lets the kernels below call the intrinsic kernels of the
+/// lane they are handed.
+#[derive(Clone, Copy)]
+struct Resolved(KernelLane);
+
+impl Resolved {
+    /// Whether AVX2 and FMA are enabled here: on both vector lanes.
+    #[inline(always)]
+    fn avx2(self) -> bool {
+        self.0 != KernelLane::Scalar
+    }
+}
+
+/// Resolves `lane` once and runs `f` in that lane's code context: inlined
+/// into an AVX-512 function (`avx512f/vl/dq` with `avx2,fma`) when the lane
+/// is [`KernelLane::Avx512`] and the CPU has every one of those features,
+/// into an AVX2+FMA function for [`KernelLane::Avx2`] on a CPU with both,
+/// and into plain code otherwise (an unavailable lane runs scalar). `f`
+/// receives the lane it actually runs on. Everything that runs under `f`
+/// must be the closure itself or `#[inline(always)]`: a helper left out of
+/// line is compiled without the features, and its `mul_add` becomes a libm
+/// call.
 #[inline(always)]
-fn on_lane<R>(lane: KernelLane, f: impl FnOnce(bool) -> R) -> R {
+fn on_lane<R>(lane: KernelLane, f: impl FnOnce(Resolved) -> R) -> R {
     #[cfg(target_arch = "x86_64")]
     {
         #[target_feature(enable = "avx2,fma")]
-        fn avx2<R>(f: impl FnOnce(bool) -> R) -> R {
-            f(true)
+        fn avx2<R>(f: impl FnOnce(Resolved) -> R) -> R {
+            f(Resolved(KernelLane::Avx2))
         }
-        if lane == KernelLane::Avx2 && recmg_tensor::simd::avx2_fma_available() {
-            // SAFETY: the CPU supports AVX2 and FMA (checked just above).
-            return unsafe { avx2(f) };
+        #[target_feature(enable = "avx2,fma,avx512f,avx512vl,avx512dq")]
+        fn avx512<R>(f: impl FnOnce(Resolved) -> R) -> R {
+            f(Resolved(KernelLane::Avx512))
+        }
+        use recmg_tensor::simd::{avx2_fma_available, avx512_available};
+        match lane {
+            // SAFETY: the CPU supports AVX-512F/VL/DQ, AVX2 and FMA
+            // (`avx512_available` checks all five).
+            KernelLane::Avx512 if avx512_available() => return unsafe { avx512(f) },
+            // SAFETY: the CPU supports AVX2 and FMA (`avx2_fma_available`).
+            KernelLane::Avx2 if avx2_fma_available() => return unsafe { avx2(f) },
+            _ => {}
         }
     }
     let _ = lane;
-    f(false)
+    f(Resolved(KernelLane::Scalar))
 }
 
 /// Max |[`tanh_approx`] − tanh| and max |[`sigmoid_approx`] − sigmoid| over
@@ -269,7 +310,7 @@ impl FastMat {
     #[inline(always)]
     fn accumulate(
         &self,
-        fma: bool,
+        lane: Resolved,
         bsz: usize,
         xs: &[f32],
         out: &mut [f32],
@@ -277,14 +318,14 @@ impl FastMat {
     ) {
         match self {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `fma` is true only inside `on_lane`'s AVX2+FMA context;
-            // `matacc_avx2` checks the slice lengths it indexes by.
-            FastMat::F32(w) if fma => unsafe {
+            // SAFETY: a vector `Resolved` exists only inside `on_lane`'s
+            // context for it, which enables AVX2 and FMA; `matacc_avx2`
+            // checks the slice lengths it indexes by.
+            FastMat::F32(w) if lane.avx2() => unsafe {
                 matacc_avx2(w.data(), w.rows(), w.cols(), bsz, xs, out)
             },
             FastMat::F32(w) => matacc_scalar(w.data(), w.rows(), w.cols(), bsz, xs, out),
-            FastMat::Int8(q) if fma => q.vecmul_batch(KernelLane::Avx2, bsz, xs, out, qs),
-            FastMat::Int8(q) => q.vecmul_batch(KernelLane::Scalar, bsz, xs, out, qs),
+            FastMat::Int8(q) => q.vecmul_batch(lane.0, bsz, xs, out, qs),
         }
     }
 }
@@ -390,6 +431,35 @@ unsafe fn matacc_avx2(
         }
         return;
     }
+    matacc_avx2_blocks(w, in_dim, out_dim, bsz, xs, out, 0..bsz, 0);
+}
+
+/// The `bsz > 1` path of [`matacc_avx2`] over the lanes in `lanes`, in
+/// blocks of ≤ 8 from its start, and the outputs from `g0`: the whole
+/// matrix for the AVX2 lane, the part its 16-wide tiles leave for
+/// [`linear_avx512`].
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn matacc_avx2_blocks(
+    w: &[f32],
+    in_dim: usize,
+    out_dim: usize,
+    bsz: usize,
+    xs: &[f32],
+    out: &mut [f32],
+    lanes: std::ops::Range<usize>,
+    g0: usize,
+) {
+    use std::arch::x86_64::*;
+    assert_eq!(w.len(), in_dim * out_dim);
+    assert_eq!(xs.len(), in_dim * bsz);
+    assert_eq!(out.len(), out_dim * bsz);
+    assert!(lanes.end <= bsz);
     /// `o[g·bsz + l] += Σ_i x[i·bsz + l] · w[i·out_dim + g]` for `g < G`
     /// and the lanes `l` enabled in `mask`.
     #[inline(always)]
@@ -414,16 +484,19 @@ unsafe fn matacc_avx2(
     }
     let (wp, xp, op) = (w.as_ptr(), xs.as_ptr(), out.as_mut_ptr());
     let dims = (in_dim, out_dim, bsz);
-    // SAFETY (every pointer below): a block starts at lane `b < bsz` and
-    // enables `n = min(8, bsz − b)` lanes, so it reads `xs[i·bsz + b + l]`
-    // and `out[g·bsz + b + l]` for `l < n`, `i < in_dim` and `g` below the
-    // group's end `≤ out_dim` — inside the lengths asserted above — and
-    // `w[i·out_dim + g]` likewise. Masked-off lanes are not accessed, and
-    // the mask itself is 8 consecutive words of the 16 in `LANE_MASKS`.
-    for b in (0..bsz).step_by(LANE_BLOCK) {
-        let n = (bsz - b).min(LANE_BLOCK);
+    // SAFETY (every pointer below): a block starts at lane `b` with
+    // `b < lanes.end ≤ bsz` and enables `n = min(8, lanes.end − b)` lanes,
+    // so it reads `xs[i·bsz + b + l]` and `out[g·bsz + b + l]` for `l < n`,
+    // `i < in_dim` and `g` below the group's end `≤ out_dim` — inside the
+    // lengths asserted above — and `w[i·out_dim + g]` likewise. Masked-off
+    // lanes are not accessed, and the mask itself is 8 consecutive words
+    // of the 16 in `LANE_MASKS`. `matacc_order_matches_a_naive_fma_reference`
+    // sweeps the whole matrix, `avx512_linear_matches_avx2_bit_for_bit` the
+    // parts `linear_avx512` leaves.
+    for b in lanes.clone().step_by(LANE_BLOCK) {
+        let n = (lanes.end - b).min(LANE_BLOCK);
         let mask = _mm256_loadu_si256(LANE_MASKS.as_ptr().add(LANE_BLOCK - n) as *const __m256i);
-        let mut g = 0;
+        let mut g = g0;
         while g < out_dim {
             let at = (wp.add(g), xp.add(b), op.add(g * bsz + b));
             if g + 8 <= out_dim {
@@ -433,6 +506,138 @@ unsafe fn matacc_avx2(
                 block::<1>(at, dims, mask);
                 g += 1;
             }
+        }
+    }
+}
+
+/// Output quads per [`linear_avx512`] tile: 12 quads hold 24 zmm
+/// accumulators, which leaves room for the two spread activations, the
+/// weight broadcast and the two spread indices in the 32 registers.
+#[cfg(target_arch = "x86_64")]
+const TILE_QUADS: usize = 12;
+
+/// The AVX-512 lane of [`linear_on`] on `f32` weights:
+/// `out = b + Σ_s W_s · x_s` over one or two input segments `(W_s, x_s)`
+/// (`W_s` is `[in_s, out]` row-major, `x_s` is `[in_s, bsz]`, `out` is
+/// `[out, bsz]`).
+///
+/// Each full 8-lane block runs as tiles of up to [`TILE_QUADS`] output
+/// quads (4 consecutive outputs). A quad's 8 lanes are two zmm
+/// accumulators, one per 4-lane group, element `4·l + k` holding output
+/// `k` of lane `l`. Each starts from a `vbroadcastf32x4` of the quad's
+/// bias; per input, one `vbroadcastf32x4` of the quad's 4 weights feeds two
+/// 16-element FMAs, against the group's activations spread by one `vpermps`
+/// each (lane `l` to elements `4l..4l + 4`). A fixed `vpermt2ps` turns the
+/// two accumulators back into the quad's 4 output stripes, and each is
+/// stored once. Where AVX2 needs one weight broadcast per 8-lane FMA, this
+/// needs one per two 16-lane FMAs. The `out % 4` tail outputs and a
+/// partial last block run the AVX2 code ([`matacc_avx2_blocks`]) from the
+/// bias.
+///
+/// Every element starts from its bias and accumulates with FMA in
+/// input-feature order, segment 0 first — exactly the AVX2 lane's
+/// `bias fill + matacc_avx2` per segment, so the two lanes agree bit for
+/// bit.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F, AVX-512VL, AVX-512DQ, AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma,avx512f,avx512vl,avx512dq")]
+unsafe fn linear_avx512(bsz: usize, segs: &[(&[f32], &[f32])], b: &[f32], out: &mut [f32]) {
+    use std::arch::x86_64::*;
+    let out_dim = b.len();
+    assert_eq!(out.len(), out_dim * bsz);
+    for (w, x) in segs {
+        assert_eq!(x.len() % bsz, 0);
+        assert_eq!(w.len(), x.len() / bsz * out_dim);
+    }
+    /// `out = b + Σ_s W_s · x_s` for the 8 lanes from `l0` and the `4·Q`
+    /// outputs from `g0`.
+    #[inline(always)]
+    unsafe fn tile<const Q: usize>(
+        segs: &[(&[f32], &[f32])],
+        (b, o): (*const f32, *mut f32),
+        (out_dim, bsz): (usize, usize),
+        (l0, g0): (usize, usize),
+    ) {
+        let spread = [
+            _mm512_setr_epi32(0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3),
+            _mm512_setr_epi32(4, 4, 4, 4, 5, 5, 5, 5, 6, 6, 6, 6, 7, 7, 7, 7),
+        ];
+        // Per quad, the accumulators of lanes 0–3 and of lanes 4–7.
+        let mut acc = [(_mm512_setzero_ps(), _mm512_setzero_ps()); Q];
+        for (q, (lo, hi)) in acc.iter_mut().enumerate() {
+            let bias = _mm512_broadcast_f32x4(_mm_loadu_ps(b.add(g0 + 4 * q)));
+            (*lo, *hi) = (bias, bias);
+        }
+        for (w, x) in segs {
+            let (wp, xp) = (w.as_ptr().add(g0), x.as_ptr().add(l0));
+            for i in 0..x.len() / bsz {
+                let xv = _mm512_castps256_ps512(_mm256_loadu_ps(xp.add(i * bsz)));
+                let xlo = _mm512_permutexvar_ps(spread[0], xv);
+                let xhi = _mm512_permutexvar_ps(spread[1], xv);
+                for (q, (lo, hi)) in acc.iter_mut().enumerate() {
+                    let wv = _mm512_broadcast_f32x4(_mm_loadu_ps(wp.add(i * out_dim + 4 * q)));
+                    *lo = _mm512_fmadd_ps(xlo, wv, *lo);
+                    *hi = _mm512_fmadd_ps(xhi, wv, *hi);
+                }
+            }
+        }
+        // Outputs `2k` and `2k + 1` of the quad, 8 lanes each.
+        let pick = [
+            _mm512_setr_epi32(0, 4, 8, 12, 16, 20, 24, 28, 1, 5, 9, 13, 17, 21, 25, 29),
+            _mm512_setr_epi32(2, 6, 10, 14, 18, 22, 26, 30, 3, 7, 11, 15, 19, 23, 27, 31),
+        ];
+        for (q, &(lo, hi)) in acc.iter().enumerate() {
+            let o = o.add((g0 + 4 * q) * bsz + l0);
+            for (k, p) in pick.iter().enumerate() {
+                let v = _mm512_permutex2var_ps(lo, *p, hi);
+                _mm256_storeu_ps(o.add(2 * k * bsz), _mm512_castps512_ps256(v));
+                _mm256_storeu_ps(o.add((2 * k + 1) * bsz), _mm512_extractf32x8_ps::<1>(v));
+            }
+        }
+    }
+    let (full, quads) = (bsz / LANE_BLOCK * LANE_BLOCK, out_dim / 4);
+    let ptrs = (b.as_ptr(), out.as_mut_ptr());
+    let dims = (out_dim, bsz);
+    // SAFETY (every pointer below): a tile covers the lanes `l0..l0 + 8`
+    // with `l0 + 8 ≤ full ≤ bsz` and the outputs `g0..g0 + 4·Q` with
+    // `g0 + 4·Q ≤ 4·quads ≤ out_dim`. With `in_s = x_s.len() / bsz`, it
+    // reads `b[g]` and `W_s[i·out_dim + g]` for those `g` and `i < in_s`,
+    // `x_s[i·bsz + l]` for those lanes `l`, and writes `out[g·bsz + l]` —
+    // inside the lengths asserted above (`W_s.len() = in_s·out_dim`).
+    // `avx512_linear_matches_avx2_bit_for_bit` sweeps full and partial
+    // blocks, one and two segments and every `out % 4` tail.
+    for l0 in (0..full).step_by(LANE_BLOCK) {
+        for q in (0..quads).step_by(TILE_QUADS) {
+            let at = (l0, 4 * q);
+            match quads - q {
+                1 => tile::<1>(segs, ptrs, dims, at),
+                2 => tile::<2>(segs, ptrs, dims, at),
+                3 => tile::<3>(segs, ptrs, dims, at),
+                4 => tile::<4>(segs, ptrs, dims, at),
+                5 => tile::<5>(segs, ptrs, dims, at),
+                6 => tile::<6>(segs, ptrs, dims, at),
+                7 => tile::<7>(segs, ptrs, dims, at),
+                8 => tile::<8>(segs, ptrs, dims, at),
+                9 => tile::<9>(segs, ptrs, dims, at),
+                10 => tile::<10>(segs, ptrs, dims, at),
+                11 => tile::<11>(segs, ptrs, dims, at),
+                _ => tile::<TILE_QUADS>(segs, ptrs, dims, at),
+            }
+        }
+    }
+    // The rest runs the AVX2 lane's code (its features are a subset of
+    // this function's): the tail outputs of the full blocks, then every
+    // output of the partial block.
+    for (lanes, g0) in [(0..full, 4 * quads), (full..bsz, 0)] {
+        for g in g0..out_dim {
+            out[g * bsz..][lanes.clone()].fill(b[g]);
+        }
+        for (w, x) in segs {
+            let in_dim = x.len() / bsz;
+            matacc_avx2_blocks(w, in_dim, out_dim, bsz, x, out, lanes.clone(), g0);
         }
     }
 }
@@ -447,7 +652,7 @@ unsafe fn matacc_avx2(
 /// ([`stripe_dots_avx2`]), with plain multiply-add here.
 #[inline(always)]
 fn stripe_dots(
-    fma: bool,
+    lane: Resolved,
     bsz: usize,
     a: &[f32],
     x: &[f32],
@@ -455,12 +660,13 @@ fn stripe_dots(
     out: &mut [f32],
 ) {
     #[cfg(target_arch = "x86_64")]
-    if fma {
-        // SAFETY: `fma` is true only inside `on_lane`'s AVX2+FMA context;
-        // `stripe_dots_avx2` checks the slice lengths it indexes by.
+    if lane.avx2() {
+        // SAFETY: a vector `Resolved` exists only inside `on_lane`'s
+        // context for it, which enables AVX2 and FMA; `stripe_dots_avx2`
+        // checks the slice lengths it indexes by.
         return unsafe { stripe_dots_avx2(bsz, a, x, strides, out) };
     }
-    let _ = fma;
+    let _ = lane;
     let (is, gs) = strides;
     out.fill(0.0);
     // `i` outermost: consecutive multiply-adds go to different outputs.
@@ -613,15 +819,16 @@ impl FastLstm {
 
     /// One step over `bsz` independent lanes: consumes `x` (`[e, bsz]`
     /// interleaved), updates `h`/`c` (`[h, bsz]`) in place, using `gates`
-    /// (`[4h, bsz]`) as scratch. Each weight row is read once and applied
-    /// to every lane, so the weight traffic of a step is independent of
-    /// `bsz`. The gate epilogue is one sweep over the four contiguous
-    /// `[h·bsz]` blocks of `gates`.
+    /// (`[4h, bsz]`) as scratch. The gates are one dense layer over two
+    /// segments, `b + Wx·x + Wh·h`; each weight row is read once and
+    /// applied to every lane, so the weight traffic of a step is
+    /// independent of `bsz`. The gate epilogue is one sweep over the four
+    /// contiguous `[h·bsz]` blocks of `gates`.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     fn step_on(
         &self,
-        fma: bool,
+        lane: Resolved,
         bsz: usize,
         x: &[f32],
         h: &mut [f32],
@@ -632,8 +839,8 @@ impl FastLstm {
         let n = self.h * bsz;
         debug_assert_eq!(x.len(), bsz * self.e);
         debug_assert_eq!(gates.len(), 4 * n);
-        linear_on(fma, &self.wx, &self.b, bsz, x, gates, qs);
-        self.wh.accumulate(fma, bsz, h, gates, qs);
+        let segs = [(&self.wx, x), (&self.wh, &*h)];
+        linear_on(lane, &segs, &self.b, bsz, gates, qs);
         gate_sweep(gates, &mut h[..n], &mut c[..n]);
     }
 
@@ -654,7 +861,7 @@ impl FastLstm {
         on_lane(
             lane,
             #[inline(always)]
-            |fma| self.step_on(fma, bsz, x, h, c, gates, qs),
+            |lane| self.step_on(lane, bsz, x, h, c, gates, qs),
         )
     }
 
@@ -694,27 +901,49 @@ pub(crate) fn fast_linear_batch(
     on_lane(
         lane,
         #[inline(always)]
-        |fma| linear_on(fma, w, b, bsz, xs, out, qs),
+        |lane| linear_on(lane, &[(w, xs)], b, bsz, out, qs),
     )
 }
 
+/// `out = b + Σ_s W_s · x_s` over the interleaved batch, for one or two
+/// input segments `(W_s, x_s)` (`x_s` is `[in_s, bsz]`, `out` is
+/// `[out, bsz]`). Every element starts from its bias and accumulates the
+/// segments in order, each in input-feature order: on the AVX-512 lane a
+/// batch with a full 8-lane block of `f32` weights runs [`linear_avx512`],
+/// anything else fills the bias and accumulates segment by segment.
 #[inline(always)]
 fn linear_on(
-    fma: bool,
-    w: &FastMat,
+    lane: Resolved,
+    segs: &[(&FastMat, &[f32])],
     b: &Tensor,
     bsz: usize,
-    xs: &[f32],
     out: &mut [f32],
     qs: &mut QuantScratch,
 ) {
-    let out_dim = w.cols();
-    debug_assert_eq!(xs.len(), bsz * w.rows());
-    debug_assert_eq!(out.len(), bsz * out_dim);
-    for (g, stripe) in out.chunks_exact_mut(bsz).enumerate().take(out_dim) {
-        stripe.fill(b.data()[g]);
+    debug_assert_eq!(out.len(), bsz * b.len());
+    #[cfg(target_arch = "x86_64")]
+    if lane.0 == KernelLane::Avx512 && bsz >= LANE_BLOCK {
+        // SAFETY: an `Avx512` `Resolved` exists only inside `on_lane`'s
+        // AVX-512 context; `linear_avx512` checks the lengths it indexes
+        // by.
+        match *segs {
+            [(FastMat::F32(w), x)] => {
+                return unsafe { linear_avx512(bsz, &[(w.data(), x)], b.data(), out) };
+            }
+            [(FastMat::F32(wx), x), (FastMat::F32(wh), h)] => {
+                let segs = [(wx.data(), x), (wh.data(), h)];
+                return unsafe { linear_avx512(bsz, &segs, b.data(), out) };
+            }
+            _ => {}
+        }
     }
-    w.accumulate(fma, bsz, xs, out, qs);
+    for (stripe, &bv) in out.chunks_exact_mut(bsz).zip(b.data()) {
+        stripe.fill(bv);
+    }
+    for &(w, x) in segs {
+        debug_assert_eq!(x.len(), bsz * w.rows());
+        w.accumulate(lane, bsz, x, out, qs);
+    }
 }
 
 /// Dense layer `y = x W + b` over slices — the `bsz == 1` case of
@@ -909,18 +1138,18 @@ impl FastStack {
     /// hidden units in order, the denominator and the context over the
     /// encoder steps in order — the single-item order at every `bsz`.
     #[inline(always)]
-    fn attend_on(&self, fma: bool, bsz: usize, s: &mut Scratch, out: &mut [f32]) {
+    fn attend_on(&self, lane: Resolved, bsz: usize, s: &mut Scratch, out: &mut [f32]) {
         let (query, enc, scores) = (&s.dh[..], &s.enc[..], &mut s.scores[..]);
         let n = query.len();
-        stripe_dots(fma, bsz, query, enc, (bsz, n), scores);
+        stripe_dots(lane, bsz, query, enc, (bsz, n), scores);
         // The denominator is folded into the scores, so the context
         // reduction reads ready-made attention weights.
         softmax_stripes(scores, &mut s.denom, bsz);
         let (ctx, tail) = s.cat.split_at_mut(n);
-        stripe_dots(fma, bsz, scores, enc, (n, bsz), ctx);
+        stripe_dots(lane, bsz, scores, enc, (n, bsz), ctx);
         tail.copy_from_slice(query);
         let (w, b) = (&self.attn_w, &self.attn_b);
-        linear_on(fma, w, b, bsz, &s.cat, out, &mut s.quant);
+        linear_on(lane, &[(w, &s.cat)], b, bsz, out, &mut s.quant);
         out.iter_mut().for_each(|o| *o = tanh_approx(*o));
     }
 
@@ -951,11 +1180,11 @@ impl FastStack {
         on_lane(
             lane,
             #[inline(always)]
-            |fma| {
+            |lane| {
                 for (t, x) in inputs.chunks_exact(bsz * e).enumerate() {
                     let (h, c) = (&mut s.hs[..], &mut s.cs[..]);
                     self.enc
-                        .step_on(fma, bsz, x, h, c, &mut s.gates, &mut s.quant);
+                        .step_on(lane, bsz, x, h, c, &mut s.gates, &mut s.quant);
                     s.enc[t * n..(t + 1) * n].copy_from_slice(&s.hs);
                 }
                 s.dh.copy_from_slice(&s.hs);
@@ -970,8 +1199,8 @@ impl FastStack {
                     };
                     let (h, c) = (&mut s.dh[..], &mut s.dc[..]);
                     self.dec
-                        .step_on(fma, bsz, x, h, c, &mut s.gates, &mut s.quant);
-                    self.attend_on(fma, bsz, s, slot);
+                        .step_on(lane, bsz, x, h, c, &mut s.gates, &mut s.quant);
+                    self.attend_on(lane, bsz, s, slot);
                     s.feed.copy_from_slice(slot);
                 }
             },
@@ -1015,17 +1244,33 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use recmg_tensor::nn::{DecoderFeed, Module, Seq2SeqStack};
+    use recmg_tensor::quant::QuantScratch;
     use recmg_tensor::{ParamStore, Tape, Tensor};
 
-    /// The lanes the host can execute: scalar always, AVX2 when available
-    /// (both CI legs run on AVX2-capable hosts, so the SIMD kernels are
-    /// exercised explicitly even when dispatch is forced to scalar).
+    /// The lanes the host can execute: scalar always, AVX2 and AVX-512
+    /// when available (every CI leg runs on an AVX2-capable host, so the
+    /// SIMD kernels are exercised explicitly even when dispatch is forced
+    /// to scalar).
     fn lanes() -> Vec<KernelLane> {
-        let mut v = vec![KernelLane::Scalar];
-        if KernelLane::Avx2.available() {
-            v.push(KernelLane::Avx2);
+        [KernelLane::Scalar, KernelLane::Avx2, KernelLane::Avx512]
+            .into_iter()
+            .filter(|l| l.available())
+            .collect()
+    }
+
+    /// The vector lanes the host can execute.
+    fn vector_lanes() -> Vec<KernelLane> {
+        lanes().into_iter().skip(1).collect()
+    }
+
+    /// Whether both the AVX2 and the AVX-512 lane can run here; prints why
+    /// a test that compares them returns early when they cannot.
+    fn avx512_host(test: &str) -> bool {
+        let ok = KernelLane::Avx512.available();
+        if !ok {
+            println!("{test}: skipped, this host has no AVX-512 lane");
         }
-        v
+        ok
     }
 
     /// Builds a tape stack and its fast mirror from the same weights.
@@ -1253,12 +1498,10 @@ mod tests {
 
     /// Everything that is not a matmul or an FMA dot — the gate sweep, the
     /// softmax, the `tanh`/`sigmoid` passes — is the same f32 operation
-    /// sequence on both lanes, so the outputs are equal bit for bit.
+    /// sequence on every lane, however wide the compiler vectorizes it, so
+    /// the outputs are equal bit for bit.
     #[test]
     fn approx_epilogues_are_bit_equal_across_lanes() {
-        if !KernelLane::Avx2.available() {
-            return;
-        }
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
         let mut rng = StdRng::seed_from_u64(0xE91);
         for bsz in 1usize..=17 {
@@ -1272,7 +1515,7 @@ mod tests {
             );
             let (scores0, acts) = (draw(t * bsz, 30.0), draw(h * bsz, 20.0));
             let mut per_lane = Vec::new();
-            for lane in [KernelLane::Scalar, KernelLane::Avx2] {
+            for lane in lanes() {
                 let (mut hh, mut cc, mut sc) = (h0.clone(), c0.clone(), scores0.clone());
                 let mut work = vec![0.0f32; 2 * bsz];
                 on_lane(
@@ -1288,7 +1531,9 @@ mod tests {
                 map_batch(lane, &mut sg, sigmoid_approx);
                 per_lane.push([bits(&hh), bits(&cc), bits(&sc), bits(&th), bits(&sg)]);
             }
-            assert_eq!(per_lane[0], per_lane[1], "bsz {bsz}");
+            for (lane, got) in lanes().iter().zip(&per_lane).skip(1) {
+                assert_eq!(per_lane[0], *got, "bsz {bsz}, lane {}", lane.name());
+            }
         }
     }
 
@@ -1343,8 +1588,8 @@ mod tests {
             }
         }
 
-        /// SIMD-vs-scalar lane parity on `fast_linear_batch`: both lanes
-        /// run explicitly and agree to 1e-5.
+        /// SIMD-vs-scalar lane parity on `fast_linear_batch`: every lane
+        /// runs explicitly and agrees with the scalar one to 1e-5.
         #[test]
         fn lane_parity_fast_linear_batch(
             seed in 0u64..1_000,
@@ -1352,9 +1597,6 @@ mod tests {
             in_dim in 1usize..16,
             out_dim in 1usize..12,
         ) {
-            if !KernelLane::Avx2.available() {
-                return;
-            }
             let mut rng = StdRng::seed_from_u64(seed);
             let w = Tensor::rand_uniform(&mut rng, &[in_dim, out_dim], -1.0, 1.0);
             let b = Tensor::rand_uniform(&mut rng, &[out_dim], -1.0, 1.0);
@@ -1363,10 +1605,14 @@ mod tests {
             let mut qs = recmg_tensor::quant::QuantScratch::default();
             let mut scalar = vec![0.0f32; bsz * out_dim];
             fast_linear_batch(KernelLane::Scalar, &wm, &b, bsz, &xs, &mut scalar, &mut qs);
-            let mut avx2 = vec![0.0f32; bsz * out_dim];
-            fast_linear_batch(KernelLane::Avx2, &wm, &b, bsz, &xs, &mut avx2, &mut qs);
-            for (i, (s, v)) in scalar.iter().zip(&avx2).enumerate() {
-                prop_assert!((s - v).abs() < 1e-5, "elem {}: scalar {} vs avx2 {}", i, s, v);
+            for lane in vector_lanes() {
+                let mut simd = vec![0.0f32; bsz * out_dim];
+                fast_linear_batch(lane, &wm, &b, bsz, &xs, &mut simd, &mut qs);
+                for (i, (s, v)) in scalar.iter().zip(&simd).enumerate() {
+                    prop_assert!(
+                        (s - v).abs() < 1e-5, "elem {}: scalar {} vs {} {}", i, s, lane.name(), v
+                    );
+                }
             }
         }
 
@@ -1412,8 +1658,9 @@ mod tests {
             }
         }
 
-        /// SIMD-vs-scalar lane parity on `step_batch`: both lanes run the
-        /// same multi-step recurrence explicitly and agree to 1e-5.
+        /// SIMD-vs-scalar lane parity on `step_batch`: every lane runs the
+        /// same multi-step recurrence explicitly and agrees with the scalar
+        /// one to 1e-5.
         #[test]
         fn lane_parity_step_batch(
             seed in 0u64..1_000,
@@ -1422,9 +1669,6 @@ mod tests {
             h in 1usize..8,
             steps in 1usize..5,
         ) {
-            if !KernelLane::Avx2.available() {
-                return;
-            }
             let mut rng = StdRng::seed_from_u64(seed);
             let cell = FastLstm::new(
                 Tensor::rand_uniform(&mut rng, &[e, 4 * h], -0.5, 0.5),
@@ -1434,7 +1678,7 @@ mod tests {
             );
             let xs: Vec<Vec<f32>> = (0..steps).map(|_| batch_inputs(&mut rng, 1, bsz, e)).collect();
             let mut results = Vec::new();
-            for lane in [KernelLane::Scalar, KernelLane::Avx2] {
+            for lane in lanes() {
                 let mut bh = vec![0.0f32; bsz * h];
                 let mut bc = vec![0.0f32; bsz * h];
                 let mut bg = vec![0.0f32; bsz * 4 * h];
@@ -1444,9 +1688,11 @@ mod tests {
                 }
                 results.push((bh, bc));
             }
-            for i in 0..bsz * h {
-                prop_assert!((results[0].0[i] - results[1].0[i]).abs() < 1e-5);
-                prop_assert!((results[0].1[i] - results[1].1[i]).abs() < 1e-5);
+            for simd in &results[1..] {
+                for i in 0..bsz * h {
+                    prop_assert!((results[0].0[i] - simd.0[i]).abs() < 1e-5);
+                    prop_assert!((results[0].1[i] - simd.1[i]).abs() < 1e-5);
+                }
             }
         }
 
@@ -1493,7 +1739,7 @@ mod tests {
         }
 
         /// SIMD-vs-scalar lane parity on `forward_batch` (the full stack:
-        /// LSTM steps, attention, dense head) to 1e-5.
+        /// LSTM steps, attention, dense head) to 1e-5, on every lane.
         #[test]
         fn lane_parity_forward_batch(
             seed in 0u64..1_000,
@@ -1502,29 +1748,29 @@ mod tests {
             out_n in 1usize..5,
             aligned in 0u32..2,
         ) {
-            if !KernelLane::Avx2.available() {
-                return;
-            }
             let (_store, _stack, fast) = paired_stack(seed, 5, 6);
             let mut rng = StdRng::seed_from_u64(seed ^ 0x51D);
             let flat = batch_inputs(&mut rng, t, bsz, 5);
             let out_len = if aligned == 0 { None } else { Some(out_n) };
             let mut outs = Vec::new();
-            for lane in [KernelLane::Scalar, KernelLane::Avx2] {
+            for lane in lanes() {
                 let mut scratch = Scratch::default();
                 let mut out = AlignedVec::new();
                 fast.forward_batch(lane, bsz, t, &flat, out_len, &mut scratch, &mut out);
                 outs.push(out);
             }
-            prop_assert_eq!(outs[0].len(), outs[1].len());
-            for (i, (s, v)) in outs[0].iter().zip(outs[1].iter()).enumerate() {
-                prop_assert!((s - v).abs() < 1e-5, "elem {}: scalar {} vs avx2 {}", i, s, v);
+            for simd in &outs[1..] {
+                prop_assert_eq!(outs[0].len(), simd.len());
+                for (i, (s, v)) in outs[0].iter().zip(simd.iter()).enumerate() {
+                    prop_assert!((s - v).abs() < 1e-5, "elem {}: scalar {} vs simd {}", i, s, v);
+                }
             }
         }
-        /// The register-blocked AVX2 matmul accumulates every output element
-        /// in input-feature order with FMA, for every batch size: equal bit
-        /// for bit to a naive `mul_add` loop, across 4-output remainders,
-        /// 8-lane remainders and masked-off lanes.
+        /// The register-blocked matmul of every vector lane accumulates
+        /// every output element from its bias in input-feature order with
+        /// FMA, for every batch size: equal bit for bit to a naive `mul_add`
+        /// loop, across 4-output remainders, 8-lane remainders and
+        /// masked-off lanes.
         #[test]
         fn matacc_order_matches_a_naive_fma_reference(
             seed in 0u64..1_000,
@@ -1532,9 +1778,6 @@ mod tests {
             in_dim in 1usize..41,
             out_dim in 1usize..131,
         ) {
-            if !KernelLane::Avx2.available() {
-                return;
-            }
             let mut rng = StdRng::seed_from_u64(seed);
             let w = Tensor::rand_uniform(&mut rng, &[in_dim, out_dim], -1.0, 1.0);
             let b = Tensor::rand_uniform(&mut rng, &[out_dim], -1.0, 1.0);
@@ -1550,19 +1793,23 @@ mod tests {
                 }
             }
             let wm = FastMat::compile(w, GuidancePrecision::F32);
-            let mut got = vec![0.0f32; bsz * out_dim];
-            let mut qs = recmg_tensor::quant::QuantScratch::default();
-            fast_linear_batch(KernelLane::Avx2, &wm, &b, bsz, &xs, &mut got, &mut qs);
-            for (i, (x, y)) in got.iter().zip(&naive).enumerate() {
-                prop_assert_eq!(x.to_bits(), y.to_bits(), "elem {}: {} vs {}", i, x, y);
+            for lane in vector_lanes() {
+                let mut got = vec![0.0f32; bsz * out_dim];
+                let mut qs = recmg_tensor::quant::QuantScratch::default();
+                fast_linear_batch(lane, &wm, &b, bsz, &xs, &mut got, &mut qs);
+                for (i, (x, y)) in got.iter().zip(&naive).enumerate() {
+                    prop_assert_eq!(
+                        x.to_bits(), y.to_bits(), "{} elem {}: {} vs {}", lane.name(), i, x, y
+                    );
+                }
             }
         }
 
-        /// The register-blocked AVX2 attention accumulates every score over
-        /// the hidden units and every context element over the steps, from
-        /// 0 and in order, with FMA: its output equals a naive per-lane
-        /// `mul_add` attention bit for bit, across partial step groups,
-        /// partial hidden-unit groups and masked-off lanes.
+        /// The register-blocked attention of every vector lane accumulates
+        /// every score over the hidden units and every context element over
+        /// the steps, from 0 and in order, with FMA: its output equals a
+        /// naive per-lane `mul_add` attention bit for bit, across partial
+        /// step groups, partial hidden-unit groups and masked-off lanes.
         #[test]
         fn attend_order_matches_a_naive_fma_reference(
             seed in 0u64..1_000,
@@ -1570,9 +1817,6 @@ mod tests {
             t_in in 1usize..18,
             h in 1usize..41,
         ) {
-            if !KernelLane::Avx2.available() {
-                return;
-            }
             let mut rng = StdRng::seed_from_u64(seed);
             let lstm = || FastLstm::new(
                 Tensor::zeros(&[1, 4 * h]),
@@ -1590,12 +1834,15 @@ mod tests {
             s.dh.iter_mut().for_each(|v| *v = rng.gen_range(-1.0..1.0));
             s.enc.iter_mut().for_each(|v| *v = rng.gen_range(-1.0..1.0));
             let (q, enc) = (s.dh.to_vec(), s.enc.to_vec());
-            let mut got = vec![0.0f32; h * bsz];
-            on_lane(
-                KernelLane::Avx2,
-                #[inline(always)]
-                |fma| stack.attend_on(fma, bsz, &mut s, &mut got),
-            );
+            let gots: Vec<Vec<f32>> = vector_lanes().into_iter().map(|lane| {
+                let mut got = vec![0.0f32; h * bsz];
+                on_lane(
+                    lane,
+                    #[inline(always)]
+                    |lane| stack.attend_on(lane, bsz, &mut s, &mut got),
+                );
+                got
+            }).collect();
             let at = |t: usize, j: usize, l: usize| enc[(t * h + j) * bsz + l];
             for l in 0..bsz {
                 let qs: Vec<f32> = (0..h).map(|j| q[j * bsz + l]).collect();
@@ -1611,11 +1858,107 @@ mod tests {
                     .collect();
                 for g in 0..h {
                     let pre = (0..2 * h).fold(b.data()[g], |a, i| cat[i].mul_add(w.at(i, g), a));
-                    let (x, y) = (got[g * bsz + l], tanh_approx(pre));
-                    prop_assert_eq!(
-                        x.to_bits(), y.to_bits(), "lane {} unit {}: {} vs {}", l, g, x, y
-                    );
+                    for got in &gots {
+                        let (x, y) = (got[g * bsz + l], tanh_approx(pre));
+                        prop_assert_eq!(
+                            x.to_bits(), y.to_bits(), "lane {} unit {}: {} vs {}", l, g, x, y
+                        );
+                    }
                 }
+            }
+        }
+
+        /// The AVX-512 dense layer equals the AVX2 one bit for bit: one
+        /// and two input segments (the LSTM's `b + Wx·x + Wh·h`), batch
+        /// sizes with and without full 8-lane blocks and partial last
+        /// blocks, and output counts with every `% 4` tail and one to three
+        /// tiles.
+        #[test]
+        fn avx512_linear_matches_avx2_bit_for_bit(
+            seed in 0u64..1_000,
+            bsz in 1usize..18,
+            e in 1usize..20,
+            h in 1usize..41,
+            two in 0u32..2,
+            out_dim in 1usize..131,
+        ) {
+            if !avx512_host("avx512_linear_matches_avx2_bit_for_bit") {
+                return;
+            }
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut mat = |rows: usize| FastMat::compile(
+                Tensor::rand_uniform(&mut rng, &[rows, out_dim], -1.0, 1.0),
+                GuidancePrecision::F32,
+            );
+            let (wx, wh) = (mat(e), mat(h));
+            let b = Tensor::rand_uniform(&mut rng, &[out_dim], -1.0, 1.0);
+            let x = batch_inputs(&mut rng, 1, bsz, e);
+            let hs = batch_inputs(&mut rng, 1, bsz, h);
+            let segs: &[(&FastMat, &[f32])] = &[(&wx, &x), (&wh, &hs)];
+            let segs = &segs[..1 + two as usize];
+            let run = |lane: KernelLane| {
+                let mut out = vec![0.0f32; out_dim * bsz];
+                let mut qs = QuantScratch::default();
+                on_lane(
+                    lane,
+                    #[inline(always)]
+                    |lane| linear_on(lane, segs, &b, bsz, &mut out, &mut qs),
+                );
+                out
+            };
+            let (avx2, avx512) = (run(KernelLane::Avx2), run(KernelLane::Avx512));
+            for (i, (x, y)) in avx512.iter().zip(&avx2).enumerate() {
+                prop_assert_eq!(x.to_bits(), y.to_bits(), "elem {}: avx512 {} vs avx2 {}", i, x, y);
+            }
+        }
+    }
+
+    /// Chunks of default-length keys for the whole-model lane tests.
+    fn model_chunks(n: usize, len: usize) -> Vec<Vec<recmg_trace::VectorKey>> {
+        use recmg_trace::{RowId, TableId, VectorKey};
+        let mut rng = StdRng::seed_from_u64(0xA5);
+        (0..n)
+            .map(|_| {
+                (0..len)
+                    .map(|_| {
+                        VectorKey::new(TableId(rng.gen_range(0..4)), RowId(rng.gen_range(0..5_000)))
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// `to_bits` of every output of a model forward.
+    fn model_bits(outs: &[Vec<f32>]) -> Vec<Vec<u32>> {
+        outs.iter()
+            .map(|o| o.iter().map(|x| x.to_bits()).collect())
+            .collect()
+    }
+
+    /// Whole default-config caching and prefetch forwards on the AVX-512
+    /// lane equal the AVX2 lane's bit for bit at batch sizes below, at and
+    /// above one 8-lane block (6 is padded to a full block, 5 is not), in
+    /// `f32` and in int8 (whose matmul is the AVX2 kernel on both lanes).
+    #[test]
+    fn avx512_forward_is_bit_identical_to_avx2() {
+        if !avx512_host("avx512_forward_is_bit_identical_to_avx2") {
+            return;
+        }
+        let cfg = crate::RecMgConfig::default();
+        let chunks = model_chunks(16, cfg.input_len);
+        let mut scratch = FastScratch::default();
+        for p in [GuidancePrecision::F32, GuidancePrecision::Int8] {
+            let cm = crate::CachingModel::new(&cfg).compile_with(p);
+            let pm = crate::PrefetchModel::new(&cfg).compile_with(p);
+            for bsz in [1usize, 5, 6, 8, 16] {
+                let batch: Vec<&[recmg_trace::VectorKey]> =
+                    chunks[..bsz].iter().map(Vec::as_slice).collect();
+                let [p5, p2] = [KernelLane::Avx512, KernelLane::Avx2]
+                    .map(|lane| model_bits(&cm.probs_batch_on(lane, &batch, &mut scratch)));
+                assert_eq!(p5, p2, "caching {p:?}, bsz {bsz}");
+                let [c5, c2] = [KernelLane::Avx512, KernelLane::Avx2]
+                    .map(|lane| model_bits(&pm.codes_batch_on(lane, &batch, &mut scratch)));
+                assert_eq!(c5, c2, "prefetch {p:?}, bsz {bsz}");
             }
         }
     }

@@ -434,6 +434,16 @@ impl FastPrefetchModel {
         chunks: &[&[VectorKey]],
         scratch: &mut FastScratch,
     ) -> Vec<Vec<f32>> {
+        self.codes_batch_on(crate::fast::active_lane(), chunks, scratch)
+    }
+
+    /// [`FastPrefetchModel::codes_batch_with`] on an explicit kernel lane.
+    pub(crate) fn codes_batch_on(
+        &self,
+        lane: crate::fast::KernelLane,
+        chunks: &[&[VectorKey]],
+        scratch: &mut FastScratch,
+    ) -> Vec<Vec<f32>> {
         let mut out: Vec<Vec<f32>> = chunks
             .iter()
             .map(|c| {
@@ -445,7 +455,6 @@ impl FastPrefetchModel {
             })
             .collect();
         let n = self.output_len;
-        let lane = crate::fast::active_lane();
         let h = self.fc_w.cols();
         crate::fast::forward_buckets(
             lane,

@@ -294,8 +294,8 @@ pub(crate) struct GuidanceCtx {
 impl GuidanceCtx {
     /// The kernel-lane label reported by sessions over this context:
     /// the runtime-dispatched lane name plus an `+int8` suffix when the
-    /// compiled models are quantized (`scalar`, `avx2`, `scalar+int8`,
-    /// `avx2+int8`).
+    /// compiled models are quantized (`scalar`, `avx2`, `avx512`,
+    /// `scalar+int8`, `avx2+int8`, `avx512+int8`).
     pub(crate) fn kernel_label(&self) -> &'static str {
         use crate::fast::{active_lane, KernelLane};
         match (active_lane(), self.caching.is_quantized()) {
@@ -303,6 +303,8 @@ impl GuidanceCtx {
             (KernelLane::Scalar, true) => "scalar+int8",
             (KernelLane::Avx2, false) => "avx2",
             (KernelLane::Avx2, true) => "avx2+int8",
+            (KernelLane::Avx512, false) => "avx512",
+            (KernelLane::Avx512, true) => "avx512+int8",
         }
     }
 

@@ -182,7 +182,8 @@ impl QuantizedMatrix {
         s.acc.resize(self.cols * bsz, 0);
         match lane {
             #[cfg(target_arch = "x86_64")]
-            KernelLane::Avx2 if avx2_fma_available() => {
+            // The AVX-512 lane has no int8 kernel of its own: it runs AVX2's.
+            KernelLane::Avx2 | KernelLane::Avx512 if avx2_fma_available() => {
                 if bsz == 1 {
                     unsafe { self.mac_avx2_one(&s.xq, &mut s.acc) }
                 } else if bsz < 8 {
@@ -398,16 +399,15 @@ mod tests {
         assert!(q.size_bytes() < 100 * 100 * 4 / 3);
     }
 
-    fn both_lanes() -> Vec<KernelLane> {
-        // The scalar lane always runs; the AVX2 lane is exercised whenever
-        // the host supports it (both CI legs have AVX2 hosts — the
-        // "no-SIMD" leg forces scalar *dispatch* but still tests the AVX2
-        // kernel here, explicitly).
-        let mut lanes = vec![KernelLane::Scalar];
-        if KernelLane::Avx2.available() {
-            lanes.push(KernelLane::Avx2);
-        }
-        lanes
+    fn lanes() -> Vec<KernelLane> {
+        // The scalar lane always runs; each vector lane is exercised
+        // whenever the host supports it (every CI leg has an AVX2 host —
+        // the "no-SIMD" leg forces scalar *dispatch* but still tests the
+        // vector kernels here, explicitly).
+        [KernelLane::Scalar, KernelLane::Avx2, KernelLane::Avx512]
+            .into_iter()
+            .filter(|l| l.available())
+            .collect()
     }
 
     #[test]
@@ -417,7 +417,7 @@ mod tests {
         let q = QuantizedMatrix::quantize(&w);
         let x: Vec<f32> = (0..23).map(|i| ((i as f32) * 0.37).cos()).collect();
         let reference = q.vecmul(&x);
-        for lane in both_lanes() {
+        for lane in lanes() {
             let mut out = vec![0.0f32; 9];
             let mut s = QuantScratch::default();
             q.vecmul_batch(lane, 1, &x, &mut out, &mut s);
@@ -428,7 +428,7 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
 
-        /// Scalar and AVX2 int8 lanes are *identical* (integer MAC), and
+        /// Every int8 lane is *identical* to the scalar one (integer MAC), and
         /// each interleaved lane matches a per-item `vecmul` bitwise.
         #[test]
         fn lane_parity_vecmul_batch(
@@ -443,14 +443,14 @@ mod tests {
             let q = QuantizedMatrix::quantize(&w);
             let xs: Vec<f32> = (0..rows * bsz).map(|_| rng.gen_range(-2.0..2.0)).collect();
             let mut outs = Vec::new();
-            for lane in both_lanes() {
+            for lane in lanes() {
                 let mut out = vec![0.0f32; cols * bsz];
                 let mut s = QuantScratch::default();
                 q.vecmul_batch(lane, bsz, &xs, &mut out, &mut s);
                 outs.push(out);
             }
-            if outs.len() == 2 {
-                proptest::prop_assert_eq!(&outs[0], &outs[1], "scalar vs avx2 int8");
+            for (lane, out) in lanes().iter().zip(&outs).skip(1) {
+                proptest::prop_assert_eq!(&outs[0], out, "scalar vs {} int8", lane.name());
             }
             // Interleaved batch matches vecmul per lane, exactly.
             for b in 0..bsz {
