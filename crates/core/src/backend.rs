@@ -694,6 +694,11 @@ struct FillInner {
     /// it between a waiter's empty-queue check and its `Condvar::wait`;
     /// an atomic flag here loses that wakeup and hangs session drain.
     closed: bool,
+    /// Fills popped by [`FillQueue::pop_wait`] and not yet
+    /// [`done`](FillQueue::done).
+    in_hand: usize,
+    /// Threads blocked in [`FillQueue::wait_idle`].
+    idle_waiters: usize,
 }
 
 /// The bounded, duplicate-coalescing miss queue shared by every shard of
@@ -703,6 +708,8 @@ struct FillInner {
 pub(crate) struct FillQueue {
     inner: Mutex<FillInner>,
     available: Condvar,
+    /// Where [`FillQueue::wait_idle`] waits for the backlog to land.
+    idle: Condvar,
     capacity: usize,
     queued: AtomicU64,
     coalesced: AtomicU64,
@@ -715,6 +722,7 @@ impl FillQueue {
         FillQueue {
             inner: Mutex::new(FillInner::default()),
             available: Condvar::new(),
+            idle: Condvar::new(),
             capacity: capacity.max(1),
             queued: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
@@ -745,18 +753,43 @@ impl FillQueue {
     }
 
     /// Blocks for the next fill; `None` once the queue is closed *and*
-    /// empty (a close drains the backlog before fill threads exit).
+    /// empty (a close drains the backlog before fill threads exit). The
+    /// fill is in hand until the caller reports it [`done`](Self::done).
     pub(crate) fn pop_wait(&self) -> Option<(usize, VectorKey, u64)> {
         let mut inner = self.inner.lock().expect("fill queue lock");
         loop {
             if let Some(entry) = inner.queue.pop_front() {
                 inner.pending.remove(&(entry.0, entry.1));
+                inner.in_hand += 1;
                 return Some(entry);
             }
             if inner.closed {
                 return None;
             }
             inner = self.available.wait(inner).expect("fill queue wait");
+        }
+    }
+
+    /// Reports a fill from [`pop_wait`](Self::pop_wait) landed or
+    /// refused, waking [`wait_idle`](Self::wait_idle) once nothing is
+    /// queued or in hand.
+    pub(crate) fn done(&self) {
+        let mut inner = self.inner.lock().expect("fill queue lock");
+        inner.in_hand -= 1;
+        if inner.in_hand == 0 && inner.queue.is_empty() && inner.idle_waiters > 0 {
+            self.idle.notify_all();
+        }
+    }
+
+    /// Blocks until nothing is queued and no popped fill is in hand:
+    /// every fill queued so far has landed (or was refused), so nothing
+    /// queued before the call is left to land after it.
+    pub(crate) fn wait_idle(&self) {
+        let mut inner = self.inner.lock().expect("fill queue lock");
+        while inner.in_hand > 0 || !inner.queue.is_empty() {
+            inner.idle_waiters += 1;
+            inner = self.idle.wait(inner).expect("fill queue wait");
+            inner.idle_waiters -= 1;
         }
     }
 

@@ -25,7 +25,7 @@
 //! assert_eq!(system.capacity(), 128);
 //! ```
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use crate::backend::{FillHandle, FillMode, FillQueue};
 use crate::caching_model::CachingModel;
@@ -245,8 +245,8 @@ impl<'a> SystemBuilder<'a> {
                 fill_queue,
             },
             router,
-            shards,
-            plane: None,
+            shards: shards.into_iter().map(Mutex::new).collect(),
+            runtime: None,
         }
     }
 }

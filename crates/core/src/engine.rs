@@ -6,11 +6,12 @@
 //! batch, and CPU moves on to infer for the future batch". That
 //! non-blocking skip-ahead rule (§VI-C) is implemented by the streaming
 //! [`ServingSession`](crate::session::ServingSession); this module keeps
-//! the batch-shaped entry point: [`ShardedRecMgSystem::serve`] wraps the
-//! given batches in a [`BatchSource`](crate::session::BatchSource), runs
-//! them through a session with an unbounded queue (nothing is shed — every
-//! batch is served), and returns the session's [`EngineReport`]. There is
-//! exactly one serving path; the batch API is a thin adapter over it.
+//! the batch-shaped entry point: [`ShardedRecMgSystem::serve`] submits the
+//! given batches to a session with an unbounded queue (nothing is shed —
+//! every batch is served) that the system holds from its first call on,
+//! waits until they are served, and returns the call's [`EngineReport`].
+//! There is exactly one serving path; the batch API is a thin adapter over
+//! it.
 //!
 //! [`EngineReport::guided_fraction`] reports the fraction of chunks that
 //! received model guidance, matching
@@ -23,7 +24,7 @@ use crate::backend::{CalibrationReport, FillPlaneReport};
 use crate::config::AdmissionPolicy;
 use crate::json::JsonWriter;
 use crate::migrate::{MigrationReport, ReplicationReport};
-use crate::session::{BatchSource, SessionBuilder};
+use crate::session::SessionBuilder;
 use crate::sharding::ShardedRecMgSystem;
 use crate::table_profile::TableReport;
 use crate::tier::TierUsage;
@@ -90,8 +91,9 @@ pub struct GuidancePlaneReport {
     /// Plane lag at teardown: chunks whose guidance had not landed when
     /// the run's last access was served. A drained session computes and
     /// applies them before it returns; a `serve()` call applies those
-    /// already computed and leaves the rest to the plane it keeps running,
-    /// so they land during the next call. Either way they count as guided
+    /// already computed and leaves the rest to the plane of the runtime
+    /// the system holds, so they land during the next call (or when the
+    /// runtime stops). Either way they count as guided
     /// once applied (the model ran, and the update warms the buffer
     /// exactly like an inline apply between batches), but a plane that
     /// keeps up holds this near `shards × max_lag` or below — it is the
@@ -129,7 +131,7 @@ impl GuidancePlaneReport {
 }
 
 /// Options for [`ShardedRecMgSystem::serve`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeOptions {
     /// Serving worker threads.
     pub workers: usize,
@@ -243,24 +245,29 @@ impl EngineReport {
 }
 
 impl ShardedRecMgSystem {
-    /// Serves `batches` with `opts.workers` threads — a thin wrapper over
-    /// a batch-backed [`ServingSession`](crate::session::ServingSession)
-    /// with an unbounded admission queue (every batch is served; nothing
-    /// is rejected or shed). Returns merged stats plus guidance accounting
-    /// for this run.
+    /// Serves `batches` with `opts.workers` threads and blocks until every
+    /// batch is served and the fills its misses queued have landed (or
+    /// were counted coalesced or dropped). Returns merged stats plus
+    /// guidance accounting for this call.
     ///
-    /// Under [`GuidanceMode::Background`] the guidance plane outlives the
-    /// call. The call returns once its last request is served; the chunks
-    /// the plane has not computed by then stay queued on its threads,
-    /// which keep computing them. The next call with the same mode takes
-    /// the plane over and applies that guidance at each shard's next
-    /// access, so a run of calls computes it while serving instead of at
-    /// the end of every call, with the serving core idle.
-    /// [`settle_guidance`](ShardedRecMgSystem::settle_guidance) lands it
-    /// without another call; a call in another mode lands it first.
+    /// The first call starts the system's runtime: a session with an
+    /// unbounded admission queue (every batch is served; nothing is
+    /// rejected or shed), its serving workers, its guidance plane under
+    /// [`GuidanceMode::Background`] and its fill threads under
+    /// [`FillMode::Async`](crate::FillMode::Async). Later calls with the
+    /// same options submit to those threads; a call with other options
+    /// stops the runtime and starts a new one. A call returns once its
+    /// last request is served; the chunks the plane has not computed by
+    /// then stay queued on its threads, which keep computing them, and
+    /// their guidance lands at each shard's next access in the next call,
+    /// so a run of calls computes it while serving instead of at the end
+    /// of every call, with the serving core idle.
+    /// [`settle_guidance`](ShardedRecMgSystem::settle_guidance) stops the
+    /// runtime and lands it without another call, and so does every other
+    /// `&mut` entry point; dropping the system joins the runtime.
     ///
     /// Queued requests own their keys, so each call copies the batch
-    /// slices once on ingestion; callers that already hold owned batches
+    /// slices once on submission; callers that already hold owned batches
     /// can skip the copy by driving a session directly with
     /// [`BatchSource::from_vecs`](crate::session::BatchSource::from_vecs).
     ///
@@ -275,26 +282,17 @@ impl ShardedRecMgSystem {
     /// Panics if `opts.workers` is zero, or background guidance is
     /// configured with zero threads.
     pub fn serve(&mut self, batches: &[&[VectorKey]], opts: &ServeOptions) -> EngineReport {
-        assert!(opts.workers > 0, "need at least one serving worker");
-        if let GuidanceMode::Background { threads, .. } = opts.guidance {
-            assert!(threads > 0, "need at least one guidance thread");
+        if self.runtime.as_ref().is_none_or(|(held, _)| held != opts) {
+            self.settle_guidance();
+            let session = SessionBuilder::new()
+                .workers(opts.workers)
+                .guidance(opts.guidance)
+                .admission(AdmissionPolicy::unbounded())
+                .build(self.share());
+            self.runtime = Some((*opts, session));
         }
-        let system = ShardedRecMgSystem {
-            ctx: self.ctx.clone(),
-            router: self.router.clone(),
-            shards: std::mem::take(&mut self.shards),
-            plane: self.plane.take(),
-        };
-        let session = SessionBuilder::new()
-            .workers(opts.workers)
-            .guidance(opts.guidance)
-            .admission(AdmissionPolicy::unbounded())
-            .build(system);
-        session.ingest(&mut BatchSource::new(batches));
-        let (system, report) = session.close();
-        self.shards = system.shards;
-        self.plane = system.plane;
-        report.engine
+        let (_, session) = self.runtime.as_mut().expect("started above");
+        session.serve(batches)
     }
 }
 
@@ -304,7 +302,7 @@ mod tests {
     use crate::caching_model::CachingModel;
     use crate::codec::FrequencyRankCodec;
     use crate::config::RecMgConfig;
-    use crate::session::tests::system;
+    use crate::session::tests::{held_runtime, system};
     use recmg_dlrm::BufferManager;
     use recmg_trace::SyntheticConfig;
 
@@ -377,7 +375,7 @@ mod tests {
         );
     }
 
-    const CARRIED: ServeOptions = ServeOptions {
+    const BACKGROUND: ServeOptions = ServeOptions {
         workers: 1,
         guidance: GuidanceMode::Background {
             threads: 1,
@@ -386,22 +384,26 @@ mod tests {
         },
     };
 
-    /// Two background calls share one plane: the second takes over the
-    /// plane the first left running, with the guidance it still owed, and
+    /// Two background calls share one runtime: the second submits to the
+    /// threads the first started, whose plane still owed guidance, and
     /// every chunk lands exactly once across the calls and the settle.
     #[test]
-    fn the_guidance_plane_outlives_a_serve_call() {
+    fn the_runtime_outlives_a_serve_call() {
         let trace = SyntheticConfig::tiny(46).generate();
         let batches = trace.batches(10);
         let (first, second) = batches.split_at(batches.len() / 2);
         let mut sys = system(4);
-        let a = sys.serve(first, &CARRIED);
-        let plane = sys.plane.as_ref().expect("the plane runs on").plane();
-        let b = sys.serve(second, &CARRIED);
-        let still = sys.plane.as_ref().expect("the plane runs on").plane();
-        assert!(std::sync::Arc::ptr_eq(&plane, &still));
+        let a = sys.serve(first, &BACKGROUND);
+        let runtime = held_runtime(&sys).expect("the runtime runs on");
+        let b = sys.serve(second, &BACKGROUND);
+        let still = held_runtime(&sys).expect("the runtime runs on");
+        assert!(runtime.ptr_eq(&still));
         let settled = sys.settle_guidance();
-        assert!(sys.plane.is_none());
+        assert!(sys.runtime.is_none());
+        assert!(
+            runtime.upgrade().is_none(),
+            "a runtime thread outlived the settle"
+        );
         assert_eq!(sys.settle_guidance(), GuidancePlaneReport::default());
         assert!(settled.late_chunks <= b.plane.late_chunks);
         assert_eq!(
@@ -419,31 +421,43 @@ mod tests {
         assert_eq!(a.stats.total() + b.stats.total(), trace.len() as u64);
     }
 
-    /// Dropping a system that carries a plane closes the plane: its
-    /// threads compute what was queued and exit on their own.
+    /// Dropping a system joins its runtime before the drop returns: no
+    /// worker, fill or plane thread is left holding the shards.
     #[test]
-    fn dropping_the_system_stops_its_carried_plane() {
-        use std::time::{Duration, Instant};
+    fn dropping_the_system_joins_its_runtime() {
+        use crate::backend::FillMode;
+        use crate::prefetch_model::PrefetchModel;
+        let cfg = RecMgConfig::tiny();
         let trace = SyntheticConfig::tiny(48).generate();
-        let mut sys = system(4);
-        sys.serve(&trace.batches(10), &CARRIED);
-        let plane = std::sync::Arc::downgrade(&sys.plane.as_ref().expect("running").plane());
+        let codec = FrequencyRankCodec::from_accesses(&trace.accesses()[..500]);
+        let (caching, prefetch) = (CachingModel::new(&cfg), PrefetchModel::new(&cfg));
+        let mut sys = ShardedRecMgSystem::builder(&caching, Some(&prefetch), codec)
+            .shards(4)
+            .capacity(64)
+            .fill_mode(FillMode::Async {
+                threads: 1,
+                queue_depth: 64,
+            })
+            .build();
+        sys.serve(&trace.batches(10), &BACKGROUND);
+        let runtime = held_runtime(&sys).expect("running");
+        let shards = std::sync::Arc::downgrade(&sys.shards);
         drop(sys);
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while plane.upgrade().is_some() {
-            assert!(
-                Instant::now() < deadline,
-                "a plane thread outlived its system"
-            );
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        assert!(
+            runtime.upgrade().is_none(),
+            "a runtime thread outlived its system"
+        );
+        assert!(
+            shards.upgrade().is_none(),
+            "the shards outlived their system"
+        );
     }
 
-    /// Whatever else drives the shards after a background `serve()` lands
-    /// the guidance its plane still owes first, so chunk accounting is
-    /// whole again without a `settle_guidance` call.
+    /// Whatever else drives the shards after a background `serve()` stops
+    /// the runtime first, landing the guidance its plane still owes, so
+    /// chunk accounting is whole again without a `settle_guidance` call.
     #[test]
-    fn other_entry_points_land_the_carried_guidance_first() {
+    fn other_entry_points_stop_the_runtime_first() {
         let trace = SyntheticConfig::tiny(47).generate();
         let batches = trace.batches(10);
         fn drained(sys: &mut ShardedRecMgSystem, guidance: GuidanceMode) {
@@ -455,7 +469,7 @@ mod tests {
                 .0;
         }
         type Entry = fn(&mut ShardedRecMgSystem, &[&[VectorKey]]);
-        let entry_points: [(&str, Entry); 5] = [
+        let entry_points: [(&str, Entry); 6] = [
             ("inline serve", |sys, b| {
                 let inline = ServeOptions {
                     workers: 1,
@@ -469,8 +483,9 @@ mod tests {
             ("rebalance", |sys, _| {
                 sys.rebalance();
             }),
+            ("set_guidance_stride", |sys, _| sys.set_guidance_stride(2)),
             ("drained session, same mode", |sys, _| {
-                drained(sys, CARRIED.guidance)
+                drained(sys, BACKGROUND.guidance)
             }),
             ("drained session, inline", |sys, _| {
                 drained(sys, GuidanceMode::Inline)
@@ -478,10 +493,13 @@ mod tests {
         ];
         for (name, enter) in entry_points {
             let mut sys = system(4);
-            sys.serve(&batches, &CARRIED);
-            assert!(sys.plane.is_some(), "{name}");
+            sys.serve(&batches, &BACKGROUND);
+            let runtime = held_runtime(&sys).expect("running");
             enter(&mut sys, &batches);
-            assert!(sys.plane.is_none(), "{name}: the plane was not settled");
+            assert!(
+                runtime.upgrade().is_none(),
+                "{name}: the runtime was not stopped"
+            );
             assert_eq!(
                 sys.guided_chunks() + sys.unguided_chunks(),
                 sys.total_chunks(),
@@ -491,10 +509,10 @@ mod tests {
     }
 
     /// Promoting fills drives the shards too: on an async-fill system,
-    /// `drain_fills` lands the guidance a carried plane still owes before
-    /// the first fill.
+    /// `drain_fills` stops the runtime, landing the guidance its plane
+    /// still owes, before the first fill.
     #[test]
-    fn draining_fills_lands_the_carried_guidance_first() {
+    fn draining_fills_stops_the_runtime_first() {
         use crate::backend::FillMode;
         use crate::prefetch_model::PrefetchModel;
         let cfg = RecMgConfig::tiny();
@@ -509,12 +527,12 @@ mod tests {
                 queue_depth: 64,
             })
             .build();
-        sys.serve(&trace.batches(10), &CARRIED);
-        assert!(sys.plane.is_some());
+        sys.serve(&trace.batches(10), &BACKGROUND);
+        assert!(sys.runtime.is_some());
         sys.drain_fills();
         assert!(
-            sys.plane.is_none(),
-            "fills were promoted before the owed guidance"
+            sys.runtime.is_none(),
+            "fills were promoted before the runtime stopped"
         );
         assert_eq!(
             sys.guided_chunks() + sys.unguided_chunks(),

@@ -27,16 +27,20 @@
 //!    background guidance plane (the private `plane` module — the paper's
 //!    §VI-C skip-ahead rule), or stale priorities. One shard reproduces
 //!    [`RecMgSystem`] exactly; [`engine`] keeps the batch-shaped
-//!    `serve()` entry point — whose background plane outlives the call,
-//!    computing one call's guidance backlog while the next serves — and
-//!    the run report.
+//!    `serve()` entry point and the run report. The shards never move:
+//!    the system, its sessions and their threads share them, and the
+//!    first `serve()` call starts a runtime — workers, guidance plane,
+//!    fill threads — that the system holds, so later calls submit to it,
+//!    spawn no thread, and compute one call's guidance backlog while the
+//!    next serves. Every other `&mut` entry point stops it first.
 //! 5. **Streaming** ([`session`]): a [`RequestSource`] (batches, Poisson /
 //!    uniform / Markov-modulated synthetic arrivals, trace replay, or a
 //!    closed loop over any of them) feeds a [`ServingSession`] — bounded
 //!    weighted-fair tenant queues, admission control, worker threads over
 //!    the shards, per-request latency percentiles, and SLA-pressure
 //!    degradation (skip-ahead first, then prefetch-off). The batch
-//!    `serve()` above is a thin wrapper over a batch-backed session.
+//!    `serve()` above submits to a batch-backed session held by the
+//!    system; dropping a session, drained or not, joins its threads.
 //! 6. **Tiered memory** ([`tier`], [`SystemBuilder`]): systems are built
 //!    against an explicit [`TierTopology`] (fast → slow [`MemoryTier`]s
 //!    with access-cost models); a [`PlacementPolicy`] ([`EvenSplit`],

@@ -47,7 +47,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use recmg_trace::VectorKey;
@@ -482,6 +482,14 @@ pub(crate) struct LiveState {
     /// lock, never before one.
     pub(crate) totals: Mutex<(MigrationReport, ReplicationReport)>,
     pub(crate) stop: AtomicBool,
+    /// Shard locks the rebalancer is waiting for. A std mutex lets a
+    /// worker that just released a shard take it straight back, so under
+    /// a saturated closed loop the rebalancer would wait for the load to
+    /// drop; serving workers step aside while this is non-zero
+    /// ([`LiveState::step_aside`]). Advisory, so `Relaxed`: it publishes
+    /// nothing, and a stale read only costs a worker one more yield or
+    /// the rebalancer one more lost race.
+    wanted: AtomicUsize,
 }
 
 impl LiveState {
@@ -491,7 +499,29 @@ impl LiveState {
             epoch: Arc::new(AtomicU64::new(0)),
             totals: Mutex::default(),
             stop: AtomicBool::new(false),
+            wanted: AtomicUsize::new(0),
         }
+    }
+
+    /// Locks `shard` for the rebalancer, ahead of the serving workers.
+    fn lock<'a>(&self, shard: &'a Mutex<Shard>) -> MutexGuard<'a, Shard> {
+        self.wanted.fetch_add(1, Ordering::Relaxed);
+        let locked = shard.lock();
+        self.wanted.fetch_sub(1, Ordering::Relaxed);
+        locked.expect("shard mutex poisoned")
+    }
+
+    /// Called by a serving worker, holding no shard lock, before it locks
+    /// a shard: yields while the rebalancer waits for one.
+    pub(crate) fn step_aside(&self) {
+        while self.wanted.load(Ordering::Relaxed) > 0 {
+            std::thread::yield_now();
+        }
+    }
+
+    /// One reading per shard, in shard order, each under a brief lock.
+    fn read_shards<T>(&self, shards: &[Mutex<Shard>], read: impl Fn(&Shard) -> T) -> Vec<T> {
+        shards.iter().map(|s| read(&self.lock(s))).collect()
     }
 
     fn totals(&self) -> std::sync::MutexGuard<'_, (MigrationReport, ReplicationReport)> {
@@ -523,7 +553,7 @@ pub(crate) fn migrate_shard(
 ) {
     let to = topology.tier(placement.tier);
     let charge = {
-        let mut shard = shards[sid].lock().expect("shard mutex poisoned");
+        let mut shard = live.lock(&shards[sid]);
         shard.tier = placement.tier;
         shard.buffer.commit_move(to, placement.capacity.max(1))
     };
@@ -545,7 +575,7 @@ pub(crate) fn set_replica(
     capacity: usize,
 ) -> bool {
     let changed = {
-        let mut shard = shards[sid].lock().expect("shard mutex poisoned");
+        let mut shard = live.lock(&shards[sid]);
         match (&mut shard.replica, capacity) {
             (None, 0) => false,
             (Some(_), 0) => {
@@ -568,53 +598,41 @@ pub(crate) fn set_replica(
     changed
 }
 
-/// One reading per shard, in shard order, each under a brief lock.
-fn read_shards<T>(shards: &[Mutex<Shard>], read: impl Fn(&Shard) -> T) -> Vec<T> {
-    shards
-        .iter()
-        .map(|s| read(&s.lock().expect("shard mutex poisoned")))
-        .collect()
-}
-
 /// The background live-rebalancer loop, run on its own thread for the
 /// lifetime of a live-enabled [`ServingSession`](crate::ServingSession):
 /// poll the trigger, run the shared planner on fresh traffic deltas and
 /// merged table profiles, install every shard's pin set, migrate shards
 /// whose tier changed and re-size those whose capacity did, and apply the
 /// replication policy.
-pub(crate) fn live_loop(
-    live: &LiveState,
-    shards: &[Mutex<Shard>],
-    ctx: &GuidanceCtx,
-    router: &crate::ShardRouter,
-) {
+pub(crate) fn live_loop(live: &LiveState, system: &crate::ShardedRecMgSystem) {
+    let (shards, ctx, router) = (&system.shards, &system.ctx, &system.router);
     let mut trigger = live.cfg.trigger();
     while !live.stop.load(Ordering::Acquire) {
         std::thread::sleep(CHECK_EVERY);
         if live.stop.load(Ordering::Acquire) {
             break;
         }
-        let (demands, scores): (Vec<u64>, Vec<f64>) = read_shards(shards, |s| {
-            (s.buffer.demand_count(), s.buffer.phase_score())
-        })
-        .into_iter()
-        .unzip();
+        let (demands, scores): (Vec<u64>, Vec<f64>) = live
+            .read_shards(shards, |s| {
+                (s.buffer.demand_count(), s.buffer.phase_score())
+            })
+            .into_iter()
+            .unzip();
         let Some(fire) = trigger.check(&demands, &scores) else {
             continue;
         };
-        let deltas = trigger.commit(fire, read_shards(shards, |s| s.buffer.traffic()));
-        let profilers = read_shards(shards, |s| s.profiler.clone());
+        let deltas = trigger.commit(fire, live.read_shards(shards, |s| s.buffer.traffic()));
+        let profilers = live.read_shards(shards, |s| s.profiler.clone());
         let tables = TableProfiler::merge(profilers.iter().flatten());
         let (_, plan) = ctx.plan(router, &deltas, &tables);
         for (shard, (_, pins)) in shards.iter().zip(&plan) {
-            let mut shard = shard.lock().expect("shard mutex poisoned");
-            shard.buffer.set_pinned_tables(pins);
+            live.lock(shard).buffer.set_pinned_tables(pins);
         }
         for (sid, (placement, _)) in plan.iter().enumerate() {
             if live.stop.load(Ordering::Acquire) {
                 return;
             }
-            let mut shard = shards[sid].lock().expect("shard mutex poisoned");
+            let mut shard = live.lock(&shards[sid]);
             if shard.tier != placement.tier {
                 drop(shard);
                 migrate_shard(live, shards, &ctx.topology, sid, placement);
@@ -651,10 +669,7 @@ fn replication_pass(
         } else {
             delta.hits as f64 / demand as f64
         };
-        let in_fast_tier = {
-            let s = shards[sid].lock().expect("shard mutex poisoned");
-            s.tier == 0
-        };
+        let in_fast_tier = live.lock(&shards[sid]).tier == 0;
         // A shard already living in the fast tier gains nothing from a
         // same-tier replica.
         let capacity = if in_fast_tier {

@@ -45,14 +45,13 @@
 //! quantum; one that made no progress costs the shard a few more §VI-C
 //! skips, never a stall.
 //!
-//! A plane outlives the run that started it. A session starts a
-//! [`RunningPlane`] — or takes over the one a system carries — and closes
-//! each run with [`Plane::land`]: the guidance already parked is applied,
-//! and what is still queued stays queued. `drain` then joins the plane
-//! threads and lands the rest; `serve()` hands the plane back with the
-//! system instead, so the chunks its last accesses left behind are
-//! computed while the next call serves, on the cores that call keeps
-//! busy, rather than at the end of this one with the serving core idle.
+//! A plane lives as long as the session that started it. Every
+//! `serve()` call on a system's held runtime closes with [`Plane::land`]:
+//! the guidance already parked is applied, and what is still queued stays
+//! queued, so the plane threads compute it while the next call serves, on
+//! the cores that call keeps busy, rather than at the end of this one with
+//! the serving core idle. Stopping the session closes the plane, joins its
+//! threads once they have computed the rest, and lands it.
 //!
 //! Everything here is private to the crate; a run's accounting leaves as
 //! a [`GuidancePlaneReport`].
@@ -60,15 +59,14 @@
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use recmg_trace::VectorKey;
 
-use crate::engine::{GuidanceMode, GuidancePlaneReport};
+use crate::engine::GuidancePlaneReport;
 use crate::fast::FastScratch;
-use crate::sharding::{GuidanceCtx, Shard, ShardRouter};
+use crate::sharding::{GuidanceCtx, Shard, ShardRouter, ShardedRecMgSystem};
 
 /// A chunk handed to the plane.
 struct GuidanceJob {
@@ -209,7 +207,8 @@ impl Plane {
     /// Under multi-shard load the plane's weight traffic is O(batches),
     /// not O(chunks) — while a batch is being computed, workers keep
     /// queueing chunks, so the next take naturally coalesces the backlog.
-    pub(crate) fn run(&self, ctx: &GuidanceCtx, router: &ShardRouter) {
+    pub(crate) fn run(&self, system: &ShardedRecMgSystem) {
+        let (ctx, router) = (&system.ctx, &system.router);
         let mut jobs: Vec<GuidanceJob> = Vec::with_capacity(self.max_batch);
         let mut scratch = FastScratch::default();
         let mut state = self.lock();
@@ -282,11 +281,12 @@ impl Plane {
         std::mem::take(&mut state.shards[sid].parked)
     }
 
-    /// Closes out a run once its workers are joined: applies the guidance
+    /// Closes out a run once its workers are idle: applies the guidance
     /// parked for every shard and returns the plane's accounting since
     /// the previous close-out (the counters restart at zero, so a plane
     /// that serves several runs reports each one's share). The kernel
-    /// lane is the caller's to fill in.
+    /// lane is the caller's to fill in. Takes every shard lock, in shard
+    /// order, before the plane lock.
     ///
     /// Guidance computed after its shard went idle is still valid buffer
     /// reprioritization — applying it hands the system back warm. The
@@ -296,7 +296,11 @@ impl Plane {
     /// not landed when the run's last access was served — parked and
     /// applied here, or still queued on a plane that runs on past the run
     /// (its guidance lands at the next run's first access of the shard).
-    pub(crate) fn land(&self, shards: &mut [Shard]) -> GuidancePlaneReport {
+    pub(crate) fn land(&self, shards: &[Mutex<Shard>]) -> GuidancePlaneReport {
+        let mut shards: Vec<MutexGuard<'_, Shard>> = shards
+            .iter()
+            .map(|s| s.lock().expect("shard lock"))
+            .collect();
         let mut state = self.lock();
         let mut report = std::mem::take(&mut state.report);
         for (sid, shard) in shards.iter_mut().enumerate() {
@@ -307,84 +311,6 @@ impl Plane {
             }
         }
         report
-    }
-}
-
-/// A [`Plane`] with its threads: what a session starts in background
-/// mode, and what a system carries from one `serve()` call to the next.
-/// Dropping it closes the plane; the threads then compute what is left
-/// and exit on their own.
-pub(crate) struct RunningPlane {
-    plane: Arc<Plane>,
-    threads: Vec<JoinHandle<()>>,
-    mode: GuidanceMode,
-}
-
-impl RunningPlane {
-    /// Starts the plane threads of a background `mode` over the shards of
-    /// `router`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` or `max_batch` is zero.
-    pub(crate) fn start(mode: GuidanceMode, ctx: &GuidanceCtx, router: &ShardRouter) -> Self {
-        let GuidanceMode::Background {
-            threads,
-            max_lag,
-            max_batch,
-        } = mode
-        else {
-            unreachable!("an inline-guided run starts no plane");
-        };
-        assert!(threads > 0, "need at least one guidance thread");
-        let plane = Arc::new(Plane::new(router.num_shards(), max_lag, max_batch));
-        let threads = (0..threads)
-            .map(|_| {
-                let (plane, ctx, router) = (Arc::clone(&plane), ctx.clone(), router.clone());
-                std::thread::spawn(move || plane.run(&ctx, &router))
-            })
-            .collect();
-        RunningPlane {
-            plane,
-            threads,
-            mode,
-        }
-    }
-
-    /// Whether this plane was started for `mode` — a session that guides
-    /// any other way cannot take it over.
-    pub(crate) fn runs(&self, mode: GuidanceMode) -> bool {
-        self.mode == mode
-    }
-
-    /// The plane the session's workers and close-out share.
-    pub(crate) fn plane(&self) -> Arc<Plane> {
-        Arc::clone(&self.plane)
-    }
-
-    /// Closes the plane and joins its threads, which first compute
-    /// everything still queued.
-    pub(crate) fn join(mut self) -> Arc<Plane> {
-        self.plane.close();
-        for handle in self.threads.drain(..) {
-            handle.join().expect("guidance plane does not panic");
-        }
-        self.plane()
-    }
-}
-
-impl Drop for RunningPlane {
-    fn drop(&mut self) {
-        self.plane.close();
-    }
-}
-
-impl std::fmt::Debug for RunningPlane {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RunningPlane")
-            .field("mode", &self.mode)
-            .field("pending", &self.plane.pending())
-            .finish_non_exhaustive()
     }
 }
 
@@ -622,7 +548,7 @@ mod tests {
     /// while they stay unlanded, and the work counters restart each time.
     #[test]
     fn land_applies_the_parked_and_leaves_the_queued_to_the_plane() {
-        let mut sys = system(2);
+        let sys = system(2);
         let input_len = sys.ctx.cfg.input_len;
         let (max_lag, max_batch) = (8, 4);
         let plane = Plane::new(2, max_lag, max_batch);
@@ -635,27 +561,27 @@ mod tests {
         port.pace(&sys.ctx);
         assert_eq!(parked(&plane, 1), max_batch);
 
-        let first = plane.land(&mut sys.shards);
+        let first = plane.land(&sys.shards);
         assert_eq!(first.late_chunks, max_lag as u64);
         assert_eq!((first.drains, first.chunks), (1, max_batch as u64));
         assert_eq!(first.max_batch, max_batch as u64);
         assert_eq!(parked(&plane, 1), 0);
         assert_eq!(sys.guided_chunks(), max_batch as u64);
 
-        let again = plane.land(&mut sys.shards);
+        let again = plane.land(&sys.shards);
         assert_eq!(again.late_chunks, (max_lag - max_batch) as u64);
         assert_eq!((again.drains, again.chunks, again.max_batch), (0, 0, 0));
         assert_eq!(sys.guided_chunks(), max_batch as u64);
 
         // A closed plane's thread computes the rest before it returns.
         plane.close();
-        plane.run(&sys.ctx, &sys.router);
+        plane.run(&sys);
         assert_eq!(plane.pending(), 0);
-        let last = plane.land(&mut sys.shards);
+        let last = plane.land(&sys.shards);
         assert_eq!(last.late_chunks, (max_lag - max_batch) as u64);
         assert_eq!(last.chunks, (max_lag - max_batch) as u64);
         assert_eq!(sys.guided_chunks(), max_lag as u64);
-        assert_eq!(plane.land(&mut sys.shards), GuidancePlaneReport::default());
+        assert_eq!(plane.land(&sys.shards), GuidancePlaneReport::default());
     }
 
     /// `close` wakes an idle plane thread, which returns; a closed plane
@@ -663,12 +589,12 @@ mod tests {
     /// empty, returns at once.
     #[test]
     fn a_closed_plane_refuses_offers_and_stops_its_threads() {
-        let mut sys = system(2);
+        let sys = system(2);
         let input_len = sys.ctx.cfg.input_len;
-        let plane = Arc::new(Plane::new(2, 8, 4));
+        let plane = std::sync::Arc::new(Plane::new(2, 8, 4));
         let idle = {
-            let (plane, ctx, router) = (Arc::clone(&plane), sys.ctx.clone(), sys.router.clone());
-            std::thread::spawn(move || plane.run(&ctx, &router))
+            let (plane, system) = (std::sync::Arc::clone(&plane), sys.share());
+            std::thread::spawn(move || plane.run(&system))
         };
         while plane.lock().idle == 0 {
             std::thread::yield_now();
@@ -690,8 +616,8 @@ mod tests {
         assert!(!port.offer(chunk(0, input_len), true));
         assert_eq!(plane.pending(), 0);
         assert_eq!(take_queued(&plane), 0);
-        plane.run(&sys.ctx, &sys.router);
-        assert_eq!(plane.land(&mut sys.shards), GuidancePlaneReport::default());
+        plane.run(&sys);
+        assert_eq!(plane.land(&sys.shards), GuidancePlaneReport::default());
         assert_eq!(sys.total_chunks(), 0);
     }
 }

@@ -10,8 +10,8 @@
 //! * a [`RequestSource`] produces timestamped [`Request`]s (the sources,
 //!   their arrival processes and the closed loop live in the private
 //!   `source` and `arrival` modules and are re-exported here);
-//! * a [`ServingSession`] (built by [`SessionBuilder`]) owns the shards
-//!   and worker threads of a [`ShardedRecMgSystem`] and exposes
+//! * a [`ServingSession`] (built by [`SessionBuilder`]) runs worker
+//!   threads over the shards of a [`ShardedRecMgSystem`] and exposes
 //!   non-blocking [`submit`](ServingSession::submit) /
 //!   [`drain`](ServingSession::drain) over bounded per-tenant queues with
 //!   admission control ([`AdmissionPolicy`]): requests are rejected when
@@ -25,15 +25,17 @@
 //!   ([`SlaBudget`]) guidance degrades per request, skip-ahead first, then
 //!   prefetch-off, reusing the paper's §VI-C skip machinery. The
 //!   background guidance threads and their one-lock handshake are the
-//!   private `plane` module's; this one starts them (or takes over the
-//!   plane a `serve()` call left running) and joins them;
+//!   private `plane` module's; this one starts and joins them;
 //! * [`drain`](ServingSession::drain) joins every thread and folds the
-//!   per-worker logs (no locks on the serving path) into a
-//!   [`SessionReport`] (private `report` module, re-exported here).
+//!   per-worker logs (each behind its own worker's lock, so workers never
+//!   contend on them) into a [`SessionReport`] (private `report` module,
+//!   re-exported here). Dropping an undrained session joins its threads
+//!   too.
 //!
 //! The batch API is a thin wrapper:
-//! [`ShardedRecMgSystem::serve`](crate::ShardedRecMgSystem::serve) builds a
-//! 1:1 batch-backed session, so there is exactly one serving path. With one
+//! [`ShardedRecMgSystem::serve`](crate::ShardedRecMgSystem::serve) submits
+//! to a batch-backed session the system holds across calls, so there is
+//! exactly one serving path. With one
 //! worker, inline guidance, and an unbounded queue, a session reproduces
 //! the sequential [`RecMgSystem`](crate::RecMgSystem) counts exactly — the
 //! parity oracle of `tests/integration_streaming.rs`.
@@ -41,7 +43,7 @@
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -54,8 +56,8 @@ use crate::config::{AdmissionPolicy, DegradeLevel, SlaBudget, TenantSpec};
 use crate::engine::{EngineReport, GuidanceMode, GuidancePlaneReport};
 use crate::fast::FastScratch;
 use crate::migrate::{self, LiveRebalanceConfig, LiveState};
-use crate::plane::{Plane, RunningPlane};
-use crate::sharding::{GuidanceCtx, Guide, Shard, ShardRouter, ShardedRecMgSystem};
+use crate::plane::Plane;
+use crate::sharding::{Guide, ShardedRecMgSystem};
 use crate::tier::{ShardPlacement, TierUsage};
 
 pub use crate::arrival::{ArrivalProcess, MarkovArrivals};
@@ -100,24 +102,66 @@ impl TenantCounters {
 }
 
 /// Everything a [`SessionProgress`] reads, in an allocation of its own
-/// (see there for why).
+/// (see there for why), and the condvar its readers wait on.
 #[derive(Debug)]
 pub(crate) struct ProgressCounters {
     /// Completions so far — the one session-wide counter, because
-    /// [`SessionProgress`] polls it from closed-loop sources.
+    /// [`SessionProgress`] reads it from closed-loop sources.
     pub(crate) completed_requests: AtomicU64,
     /// Index = [`Request::tenant`].
     pub(crate) tenants: Vec<TenantCounters>,
-    /// Set by [`ServingSession::drain`] once every session thread has
-    /// been joined.
+    /// Set once the session's workers and fill threads are joined, or a
+    /// worker panicked.
     pub(crate) drained: AtomicBool,
+    /// Threads blocked in [`ProgressCounters::wait`], counted under the
+    /// lock `changed` waits on, so a notifier with nobody to wake makes no
+    /// futex call.
+    waiters: Mutex<usize>,
+    /// Notified after every completion, rejection and shed, and when the
+    /// session is drained.
+    changed: Condvar,
+}
+
+impl ProgressCounters {
+    /// Wakes every waiter to re-check its condition. Callers change the
+    /// counters first; a waiter checks them under the lock taken here, so
+    /// no change is missed.
+    fn notify(&self) {
+        if *self.waiters.lock().expect("progress lock") > 0 {
+            self.changed.notify_all();
+        }
+    }
+
+    /// Blocks until `done` holds or the session is drained.
+    pub(crate) fn wait(&self, done: impl Fn() -> bool) {
+        let mut waiters = self.waiters.lock().expect("progress lock");
+        while !done() && !self.drained.load(Ordering::Acquire) {
+            *waiters += 1;
+            waiters = self.changed.wait(waiters).expect("progress lock");
+            *waiters -= 1;
+        }
+    }
+}
+
+/// Held by a serving worker: if the worker panics, the session counts as
+/// drained, so a `serve()` call waiting for its completions wakes up
+/// instead of blocking for good.
+struct PanicNotice<'a>(&'a ProgressCounters);
+
+impl Drop for PanicNotice<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.drained.store(true, Ordering::Release);
+            self.0.notify();
+        }
+    }
 }
 
 /// The session's per-tenant request queues, the weighted-fair
 /// bookkeeping and the `closed` flag, all under the one queue mutex.
 struct TenantQueues {
     queues: Vec<VecDeque<Admitted>>,
-    /// Set by [`ServingSession::drain`]: workers exit once the queues are
+    /// Set when the session stops: workers exit once the queues are
     /// empty.
     closed: bool,
     /// The weighted-fair share history: requests dequeued per tenant,
@@ -187,12 +231,11 @@ impl TenantQueues {
     }
 }
 
-/// State shared between the submitting side, serving workers, and the
-/// guidance plane.
-struct SessionShared {
-    ctx: GuidanceCtx,
-    router: ShardRouter,
-    shards: Vec<Mutex<Shard>>,
+/// State shared between the submitting side and every session thread.
+pub(crate) struct SessionShared {
+    /// The system served: its context, router and the shards it shares
+    /// with every other handle on them.
+    system: ShardedRecMgSystem,
     queue: Mutex<TenantQueues>,
     available: Condvar,
     admission: AdmissionPolicy,
@@ -201,18 +244,42 @@ struct SessionShared {
     /// [`Request::tenant`].
     tenants: Vec<TenantSpec>,
     counters: Arc<ProgressCounters>,
-    plane: Option<Arc<Plane>>,
+    plane: Option<Plane>,
     /// Live-migration state when the session was built with
     /// [`SessionBuilder::live`].
     live: Option<LiveState>,
+    /// One serving log per worker, each behind its own lock: the worker
+    /// appends every request it finishes, and a report takes the logs.
+    logs: Vec<Mutex<WorkerLog>>,
 }
 
-/// Per-worker serving log. Workers append to their own log without taking
-/// any lock on the serving path; logs are merged once at drain.
+/// Per-worker serving log since the last report.
 #[derive(Default)]
 struct WorkerLog {
     stats: BatchAccessStats,
     samples: Vec<RequestSample>,
+}
+
+/// Where a report's deltas start: the system's counters when the session
+/// started, or when the running `serve()` call submitted its batches.
+struct Mark {
+    at: Instant,
+    guided: u64,
+    chunks: u64,
+    tiers: Vec<TierUsage>,
+    fills: FillPlaneReport,
+}
+
+impl Mark {
+    fn now(system: &ShardedRecMgSystem) -> Self {
+        Mark {
+            at: Instant::now(),
+            guided: system.guided_chunks(),
+            chunks: system.total_chunks(),
+            tiers: system.tier_usage(),
+            fills: system.fill_report(),
+        }
+    }
 }
 
 /// Why [`ServingSession::submit`] refused a request.
@@ -332,10 +399,10 @@ impl SessionBuilder {
     /// Consumes `system` and starts the session's worker (and, in
     /// background guidance mode, plane) threads. [`ServingSession::drain`]
     /// returns the system. Guidance scheduling falls back to the system's
-    /// build-time default when not set on this builder. A guidance plane
-    /// left running by a [`serve`](ShardedRecMgSystem::serve) call is
-    /// taken over when its mode matches; otherwise its guidance lands
-    /// ([`ShardedRecMgSystem::settle_guidance`]) before the session starts.
+    /// build-time default when not set on this builder. The runtime a
+    /// [`serve`](ShardedRecMgSystem::serve) call left running stops first,
+    /// and its guidance lands
+    /// ([`ShardedRecMgSystem::settle_guidance`]).
     ///
     /// # Panics
     ///
@@ -354,33 +421,24 @@ impl SessionBuilder {
         for tenant in &tenants {
             tenant.validate();
         }
-        let guidance = self.guidance.unwrap_or(system.default_guidance());
-        // A plane carried over from a `serve()` call runs on only under
-        // the same mode; otherwise what it owes lands before the counters
-        // below are read.
-        if system.plane.as_ref().is_some_and(|p| !p.runs(guidance)) {
-            system.settle_guidance();
-        }
-        let tiers_before = system.tier_usage();
-        let fills_before = system.fill_report();
-        let guided_before = system.guided_chunks();
-        let chunks_before = system.total_chunks();
-        let ShardedRecMgSystem {
-            ctx,
-            router,
-            shards,
-            plane: carried,
-        } = system;
-        let plane = match (guidance, carried) {
-            (GuidanceMode::Inline, _) => None,
-            (_, Some(running)) => Some(running),
-            (mode, None) => Some(RunningPlane::start(mode, &ctx, &router)),
+        let (plane, plane_threads) = match self.guidance.unwrap_or(system.default_guidance()) {
+            GuidanceMode::Inline => (None, 0),
+            GuidanceMode::Background {
+                threads,
+                max_lag,
+                max_batch,
+            } => {
+                assert!(threads > 0, "need at least one guidance thread");
+                let plane = Plane::new(system.num_shards(), max_lag, max_batch);
+                (Some(plane), threads)
+            }
         };
-
+        // Stopping the held runtime lands what its plane owes before the
+        // counters are marked.
+        system.settle_guidance();
+        let mark = Mark::now(&system);
         let shared = Arc::new(SessionShared {
-            ctx,
-            router,
-            shards: shards.into_iter().map(Mutex::new).collect(),
+            system,
             queue: Mutex::new(TenantQueues::new(tenants.len())),
             available: Condvar::new(),
             admission: self.admission,
@@ -391,38 +449,39 @@ impl SessionBuilder {
                     .map(|_| TenantCounters::default())
                     .collect(),
                 drained: AtomicBool::new(false),
+                waiters: Mutex::new(0),
+                changed: Condvar::new(),
             }),
             tenants,
-            plane: plane.as_ref().map(RunningPlane::plane),
+            plane,
             live: self.live.map(LiveState::new),
+            logs: (0..self.workers).map(|_| Mutex::default()).collect(),
         });
 
         let workers = (0..self.workers)
+            .map(|i| spawn(&shared, move |s| worker_loop(s, &s.logs[i])))
+            .collect();
+        let plane_threads = (0..plane_threads)
+            .map(|_| spawn(&shared, |s| s.plane.as_ref().expect("plane").run(&s.system)))
+            .collect();
+        let rebalancer = shared
+            .live
+            .iter()
             .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared))
+                spawn(&shared, |s| {
+                    migrate::live_loop(s.live.as_ref().expect("live"), &s.system)
+                })
             })
             .collect();
-
-        let rebalancer = shared.live.is_some().then(|| {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                let live = shared.live.as_ref().expect("live state checked above");
-                migrate::live_loop(live, &shared.shards, &shared.ctx, &shared.router);
-            })
-        });
-
-        // Async fill plane: re-arm the queue (a prior session's drain
+        // Async fill plane: re-arm the queue (a prior session's stop
         // closed it) and spawn the fill threads that promote queued
         // slow-tier misses into residency.
-        let fill_threads = match (&shared.ctx.fill_queue, shared.ctx.fill_mode) {
+        let ctx = &shared.system.ctx;
+        let fill_threads = match (&ctx.fill_queue, ctx.fill_mode) {
             (Some(queue), FillMode::Async { threads, .. }) => {
                 queue.open();
                 (0..threads.max(1))
-                    .map(|_| {
-                        let shared = Arc::clone(&shared);
-                        std::thread::spawn(move || fill_loop(&shared))
-                    })
+                    .map(|_| spawn(&shared, fill_loop))
                     .collect()
             }
             _ => Vec::new(),
@@ -430,42 +489,63 @@ impl SessionBuilder {
 
         ServingSession {
             shared,
-            workers,
-            plane,
             rebalancer,
+            workers,
             fill_threads,
-            epoch: Instant::now(),
-            guided_before,
-            chunks_before,
-            tiers_before,
-            fills_before,
+            plane_threads,
+            mark,
         }
     }
 }
 
-/// A running streaming-serving instance: owns the shards and threads of a
+/// Runs `body` on a new thread that holds the session's shared state.
+fn spawn(
+    shared: &Arc<SessionShared>,
+    body: impl FnOnce(&SessionShared) + Send + 'static,
+) -> JoinHandle<()> {
+    let shared = Arc::clone(shared);
+    std::thread::spawn(move || body(&shared))
+}
+
+/// Joins `threads`; returns whether none of them panicked.
+fn join_all(threads: &mut Vec<JoinHandle<()>>) -> bool {
+    let mut clean = true;
+    for handle in threads.drain(..) {
+        clean &= handle.join().is_ok();
+    }
+    clean
+}
+
+/// A running streaming-serving instance: threads over the shards of a
 /// [`ShardedRecMgSystem`] between [`SessionBuilder::build`] and
-/// [`ServingSession::drain`].
+/// [`ServingSession::drain`]. Dropping it undrained stops it too: its
+/// threads serve what was admitted and are joined, so none outlives it
+/// holding the shards.
 pub struct ServingSession {
     shared: Arc<SessionShared>,
-    workers: Vec<JoinHandle<WorkerLog>>,
-    plane: Option<RunningPlane>,
-    rebalancer: Option<JoinHandle<()>>,
+    // Joined in this order when the session stops.
+    rebalancer: Vec<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
     fill_threads: Vec<JoinHandle<()>>,
-    epoch: Instant,
-    guided_before: u64,
-    chunks_before: u64,
-    tiers_before: Vec<TierUsage>,
-    fills_before: FillPlaneReport,
+    plane_threads: Vec<JoinHandle<()>>,
+    mark: Mark,
 }
 
 impl std::fmt::Debug for ServingSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServingSession")
             .field("workers", &self.workers.len())
-            .field("plane", &self.plane)
+            .field("plane_pending", &self.plane_pending())
             .field("queue_len", &self.queue_len())
             .finish_non_exhaustive()
+    }
+}
+
+impl Drop for ServingSession {
+    /// Stops the session like [`drain`](ServingSession::drain) without
+    /// the report; a thread's panic is not raised again here.
+    fn drop(&mut self) {
+        self.halt();
     }
 }
 
@@ -517,6 +597,7 @@ impl ServingSession {
             if let Some(d) = deadline_at {
                 if Instant::now() > d {
                     counters.rejected_deadline.fetch_add(1, Ordering::Relaxed);
+                    shared.counters.notify();
                     return Err(Rejection::DeadlineBlown);
                 }
             }
@@ -528,6 +609,7 @@ impl ServingSession {
                 .is_some_and(|quota| queue.queues[tenant].len() >= quota);
             if over_quota || queue.total_len() >= shared.admission.queue_depth {
                 counters.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
+                shared.counters.notify();
                 return Err(Rejection::QueueFull);
             }
             queue.push(
@@ -601,9 +683,9 @@ impl ServingSession {
     }
 
     /// A clonable progress view for feedback-driven sources
-    /// ([`ClosedLoopSource`]). The view shares only the counters: it
-    /// never keeps session state alive, and saturates once the session is
-    /// drained.
+    /// ([`ClosedLoopSource`]). The view shares only the counters and the
+    /// condvar that signals them: it never keeps session state alive, and
+    /// saturates once the session is drained.
     pub fn progress(&self) -> SessionProgress {
         SessionProgress::new(Arc::clone(&self.shared.counters))
     }
@@ -614,7 +696,7 @@ impl ServingSession {
     /// a caller wait for full guidance quiescence — the lockstep oracle of
     /// `tests/integration_streaming.rs`.
     pub fn plane_pending(&self) -> usize {
-        self.shared.plane.as_deref().map_or(0, Plane::pending)
+        self.shared.plane.as_ref().map_or(0, Plane::pending)
     }
 
     /// Manually moves shard `shard` to `placement` while requests flow —
@@ -632,8 +714,9 @@ impl ServingSession {
         let Some(live) = &self.shared.live else {
             return false;
         };
-        assert!(shard < self.shared.shards.len(), "shard out of range");
-        let tiers = self.shared.ctx.topology.num_tiers();
+        let system = &self.shared.system;
+        assert!(shard < system.shards.len(), "shard out of range");
+        let tiers = system.ctx.topology.num_tiers();
         assert!(
             placement.tier < tiers,
             "tier {} out of range ({tiers} tiers)",
@@ -641,8 +724,8 @@ impl ServingSession {
         );
         migrate::migrate_shard(
             live,
-            &self.shared.shards,
-            &self.shared.ctx.topology,
+            &system.shards,
+            &system.ctx.topology,
             shard,
             &placement,
         );
@@ -660,14 +743,9 @@ impl ServingSession {
         let Some(live) = &self.shared.live else {
             return false;
         };
-        assert!(shard < self.shared.shards.len(), "shard out of range");
-        migrate::set_replica(
-            live,
-            &self.shared.shards,
-            &self.shared.ctx.topology,
-            shard,
-            capacity,
-        )
+        let system = &self.shared.system;
+        assert!(shard < system.shards.len(), "shard out of range");
+        migrate::set_replica(live, &system.shards, &system.ctx.topology, shard, capacity)
     }
 
     /// The current route epoch: the clock replica TTLs run on, one tick
@@ -690,114 +768,35 @@ impl ServingSession {
     /// threads, and returns the (warm) system together with the session
     /// report. The guidance a background plane still owed is computed
     /// and applied before this returns, and the report counts it.
-    pub fn drain(self) -> (ShardedRecMgSystem, SessionReport) {
-        let (epoch, tiers_before) = (self.epoch, self.tiers_before.clone());
-        let (mut system, mut report) = self.close();
-        let settled = system.settle_guidance();
-        let engine = &mut report.engine;
-        engine.guided_chunks += settled.late_chunks;
-        engine.plane.model_forwards += settled.model_forwards;
-        engine.plane.drains += settled.drains;
-        engine.plane.chunks += settled.chunks;
-        engine.plane.max_batch = engine.plane.max_batch.max(settled.max_batch);
-        engine.tiers = tiers_since(&system, &tiers_before);
-        engine.elapsed_secs = epoch.elapsed().as_secs_f64();
-        (system, report)
-    }
-
-    /// [`drain`](ServingSession::drain) up to the guidance plane, which
-    /// goes back with the system still running: the guidance it has
-    /// parked is applied, and the chunks it has not computed stay queued
-    /// for the next session over the system (or a
-    /// [`ShardedRecMgSystem::settle_guidance`]) to land —
-    /// [`ShardedRecMgSystem::serve`]'s close.
-    pub(crate) fn close(mut self) -> (ShardedRecMgSystem, SessionReport) {
-        // Stop the live rebalancer before anything else: it finishes the
-        // shard move in hand and makes no more.
-        if let Some(live) = &self.shared.live {
-            live.stop.store(true, Ordering::Release);
-        }
-        if let Some(handle) = self.rebalancer.take() {
-            handle.join().expect("live rebalancer does not panic");
-        }
-        self.shared.queue.lock().expect("queue lock").closed = true;
-        self.shared.available.notify_all();
-
-        let mut stats = BatchAccessStats::default();
-        let mut samples: Vec<RequestSample> = Vec::new();
-        for handle in self.workers.drain(..) {
-            let log = handle.join().expect("session worker does not panic");
-            stats.accumulate(log.stats);
-            samples.extend(log.samples);
-        }
-        // Close the fill queue once no worker can queue a fill: `close`
-        // lets the fill threads drain the backlog, so every queued fill
-        // either lands as a promotion or stays counted in the report.
-        if let Some(queue) = &self.shared.ctx.fill_queue {
-            queue.close();
-        }
-        for handle in self.fill_threads.drain(..) {
-            handle.join().expect("fill plane does not panic");
-        }
-        let elapsed_secs = self.epoch.elapsed().as_secs_f64();
-
-        // Every thread that held the shared state is joined, and progress
-        // views hold only the counters, so this is the last reference.
-        self.shared.counters.drained.store(true, Ordering::Release);
-        let shared = match Arc::try_unwrap(self.shared) {
-            Ok(shared) => shared,
-            Err(_) => unreachable!("all session threads joined"),
-        };
-        let SessionShared {
-            ctx,
-            router,
-            shards,
-            plane,
-            live,
-            sla,
-            tenants,
-            counters,
-            ..
-        } = shared;
-        let mut shards: Vec<Shard> = shards
-            .into_iter()
-            .map(|m| m.into_inner().expect("shard lock"))
-            .collect();
-        let (migration, mut replication) = match live {
-            Some(live) => {
-                let route_epoch = live.route_epoch();
-                let mut totals = live.totals.into_inner().expect("live totals lock");
-                totals.0.route_epoch = route_epoch;
+    pub fn drain(mut self) -> (ShardedRecMgSystem, SessionReport) {
+        let plane = self.stop();
+        let (mut engine, samples) = self.report(plane);
+        let shared = &*self.shared;
+        let (migration, mut replication) =
+            shared.live.as_ref().map_or_else(Default::default, |live| {
+                let mut totals = *live.totals.lock().expect("live totals lock");
+                totals.0.route_epoch = live.route_epoch();
                 totals
-            }
-            None => Default::default(),
-        };
+            });
         // Strip replicas before handing the system back: replicas are a
         // session-lifetime accelerator, not part of the durable placement.
         // Their counters fold into the replication report.
-        for shard in &mut shards {
-            if let Some(replica) = shard.replica.take() {
+        for shard in shared.system.shards.iter() {
+            if let Some(replica) = shard.lock().expect("shard lock").replica.take() {
                 replication.replicated_shards += 1;
                 replication.accumulate(&replica.report);
             }
         }
-        let plane_report = GuidancePlaneReport {
-            kernel_lane: ctx.kernel_label(),
-            ..plane.map_or_else(Default::default, |p| p.land(&mut shards))
-        };
-        let system = ShardedRecMgSystem {
-            ctx,
-            router,
-            shards,
-            plane: self.plane.take(),
-        };
-        let tiers = tiers_since(&system, &self.tiers_before);
+        engine.migration = migration;
+        engine.replication = replication;
 
+        let (sla, counters) = (shared.sla, &shared.counters);
         let latency = LatencySummary::from_durations(samples.iter().map(|s| s.latency).collect());
         let queue_wait =
             LatencySummary::from_durations(samples.iter().map(|s| s.queue_wait).collect());
         let sla_outcome = sla.map(|budget| SlaOutcome::over(budget, samples.iter()));
-        let tenant_reports: Vec<TenantReport> = tenants
+        let tenant_reports: Vec<TenantReport> = shared
+            .tenants
             .iter()
             .zip(&counters.tenants)
             .enumerate()
@@ -826,22 +825,7 @@ impl ServingSession {
         let across_tenants =
             |field: fn(&TenantReport) -> u64| -> u64 { tenant_reports.iter().map(field).sum() };
         let report = SessionReport {
-            engine: EngineReport {
-                stats,
-                batches: samples.len(),
-                guided_chunks: system.guided_chunks() - self.guided_before,
-                total_chunks: system.total_chunks() - self.chunks_before,
-                elapsed_secs,
-                plane: plane_report,
-                tiers,
-                unique_keys: system.unique_keys(),
-                max_phase_score: system.max_phase_score(),
-                migration,
-                replication,
-                tables: system.table_report(),
-                calibration: system.calibration_report().clone(),
-                fills: system.fill_report().delta_since(&self.fills_before),
-            },
+            engine,
             submitted: across_tenants(|t| t.submitted),
             rejected_queue_full: across_tenants(|t| t.rejected_queue_full),
             rejected_deadline: across_tenants(|t| t.rejected_deadline),
@@ -852,19 +836,114 @@ impl ServingSession {
             sla: sla_outcome,
             tenants: tenant_reports,
         };
-        (system, report)
+        (shared.system.share(), report)
     }
-}
 
-/// Per-tier report: occupancy now, traffic as the delta since `before`
-/// (tier counters are cumulative on the buffers).
-fn tiers_since(system: &ShardedRecMgSystem, before: &[TierUsage]) -> Vec<TierUsage> {
-    system
-        .tier_usage()
-        .iter()
-        .zip(before)
-        .map(|(now, before)| now.delta_since(before))
-        .collect()
+    /// Serves `batches` on the session's threads and blocks until every
+    /// one is served and the fills its misses queued have landed: one
+    /// [`ShardedRecMgSystem::serve`] call on the runtime its system holds.
+    /// The report covers this call only; the guidance the plane has not
+    /// computed yet stays queued on it.
+    pub(crate) fn serve(&mut self, batches: &[&[VectorKey]]) -> EngineReport {
+        self.mark = Mark::now(&self.shared.system);
+        let target = self.completed_requests() + batches.len() as u64;
+        self.ingest(&mut BatchSource::new(batches));
+        let done = || self.completed_requests() >= target;
+        self.shared.counters.wait(done);
+        assert!(done(), "a serving worker panicked");
+        if let Some(queue) = &self.shared.system.ctx.fill_queue {
+            queue.wait_idle();
+        }
+        self.report(self.land()).0
+    }
+
+    /// Stops the session ([`ServingSession::halt`]) and lands what its
+    /// plane owes. Returns the plane's accounting since the last landing.
+    pub(crate) fn stop(&mut self) -> GuidancePlaneReport {
+        assert!(self.halt(), "a session thread panicked");
+        self.land()
+    }
+
+    /// Stops every thread, in dependency order: the live rebalancer
+    /// finishes the shard move in hand, the workers serve everything
+    /// already admitted, the fill threads land every fill the workers
+    /// queued, and the plane threads compute every chunk still queued.
+    /// Each is joined before the next is told to stop. Returns whether
+    /// every thread ran to its end without a panic; panics itself only
+    /// on a lock a panicking thread poisoned.
+    fn halt(&mut self) -> bool {
+        let shared = &*self.shared;
+        if let Some(live) = &shared.live {
+            live.stop.store(true, Ordering::Release);
+        }
+        let mut clean = join_all(&mut self.rebalancer);
+        // Setting the flag leaves the queues valid even if a panicking
+        // thread poisoned their lock.
+        shared
+            .queue
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .closed = true;
+        shared.available.notify_all();
+        clean &= join_all(&mut self.workers);
+        if let Some(queue) = &shared.system.ctx.fill_queue {
+            queue.close();
+        }
+        clean &= join_all(&mut self.fill_threads);
+        shared.counters.drained.store(true, Ordering::Release);
+        shared.counters.notify();
+        if let Some(plane) = &shared.plane {
+            plane.close();
+        }
+        clean & join_all(&mut self.plane_threads)
+    }
+
+    /// Applies the guidance the plane has parked and returns its
+    /// accounting since the last landing, kernel lane included.
+    fn land(&self) -> GuidancePlaneReport {
+        let (system, plane) = (&self.shared.system, self.shared.plane.as_ref());
+        let report = plane.map_or_else(Default::default, |p| p.land(&system.shards));
+        GuidancePlaneReport {
+            kernel_lane: system.ctx.kernel_label(),
+            ..report
+        }
+    }
+
+    /// The engine report of the work since the mark, with the request
+    /// samples it merged: the worker logs are taken, `plane` comes from
+    /// the landing, and the rest is read off the system (migration and
+    /// replication are the drain's to fill in).
+    fn report(&self, plane: GuidancePlaneReport) -> (EngineReport, Vec<RequestSample>) {
+        let (mut stats, mut samples) = (BatchAccessStats::default(), Vec::new());
+        for log in &self.shared.logs {
+            let log = std::mem::take(&mut *log.lock().expect("worker log lock"));
+            stats.accumulate(log.stats);
+            samples.extend(log.samples);
+        }
+        let (system, mark) = (&self.shared.system, &self.mark);
+        let engine = EngineReport {
+            stats,
+            batches: samples.len(),
+            guided_chunks: system.guided_chunks() - mark.guided,
+            total_chunks: system.total_chunks() - mark.chunks,
+            elapsed_secs: mark.at.elapsed().as_secs_f64(),
+            plane,
+            tiers: system
+                .tier_usage()
+                .iter()
+                .zip(&mark.tiers)
+                .map(|(now, before)| now.delta_since(before))
+                .collect(),
+            unique_keys: system.unique_keys(),
+            max_phase_score: system.max_phase_score(),
+            migration: Default::default(),
+            replication: Default::default(),
+            tables: system.table_report(),
+            calibration: system.calibration_report().clone(),
+            fills: system.fill_report().delta_since(&mark.fills),
+        };
+        (engine, samples)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -887,8 +966,8 @@ fn pop_request(shared: &SessionShared) -> Option<Admitted> {
     }
 }
 
-fn worker_loop(shared: &SessionShared) -> WorkerLog {
-    let mut log = WorkerLog::default();
+fn worker_loop(shared: &SessionShared, log: &Mutex<WorkerLog>) {
+    let _notice = PanicNotice(&shared.counters);
     // Per-worker shard-split scratch: the router refills these vectors on
     // every request, so the per-request path allocates nothing once the
     // per-shard capacities have warmed up.
@@ -896,13 +975,15 @@ fn worker_loop(shared: &SessionShared) -> WorkerLog {
     // Model-forward buffers for the plane batches this worker computes
     // while pacing at a shard's lag limit (`PlanePort::pace`).
     let scratch = RefCell::new(FastScratch::default());
+    let counters = &shared.counters;
     while let Some(request) = pop_request(shared) {
         let dequeued = Instant::now();
-        let counters = &shared.counters.tenants[request.tenant];
+        let tenant = &counters.tenants[request.tenant];
         if shared.admission.shed_blown {
             if let Some(d) = request.deadline_at {
                 if dequeued > d {
-                    counters.shed_in_queue.fetch_add(1, Ordering::Relaxed);
+                    tenant.shed_in_queue.fetch_add(1, Ordering::Relaxed);
+                    counters.notify();
                     continue;
                 }
             }
@@ -912,15 +993,18 @@ fn worker_loop(shared: &SessionShared) -> WorkerLog {
         // pressure degradation (and later, its report's SLA section).
         let budget = shared.tenants[request.tenant].sla.or(shared.sla);
         let degrade = budget.map_or(DegradeLevel::None, |sla| sla.level(queue_wait));
+        let mut stats = BatchAccessStats::default();
         serve_request(
             shared,
             &request.keys,
             degrade,
-            &mut log.stats,
+            &mut stats,
             &mut parts,
             &scratch,
         );
         let finished = Instant::now();
+        let mut log = log.lock().expect("worker log lock");
+        log.stats.accumulate(stats);
         log.samples.push(RequestSample {
             id: request.id,
             tenant: request.tenant,
@@ -930,12 +1014,12 @@ fn worker_loop(shared: &SessionShared) -> WorkerLog {
             deadline_met: request.deadline_at.map(|d| finished <= d),
             degrade,
         });
-        shared
-            .counters
-            .completed_requests
-            .fetch_add(1, Ordering::AcqRel);
+        drop(log);
+        // Published after the log, so whoever sees the count finds the
+        // sample.
+        counters.completed_requests.fetch_add(1, Ordering::AcqRel);
+        counters.notify();
     }
-    log
 }
 
 /// Serves one request's keys across its home shards at the chosen
@@ -950,19 +1034,23 @@ fn serve_request(
     parts: &mut Vec<Vec<VectorKey>>,
     scratch: &RefCell<FastScratch>,
 ) {
-    shared.router.split_into(keys, parts);
+    let system = &shared.system;
+    system.router.split_into(keys, parts);
     for (sid, part) in parts.iter().enumerate() {
         if part.is_empty() {
             continue;
         }
-        let mut shard = shared.shards[sid].lock().expect("shard lock");
+        if let Some(live) = &shared.live {
+            live.step_aside();
+        }
+        let mut shard = system.shards[sid].lock().expect("shard lock");
         let port = shared
             .plane
             .as_ref()
-            .map(|p| p.port(sid, &shared.router, scratch));
+            .map(|p| p.port(sid, &system.router, scratch));
         let guide = match (degrade, port) {
             (DegradeLevel::None, Some(port)) => Guide::Plane(port),
-            (DegradeLevel::None, None) => Guide::Inline(&shared.router),
+            (DegradeLevel::None, None) => Guide::Inline(&system.router),
             (level, port) => {
                 // Degraded: no fresh guidance for this request (§VI-C
                 // skip-ahead on purpose). Background guidance that already
@@ -974,28 +1062,28 @@ fn serve_request(
                 Guide::Stale
             }
         };
-        shard.serve(part, stats, &shared.ctx, &guide);
+        shard.serve(part, stats, &system.ctx, &guide);
     }
 }
 
 /// Fill-plane thread body: pops coalesced slow-tier misses off the
 /// bounded queue and installs each row into its shard at the fill cost
 /// the entry carried from its origin miss
-/// ([`crate::RecMgBuffer`]`::promote_fill`). Exits once `drain` closes
-/// the queue and the backlog is dry, so every queued fill either lands
-/// as a promotion or stays counted (`coalesced`/`dropped`) in the
-/// [`FillPlaneReport`].
+/// ([`crate::RecMgBuffer`]`::promote_fill`). Exits once the session
+/// stops, closing the queue, and the backlog is dry, so every queued fill
+/// either lands as a promotion or stays counted (`coalesced`/`dropped`)
+/// in the [`FillPlaneReport`].
 fn fill_loop(shared: &SessionShared) {
-    let queue = shared
-        .ctx
-        .fill_queue
-        .as_ref()
-        .expect("fill threads only run in async fill mode");
+    let system = &shared.system;
+    let queue = system.ctx.fill_queue.as_ref();
+    let queue = queue.expect("fill threads only run in async fill mode");
     while let Some((sid, key, fill_ns)) = queue.pop_wait() {
-        let mut shard = shared.shards[sid].lock().expect("shard mutex poisoned");
+        let mut shard = system.shards[sid].lock().expect("shard mutex poisoned");
         if shard.buffer.promote_fill(key, fill_ns) {
             queue.note_promoted();
         }
+        drop(shard);
+        queue.done();
     }
 }
 
@@ -1008,8 +1096,15 @@ pub(crate) mod tests {
     use crate::json::JsonWriter;
     use crate::prefetch_model::PrefetchModel;
     use recmg_trace::SyntheticConfig;
-    use std::sync::mpsc;
+    use std::sync::{mpsc, Weak};
     use std::time::Duration;
+
+    /// The state every thread of the runtime `sys` holds, if it holds
+    /// one: alive exactly as long as one of those threads is.
+    pub(crate) fn held_runtime(sys: &ShardedRecMgSystem) -> Option<Weak<SessionShared>> {
+        let (_, session) = sys.runtime.as_ref()?;
+        Some(Arc::downgrade(&session.shared))
+    }
 
     /// The untrained 64-slot system the session, source and engine unit
     /// tests serve against.
@@ -1305,7 +1400,7 @@ pub(crate) mod tests {
                 .capacity(64)
                 .guidance(GuidanceMode::Inline),
         );
-        assert!(session.plane.is_none());
+        assert!(session.shared.plane.is_none());
         session.ingest(&mut BatchSource::new(&trace.batches(10)));
         let (_sys, report) = session.drain();
         assert_eq!(report.engine.stats.total(), trace.len() as u64);

@@ -23,8 +23,9 @@
 //!
 //! [`RecMgSystem`]: crate::RecMgSystem
 
+use std::ops::Deref;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use recmg_cache::{BufferAccess, GpuBuffer};
 use recmg_dlrm::{BatchAccessStats, BufferManager};
@@ -35,10 +36,11 @@ use crate::builder::SystemBuilder;
 use crate::caching_model::{CachingModel, FastCachingModel};
 use crate::codec::FrequencyRankCodec;
 use crate::config::RecMgConfig;
-use crate::engine::{GuidanceMode, GuidancePlaneReport};
+use crate::engine::{GuidanceMode, GuidancePlaneReport, ServeOptions};
 use crate::fast::FastScratch;
-use crate::plane::{PlanePort, RunningPlane};
+use crate::plane::PlanePort;
 use crate::prefetch_model::{FastPrefetchModel, PrefetchModel};
+use crate::session::ServingSession;
 use crate::system::RecMgSystem;
 use crate::table_profile::{pinned_tables_per_shard, TableDecision, TableProfile, TableProfiler};
 use crate::tier::{PlacementPolicy, ShardPlacement, TierTopology, TierUsage};
@@ -645,18 +647,53 @@ pub(crate) enum Guide<'a> {
 pub struct ShardedRecMgSystem {
     pub(crate) ctx: GuidanceCtx,
     pub(crate) router: ShardRouter,
-    pub(crate) shards: Vec<Shard>,
-    /// The background guidance plane a [`serve`](Self::serve) call left
-    /// running, with the guidance it had not computed when the call's
-    /// last access was served; the next call with the same
-    /// [`GuidanceMode`] takes it over ([`Self::settle_guidance`]). Every
-    /// other `&mut` entry point that touches the shards settles it first,
-    /// by reaching them through `shards_mut`; the field goes once
-    /// `serve()` keeps one session across calls.
-    pub(crate) plane: Option<RunningPlane>,
+    /// The shards, shared by the system, its sessions and their threads,
+    /// so they never move. `&self` readers lock each shard briefly;
+    /// `&mut` entry points stop the runtime and reach them lock-free
+    /// through `shards_mut`.
+    pub(crate) shards: Arc<[Mutex<Shard>]>,
+    /// The runtime the first [`serve`](Self::serve) call started — its
+    /// workers, guidance plane and fill threads — and the options it runs
+    /// under. Later calls with the same options submit to it; every other
+    /// `&mut` entry point stops it first ([`Self::settle_guidance`]), and
+    /// dropping the system joins it.
+    pub(crate) runtime: Option<(ServeOptions, ServingSession)>,
+}
+
+/// A locked shard, read through one of its parts: what the `&self`
+/// buffer accessors return.
+struct ShardRead<'a, T>(MutexGuard<'a, Shard>, fn(&Shard) -> &T);
+
+impl<T> Deref for ShardRead<'_, T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        (self.1)(&self.0)
+    }
 }
 
 impl ShardedRecMgSystem {
+    /// Another handle on the same shards, with no runtime of its own —
+    /// what a session holds and what its drain hands back.
+    pub(crate) fn share(&self) -> ShardedRecMgSystem {
+        ShardedRecMgSystem {
+            ctx: self.ctx.clone(),
+            router: self.router.clone(),
+            shards: Arc::clone(&self.shards),
+            runtime: None,
+        }
+    }
+
+    /// Shard `i`, locked.
+    fn shard(&self, i: usize) -> MutexGuard<'_, Shard> {
+        self.shards[i].lock().expect("shard lock")
+    }
+
+    /// Every shard in order, each locked while the caller looks at it.
+    fn each(&self) -> impl Iterator<Item = MutexGuard<'_, Shard>> {
+        self.shards.iter().map(|s| s.lock().expect("shard lock"))
+    }
+
     /// Starts a [`SystemBuilder`] over the given model parts — the
     /// construction API: explicit shards, [`TierTopology`], placement
     /// policy, and default guidance. Pass `prefetch: None` for the
@@ -680,7 +717,7 @@ impl ShardedRecMgSystem {
     ///
     /// Panics if `i` is out of range.
     pub fn shard_tier(&self, i: usize) -> usize {
-        self.shards[i].tier
+        self.shard(i).tier
     }
 
     /// Name of the placement policy that sized/routed the shards.
@@ -721,14 +758,14 @@ impl ShardedRecMgSystem {
     /// key into its shard (the in-session equivalent runs on background
     /// fill threads). Returns the number of fills that landed: 0 in
     /// blocking mode, where it touches nothing, and right after a session,
-    /// whose drain already landed the backlog. In async mode the guidance
-    /// a carried plane still owes lands first. The sequential path
+    /// whose drain already landed the backlog. In async mode the held
+    /// runtime stops first. The sequential path
     /// ([`BufferManager::process_batch`]) calls this after every batch.
     pub fn drain_fills(&mut self) -> u64 {
         let Some(queue) = self.ctx.fill_queue.clone() else {
             return 0;
         };
-        let (shards, ..) = self.shards_mut();
+        let (mut shards, ..) = self.shards_mut();
         let mut landed = 0;
         while let Some((sid, key, fill_ns)) = queue.pop_now() {
             if shards[sid].buffer.promote_fill(key, fill_ns) {
@@ -745,13 +782,13 @@ impl ShardedRecMgSystem {
     ///
     /// Panics if `i` is out of range.
     pub fn shard_traffic(&self, i: usize) -> TierTraffic {
-        self.shards[i].buffer.traffic()
+        self.shard(i).buffer.traffic()
     }
 
     /// Cumulative tier traffic of every shard buffer, in shard order —
     /// the stat vector the [`crate::Rebalancer`] snapshots and deltas.
     pub fn shard_traffics(&self) -> Vec<TierTraffic> {
-        self.shards.iter().map(|s| s.buffer.traffic()).collect()
+        self.each().map(|s| s.buffer.traffic()).collect()
     }
 
     /// Point-in-time working-set statistics of shard `i`'s demand stream
@@ -761,31 +798,27 @@ impl ShardedRecMgSystem {
     ///
     /// Panics if `i` is out of range.
     pub fn shard_working_set(&self, i: usize) -> crate::sketch::WorkingSetStats {
-        self.shards[i].buffer.working_set()
+        self.shard(i).buffer.working_set()
     }
 
     /// Cumulative demand accesses of every shard buffer, in shard order —
     /// raw counters only (no sketch work), cheap enough to poll on every
     /// batch.
     pub fn shard_demands(&self) -> Vec<u64> {
-        self.shards
-            .iter()
-            .map(|s| s.buffer.demand_count())
-            .collect()
+        self.each().map(|s| s.buffer.demand_count()).collect()
     }
 
     /// Cached per-shard phase scores, in shard order — `O(shards)`, no
     /// sketch merges; the vector the phase trigger scans on every check.
     pub fn shard_phase_scores(&self) -> Vec<f64> {
-        self.shards.iter().map(|s| s.buffer.phase_score()).collect()
+        self.each().map(|s| s.buffer.phase_score()).collect()
     }
 
     /// The largest phase score across shards — the "did any shard's
     /// working set just flip?" signal the phase-reactive
     /// [`crate::Rebalancer`] trigger reads.
     pub fn max_phase_score(&self) -> f64 {
-        self.shards
-            .iter()
+        self.each()
             .map(|s| s.buffer.phase_score())
             .fold(0.0, f64::max)
     }
@@ -793,8 +826,7 @@ impl ShardedRecMgSystem {
     /// Sketched unique-key footprint summed across shards (lossless: the
     /// router is a partition, so shard footprints are disjoint).
     pub fn unique_keys(&self) -> u64 {
-        self.shards
-            .iter()
+        self.each()
             .map(|s| s.buffer.working_set().unique_keys)
             .sum()
     }
@@ -803,7 +835,7 @@ impl ShardedRecMgSystem {
     /// shard buffers — the mass signal rebalancing runs on. Raw counters
     /// only: polling this never pays for sketch estimation.
     pub fn demand_accesses(&self) -> u64 {
-        self.shards.iter().map(|s| s.buffer.demand_count()).sum()
+        self.each().map(|s| s.buffer.demand_count()).sum()
     }
 
     /// Per-tier occupancy and cumulative traffic: which shards live
@@ -824,7 +856,7 @@ impl ShardedRecMgSystem {
                 traffic: Default::default(),
             })
             .collect();
-        for shard in &self.shards {
+        for shard in self.each() {
             let u = &mut usages[shard.tier];
             u.shards += 1;
             u.capacity += shard.buffer.capacity();
@@ -834,35 +866,35 @@ impl ShardedRecMgSystem {
         usages
     }
 
-    /// Lands the guidance a [`serve`](Self::serve) call left to the
-    /// background plane it keeps running: joins the plane threads once
-    /// they have computed everything still queued, and applies it. Returns
-    /// the plane's accounting since the call's close: `chunks` it computed
-    /// since then and `late_chunks`, the chunks whose guidance landed here
-    /// (all zeros when no plane was carried). The next `serve()` call with
-    /// the same [`GuidanceMode`] would instead have computed those chunks
-    /// while it served, so call this only to read a fully guided system —
-    /// its guidance counters or buffer contents — after `serve()`.
+    /// Stops the runtime a [`serve`](Self::serve) call left running:
+    /// joins its workers and fill threads, then its guidance plane once it
+    /// has computed everything still queued, and applies that guidance.
+    /// Returns the plane's accounting since the last call's close: `chunks`
+    /// it computed since then and `late_chunks`, the chunks whose guidance
+    /// landed here (all counts zero when no runtime is held, or it guides
+    /// inline). The next `serve()` call with the same options would
+    /// instead have computed those chunks while it served, so call this
+    /// only to read a fully guided system — its guidance counters or
+    /// buffer contents — after `serve()`. Every other `&mut` entry point —
     /// [`process_batch`](BufferManager::process_batch),
-    /// [`drain_fills`](Self::drain_fills), the rebalancing methods and a
-    /// session with a different guidance mode settle first on their own.
+    /// [`drain_fills`](Self::drain_fills), the rebalancing methods, the
+    /// guidance knobs and [`SessionBuilder::build`](crate::SessionBuilder::build)
+    /// — stops the runtime first on its own.
     pub fn settle_guidance(&mut self) -> GuidancePlaneReport {
-        let Some(running) = self.plane.take() else {
-            return GuidancePlaneReport::default();
-        };
-        GuidancePlaneReport {
-            kernel_lane: self.ctx.kernel_label(),
-            ..running.join().land(&mut self.shards)
-        }
+        self.runtime
+            .take()
+            .map_or_else(Default::default, |(_, mut session)| session.stop())
     }
 
     /// The shards, for an entry point that drives them, with the read-only
-    /// context and router beside them. The guidance a carried
-    /// [`plane`](Self::plane) still owes lands first, so every `&mut`
-    /// path to the shards keeps the settle rule by going through here.
-    fn shards_mut(&mut self) -> (&mut [Shard], &GuidanceCtx, &ShardRouter) {
+    /// context and router beside them. The runtime stops first, so every
+    /// `&mut` path to the shards keeps the stop rule by going through
+    /// here, and reaches them without a lock.
+    fn shards_mut(&mut self) -> (Vec<&mut Shard>, &GuidanceCtx, &ShardRouter) {
         self.settle_guidance();
-        (&mut self.shards, &self.ctx, &self.router)
+        let shards = Arc::get_mut(&mut self.shards).expect("a stopped runtime shares no shard");
+        let shards = shards.iter_mut().map(|s| s.get_mut().expect("shard lock"));
+        (shards.collect(), &self.ctx, &self.router)
     }
 
     /// Re-places every shard by running the system's placement policy
@@ -888,7 +920,7 @@ impl ShardedRecMgSystem {
     ///
     /// Panics if `stats` does not hold one entry per shard.
     pub fn rebalance_from(&mut self, stats: &[TierTraffic]) -> bool {
-        let (shards, ctx, router) = self.shards_mut();
+        let (mut shards, ctx, router) = self.shards_mut();
         let profiles = TableProfiler::merge(shards.iter().filter_map(|s| s.profiler.as_ref()));
         let (mut changed, plan) = ctx.plan(router, stats, &profiles);
         for (shard, (placement, pins)) in shards.iter_mut().zip(&plan) {
@@ -902,7 +934,8 @@ impl ShardedRecMgSystem {
     /// — empty unless the placement policy enabled profiling
     /// ([`PlacementPolicy::table_capacity`] > 0).
     pub fn table_profiles(&self) -> Vec<TableProfile> {
-        TableProfiler::merge(self.shards.iter().filter_map(|s| s.profiler.as_ref()))
+        let shards: Vec<MutexGuard<'_, Shard>> = self.each().collect();
+        TableProfiler::merge(shards.iter().filter_map(|s| s.profiler.as_ref()))
     }
 
     /// Per-table report rows: each merged profile joined with the routing
@@ -959,6 +992,7 @@ impl ShardedRecMgSystem {
     /// Panics if `stride` is zero.
     pub fn set_guidance_stride(&mut self, stride: usize) {
         assert!(stride > 0, "stride must be positive");
+        self.settle_guidance();
         self.ctx.guidance_stride = stride;
     }
 
@@ -973,68 +1007,73 @@ impl ShardedRecMgSystem {
             (0.0..=1.0).contains(&min_accuracy),
             "gate must be in [0, 1]"
         );
+        self.settle_guidance();
         self.ctx.prefetch_gate = min_accuracy;
     }
 
-    /// Read access to shard `i`'s buffer.
+    /// Read access to shard `i`'s buffer, through a guard that holds the
+    /// shard's lock until it drops. The lock is not reentrant: reading
+    /// the same shard again while the guard lives — later in the same
+    /// statement included — deadlocks.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn shard_buffer(&self, i: usize) -> &GpuBuffer {
-        self.shards[i].buffer.buffer()
+    pub fn shard_buffer(&self, i: usize) -> impl Deref<Target = GpuBuffer> + '_ {
+        ShardRead(self.shard(i), |s| s.buffer.buffer())
     }
 
     /// Read access to shard `i`'s full tier-aware buffer (row storage,
-    /// backend spec, traffic counters).
+    /// backend spec, traffic counters), through a guard that holds the
+    /// shard's lock until it drops (see [`Self::shard_buffer`]).
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn shard_recmg_buffer(&self, i: usize) -> &RecMgBuffer {
-        &self.shards[i].buffer
+    pub fn shard_recmg_buffer(&self, i: usize) -> impl Deref<Target = RecMgBuffer> + '_ {
+        ShardRead(self.shard(i), |s| &s.buffer)
     }
 
     /// Total resident vectors across shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.buffer.len()).sum()
+        self.each().map(|s| s.buffer.len()).sum()
     }
 
     /// Whether every shard is empty.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.buffer.is_empty())
+        self.each().all(|s| s.buffer.is_empty())
     }
 
     /// Total capacity across shards (≥ the constructor capacity because of
     /// even splitting).
     pub fn capacity(&self) -> usize {
-        self.shards.iter().map(|s| s.buffer.capacity()).sum()
+        self.each().map(|s| s.buffer.capacity()).sum()
     }
 
     /// Prefetches issued across shards.
     pub fn prefetches_issued(&self) -> u64 {
-        self.shards.iter().map(|s| s.prefetches_issued).sum()
+        self.each().map(|s| s.prefetches_issued).sum()
     }
 
     /// Chunks that received model guidance, across shards.
     pub fn guided_chunks(&self) -> u64 {
-        self.shards.iter().map(|s| s.guided_chunks).sum()
+        self.each().map(|s| s.guided_chunks).sum()
     }
 
     /// Chunks that ran on stale guidance (stride-skipped inline, or
     /// skipped by a lagging guidance plane), across shards. Background
     /// guidance still in flight at session teardown is computed and
-    /// applied during drain (counted guided, reported as plane lag), so
-    /// after a drained session — or a [`serve`](Self::serve) call followed
-    /// by [`settle_guidance`](Self::settle_guidance) —
+    /// applied when the session stops (counted guided, reported as plane
+    /// lag), so after a drained session — or a [`serve`](Self::serve) call
+    /// followed by [`settle_guidance`](Self::settle_guidance) —
     /// `guided + unguided == total`.
     pub fn unguided_chunks(&self) -> u64 {
-        self.shards.iter().map(|s| s.unguided_chunks).sum()
+        self.each().map(|s| s.unguided_chunks).sum()
     }
 
     /// Chunks formed so far, across shards.
     pub fn total_chunks(&self) -> u64 {
-        self.shards.iter().map(|s| s.chunk_counter as u64).sum()
+        self.each().map(|s| s.chunk_counter as u64).sum()
     }
 
     /// Fraction of chunks that ran with fresh model guidance
@@ -1060,17 +1099,9 @@ impl BufferManager for ShardedRecMgSystem {
     }
 
     fn process_batch(&mut self, batch: &[VectorKey]) -> BatchAccessStats {
-        // Inline guidance applies in chunk order: whatever a background
-        // plane still owes lands first.
-        let (shards, ctx, router) = self.shards_mut();
-        // A system whose shards were moved into a session that panicked
-        // mid-serve has no shards; zipping against the empty vec would
-        // silently drop every key, so fail loudly instead.
-        assert_eq!(
-            shards.len(),
-            router.num_shards(),
-            "shard count must match the router (was a serving session abandoned mid-panic?)"
-        );
+        // Inline guidance applies in chunk order: the runtime stops first,
+        // landing whatever its plane still owes.
+        let (mut shards, ctx, router) = self.shards_mut();
         // Deterministic sequential path: shards are disjoint, so serving
         // them one after another produces the same counts as any
         // interleaving that preserves per-shard order.

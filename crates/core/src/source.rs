@@ -263,12 +263,11 @@ impl TraceReplaySource {
 }
 
 /// Cheap, clonable view of a running session's progress counters. It
-/// shares only the counters, never the session's state (shards, queues):
-/// a read on another thread cannot hold that state alive — not even for
-/// the length of one call, which is what [`ServingSession::drain`] relies
-/// on to take the system back. Reads against a drained session saturate
-/// (every request counts as finished) so a [`ClosedLoopSource`] can never
-/// deadlock on a session that went away.
+/// shares only the counters and the condvar that signals them, never the
+/// session's state (shards, queues): a view on another thread cannot hold
+/// that state alive. Reads against a drained session saturate (every
+/// request counts as finished) and waits on one return, so a
+/// [`ClosedLoopSource`] can never deadlock on a session that went away.
 #[derive(Debug, Clone)]
 pub struct SessionProgress {
     counters: Arc<ProgressCounters>,
@@ -346,25 +345,13 @@ impl<S: RequestSource> ClosedLoopSource<S> {
 impl<S: RequestSource> RequestSource for ClosedLoopSource<S> {
     fn next_request(&mut self) -> Option<Request> {
         let epoch = *self.epoch.get_or_insert_with(Instant::now);
-        // Wait for a free slot on a spin → yield → sleep ladder (the
-        // migration epoch fence's backoff shape): a few pipeline-hint
-        // spins catch the common case where a worker retires a request
-        // within a service time, a yield burst hands the core to that
-        // worker on a loaded box, and past that the source parks in
-        // bounded sleep quanta — a saturated closed loop costs a timer
-        // tick, not a core. `finished()` saturates to u64::MAX if the
-        // session is gone, so this cannot hang on a drained session.
-        let mut spins = 0u32;
-        while self.issued.saturating_sub(self.progress.finished()) >= self.outstanding {
-            spins = spins.saturating_add(1);
-            if spins < 16 {
-                std::hint::spin_loop();
-            } else if spins < 64 {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(Duration::from_micros(50));
-            }
-        }
+        // Block until a slot is free: fewer than `outstanding` of the
+        // requests issued so far are unfinished. Every completion,
+        // rejection and shed wakes the wait to re-check, and a drained
+        // session ends it.
+        let progress = &self.progress;
+        let freed = (self.issued + 1).saturating_sub(self.outstanding);
+        progress.counters.wait(|| progress.finished() >= freed);
         let mut request = self.inner.next_request()?;
         request.arrival = epoch.elapsed();
         self.issued += 1;

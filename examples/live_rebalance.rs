@@ -154,12 +154,15 @@ fn main() {
                 r.invalidations,
             );
             for i in 0..sys.num_shards() {
+                // The buffer guard holds the shard's lock: read the
+                // capacity on its own, before the shard is read again.
+                let capacity = sys.shard_buffer(i).capacity();
+                let traffic = sys.shard_traffic(i);
                 println!(
-                    "         shard {i}: tier {} cap {:>3} ({} hits / {} misses)",
+                    "         shard {i}: tier {} cap {capacity:>3} ({} hits / {} misses)",
                     sys.shard_tier(i),
-                    sys.shard_buffer(i).capacity(),
-                    sys.shard_traffic(i).hits,
-                    sys.shard_traffic(i).misses,
+                    traffic.hits,
+                    traffic.misses,
                 );
             }
         }

@@ -17,8 +17,8 @@ use proptest::prelude::*;
 
 use recmg_repro::core::{
     live_backend_files, AdmissionPolicy, BackendSpec, BatchSource, CachingModel, EvenSplit,
-    FillMode, FrequencyRankCodec, GuidanceMode, MemoryTier, SessionBuilder, ShardedRecMgSystem,
-    SystemBuilder, TierCost, TierTopology,
+    FillMode, FrequencyRankCodec, GuidanceMode, MemoryTier, ServeOptions, SessionBuilder,
+    ShardedRecMgSystem, SystemBuilder, TierCost, TierTopology,
 };
 use recmg_repro::dlrm::{BatchAccessStats, BufferManager};
 use recmg_repro::trace::{RowId, SyntheticConfig, TableId, VectorKey};
@@ -135,7 +135,9 @@ fn rows_match_their_synthesized_bytes_on_every_backend() {
 }
 
 /// File-backed systems clean up after themselves: dropping the system
-/// returns the live backing-file count to its baseline.
+/// returns the live backing-file count to its baseline — also right after
+/// a system whose `serve()` runtime still runs is dropped, since the drop
+/// joins the runtime's threads.
 #[test]
 fn dropping_file_backed_systems_leaks_no_files() {
     let _files = file_test_guard();
@@ -152,11 +154,47 @@ fn dropping_file_backed_systems_leaks_no_files() {
             .collect();
         sys.process_batch(&keys);
         sys2.process_batch(&keys);
+        let background = ServeOptions {
+            workers: 2,
+            guidance: GuidanceMode::Background {
+                threads: 1,
+                max_lag: 4,
+                max_batch: 4,
+            },
+        };
+        sys2.serve(&[&keys, &keys], &background);
     }
     assert_eq!(
         live_backend_files(),
         baseline,
         "backing files must die with their systems"
+    );
+}
+
+/// A session dropped without a drain stops like a drained one: its
+/// workers serve what was admitted and are joined before the drop
+/// returns, so none is left waiting on the queue while it holds the
+/// shards and their backing file.
+#[test]
+fn dropping_an_undrained_session_joins_its_threads() {
+    let _files = file_test_guard();
+    let cfg = recmg_repro::core::RecMgConfig::tiny();
+    let caching = CachingModel::new(&cfg);
+    let codec = FrequencyRankCodec::from_accesses(&[VectorKey::new(TableId(0), RowId(1))]);
+    let baseline = live_backend_files();
+    let system = one_shard_on(&caching, codec, BackendSpec::File);
+    assert_eq!(live_backend_files(), baseline + 1);
+    let session = SessionBuilder::new().workers(2).build(system);
+    let keys: Vec<VectorKey> = (0..64)
+        .map(|r| VectorKey::new(TableId(2), RowId(r)))
+        .collect();
+    let batches: Vec<&[VectorKey]> = keys.chunks(8).collect();
+    session.ingest(&mut BatchSource::new(&batches));
+    drop(session);
+    assert_eq!(
+        live_backend_files(),
+        baseline,
+        "a dropped session's threads still hold the shards"
     );
 }
 

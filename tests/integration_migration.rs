@@ -461,13 +461,17 @@ fn live_and_quiescent_moves_agree() {
     for sid in 0..2 {
         assert_eq!(in_place.shard_tier(sid), 1 - sid, "shard {sid} moved");
         assert_eq!(in_place.shard_tier(sid), live.shard_tier(sid));
-        let (a, b) = (in_place.shard_buffer(sid), live.shard_buffer(sid));
-        assert_eq!(a.capacity(), b.capacity());
-        assert!(!a.is_empty());
-        let residents = |buffer: &recmg_repro::cache::GpuBuffer| -> HashSet<VectorKey> {
-            buffer.keys().collect()
-        };
-        assert_eq!(residents(a), residents(b), "shard {sid} residents");
+        {
+            // The buffer guards hold the shard locks: let them go before
+            // the shards are read again.
+            let (a, b) = (in_place.shard_buffer(sid), live.shard_buffer(sid));
+            assert_eq!(a.capacity(), b.capacity());
+            assert!(!a.is_empty());
+            let residents = |buffer: &recmg_repro::cache::GpuBuffer| -> HashSet<VectorKey> {
+                buffer.keys().collect()
+            };
+            assert_eq!(residents(&a), residents(&b), "shard {sid} residents");
+        }
         assert_eq!(
             in_place.shard_traffic(sid).cost_ns,
             live.shard_traffic(sid).cost_ns,

@@ -133,13 +133,13 @@ fn concurrent_engine_matches_totals_and_reports_guidance() {
     assert!(report.guided_chunks + sys.unguided_chunks() <= report.total_chunks);
 }
 
-/// A run of background `serve()` calls shares one guidance plane: each
-/// call leaves the chunks the plane has not computed to the next, and
-/// every chunk's guidance still lands exactly once — in the call that
-/// served it, a later call, or the final settle — with no call owing more
-/// than `max_lag` chunks per shard.
+/// A run of background `serve()` calls shares one runtime and its
+/// guidance plane: each call leaves the chunks the plane has not computed
+/// to the next, and every chunk's guidance still lands exactly once — in
+/// the call that served it, a later call, or the final settle — with no
+/// call owing more than `max_lag` chunks per shard.
 #[test]
-fn serve_calls_hand_the_plane_on_and_land_every_chunk_once() {
+fn serve_calls_share_one_runtime_and_land_every_chunk_once() {
     let (trace, trained, capacity) = trained_setup();
     let batches = trace.batches(10);
     let (shards, max_lag) = (4, 4);
