@@ -259,7 +259,7 @@ impl ShardedRecMgSystem {
     /// stops the runtime and starts a new one. A call returns once its
     /// last request is served; the chunks the plane has not computed by
     /// then stay queued on its threads, which keep computing them, and
-    /// their guidance lands at each shard's next access in the next call,
+    /// their guidance lands at each shard's first visit in the next call,
     /// so a run of calls computes it while serving instead of at the end
     /// of every call, with the serving core idle.
     /// [`settle_guidance`](ShardedRecMgSystem::settle_guidance) stops the
@@ -280,7 +280,7 @@ impl ShardedRecMgSystem {
     /// # Panics
     ///
     /// Panics if `opts.workers` is zero, or background guidance is
-    /// configured with zero threads.
+    /// configured with zero threads or a zero `max_batch`.
     pub fn serve(&mut self, batches: &[&[VectorKey]], opts: &ServeOptions) -> EngineReport {
         if self.runtime.as_ref().is_none_or(|(held, _)| held != opts) {
             self.settle_guidance();

@@ -3,14 +3,17 @@
 //! "The DLRM inference does not wait for the CPU completion. Instead, GPU
 //! moves on to the next DLRM inference batch, and CPU moves on to infer
 //! for the future batch." Serving workers never wait *on a guidance
-//! result*: a completed chunk is offered to this plane's threads
-//! ([`PlanePort::offer`], through [`Guide::Plane`](crate::sharding::Guide)
-//! in the one demand loop, [`Shard::serve`]), the plane computes guidance
-//! for every pending chunk in one batched forward per model
-//! ([`Plane::run`]), and the shard applies whatever has finished before
-//! its next access ([`PlanePort::apply_ready`]). A shard whose backlog is
-//! at `max_lag` skips the chunk instead — it rides on stale priorities —
-//! and then paces itself ([`PlanePort::pace`]).
+//! result*. A worker meets the plane twice, through the shard's
+//! [`PlanePort`]: when it takes the shard it lands the guidance parked
+//! for it ([`PlanePort::land`]), and at every chunk boundary of the one
+//! demand loop, [`Shard::serve`] (through
+//! [`Guide::Plane`](crate::sharding::Guide)), it hands the completed chunk
+//! over and takes what was parked meanwhile ([`PlanePort::exchange`]) —
+//! the paper's "after each chunk of accesses" (Algorithm 1). The plane
+//! computes guidance for every pending chunk in one batched forward per
+//! model ([`Plane::run`]). A shard whose backlog is at `max_lag` skips the
+//! chunk instead — it rides on stale priorities — and then paces itself.
+//! The whole lag policy (skip, pace, help, shed) lives here.
 //!
 //! The handshake between the serving workers (each holding its shard's
 //! mutex) and the plane threads is one lock. The job queue, every shard's
@@ -22,21 +25,23 @@
 //! waker changes it under, so no wakeup is lost, and a chunk is queued,
 //! being computed, or parked — never two of these — whenever anyone looks.
 //!
-//! * **offer**: queue the chunk and count it in flight for its shard;
-//!   notify `work` only when a plane thread is idle.
+//! * **exchange**: in one critical section, take the shard's parked
+//!   updates and, unless the shard is at `max_lag` or the plane is
+//!   closed, queue the chunk and count it in flight; notify `work` only
+//!   when a plane thread is idle. The updates are applied after the lock
+//!   is released.
 //! * **take and park**: a plane thread — or a worker pacing at the lag
 //!   limit while a full batch waits behind the one being computed
 //!   ([`Plane::pending`] ≥ 2 × `max_batch`, so it never splits a batch) —
 //!   takes up to `max_batch` queued chunks, computes them with no lock
 //!   held, and parks the updates, dropping the in-flight counts in the
 //!   same critical section ([`Plane::compute_and_park`]).
-//! * **apply**: the one read outside the lock is a per-shard mirror of the
-//!   parked count, written under it, so a worker's per-access check is
-//!   one atomic load; only a non-zero count takes the lock, and the
-//!   updates are applied after it is released.
+//! * **land**: take the shard's parked updates under the lock, apply them
+//!   after releasing it — once per shard visit, before its first access.
 //!
-//! Lock order is shard mutex → plane lock; the plane never takes a shard
-//! lock, and no model forward runs under the plane lock.
+//! Lock order is shard mutex → plane lock: plane threads never take a
+//! shard lock, the close-out ([`Plane::land`]) takes every shard's before
+//! the plane's, and no model forward runs under the plane lock.
 //!
 //! The pacing wait is *bounded* (5 × 5 ms, helping included) because it
 //! runs with the shard mutex held: sibling workers' demand accesses to
@@ -58,7 +63,6 @@
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -66,7 +70,7 @@ use recmg_trace::VectorKey;
 
 use crate::engine::GuidancePlaneReport;
 use crate::fast::FastScratch;
-use crate::sharding::{GuidanceCtx, Shard, ShardRouter, ShardedRecMgSystem};
+use crate::sharding::{Shard, ShardedRecMgSystem};
 
 /// A chunk handed to the plane.
 struct GuidanceJob {
@@ -75,7 +79,7 @@ struct GuidanceJob {
     armed: bool,
 }
 
-/// One `progress` wait of [`PlanePort::pace`], and how many of them bound
+/// One `progress` wait of a worker pacing at the lag limit, and how many of them bound
 /// the whole pace (helping included).
 const PACE_QUANTUM: Duration = Duration::from_millis(5);
 const PACE_QUANTA: u32 = 5;
@@ -108,7 +112,7 @@ struct ShardMail {
 struct PlaneState {
     jobs: VecDeque<GuidanceJob>,
     shards: Vec<ShardMail>,
-    /// Set by [`Plane::close`]: offers are refused, and plane threads exit
+    /// Set by [`Plane::close`]: chunks are refused, and plane threads exit
     /// once the queue is dry.
     closed: bool,
     /// Plane threads blocked on `work`.
@@ -132,12 +136,6 @@ pub(crate) struct Plane {
     work: Condvar,
     /// Where pacing workers wait for parked guidance.
     progress: Condvar,
-    /// `ShardMail::parked.len()` per shard, stored under the lock: the
-    /// serving path's "anything to apply?" is one load. `Relaxed` is
-    /// enough, because the mirror publishes nothing: the updates are only
-    /// read under the lock, and a stale zero only defers an apply to a
-    /// later access.
-    parked: Vec<AtomicUsize>,
     max_lag: usize,
     max_batch: usize,
 }
@@ -160,7 +158,6 @@ impl Plane {
             }),
             work: Condvar::new(),
             progress: Condvar::new(),
-            parked: (0..num_shards).map(|_| AtomicUsize::new(0)).collect(),
             max_lag,
             max_batch,
         }
@@ -176,7 +173,7 @@ impl Plane {
         self.lock().pending()
     }
 
-    /// Refuses every later offer; plane threads compute what is still
+    /// Refuses every later chunk; plane threads compute what is still
     /// queued and then return from [`Plane::run`].
     pub(crate) fn close(&self) {
         self.lock().closed = true;
@@ -184,18 +181,19 @@ impl Plane {
     }
 
     /// Shard `sid`'s side of the handshake, for one served sub-batch.
-    /// `router` and `scratch` (the serving worker's own) are what the port
-    /// needs to compute a batch when it helps while pacing.
+    /// `system` (for its guidance context and router) and `scratch` (the
+    /// serving worker's own) are what the port needs to compute a batch
+    /// when it helps while pacing.
     pub(crate) fn port<'a>(
         &'a self,
         sid: usize,
-        router: &'a ShardRouter,
+        system: &'a ShardedRecMgSystem,
         scratch: &'a RefCell<FastScratch>,
     ) -> PlanePort<'a> {
         PlanePort {
             plane: self,
             sid,
-            router,
+            system,
             scratch,
         }
     }
@@ -208,14 +206,13 @@ impl Plane {
     /// not O(chunks) — while a batch is being computed, workers keep
     /// queueing chunks, so the next take naturally coalesces the backlog.
     pub(crate) fn run(&self, system: &ShardedRecMgSystem) {
-        let (ctx, router) = (&system.ctx, &system.router);
         let mut jobs: Vec<GuidanceJob> = Vec::with_capacity(self.max_batch);
         let mut scratch = FastScratch::default();
         let mut state = self.lock();
         loop {
             if self.take(&mut state, &mut jobs) {
                 drop(state);
-                state = self.compute_and_park(&mut jobs, ctx, router, &mut scratch);
+                state = self.compute_and_park(&mut jobs, system, &mut scratch);
             } else if state.closed {
                 return;
             } else {
@@ -249,15 +246,15 @@ impl Plane {
     fn compute_and_park(
         &self,
         jobs: &mut Vec<GuidanceJob>,
-        ctx: &GuidanceCtx,
-        router: &ShardRouter,
+        system: &ShardedRecMgSystem,
         scratch: &mut FastScratch,
     ) -> MutexGuard<'_, PlaneState> {
         let batch: Vec<(&[VectorKey], bool, usize)> = jobs
             .iter()
             .map(|j| (j.chunk.as_slice(), j.armed, j.shard))
             .collect();
-        let (guidance, forwards) = Shard::compute_guidance_batch(&batch, ctx, router, scratch);
+        let (guidance, forwards) =
+            Shard::compute_guidance_batch(&batch, &system.ctx, &system.router, scratch);
 
         let mut state = self.lock();
         state.report.model_forwards += forwards;
@@ -269,16 +266,9 @@ impl Plane {
                 bits,
                 prefetched,
             });
-            self.parked[job.shard].store(mail.parked.len(), Ordering::Relaxed);
         }
         self.progress.notify_all();
         state
-    }
-
-    /// Takes shard `sid`'s parked updates and zeroes its mirror.
-    fn take_parked(&self, state: &mut PlaneState, sid: usize) -> Vec<GuidanceUpdate> {
-        self.parked[sid].store(0, Ordering::Relaxed);
-        std::mem::take(&mut state.shards[sid].parked)
     }
 
     /// Closes out a run once its workers are idle: applies the guidance
@@ -295,7 +285,7 @@ impl Plane {
     /// lag a capacity planner should watch: every chunk whose guidance had
     /// not landed when the run's last access was served — parked and
     /// applied here, or still queued on a plane that runs on past the run
-    /// (its guidance lands at the next run's first access of the shard).
+    /// (its guidance lands at the next run's first visit of the shard).
     pub(crate) fn land(&self, shards: &[Mutex<Shard>]) -> GuidancePlaneReport {
         let mut shards: Vec<MutexGuard<'_, Shard>> = shards
             .iter()
@@ -303,10 +293,9 @@ impl Plane {
             .collect();
         let mut state = self.lock();
         let mut report = std::mem::take(&mut state.report);
-        for (sid, shard) in shards.iter_mut().enumerate() {
-            let mail = &state.shards[sid];
+        for (shard, mail) in shards.iter_mut().zip(&mut state.shards) {
             report.late_chunks += (mail.parked.len() + mail.in_flight) as u64;
-            for update in self.take_parked(&mut state, sid) {
+            for update in mail.parked.drain(..) {
                 update.apply(shard, true);
             }
         }
@@ -315,36 +304,84 @@ impl Plane {
 }
 
 /// One shard's view of the plane while a worker serves a sub-batch on it,
-/// plus the worker's router and model scratch.
+/// plus the worker's system handle and model scratch.
 pub(crate) struct PlanePort<'a> {
     plane: &'a Plane,
     sid: usize,
-    router: &'a ShardRouter,
+    system: &'a ShardedRecMgSystem,
     scratch: &'a RefCell<FastScratch>,
 }
 
 impl PlanePort<'_> {
     /// Applies (and clears) whatever guidance the plane has parked for
-    /// this shard — bounded staleness, never blocking: one atomic load
-    /// when there is nothing to apply. `keep_prefetch: false` strips the
-    /// prefetch lists (the [`DegradeLevel::PrefetchOff`] case).
+    /// this shard — bounded staleness, never blocking. A worker calls it
+    /// once when it takes the shard, before the first access.
+    /// `keep_prefetch: false` strips the prefetch lists (the
+    /// [`DegradeLevel::PrefetchOff`] case).
     ///
     /// [`DegradeLevel::PrefetchOff`]: crate::config::DegradeLevel::PrefetchOff
-    #[inline]
-    pub(crate) fn apply_ready(&self, shard: &mut Shard, keep_prefetch: bool) {
-        if self.plane.parked[self.sid].load(Ordering::Relaxed) == 0 {
-            return;
-        }
-        let parked = self.plane.take_parked(&mut self.plane.lock(), self.sid);
+    pub(crate) fn land(&self, shard: &mut Shard, keep_prefetch: bool) {
+        let parked = std::mem::take(&mut self.plane.lock().shards[self.sid].parked);
         for update in parked {
             update.apply(shard, keep_prefetch);
         }
     }
 
-    /// Whether the shard is below the plane's lag limit. At the limit the
-    /// arriving chunk runs on stale guidance — the §VI-C skip, verbatim.
-    pub(crate) fn has_room(&self) -> bool {
-        self.plane.lock().shards[self.sid].in_flight < self.plane.max_lag
+    /// The chunk-boundary handshake: one critical section takes the
+    /// shard's parked updates and queues its completed chunk, `armed`
+    /// saying whether the shard's own prefetch gate is open; the updates
+    /// are applied after the lock is released. Returns whether the chunk
+    /// was queued. It is not when the plane is closed (only at teardown;
+    /// `false` at once) or when the shard's backlog is at `max_lag`: the
+    /// chunk runs on stale guidance — the §VI-C skip, verbatim — and the
+    /// producer paces itself before returning `false`.
+    ///
+    /// Plane-pressure degradation, mirroring the SLA ladder
+    /// ([`DegradeLevel::PrefetchOff`]): when the plane's total backlog has
+    /// built past an eighth of its aggregate lag budget (`shards ×
+    /// max_lag`, so the threshold scales with the shard count instead of
+    /// choking prefetch at high shard counts), the chunk is queued for
+    /// caching guidance only. The autoregressive prefetch forward is ~2×
+    /// the caching forward; shedding it first keeps the plane's priority
+    /// signal fresh for everyone instead of letting speculative work
+    /// starve it. With an idle plane (backlog 0) arming is exactly the
+    /// sequential system's rule, which is what the 1-shard lockstep oracle
+    /// pins. `.max(1)` guards the integer-division cliff: with a tiny
+    /// aggregate budget (e.g. 1 shard × max_lag 1) the threshold would
+    /// otherwise be 0 and prefetch would be shed on *any* in-flight chunk,
+    /// starving the warmup counter forever.
+    ///
+    /// [`DegradeLevel::PrefetchOff`]: crate::config::DegradeLevel::PrefetchOff
+    pub(crate) fn exchange(&self, shard: &mut Shard, chunk: Vec<VectorKey>, armed: bool) -> bool {
+        let plane = self.plane;
+        let mut state = plane.lock();
+        let parked = std::mem::take(&mut state.shards[self.sid].parked);
+        let closed = state.closed;
+        let queued = !closed && state.shards[self.sid].in_flight < plane.max_lag;
+        // A futex notify is a syscall even with nobody waiting.
+        let mut wake = false;
+        if queued {
+            let shed_at = (state.shards.len() * plane.max_lag / 8).max(1);
+            let armed = armed && state.pending() <= shed_at;
+            state.shards[self.sid].in_flight += 1;
+            state.jobs.push_back(GuidanceJob {
+                shard: self.sid,
+                chunk,
+                armed,
+            });
+            wake = state.idle > 0;
+        }
+        drop(state);
+        if wake {
+            plane.work.notify_one();
+        }
+        for update in parked {
+            update.apply(shard, true);
+        }
+        if !queued && !closed {
+            self.pace();
+        }
+        queued
     }
 
     /// Producer pacing after a skip. What changes with the coalescing
@@ -362,7 +399,7 @@ impl PlanePort<'_> {
     /// While a full batch is queued behind the one being computed, the
     /// producer computes it instead of waiting: the core it would have
     /// slept on becomes a second guidance consumer.
-    pub(crate) fn pace(&self, ctx: &GuidanceCtx) {
+    fn pace(&self) {
         let plane = self.plane;
         if plane.max_lag == 0 {
             // The plane accepts no work: plain skip-ahead.
@@ -388,7 +425,7 @@ impl PlanePort<'_> {
             if state.pending() >= 2 * plane.max_batch && plane.take(&mut state, &mut jobs) {
                 drop(state);
                 let scratch = &mut self.scratch.borrow_mut();
-                state = plane.compute_and_park(&mut jobs, ctx, self.router, scratch);
+                state = plane.compute_and_park(&mut jobs, self.system, scratch);
                 continue;
             }
             let quantum = PACE_QUANTUM.min(give_up - now);
@@ -399,50 +436,6 @@ impl PlanePort<'_> {
                 .0;
             waits += 1;
         }
-    }
-
-    /// Queues the shard's completed chunk for the plane, `armed` saying
-    /// whether the shard's own prefetch gate is open. Returns `false` if
-    /// the plane is closed (can only happen at teardown): the chunk found
-    /// no consumer.
-    ///
-    /// Plane-pressure degradation, mirroring the SLA ladder
-    /// ([`DegradeLevel::PrefetchOff`]): when the plane's total backlog has
-    /// built past an eighth of its aggregate lag budget (`shards ×
-    /// max_lag`, so the threshold scales with the shard count instead of
-    /// choking prefetch at high shard counts), the chunk is queued for
-    /// caching guidance only. The autoregressive prefetch forward is ~2×
-    /// the caching forward; shedding it first keeps the plane's priority
-    /// signal fresh for everyone instead of letting speculative work
-    /// starve it. With an idle plane (backlog 0) arming is exactly the
-    /// sequential system's rule, which is what the 1-shard lockstep oracle
-    /// pins. `.max(1)` guards the integer-division cliff: with a tiny
-    /// aggregate budget (e.g. 1 shard × max_lag 1) the threshold would
-    /// otherwise be 0 and prefetch would be shed on *any* in-flight chunk,
-    /// starving the warmup counter forever.
-    ///
-    /// [`DegradeLevel::PrefetchOff`]: crate::config::DegradeLevel::PrefetchOff
-    pub(crate) fn offer(&self, chunk: Vec<VectorKey>, armed: bool) -> bool {
-        let plane = self.plane;
-        let mut state = plane.lock();
-        if state.closed {
-            return false;
-        }
-        let shed_at = (state.shards.len() * plane.max_lag / 8).max(1);
-        let armed = armed && state.pending() <= shed_at;
-        state.shards[self.sid].in_flight += 1;
-        state.jobs.push_back(GuidanceJob {
-            shard: self.sid,
-            chunk,
-            armed,
-        });
-        // A futex notify is a syscall even with nobody waiting.
-        let wake = state.idle > 0;
-        drop(state);
-        if wake {
-            plane.work.notify_one();
-        }
-        true
     }
 }
 
@@ -459,10 +452,16 @@ mod tests {
             .collect()
     }
 
+    /// Hands chunk `c` to the port's shard at a chunk boundary, under the
+    /// shard lock, as the demand loop does.
+    fn exchange(port: &PlanePort<'_>, c: u64, armed: bool) -> bool {
+        let sys = port.system;
+        let mut shard = sys.shards[port.sid].lock().expect("shard lock");
+        port.exchange(&mut shard, chunk(c, sys.ctx.cfg.input_len), armed)
+    }
+
     fn parked(plane: &Plane, sid: usize) -> usize {
-        let len = plane.lock().shards[sid].parked.len();
-        assert_eq!(plane.parked[sid].load(Ordering::Relaxed), len);
-        len
+        plane.lock().shards[sid].parked.len()
     }
 
     fn take_queued(plane: &Plane) -> usize {
@@ -478,21 +477,21 @@ mod tests {
     }
 
     /// With no plane thread at all, the paced worker is the only consumer:
-    /// it computes full batches until its shard is at the low-water mark,
-    /// parks the updates, and counts them as plane drains.
+    /// the exchange that finds its shard at the lag limit refuses the
+    /// chunk and computes full batches until the shard is at the low-water
+    /// mark, parks the updates, and counts them as plane drains.
     #[test]
     fn a_paced_worker_drains_its_backlog_without_a_plane_thread() {
         let sys = system(2);
-        let input_len = sys.ctx.cfg.input_len;
         let (max_lag, max_batch) = (8, 2);
         let plane = Plane::new(2, max_lag, max_batch);
         let scratch = RefCell::new(FastScratch::default());
-        let port = plane.port(0, &sys.router, &scratch);
+        let port = plane.port(0, &sys, &scratch);
         for c in 0..max_lag as u64 {
-            assert!(port.offer(chunk(c, input_len), c % 2 == 0));
+            assert!(exchange(&port, c, c % 2 == 0));
         }
 
-        port.pace(&sys.ctx);
+        assert!(!exchange(&port, max_lag as u64, true));
 
         let low_water = max_lag / 4;
         let in_flight = in_flight(&plane, 0);
@@ -517,23 +516,22 @@ mod tests {
     #[test]
     fn pace_never_takes_a_partial_batch() {
         let sys = system(2);
-        let input_len = sys.ctx.cfg.input_len;
         let (max_lag, max_batch) = (8, 4);
         let plane = Plane::new(2, max_lag, max_batch);
         let scratch = RefCell::new(FastScratch::default());
-        let port = plane.port(1, &sys.router, &scratch);
+        let port = plane.port(1, &sys, &scratch);
         let below = 2 * max_batch - 1;
         for c in 0..below as u64 {
-            assert!(port.offer(chunk(c, input_len), true));
+            assert!(exchange(&port, c, true));
         }
 
-        port.pace(&sys.ctx);
+        port.pace();
         assert_eq!(in_flight(&plane, 1), below);
         assert_eq!(parked(&plane, 1), 0);
         assert_eq!(counters(&plane), GuidancePlaneReport::default());
 
-        assert!(port.offer(chunk(below as u64, input_len), true));
-        port.pace(&sys.ctx);
+        assert!(exchange(&port, below as u64, true));
+        port.pace();
         assert_eq!(in_flight(&plane, 1), max_batch);
         assert_eq!(parked(&plane, 1), max_batch);
         let report = counters(&plane);
@@ -543,22 +541,77 @@ mod tests {
         assert_eq!(take_queued(&plane), max_batch);
     }
 
+    /// At the lag limit `exchange` refuses the chunk, but the guidance
+    /// parked for the shard still lands before the worker paces.
+    ///
+    /// Through the port alone a shard never holds parked guidance at the
+    /// limit: queueing empties its parked list and parking drops its
+    /// in-flight count, so in flight + parked never passes `max_lag`. The
+    /// update is parked by hand to pin that the take comes first.
+    #[test]
+    fn exchange_at_the_lag_limit_refuses_the_chunk_but_lands_the_parked() {
+        let sys = system(2);
+        let input_len = sys.ctx.cfg.input_len;
+        let (max_lag, max_batch) = (4, 2);
+        let plane = Plane::new(2, max_lag, max_batch);
+        let scratch = RefCell::new(FastScratch::default());
+        let port = plane.port(1, &sys, &scratch);
+        for c in 0..max_lag as u64 {
+            assert!(exchange(&port, c, true));
+        }
+        plane.lock().shards[1].parked.push(GuidanceUpdate {
+            chunk: chunk(99, input_len),
+            bits: vec![true; input_len],
+            prefetched: Vec::new(),
+        });
+
+        assert!(!exchange(&port, max_lag as u64, true));
+
+        // The hand-parked update landed; pacing then helped with the one
+        // full batch it may take and parked it for the next boundary.
+        assert_eq!(sys.guided_chunks(), 1);
+        assert_eq!(parked(&plane, 1), max_batch);
+        assert_eq!(in_flight(&plane, 1), max_lag - max_batch);
+        assert_eq!(counters(&plane).chunks, max_batch as u64);
+        assert_eq!(take_queued(&plane), max_lag - max_batch);
+    }
+
+    /// A closed plane refuses a chunk at once: even at the lag limit, with
+    /// full batches queued that a pacing worker would help with, nothing
+    /// is queued or computed.
+    #[test]
+    fn exchange_on_a_closed_plane_returns_false_without_pacing() {
+        let sys = system(2);
+        let (max_lag, max_batch) = (8, 2);
+        let plane = Plane::new(2, max_lag, max_batch);
+        let scratch = RefCell::new(FastScratch::default());
+        let port = plane.port(0, &sys, &scratch);
+        for c in 0..max_lag as u64 {
+            assert!(exchange(&port, c, true));
+        }
+        plane.close();
+
+        assert!(!exchange(&port, max_lag as u64, true));
+        assert_eq!(counters(&plane), GuidancePlaneReport::default());
+        assert_eq!(in_flight(&plane, 0), max_lag);
+        assert_eq!(take_queued(&plane), max_lag);
+    }
+
     /// Closing out a run applies what is parked and leaves what is queued
     /// for the plane to compute; both count as late, once per close-out
     /// while they stay unlanded, and the work counters restart each time.
     #[test]
     fn land_applies_the_parked_and_leaves_the_queued_to_the_plane() {
         let sys = system(2);
-        let input_len = sys.ctx.cfg.input_len;
         let (max_lag, max_batch) = (8, 4);
         let plane = Plane::new(2, max_lag, max_batch);
         let scratch = RefCell::new(FastScratch::default());
-        let port = plane.port(1, &sys.router, &scratch);
+        let port = plane.port(1, &sys, &scratch);
         for c in 0..max_lag as u64 {
-            assert!(port.offer(chunk(c, input_len), true));
+            assert!(exchange(&port, c, true));
         }
         // The helper computes one full batch; the other stays queued.
-        port.pace(&sys.ctx);
+        port.pace();
         assert_eq!(parked(&plane, 1), max_batch);
 
         let first = plane.land(&sys.shards);
@@ -585,12 +638,11 @@ mod tests {
     }
 
     /// `close` wakes an idle plane thread, which returns; a closed plane
-    /// refuses offers without counting them, and `run` on it, closed and
+    /// refuses chunks without counting them, and `run` on it, closed and
     /// empty, returns at once.
     #[test]
     fn a_closed_plane_refuses_offers_and_stops_its_threads() {
         let sys = system(2);
-        let input_len = sys.ctx.cfg.input_len;
         let plane = std::sync::Arc::new(Plane::new(2, 8, 4));
         let idle = {
             let (plane, system) = (std::sync::Arc::clone(&plane), sys.share());
@@ -612,8 +664,8 @@ mod tests {
         idle.join().expect("plane thread does not panic");
 
         let scratch = RefCell::new(FastScratch::default());
-        let port = plane.port(0, &sys.router, &scratch);
-        assert!(!port.offer(chunk(0, input_len), true));
+        let port = plane.port(0, &sys, &scratch);
+        assert!(!exchange(&port, 0, true));
         assert_eq!(plane.pending(), 0);
         assert_eq!(take_queued(&plane), 0);
         plane.run(&sys);

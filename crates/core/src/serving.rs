@@ -164,11 +164,6 @@ impl TableArraySpec {
         self.sizes.len() as u32
     }
 
-    /// Total rows across all tables.
-    pub fn total_rows(&self) -> u64 {
-        self.sizes.iter().sum()
-    }
-
     /// Validates the spec.
     ///
     /// # Panics

@@ -407,7 +407,7 @@ impl SessionBuilder {
     /// # Panics
     ///
     /// Panics if `workers` is zero, background guidance is configured with
-    /// zero threads, or the SLA budget is invalid.
+    /// zero threads or a zero `max_batch`, or the SLA budget is invalid.
     pub fn build(self, mut system: ShardedRecMgSystem) -> ServingSession {
         assert!(self.workers > 0, "need at least one serving worker");
         if let Some(sla) = &self.sla {
@@ -1044,23 +1044,19 @@ fn serve_request(
             live.step_aside();
         }
         let mut shard = system.shards[sid].lock().expect("shard lock");
-        let port = shared
-            .plane
-            .as_ref()
-            .map(|p| p.port(sid, &system.router, scratch));
+        let port = shared.plane.as_ref().map(|p| p.port(sid, system, scratch));
+        // Background guidance that already finished lands before the first
+        // access, for a degraded request too — with its prefetch lists
+        // stripped at PrefetchOff.
+        if let Some(port) = &port {
+            port.land(&mut shard, degrade != DegradeLevel::PrefetchOff);
+        }
         let guide = match (degrade, port) {
             (DegradeLevel::None, Some(port)) => Guide::Plane(port),
             (DegradeLevel::None, None) => Guide::Inline(&system.router),
-            (level, port) => {
-                // Degraded: no fresh guidance for this request (§VI-C
-                // skip-ahead on purpose). Background guidance that already
-                // finished is still applied — with its prefetch list
-                // stripped at PrefetchOff.
-                if let Some(port) = port {
-                    port.apply_ready(&mut shard, level == DegradeLevel::SkipAhead);
-                }
-                Guide::Stale
-            }
+            // Degraded: no fresh guidance for this request (§VI-C
+            // skip-ahead on purpose).
+            _ => Guide::Stale,
         };
         shard.serve(part, stats, &system.ctx, &guide);
     }
@@ -1230,6 +1226,93 @@ pub(crate) mod tests {
     #[should_panic(expected = "at least one serving worker")]
     fn zero_worker_builder_panics() {
         let _ = SessionBuilder::new().workers(0).build(system(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "need a positive guidance batch size")]
+    fn zero_guidance_batch_builder_panics() {
+        let _ = SessionBuilder::new()
+            .guidance(GuidanceMode::Background {
+                threads: 1,
+                max_lag: 4,
+                max_batch: 0,
+            })
+            .build(system(1));
+    }
+
+    /// Guidance parked for a shard lands when a worker takes the shard,
+    /// for a degraded request too: with its prefetches at SkipAhead, with
+    /// its caching bits only at PrefetchOff. Each degraded request's own
+    /// chunk runs unguided.
+    #[test]
+    fn degraded_requests_land_parked_guidance_when_they_take_the_shard() {
+        let (guided, skip_ahead, prefetch_off) = (0, 1, 2);
+        let hour = Duration::from_secs(3600);
+        let session = SessionBuilder::new()
+            .workers(1)
+            .guidance(GuidanceMode::Background {
+                threads: 1,
+                max_lag: 64,
+                max_batch: 16,
+            })
+            .admission(AdmissionPolicy::unbounded())
+            .tenants(vec![
+                TenantSpec::new("guided"),
+                TenantSpec::new("skip_ahead").with_sla(SlaBudget {
+                    target: hour,
+                    skip_ahead_at: 0.0,
+                    prefetch_off_at: 1.0,
+                }),
+                TenantSpec::new("prefetch_off").with_sla(SlaBudget {
+                    target: hour,
+                    skip_ahead_at: 0.0,
+                    prefetch_off_at: 0.0,
+                }),
+            ])
+            .build(system(1));
+        let sys = &session.shared.system;
+        let trace = SyntheticConfig::tiny(17).generate();
+        let accesses = trace.accesses();
+        let mut chunks = accesses.chunks_exact(sys.ctx.cfg.input_len);
+        // One chunk per request, so a guided request parks exactly one
+        // update; waits until it is served and the plane is idle.
+        let mut id = 0;
+        let mut serve = |tenant: usize| {
+            let keys = chunks.next().expect("enough keys").to_vec();
+            let request = Request {
+                id,
+                keys,
+                arrival: Duration::ZERO,
+                deadline: None,
+                tenant,
+            };
+            session.submit(request).expect("unbounded admission");
+            id += 1;
+            while session.completed_requests() < id || session.plane_pending() > 0 {
+                std::thread::yield_now();
+            }
+        };
+        let counts = || {
+            let prefetches = sys.prefetches_issued();
+            (sys.guided_chunks(), sys.unguided_chunks(), prefetches)
+        };
+
+        serve(guided);
+        assert_eq!(counts(), (0, 0, 0), "the guidance is parked, not landed");
+        serve(skip_ahead);
+        let (_, _, prefetches) = counts();
+        assert!(prefetches > 0, "SkipAhead lands the parked prefetches");
+        assert_eq!(counts(), (1, 1, prefetches));
+        serve(guided);
+        assert_eq!(counts(), (1, 1, prefetches));
+        serve(prefetch_off);
+        assert_eq!(counts(), (2, 2, prefetches), "PrefetchOff lands bits only");
+
+        let (sys, report) = session.drain();
+        assert_eq!(sys.total_chunks(), 4);
+        let sla = |t: usize| report.tenants[t].sla.expect("tenant budget");
+        assert_eq!(sla(skip_ahead).degraded_skip_ahead, 1);
+        assert_eq!(sla(prefetch_off).degraded_prefetch_off, 1);
     }
 
     /// 300 one-key requests due 1 ms apart; records the instant of every

@@ -136,14 +136,6 @@ impl ShardRouter {
         }
     }
 
-    /// Records `table`'s hot/cold row boundary (0 = unsplit). No routing
-    /// effect; out-of-directory tables are ignored.
-    pub fn set_hot_rows(&self, table: u32, rows: u64) {
-        if let Some(slot) = self.hot_rows.get(table as usize) {
-            slot.store(rows, Ordering::Relaxed);
-        }
-    }
-
     /// The recorded hot/cold boundary of `table` (0 = unsplit/unknown).
     pub fn hot_rows(&self, table: u32) -> u64 {
         self.hot_rows
@@ -563,17 +555,18 @@ impl Shard {
     ///   every `guidance_stride`-th chunk (§VI-B): the exact control flow
     ///   of [`RecMgSystem::process_batch`] applied to this shard's
     ///   sub-stream;
-    /// * [`Guide::Plane`] — guidance the plane has finished is applied
-    ///   before each access; the chunk is offered to the plane unless the
-    ///   shard is at its lag limit, in which case the producer paces
-    ///   itself after the skip (computing queued plane batches meanwhile);
-    /// * [`Guide::Stale`] — no fresh guidance at all (a degraded request;
-    ///   its worker first applies whatever the plane had already parked);
+    /// * [`Guide::Plane`] — the chunk is handed to the plane's port at its
+    ///   boundary, which lands the guidance parked meanwhile and queues
+    ///   the chunk unless the shard is at its lag limit (the port then
+    ///   paces the producer after the skip);
+    /// * [`Guide::Stale`] — no fresh guidance at all (a degraded request);
     ///
     /// and every chunk that found no consumer rides on the priorities the
     /// buffer already holds: "GPU moves on to the next DLRM inference
-    /// batch" (§VI-C). A chunk is only copied out of the pending window
-    /// when something will consume it.
+    /// batch" (§VI-C). The caller lands what the plane parked before the
+    /// shard's first access, so this loop makes no per-access plane call.
+    /// A chunk is copied out of the pending window for inline guidance
+    /// and for every plane handshake, even one that refuses it.
     pub(crate) fn serve(
         &mut self,
         keys: &[VectorKey],
@@ -583,9 +576,6 @@ impl Shard {
     ) {
         let input_len = ctx.cfg.input_len;
         for &key in keys {
-            if let Guide::Plane(port) = guide {
-                port.apply_ready(self, true);
-            }
             self.record_access(key, stats);
             self.pending.push(key);
             while self.pending.len() >= input_len {
@@ -601,20 +591,16 @@ impl Shard {
                         let (bits, prefetched) = guidance.pop().expect("one chunk in, one out");
                         self.apply_guidance(&chunk, &bits, &prefetched);
                     }
-                    Guide::Plane(port) if port.has_room() => {
-                        port.apply_ready(self, true);
+                    Guide::Plane(port) => {
                         let armed = self.prefetch_armed(ctx);
                         let chunk: Vec<VectorKey> = self.pending.drain(..input_len).collect();
-                        if !port.offer(chunk, armed) {
+                        if !port.exchange(self, chunk, armed) {
                             self.unguided_chunks += 1;
                         }
                     }
                     _ => {
                         self.pending.drain(..input_len);
                         self.unguided_chunks += 1;
-                        if let Guide::Plane(port) = guide {
-                            port.pace(ctx);
-                        }
                     }
                 }
             }
@@ -628,7 +614,8 @@ pub(crate) enum Guide<'a> {
     /// Compute and apply on the serving thread (stride permitting);
     /// predictions are filtered to the shard's key space by the router.
     Inline(&'a ShardRouter),
-    /// Offer to the background guidance plane through the shard's port.
+    /// Hand each chunk to the background guidance plane through the
+    /// shard's port.
     Plane(PlanePort<'a>),
     /// No fresh guidance: every chunk is formed, counted and skipped — the
     /// §VI-C skip-ahead applied deliberately, which is how an SLA-pressured
