@@ -23,17 +23,16 @@ use rand::{rngs::StdRng, SeedableRng};
 use recmg_bench::policy::{
     check_multi_tenant_burst, check_online_rebalance, check_sdm_ladder,
     check_statistical_placement, check_tier_placement, check_working_set_estimation, median_run,
-    write_rows, LadderRow, PolicyRow, RebalanceRow, ReplicaRow, ScenarioRow, SpreadRow,
-    StrategyRow,
+    write_rows, LadderRow, PolicyRow, RebalanceRow, ScenarioRow, SpreadRow, StrategyRow,
 };
 use recmg_core::serving::WorkloadSpec;
 use recmg_core::{
     AdmissionPolicy, ArrivalProcess, BatchSource, CachingModel, CardinalityWorkingSet,
     ClosedLoopSource, EvenSplit, FillMode, FrequencyRankCodec, GuidanceMode, HotFirst, JsonWriter,
-    LiveRebalanceConfig, MarkovArrivals, PrefetchModel, Rebalancer, RecMgConfig, ReplicationPolicy,
-    Request, RequestSource, ServeOptions, SessionBuilder, SessionReport, ShardRouter,
-    ShardedRecMgSystem, SketchConfig, SlaBudget, StatisticalPlacement, SystemBuilder,
-    TableArraySpec, TenantSpec, TierTopology, TierUsage, WorkingSet,
+    LiveRebalanceConfig, MarkovArrivals, PrefetchModel, Rebalancer, RecMgConfig, Request,
+    RequestSource, ServeOptions, SessionBuilder, SessionReport, ShardRouter, ShardedRecMgSystem,
+    SketchConfig, SlaBudget, StatisticalPlacement, SystemBuilder, TableArraySpec, TenantSpec,
+    TierTopology, TierUsage, WorkingSet,
 };
 use recmg_dlrm::BufferManager;
 use recmg_trace::{RowId, TableId, VectorKey};
@@ -51,7 +50,7 @@ const INLINE: ServeOptions = ServeOptions {
     guidance: GuidanceMode::Inline,
 };
 
-/// Shards of every section but `sdm_ladder` and the replication isolate.
+/// Shards of every section but `sdm_ladder`.
 const SHARDS: usize = 8;
 
 /// Renders one section object: its scalar members, its methodology note,
@@ -124,7 +123,7 @@ fn keys_on_shards(router: &ShardRouter, targets: &[usize], n: usize, salt: u64) 
 }
 
 /// Cumulative hit-weighted cost of the system's whole history, rebalance
-/// and replica charges included.
+/// charges included.
 fn total_cost_ns(sys: &ShardedRecMgSystem) -> u64 {
     TierUsage::total_cost_ns(&sys.tier_usage())
 }
@@ -415,7 +414,7 @@ fn sdm_ladder(models: &Models, smoke: bool) -> Section {
 /// hot set, 1/3 cycles the background. The hot-set size picks the regime:
 /// 300 keys out-sizes every shard buffer (miss-dominated, the sketch
 /// stress case), 90 keys fits them (hit-dominated, where tier pricing
-/// and replication carry the cost). With `skew`, the hot keys split
+/// carries the cost). With `skew`, the hot keys split
 /// 3:2:1 across the trio instead of evenly — embedding-table popularity
 /// is never flat, and the gradient makes the fast-tier benefit ranking
 /// unambiguous: the lightest hot shard is *always* the one squeezed out
@@ -584,21 +583,13 @@ fn working_set_estimation(models: &Models, smoke: bool) -> Section {
 ///   [`Rebalancer::maybe_rebalance`] re-places on the pure phase-B delta;
 /// * `live` — one session with a [`LiveRebalanceConfig`]: the background
 ///   rebalancer detects the flip by phase trigger and re-places under
-///   load (the quiescent shard move, under each moved shard's mutex),
-///   with sketch-driven read-hot replication on top.
+///   load (the quiescent shard move, under each moved shard's mutex).
 ///
 /// `hit_weighted_cost_ns` is the cumulative per-tier access cost
-/// including migration fills and replica charges/refunds, so live vs
+/// including migration fills, so live vs
 /// quiescent is an honest total-cost comparison; `p99_ns` is closed-loop
 /// per-request latency, which never sees the quiescent drains (those
 /// cost throughput, not in-flight latency).
-///
-/// The second row pair isolates replication on a single read-hot shard
-/// homed on the slow tier and too big for the fast one — migration has
-/// nothing to offer, so `move_only` (live config, no replication) pays
-/// the slow-tier hit cost forever while `replicated` (identical plus the
-/// default [`ReplicationPolicy`]) serves its celebrity keys from a
-/// fast-tier replica after paying the fill charges.
 fn online_rebalance(models: &Models, smoke: bool) -> Section {
     let batches_per_phase = if smoke { 60 } else { 300 };
     // The hit-dominated regime: 60 hot keys fit the hot shards' buffers,
@@ -610,9 +601,8 @@ fn online_rebalance(models: &Models, smoke: bool) -> Section {
     let build_system = || {
         // 96 fast vectors, deliberately tighter than the working-set
         // section's 50/50 split: the three hot shards cannot all fit the
-        // fast tier, so whoever is left on the slow tier is exactly the
-        // shard a read-hot replica can rescue — a structural edge
-        // move-only re-placement cannot match.
+        // fast tier, so placement has to pick which one pays slow-tier
+        // hits.
         models
             .builder(&codec_keys, 96)
             // The floor keeps a phase-cold shard large enough to re-warm
@@ -641,8 +631,8 @@ fn online_rebalance(models: &Models, smoke: bool) -> Section {
         session.drain()
     };
     // A strategy's row from the session(s) it was served through:
-    // completions add up, p99 is the worst session's, the migration and
-    // replication accounting is the last session's.
+    // completions add up, p99 is the worst session's, the migration
+    // accounting is the last session's.
     let row = |strategy: &'static str,
                drains: usize,
                sys: &ShardedRecMgSystem,
@@ -660,14 +650,12 @@ fn online_rebalance(models: &Models, smoke: bool) -> Section {
                 .unwrap_or_default(),
             cost_ns: total_cost_ns(sys),
             migration: last.migration,
-            replication: last.replication,
         };
         println!(
-            "online_rebalance/{strategy}: p99 {:.3}ms, cost {:.3}ms, {} migrations, {} replica hits",
+            "online_rebalance/{strategy}: p99 {:.3}ms, cost {:.3}ms, {} migrations",
             row.p99.as_secs_f64() * 1e3,
             row.cost_ns as f64 / 1e6,
             row.migration.migrations,
-            row.replication.replica_hits,
         );
         row
     };
@@ -702,19 +690,11 @@ fn online_rebalance(models: &Models, smoke: bool) -> Section {
     // follows the flip ranks on phase-B traffic, not a mixed history),
     // the phase trigger owns the flip edge, and a two-epoch cooldown
     // stops back-to-back fires from churning residency the workload
-    // just paid to warm. Replication thresholds admit the hot shards
-    // (~0.22 of fresh demand each) once their post-flip hit fractions
-    // recover; the dedicated replication rows below isolate that
-    // effect on a workload shaped for it.
+    // just paid to warm.
     let accesses_per_phase = (batches_per_phase * 60) as u64;
     let live_cfg = LiveRebalanceConfig::default()
         .with_min_new_accesses(accesses_per_phase / 2)
-        .with_cooldown(2 * epoch)
-        .with_replication(ReplicationPolicy {
-            unit: 64,
-            hot_share: 0.10,
-            read_dominance: 0.5,
-        });
+        .with_cooldown(2 * epoch);
     let flip_stream = [phase_a.clone(), phase_b.clone()].concat();
     let live = || {
         let (sys, report) = serve(build_system(), Some(live_cfg), flip_stream.clone());
@@ -722,59 +702,9 @@ fn online_rebalance(models: &Models, smoke: bool) -> Section {
     };
     rows.push(median_run(smoke, live, |row| row.p99));
 
-    // Replication isolate: 24 celebrity keys (plus a cold tail) on a
-    // single shard whose 256-vector buffer can never fit the 32-slot
-    // fast tier. The count trigger fires every 256 fresh accesses; only
-    // the second row lets the replication policy act on them.
-    let hot: Vec<VectorKey> = (0..24)
-        .map(|r| VectorKey::new(TableId(3), RowId(r)))
-        .collect();
-    let cold: Vec<VectorKey> = (0..60)
-        .map(|r| VectorKey::new(TableId(4), RowId(r)))
-        .collect();
-    let rounds = if smoke { 100 } else { 400 };
-    let rep_batches: Vec<Vec<VectorKey>> = (0..rounds)
-        .map(|r| {
-            let mut keys = hot.clone();
-            for i in 0..6 {
-                keys.push(cold[(r * 6 + i) % cold.len()]);
-            }
-            keys
-        })
-        .collect();
-    let isolate: Vec<ReplicaRow> = [("move_only", false), ("replicated", true)]
-        .into_iter()
-        .map(|(mode, replicate)| {
-            let sys = models
-                .builder(&hot, 32)
-                .shards(1)
-                .guidance(GuidanceMode::Inline)
-                .build();
-            let mut live = LiveRebalanceConfig::default()
-                .with_min_new_accesses(256)
-                .with_phase_threshold(None);
-            if replicate {
-                live = live.with_replication(ReplicationPolicy::default());
-            }
-            let (sys, report) = serve(sys, Some(live), rep_batches.clone());
-            let row = ReplicaRow {
-                mode,
-                completed: report.completed,
-                cost_ns: total_cost_ns(&sys),
-                replication: report.engine.replication,
-            };
-            println!(
-                "online_rebalance/replication/{mode}: cost {:.3}ms, {} replica hits, {} fills",
-                row.cost_ns as f64 / 1e6,
-                row.replication.replica_hits,
-                row.replication.replica_fills,
-            );
-            row
-        })
-        .collect();
     println!(
         "online_rebalance ok: {}",
-        check_online_rebalance(&rows, &isolate, smoke)?
+        check_online_rebalance(&rows, smoke)?
     );
     Ok(section(
         |w| {
@@ -782,25 +712,11 @@ fn online_rebalance(models: &Models, smoke: bool) -> Section {
             w.key("batches_per_phase").raw(batches_per_phase);
         },
         "phase-flip stream served closed-loop (2 outstanding, 2 workers); the live row \
-                 never drains (background phase-triggered migration + read-hot replication); \
-                 quiescent_reactive stops the world twice (flip snapshot, then maybe_rebalance 8 \
-                 batches into phase B); hit_weighted_cost_ns is cumulative per-tier access cost \
-                 including migration fills and replica charges; p99_ns is closed-loop \
-                 per-request latency",
-        |w| {
-            write_rows(w, "results", 4, &rows, RebalanceRow::write_json);
-            w.newline(4);
-            w.key("replication").object(|w| {
-                w.newline(6);
-                w.key("workload").string(
-                    "24-key read-hot set + cold tail on one slow-tier shard too big for the \
-                     fast tier",
-                );
-                w.newline(6);
-                write_rows(w, "results", 6, &isolate, ReplicaRow::write_json);
-                w.newline(4);
-            });
-        },
+                 never drains (background phase-triggered migration); quiescent_reactive stops \
+                 the world twice (flip snapshot, then maybe_rebalance 8 batches into phase B); \
+                 hit_weighted_cost_ns is cumulative per-tier access cost including migration \
+                 fills; p99_ns is closed-loop per-request latency",
+        |w| write_rows(w, "results", 4, &rows, RebalanceRow::write_json),
     ))
 }
 

@@ -21,8 +21,7 @@
 use std::time::Duration;
 
 use recmg_core::{
-    CalibrationReport, EngineReport, JsonWriter, MigrationReport, ReplicationReport, SessionReport,
-    TenantReport,
+    CalibrationReport, EngineReport, JsonWriter, MigrationReport, SessionReport, TenantReport,
 };
 
 /// A section's verdict: the summary printed after `<section> ok:`, or why
@@ -298,12 +297,10 @@ pub struct RebalanceRow {
     pub completed: u64,
     /// Closed-loop per-request p99.
     pub p99: Duration,
-    /// Cumulative per-tier cost, migration and replica charges included.
+    /// Cumulative per-tier cost, migration charges included.
     pub cost_ns: u64,
     /// Live-migration accounting.
     pub migration: MigrationReport,
-    /// Replication accounting.
-    pub replication: ReplicationReport,
 }
 
 impl RebalanceRow {
@@ -317,42 +314,15 @@ impl RebalanceRow {
             w.key("p99_ns").raw(self.p99.as_nanos());
             w.key("hit_weighted_cost_ns").raw(self.cost_ns);
             self.migration.write_json(w.key("migration"));
-            self.replication.write_json(w.key("replication"));
         });
     }
 }
 
-/// One row of `online_rebalance`'s replication isolate.
-#[derive(Debug, Clone, Default)]
-pub struct ReplicaRow {
-    /// `move_only` or `replicated`.
-    pub mode: &'static str,
-    /// Requests completed.
-    pub completed: u64,
-    /// Cumulative per-tier cost.
-    pub cost_ns: u64,
-    /// Replication accounting.
-    pub replication: ReplicationReport,
-}
-
-impl ReplicaRow {
-    /// Writes the row as one JSON object.
-    pub fn write_json(&self, w: &mut JsonWriter) {
-        w.object(|w| {
-            w.key("mode").string(self.mode);
-            w.key("completed").raw(self.completed);
-            w.key("hit_weighted_cost_ns").raw(self.cost_ns);
-            self.replication.write_json(w.key("replication"));
-        });
-    }
-}
-
-/// `online_rebalance`: the live row migrates without ever draining, the
-/// quiescent baseline pays its drains, and a replica beats move-only on
-/// the read-hot isolate. A full run also holds the live row to the
-/// quiescent row's total cost and to 2× the steady row's p99 — both
-/// wall-clock sensitive at smoke scale.
-pub fn check_online_rebalance(rows: &[RebalanceRow], isolate: &[ReplicaRow], smoke: bool) -> Check {
+/// `online_rebalance`: the live row migrates without ever draining and the
+/// quiescent baseline pays its drains. A full run also holds the live row
+/// to the quiescent row's total cost and to 2× the steady row's p99 —
+/// both wall-clock sensitive at smoke scale.
+pub fn check_online_rebalance(rows: &[RebalanceRow], smoke: bool) -> Check {
     let by = |name| named(rows, |r| r.strategy, name);
     let (steady, quiescent, live) = (by("steady")?, by("quiescent_reactive")?, by("live")?);
     ensure(live.drains == 0, || "live strategy must never drain".into())?;
@@ -373,27 +343,12 @@ pub fn check_online_rebalance(rows: &[RebalanceRow], isolate: &[ReplicaRow], smo
             )
         })?;
     }
-    let move_only = named(isolate, |r| r.mode, "move_only")?;
-    let replicated = named(isolate, |r| r.mode, "replicated")?;
-    ensure(replicated.replication.replica_hits > 0, || {
-        "replica never served a hit".into()
-    })?;
-    ensure(replicated.cost_ns <= move_only.cost_ns, || {
-        format!(
-            "replication regressed: {} vs move-only {}",
-            replicated.cost_ns, move_only.cost_ns
-        )
-    })?;
     Ok(format!(
-        "live {} vs quiescent {} ({:.1}% cheaper, {} migrations, {} replica hits); \
-         replication {} vs move-only {}",
+        "live {} vs quiescent {} ({:.1}% cheaper, {} migrations)",
         live.cost_ns,
         quiescent.cost_ns,
         pct_cheaper(live.cost_ns, quiescent.cost_ns),
-        live.migration.migrations,
-        live.replication.replica_hits,
-        replicated.cost_ns,
-        move_only.cost_ns
+        live.migration.migrations
     ))
 }
 
@@ -707,7 +662,6 @@ mod tests {
 
     #[test]
     fn median_run_judges_the_middle_repetition_not_an_outlier() {
-        let isolate = [replica("move_only", 0, 100), replica("replicated", 9, 60)];
         // Live p99 over three repetitions against a 100 µs steady row.
         let verdict = |live_p99_us: [u64; 3]| {
             let mut samples = live_p99_us.into_iter();
@@ -721,7 +675,7 @@ mod tests {
                 rebalance("quiescent_reactive", 2, 100, 90),
                 live,
             ];
-            check_online_rebalance(&rows, &isolate, false)
+            check_online_rebalance(&rows, false)
         };
         // One repetition over the 2x limit does not fail the section …
         assert!(verdict([150, 900, 180]).is_ok());
@@ -736,18 +690,6 @@ mod tests {
         assert_eq!(median_run(true, once, |&x| x), 1);
     }
 
-    fn replica(mode: &'static str, replica_hits: u64, cost_ns: u64) -> ReplicaRow {
-        ReplicaRow {
-            mode,
-            cost_ns,
-            replication: ReplicationReport {
-                replica_hits,
-                ..ReplicationReport::default()
-            },
-            ..ReplicaRow::default()
-        }
-    }
-
     #[test]
     fn online_rebalance_rejects_a_draining_or_costlier_live_row() {
         let rows = |live_drains, live_p99, live_cost| {
@@ -757,36 +699,24 @@ mod tests {
                 rebalance("live", live_drains, live_p99, live_cost),
             ]
         };
-        let isolate = |hits, cost| {
-            [
-                replica("move_only", 0, 100),
-                replica("replicated", hits, cost),
-            ]
-        };
-        let good = isolate(9, 60);
-        assert!(check_online_rebalance(&rows(0, 150, 80), &good, false).is_ok());
+        assert!(check_online_rebalance(&rows(0, 150, 80), false).is_ok());
         fails(
-            check_online_rebalance(&rows(1, 150, 80), &good, true),
+            check_online_rebalance(&rows(1, 150, 80), true),
             "never drain",
         );
         fails(
-            check_online_rebalance(&rows(0, 201, 80), &good, false),
+            check_online_rebalance(&rows(0, 201, 80), false),
             "exceeds 2x steady",
         );
         fails(
-            check_online_rebalance(&rows(0, 150, 91), &good, false),
+            check_online_rebalance(&rows(0, 150, 91), false),
             "must not cost more than quiescent",
         );
         // The two wall-clock comparisons are full-run only.
-        assert!(check_online_rebalance(&rows(0, 201, 91), &good, true).is_ok());
-        fails(
-            check_online_rebalance(&rows(0, 150, 80), &isolate(0, 60), true),
-            "never served a hit",
-        );
-        fails(
-            check_online_rebalance(&rows(0, 150, 80), &isolate(9, 101), true),
-            "replication regressed",
-        );
+        assert!(check_online_rebalance(&rows(0, 201, 91), true).is_ok());
+        let mut unmoved = rows(0, 150, 80);
+        unmoved[2].migration.migrations = 0;
+        fails(check_online_rebalance(&unmoved, true), "never migrated");
     }
 
     fn tenant(name: &str, submitted: u64, shed: u64, p99_us: u64) -> TenantReport {

@@ -316,26 +316,6 @@ impl RecMgBuffer {
         self.buffer.set_pinned_tables(tables);
     }
 
-    /// Adds a replica fill to the cumulative cost counter: real tier
-    /// traffic that did not pass through [`RecMgBuffer::access`] /
-    /// [`RecMgBuffer::load_embeddings`]. Hit/miss/fill *counts* never move
-    /// here — only cost — so demand conservation is unaffected.
-    pub(crate) fn charge_cost_ns(&mut self, ns: u64) {
-        self.traffic.cost_ns += ns;
-    }
-
-    /// Re-prices the most recent hit as served from a fast-tier replica:
-    /// refunds `hit_ns − served_hit_ns` from the cumulative cost (the hit
-    /// was already charged at this buffer's home-tier rate by
-    /// [`RecMgBuffer::access`]). Returns the nanoseconds saved (0 when the
-    /// replica tier is not cheaper). Counts stay canonical on the home
-    /// shard: replication only modulates *cost*, never hits/misses.
-    pub(crate) fn refund_hit(&mut self, served_hit_ns: u64) -> u64 {
-        let saved = self.cost.hit_ns.saturating_sub(served_hit_ns);
-        self.traffic.cost_ns = self.traffic.cost_ns.saturating_sub(saved);
-        saved
-    }
-
     /// Demand access on the critical path: classifies the access and, on a
     /// miss, fetches the vector on demand (evicting via Algorithm 2 if
     /// full). Newly fetched vectors enter at neutral priority
@@ -695,25 +675,6 @@ mod tests {
         let sat = a.delta_since(&m);
         assert_eq!((sat.hits, sat.misses, sat.cost_ns), (0, 0, 0));
         assert_eq!(sat.unique_keys, 4);
-    }
-
-    #[test]
-    fn refund_reprices_hit_without_touching_counts() {
-        let slow = TierCost::cxl_like();
-        let fast = TierCost::dram();
-        let mut b = priced(4, slow);
-        b.access(key(1)); // miss
-        b.access(key(1)); // hit at slow rate
-        let before = b.traffic();
-        let saved = b.refund_hit(fast.hit_ns);
-        assert_eq!(saved, slow.hit_ns - fast.hit_ns);
-        let after = b.traffic();
-        assert_eq!(after.cost_ns, before.cost_ns - saved);
-        assert_eq!((after.hits, after.misses), (before.hits, before.misses));
-        // A replica no cheaper than home refunds nothing.
-        assert_eq!(b.refund_hit(slow.hit_ns + 5), 0);
-        b.charge_cost_ns(17);
-        assert_eq!(b.traffic().cost_ns, after.cost_ns + 17);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use recmg_trace::VectorKey;
 use crate::backend::{CalibrationReport, FillPlaneReport};
 use crate::config::AdmissionPolicy;
 use crate::json::JsonWriter;
-use crate::migrate::{MigrationReport, ReplicationReport};
+use crate::migrate::MigrationReport;
 use crate::session::SessionBuilder;
 use crate::sharding::ShardedRecMgSystem;
 use crate::table_profile::TableReport;
@@ -180,9 +180,6 @@ pub struct EngineReport {
     /// Live-migration accounting (all zeros when the run had no
     /// [`crate::LiveRebalanceConfig`] attached).
     pub migration: MigrationReport,
-    /// Hot-shard replication accounting (all zeros without a
-    /// [`crate::ReplicationPolicy`]).
-    pub replication: ReplicationReport,
     /// Per-table demand profiles and placement decisions at end of run,
     /// sorted by table id — empty unless the system's placement policy
     /// profiles tables ([`crate::StatisticalPlacement`]).
@@ -235,7 +232,6 @@ impl EngineReport {
             w.key("unique_keys").raw(self.unique_keys);
             w.key("max_phase_score").fixed(self.max_phase_score, 4);
             self.migration.write_json(w.key("migration"));
-            self.replication.write_json(w.key("replication"));
             self.calibration.write_json(w.key("calibration"));
             self.fills.write_json(w.key("fills"));
             w.key("tiers").array(&self.tiers, TierUsage::write_json);
@@ -609,9 +605,6 @@ mod tests {
             "\"max_phase_score\"",
             "\"migration\"",
             "\"migrations\"",
-            "\"route_epoch\"",
-            "\"replication\"",
-            "\"replica_hits\"",
             "\"calibration\"",
             "\"fills\"",
             "\"queued\"",

@@ -60,9 +60,7 @@
 //!    [`SessionBuilder::live`] re-place shards without a drain — a
 //!    background rebalancer runs the quiescent planner and makes the
 //!    quiescent shard move under the shard mutex, which is the whole
-//!    fence between a move and the requests around it, and a
-//!    sketch-driven [`ReplicationPolicy`] gives read-hot slow-tier shards
-//!    fast-tier replicas whose entries decay on a route-epoch clock.
+//!    fence between a move and the requests around it.
 //! 9. **Statistical per-table placement** ([`table_profile`]): a
 //!    [`TableProfiler`] on the demand path builds per-table
 //!    [`TableProfile`]s (size, demand share, fitted power-law skew,
@@ -149,7 +147,7 @@ pub use engine::{EngineReport, GuidanceMode, GuidancePlaneReport, ServeOptions};
 pub use fast::{active_lane, FastScratch, KernelLane};
 pub use json::JsonWriter;
 pub use labeling::{build_training_data, Chunk, PrefetchExample, TrainingData};
-pub use migrate::{LiveRebalanceConfig, MigrationReport, ReplicationPolicy, ReplicationReport};
+pub use migrate::{LiveRebalanceConfig, MigrationReport};
 pub use prefetch_model::{
     FastPrefetchModel, PrefetchEval, PrefetchLoss, PrefetchModel, PrefetchTrainingReport,
 };

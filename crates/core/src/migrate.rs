@@ -1,4 +1,4 @@
-//! Live migration: zero-drain rebalancing and hot-shard replication.
+//! Live migration: zero-drain rebalancing.
 //!
 //! The quiescent [`Rebalancer`](crate::Rebalancer) detects a hot-set flip
 //! within ~1 sketch epoch and then has to wait for a session drain before
@@ -19,52 +19,29 @@
 //!   it. Moves are rare, planned events (a few per phase flip), so
 //!   a worker waiting out one rebuild costs less than any per-request
 //!   handshake would.
-//! * **Read-hot replication** ([`ReplicationPolicy`] / `ReplicaState`):
-//!   the working-set sketch decides
-//!   replication degree — shards that are hot *and* read-dominant get a
-//!   fast-tier replica of their celebrity keys, the way consistent-hash
-//!   fleets replicate celebrity keys. Admission is two-touch: a key
-//!   earns its replica slot on its second fresh primary hit, so a hot
-//!   set larger than the replica cannot churn it with one-touch fills.
-//!   Replica entries are stamped with the route epoch — a session clock
-//!   that ticks once per shard move, replica change and
-//!   [`refresh_routes`](crate::ServingSession::refresh_routes) call. A
-//!   primary miss (the "write") evicts the entry immediately, and entries
-//!   older than `TTL_EPOCHS` route epochs decay to absent. Counts stay
-//!   canonical on the home shard; replication only re-prices hits
-//!   ([`ReplicationReport`]).
 //!
 //! Demand conservation is the load-bearing invariant: every demand access
 //! is recorded exactly once on the shard's buffer under the shard mutex,
-//! replica fills never count as demand, and a move replaces only the
-//! storage — traffic counters and the sketch stay on the shard. A
-//! migration is therefore invisible to hit/miss totals (pinned by the
-//! 1-shard parity oracle in `tests/integration_migration.rs`).
+//! and a move replaces only the storage — traffic counters and the sketch
+//! stay on the shard. A migration is therefore invisible to hit/miss
+//! totals (pinned by the 1-shard parity oracle in
+//! `tests/integration_migration.rs`).
 //!
 //! [`RouteTable`], [`RouteEpoch`] and [`ShardRoute`] are not used by the
 //! serving path; they remain only because the benchmark harness times
 //! [`RouteTable::pin`] (`benchmark/src/micro.rs`).
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-use recmg_trace::VectorKey;
-
-use crate::buffer_mgmt::TierTraffic;
 use crate::json::JsonWriter;
-use crate::sharding::{GuidanceCtx, Shard};
+use crate::sharding::Shard;
 use crate::table_profile::TableProfiler;
 use crate::tier::{RebalanceTrigger, ShardPlacement, TierTopology};
 
 /// Trigger-poll interval of the live rebalancer's background thread.
 const CHECK_EVERY: Duration = Duration::from_micros(500);
-/// Maximum replication degree per shard.
-const MAX_DEGREE: usize = 4;
-/// Replica entries older than this many route epochs decay to absent
-/// (lease-style freshness through the epoch fence).
-const TTL_EPOCHS: u64 = 8;
 
 /// Per-shard serving route within one [`RouteEpoch`].
 ///
@@ -135,8 +112,7 @@ pub struct RouteTable {
     epoch: Arc<AtomicU64>,
     /// Reader pin counts, indexed by epoch parity.
     pins: [AtomicUsize; 2],
-    /// Serializes publishers (the rebalancer thread plus any manual
-    /// migration/replication calls).
+    /// Serializes publishers.
     writer: Mutex<()>,
 }
 
@@ -286,56 +262,6 @@ impl Drop for RouteTable {
 unsafe impl Send for RouteTable {}
 unsafe impl Sync for RouteTable {}
 
-/// Sketch-driven replication policy: how many fast-tier replica slots a
-/// hot, read-dominant shard earns.
-///
-/// Degree scales with the shard's share of fresh demand the way
-/// consistent-hash fleets scale celebrity-key replication with observed
-/// request share; the sketched per-window footprint caps the replica so
-/// it never out-sizes the keys it could usefully hold.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReplicationPolicy {
-    /// Replica slots granted per degree.
-    pub unit: usize,
-    /// Minimum share of fresh demand (0..1] for a shard to qualify.
-    pub hot_share: f64,
-    /// Minimum hit fraction of fresh demand — replicas accelerate reads;
-    /// a miss-heavy (write-like) stream invalidates faster than it
-    /// serves.
-    pub read_dominance: f64,
-}
-
-impl Default for ReplicationPolicy {
-    fn default() -> Self {
-        ReplicationPolicy {
-            unit: 32,
-            hot_share: 0.25,
-            read_dominance: 0.7,
-        }
-    }
-}
-
-impl ReplicationPolicy {
-    /// Replication degree for a shard with the given share of fresh
-    /// demand and hit fraction: 0 unless both thresholds qualify, then
-    /// `ceil(share × max)` clamped to `[1, max]`, for a maximum degree of
-    /// 4.
-    pub fn degree_for(&self, share: f64, hit_fraction: f64) -> usize {
-        if share < self.hot_share || hit_fraction < self.read_dominance {
-            return 0;
-        }
-        ((share * MAX_DEGREE as f64).ceil() as usize).clamp(1, MAX_DEGREE)
-    }
-
-    /// Replica capacity for a shard: `degree × unit`, capped by the
-    /// shard's sketched window footprint (replicating more slots than
-    /// distinct demanded keys is dead weight).
-    pub fn capacity_for(&self, share: f64, hit_fraction: f64, sketched_keys: u64) -> usize {
-        let degree = self.degree_for(share, hit_fraction);
-        (degree * self.unit).min(sketched_keys as usize)
-    }
-}
-
 /// Configuration of the session-embedded live rebalancer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LiveRebalanceConfig {
@@ -349,8 +275,6 @@ pub struct LiveRebalanceConfig {
     /// Minimum fresh accesses between any two fires — the cooldown that
     /// keeps a noisy phase score from thrashing placements.
     pub cooldown: u64,
-    /// Optional read-hot replication on top of migration.
-    pub replication: Option<ReplicationPolicy>,
 }
 
 impl Default for LiveRebalanceConfig {
@@ -359,7 +283,6 @@ impl Default for LiveRebalanceConfig {
             min_new_accesses: 0,
             phase_threshold: Some(0.5),
             cooldown: 256,
-            replication: None,
         }
     }
 }
@@ -383,12 +306,6 @@ impl LiveRebalanceConfig {
         self
     }
 
-    /// Enables sketch-driven read-hot replication.
-    pub fn with_replication(mut self, policy: ReplicationPolicy) -> Self {
-        self.replication = Some(policy);
-        self
-    }
-
     /// The trigger the background loop polls.
     pub(crate) fn trigger(&self) -> RebalanceTrigger {
         RebalanceTrigger::new(self.min_new_accesses, self.phase_threshold, self.cooldown)
@@ -407,9 +324,6 @@ pub struct MigrationReport {
     /// Fill charges of the moves (`kept residents × destination
     /// fill_ns`), also added to each moved shard's cumulative cost.
     pub migration_cost_ns: u64,
-    /// The route-epoch clock at drain: one tick per shard move, replica
-    /// change and `refresh_routes` call (0 = nothing ever ticked).
-    pub route_epoch: u64,
 }
 
 impl MigrationReport {
@@ -419,68 +333,18 @@ impl MigrationReport {
             w.key("migrations").raw(self.migrations);
             w.key("resizes").raw(self.resizes);
             w.key("migration_cost_ns").raw(self.migration_cost_ns);
-            w.key("route_epoch").raw(self.route_epoch);
         });
     }
 }
 
-/// Replication activity of one session, reported alongside
-/// [`MigrationReport`]. All zero when replication was not enabled.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReplicationReport {
-    /// Shards holding a replica at session end.
-    pub replicated_shards: u64,
-    /// Hits re-priced at the replica tier's cost.
-    pub replica_hits: u64,
-    /// Copy-on-access fills into replicas.
-    pub replica_fills: u64,
-    /// Replica entries invalidated (primary-miss writes plus TTL decay).
-    pub invalidations: u64,
-    /// Total cost refunded by replica-served hits.
-    pub saved_cost_ns: u64,
-    /// Total fill cost charged for replica warming.
-    pub replica_cost_ns: u64,
-}
-
-impl ReplicationReport {
-    /// Writes the counters as one JSON object.
-    pub fn write_json(&self, w: &mut JsonWriter) {
-        w.object(|w| {
-            w.key("replicated_shards").raw(self.replicated_shards);
-            w.key("replica_hits").raw(self.replica_hits);
-            w.key("replica_fills").raw(self.replica_fills);
-            w.key("invalidations").raw(self.invalidations);
-            w.key("saved_cost_ns").raw(self.saved_cost_ns);
-            w.key("replica_cost_ns").raw(self.replica_cost_ns);
-        });
-    }
-
-    /// Adds `other`'s counters into `self` (a replica retiring into the
-    /// session totals).
-    pub(crate) fn accumulate(&mut self, other: &ReplicationReport) {
-        self.replicated_shards += other.replicated_shards;
-        self.replica_hits += other.replica_hits;
-        self.replica_fills += other.replica_fills;
-        self.invalidations += other.invalidations;
-        self.saved_cost_ns += other.saved_cost_ns;
-        self.replica_cost_ns += other.replica_cost_ns;
-    }
-}
-
-/// Shared state of a live-rebalancing session: the route-epoch clock, the
-/// session totals, and the rebalancer's stop flag.
+/// Shared state of a live-rebalancing session: the session totals and the
+/// rebalancer's stop flag.
 #[derive(Debug)]
 pub(crate) struct LiveState {
     pub(crate) cfg: LiveRebalanceConfig,
-    /// The route-epoch clock replica TTLs run on, shared with every
-    /// replica. Ticks once per shard move, replica change and
-    /// [`refresh_routes`](crate::ServingSession::refresh_routes) call.
-    epoch: Arc<AtomicU64>,
     /// Session totals. They change only when a shard moves or re-sizes in
-    /// place, or a replica retires; the session fills in `route_epoch`
-    /// and the still-installed replicas at drain. Taken after any shard
-    /// lock, never before one.
-    pub(crate) totals: Mutex<(MigrationReport, ReplicationReport)>,
+    /// place. Taken after any shard lock, never before one.
+    totals: Mutex<MigrationReport>,
     pub(crate) stop: AtomicBool,
     /// Shard locks the rebalancer is waiting for. A std mutex lets a
     /// worker that just released a shard take it straight back, so under
@@ -496,7 +360,6 @@ impl LiveState {
     pub(crate) fn new(cfg: LiveRebalanceConfig) -> Self {
         LiveState {
             cfg,
-            epoch: Arc::new(AtomicU64::new(0)),
             totals: Mutex::default(),
             stop: AtomicBool::new(false),
             wanted: AtomicUsize::new(0),
@@ -524,26 +387,15 @@ impl LiveState {
         shards.iter().map(|s| read(&self.lock(s))).collect()
     }
 
-    fn totals(&self) -> std::sync::MutexGuard<'_, (MigrationReport, ReplicationReport)> {
+    pub(crate) fn totals(&self) -> MutexGuard<'_, MigrationReport> {
         self.totals.lock().expect("live totals lock poisoned")
-    }
-
-    /// The current route epoch.
-    pub(crate) fn route_epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    /// Advances the route-epoch clock; returns the new epoch.
-    pub(crate) fn tick(&self) -> u64 {
-        self.epoch.fetch_add(1, Ordering::AcqRel) + 1
     }
 }
 
 /// Moves shard `sid` to `placement` while requests flow: the quiescent
 /// shard move, under the shard mutex. The destination tier is resolved
 /// before the lock is taken, so an out-of-range tier panics without
-/// poisoning the shard. Ticks the route epoch and counts the move and its
-/// charge.
+/// poisoning the shard. Counts the move and its charge.
 pub(crate) fn migrate_shard(
     live: &LiveState,
     shards: &[Mutex<Shard>],
@@ -557,53 +409,16 @@ pub(crate) fn migrate_shard(
         shard.tier = placement.tier;
         shard.buffer.commit_move(to, placement.capacity.max(1))
     };
-    live.tick();
-    let (migration, _) = &mut *live.totals();
+    let mut migration = live.totals();
     migration.migrations += 1;
     migration.migration_cost_ns += charge;
-}
-
-/// Installs, re-sizes, or removes shard `sid`'s fast-tier replica under
-/// the shard mutex (`capacity == 0` removes; a retired replica's counters
-/// fold into the session totals). Every change ticks the route epoch,
-/// the clock replica TTLs run on. Returns whether anything changed.
-pub(crate) fn set_replica(
-    live: &LiveState,
-    shards: &[Mutex<Shard>],
-    topology: &TierTopology,
-    sid: usize,
-    capacity: usize,
-) -> bool {
-    let changed = {
-        let mut shard = live.lock(&shards[sid]);
-        match (&mut shard.replica, capacity) {
-            (None, 0) => false,
-            (Some(_), 0) => {
-                let retired = shard.replica.take().expect("checked above");
-                live.totals().1.accumulate(&retired.report);
-                true
-            }
-            (Some(replica), cap) => replica.set_capacity(cap),
-            (None, cap) => {
-                let fast = topology.tier(0).cost;
-                let epoch = Arc::clone(&live.epoch);
-                shard.replica = Some(ReplicaState::new(cap, fast.hit_ns, fast.fill_ns, epoch));
-                true
-            }
-        }
-    };
-    if changed {
-        live.tick();
-    }
-    changed
 }
 
 /// The background live-rebalancer loop, run on its own thread for the
 /// lifetime of a live-enabled [`ServingSession`](crate::ServingSession):
 /// poll the trigger, run the shared planner on fresh traffic deltas and
 /// merged table profiles, install every shard's pin set, migrate shards
-/// whose tier changed and re-size those whose capacity did, and apply the
-/// replication policy.
+/// whose tier changed and re-size those whose capacity did.
 pub(crate) fn live_loop(live: &LiveState, system: &crate::ShardedRecMgSystem) {
     let (shards, ctx, router) = (&system.shards, &system.ctx, &system.router);
     let mut trigger = live.cfg.trigger();
@@ -637,208 +452,9 @@ pub(crate) fn live_loop(live: &LiveState, system: &crate::ShardedRecMgSystem) {
                 drop(shard);
                 migrate_shard(live, shards, &ctx.topology, sid, placement);
             } else if shard.apply_placement(placement, &ctx.topology) {
-                live.totals().0.resizes += 1;
+                live.totals().resizes += 1;
             }
         }
-        if let Some(policy) = live.cfg.replication {
-            replication_pass(live, shards, ctx, &policy, &deltas);
-        }
-    }
-}
-
-/// One replication-policy evaluation over fresh traffic deltas.
-fn replication_pass(
-    live: &LiveState,
-    shards: &[Mutex<Shard>],
-    ctx: &GuidanceCtx,
-    policy: &ReplicationPolicy,
-    deltas: &[TierTraffic],
-) {
-    let total: u64 = deltas.iter().map(TierTraffic::demand).sum();
-    if total == 0 {
-        return;
-    }
-    for (sid, delta) in deltas.iter().enumerate() {
-        if live.stop.load(Ordering::Acquire) {
-            return;
-        }
-        let demand = delta.demand();
-        let share = demand as f64 / total as f64;
-        let hit_fraction = if demand == 0 {
-            0.0
-        } else {
-            delta.hits as f64 / demand as f64
-        };
-        let in_fast_tier = live.lock(&shards[sid]).tier == 0;
-        // A shard already living in the fast tier gains nothing from a
-        // same-tier replica.
-        let capacity = if in_fast_tier {
-            0
-        } else {
-            policy.capacity_for(share, hit_fraction, delta.unique_keys)
-        };
-        set_replica(live, shards, &ctx.topology, sid, capacity);
-    }
-}
-
-/// Read-hot fast-tier replica of a shard's celebrity keys. Lives under
-/// the shard mutex; consulted by `Shard::record_access` after the primary
-/// classifies each demand access.
-///
-/// Entries are epoch-stamped against the session's route epoch: a primary
-/// miss (the write signal) invalidates immediately; an entry older than
-/// `TTL_EPOCHS` route epochs decays to absent (lease-style freshness —
-/// hammered keys get cheaply re-filled, abandoned ones age out).
-/// Admission is two-touch ([`ReplicaState::offer`]): a key fills only on
-/// its second fresh hit, so one-touch keys never churn the replica.
-#[derive(Debug)]
-pub(crate) struct ReplicaState {
-    capacity: usize,
-    hit_ns: u64,
-    fill_ns: u64,
-    epoch: Arc<AtomicU64>,
-    entries: HashMap<VectorKey, u64>,
-    /// Two-touch admission ledger: keys a primary hit has nominated but
-    /// that have not yet earned a replica slot (see
-    /// [`ReplicaState::offer`]). Bounded like `entries`.
-    candidates: HashMap<VectorKey, u64>,
-    /// This replica's activity (`replicated_shards` stays 0), folded into
-    /// the session totals when it retires.
-    pub(crate) report: ReplicationReport,
-}
-
-impl ReplicaState {
-    pub(crate) fn new(capacity: usize, hit_ns: u64, fill_ns: u64, epoch: Arc<AtomicU64>) -> Self {
-        ReplicaState {
-            capacity: capacity.max(1),
-            hit_ns,
-            fill_ns,
-            epoch,
-            entries: HashMap::new(),
-            candidates: HashMap::new(),
-            report: ReplicationReport::default(),
-        }
-    }
-
-    fn now(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    /// The replica tier's hit cost (what a replica-served hit is
-    /// re-priced to).
-    pub(crate) fn hit_ns(&self) -> u64 {
-        self.hit_ns
-    }
-
-    /// The replica tier's fill cost (charged per copy-on-access fill).
-    pub(crate) fn fill_ns(&self) -> u64 {
-        self.fill_ns
-    }
-
-    /// Current replica residency.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether `key` is replica-resident and fresh. A stale (decayed)
-    /// entry is removed and counted as an invalidation.
-    pub(crate) fn probe(&mut self, key: VectorKey) -> bool {
-        let now = self.now();
-        match self.entries.get(&key) {
-            Some(&stamp) if now.saturating_sub(stamp) < TTL_EPOCHS => true,
-            Some(_) => {
-                self.entries.remove(&key);
-                self.report.invalidations += 1;
-                false
-            }
-            None => false,
-        }
-    }
-
-    /// Copy-on-access admission: a key earns its replica slot on its
-    /// *second* fresh primary hit. The first hit only nominates the key
-    /// into the candidate ledger; the second (within the TTL) fills.
-    /// Without the gate, a shard whose hot set dwarfs the replica
-    /// capacity churns it — most hits pay `fill_ns` and displace an
-    /// entry that would have earned a refund, so enabling replication
-    /// could *raise* modeled cost on flat intra-shard distributions.
-    /// Two touches spend replica slots only on keys with demonstrated
-    /// re-reference. Returns whether the key was filled (the caller
-    /// charges the fill against the home buffer only then).
-    pub(crate) fn offer(&mut self, key: VectorKey) -> bool {
-        let now = self.now();
-        match self.candidates.get(&key) {
-            Some(&stamp) if now.saturating_sub(stamp) < TTL_EPOCHS => {
-                self.candidates.remove(&key);
-                self.fill(key);
-                true
-            }
-            _ => {
-                // First (or staled) touch: (re-)nominate, displacing the
-                // stalest candidate when the ledger is full.
-                if self.candidates.len() >= self.capacity && !self.candidates.contains_key(&key) {
-                    evict_stalest(&mut self.candidates);
-                }
-                self.candidates.insert(key, now);
-                false
-            }
-        }
-    }
-
-    /// Copy-on-access fill of a hit key, displacing the stalest entry
-    /// when full. Charges `fill_ns`.
-    pub(crate) fn fill(&mut self, key: VectorKey) {
-        if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
-            evict_stalest(&mut self.entries);
-        }
-        self.entries.insert(key, self.now());
-        self.report.replica_fills += 1;
-        self.report.replica_cost_ns += self.fill_ns;
-    }
-
-    /// Write invalidation: a primary miss means the replica copy (if any)
-    /// is no longer trustworthy — and neither is a pending nomination
-    /// (dropping it never counts as an invalidation; the replica never
-    /// held the key).
-    pub(crate) fn invalidate(&mut self, key: VectorKey) {
-        self.candidates.remove(&key);
-        if self.entries.remove(&key).is_some() {
-            self.report.invalidations += 1;
-        }
-    }
-
-    /// Re-sizes the replica, evicting stalest entries first. Returns
-    /// whether the capacity changed.
-    pub(crate) fn set_capacity(&mut self, capacity: usize) -> bool {
-        let capacity = capacity.max(1);
-        if capacity == self.capacity {
-            return false;
-        }
-        while self.entries.len() > capacity {
-            evict_stalest(&mut self.entries);
-            self.report.invalidations += 1;
-        }
-        // The candidate ledger shares the replica's bound; trimming
-        // nominations is not an invalidation (nothing was ever served).
-        while self.candidates.len() > capacity {
-            evict_stalest(&mut self.candidates);
-        }
-        self.capacity = capacity;
-        true
-    }
-}
-
-/// Removes the stalest entry (if any) of an epoch-stamped replica map —
-/// oldest stamp first, ties to the lower key so the victim never depends
-/// on hash order.
-fn evict_stalest(stamps: &mut HashMap<VectorKey, u64>) {
-    let victim = stamps
-        .iter()
-        .min_by_key(|&(&k, &stamp)| (stamp, k.as_u64()))
-        .map(|(&k, _)| k);
-    if let Some(victim) = victim {
-        stamps.remove(&victim);
     }
 }
 
@@ -846,7 +462,7 @@ fn evict_stalest(stamps: &mut HashMap<VectorKey, u64>) {
 mod tests {
     use super::*;
     use crate::config::SketchConfig;
-    use recmg_trace::{RowId, TableId};
+    use recmg_trace::{RowId, TableId, VectorKey};
 
     fn key(r: u64) -> VectorKey {
         VectorKey::new(TableId(0), RowId(r))
@@ -921,88 +537,6 @@ mod tests {
         assert_eq!(table.current_epoch(), 500);
     }
 
-    #[test]
-    fn replication_policy_degree_scales_with_share() {
-        let p = ReplicationPolicy::default();
-        // Below either threshold: no replica.
-        assert_eq!(p.degree_for(0.1, 0.99), 0);
-        assert_eq!(p.degree_for(0.9, 0.3), 0);
-        // Qualifying shards scale with demand share.
-        assert_eq!(p.degree_for(0.25, 0.9), 1);
-        assert_eq!(p.degree_for(0.5, 0.9), 2);
-        assert_eq!(p.degree_for(1.0, 1.0), 4);
-        // Capacity is sketch-capped.
-        assert_eq!(p.capacity_for(1.0, 1.0, 1_000), 4 * 32);
-        assert_eq!(p.capacity_for(1.0, 1.0, 10), 10);
-        assert_eq!(p.capacity_for(0.05, 1.0, 1_000), 0);
-    }
-
-    #[test]
-    fn replica_probe_fill_and_write_invalidation() {
-        let epoch = Arc::new(AtomicU64::new(0));
-        let mut rep = ReplicaState::new(2, 80, 300, Arc::clone(&epoch));
-        assert!(!rep.probe(key(1)));
-        rep.fill(key(1));
-        assert!(rep.probe(key(1)));
-        assert_eq!(rep.report.replica_cost_ns, 300);
-        // Capacity bound: filling a third key displaces the stalest.
-        rep.fill(key(2));
-        epoch.store(1, Ordering::Release);
-        rep.fill(key(3));
-        assert_eq!(rep.len(), 2);
-        assert!(!rep.probe(key(1)), "stalest entry displaced");
-        // Write invalidation.
-        rep.invalidate(key(3));
-        assert!(!rep.probe(key(3)));
-        assert!(rep.report.invalidations >= 1);
-    }
-
-    #[test]
-    fn replica_two_touch_admission_gates_fills() {
-        let epoch = Arc::new(AtomicU64::new(0));
-        let mut rep = ReplicaState::new(2, 80, 300, Arc::clone(&epoch));
-        // First touch nominates without filling (and without charging).
-        assert!(!rep.offer(key(1)));
-        assert_eq!(
-            (rep.report.replica_fills, rep.report.replica_cost_ns),
-            (0, 0)
-        );
-        assert!(!rep.probe(key(1)));
-        // Second fresh touch fills.
-        assert!(rep.offer(key(1)));
-        assert!(rep.probe(key(1)));
-        assert_eq!(rep.report.replica_fills, 1);
-        // A nomination staled past the TTL does not count as a touch:
-        // the key re-nominates and must re-earn its slot.
-        assert!(!rep.offer(key(2)));
-        epoch.store(TTL_EPOCHS, Ordering::Release);
-        assert!(!rep.offer(key(2)), "stale nomination re-nominates");
-        assert!(rep.offer(key(2)));
-        // A write drops the pending nomination too, without counting an
-        // invalidation (the replica never held the key).
-        assert!(!rep.offer(key(3)));
-        let inval_before = rep.report.invalidations;
-        rep.invalidate(key(3));
-        assert_eq!(rep.report.invalidations, inval_before);
-        assert!(!rep.offer(key(3)), "invalidated nomination starts over");
-    }
-
-    #[test]
-    fn replica_entries_decay_past_ttl_epochs() {
-        let epoch = Arc::new(AtomicU64::new(0));
-        let mut rep = ReplicaState::new(4, 80, 300, Arc::clone(&epoch));
-        rep.fill(key(7));
-        epoch.store(TTL_EPOCHS - 1, Ordering::Release);
-        assert!(rep.probe(key(7)), "within TTL");
-        epoch.store(TTL_EPOCHS, Ordering::Release);
-        let inval_before = rep.report.invalidations;
-        assert!(!rep.probe(key(7)), "decayed past the epoch fence");
-        assert_eq!(rep.report.invalidations, inval_before + 1);
-        // A refill restores service at the new epoch.
-        rep.fill(key(7));
-        assert!(rep.probe(key(7)));
-    }
-
     /// A live move is the quiescent move under the shard mutex: a move to
     /// a smaller capacity keeps the pinned table's cold rows, and a key
     /// whose async fill is still queued is not resident afterwards, so the
@@ -1053,12 +587,11 @@ mod tests {
             !moved.buffer.buffer().contains(queued),
             "a queued fill moved"
         );
-        let (migration, _) = *live.totals();
+        let migration = *live.totals();
         assert_eq!(migration.migrations, 1);
         assert_eq!(
             migration.migration_cost_ns,
             moved.buffer.len() as u64 * topology.tier(1).cost.fill_ns
         );
-        assert_eq!(live.route_epoch(), 1);
     }
 }

@@ -377,8 +377,8 @@ impl SessionBuilder {
     }
 
     /// Enables zero-quiescence live rebalancing: a background thread
-    /// watches the shards' sketches and re-places / replicates them while
-    /// requests flow ([`crate::migrate`]).
+    /// watches the shards' sketches and re-places them while requests
+    /// flow ([`crate::migrate`]).
     pub fn live(mut self, cfg: LiveRebalanceConfig) -> Self {
         self.live = Some(cfg);
         self
@@ -732,38 +732,6 @@ impl ServingSession {
         true
     }
 
-    /// Manually installs (or, with `capacity == 0`, removes) a fast-tier
-    /// replica on shard `shard`. Returns whether anything changed; `false`
-    /// also when the session was built without [`SessionBuilder::live`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    pub fn replicate_shard(&self, shard: usize, capacity: usize) -> bool {
-        let Some(live) = &self.shared.live else {
-            return false;
-        };
-        let system = &self.shared.system;
-        assert!(shard < system.shards.len(), "shard out of range");
-        migrate::set_replica(live, &system.shards, &system.ctx.topology, shard, capacity)
-    }
-
-    /// The current route epoch: the clock replica TTLs run on, one tick
-    /// per shard move, replica change and
-    /// [`refresh_routes`](ServingSession::refresh_routes) call (0 when
-    /// live rebalancing is off or nothing ticked yet).
-    pub fn route_epoch(&self) -> u64 {
-        self.shared.live.as_ref().map_or(0, LiveState::route_epoch)
-    }
-
-    /// Ticks the route epoch without changing anything else — advances
-    /// the clock replica-entry TTLs are measured against (useful for tests
-    /// pinning decay behaviour). Returns the new epoch; 0 when live
-    /// rebalancing is off.
-    pub fn refresh_routes(&self) -> u64 {
-        self.shared.live.as_ref().map_or(0, LiveState::tick)
-    }
-
     /// Closes the queue, serves everything already admitted, joins all
     /// threads, and returns the (warm) system together with the session
     /// report. The guidance a background plane still owed is computed
@@ -772,23 +740,9 @@ impl ServingSession {
         let plane = self.stop();
         let (mut engine, samples) = self.report(plane);
         let shared = &*self.shared;
-        let (migration, mut replication) =
-            shared.live.as_ref().map_or_else(Default::default, |live| {
-                let mut totals = *live.totals.lock().expect("live totals lock");
-                totals.0.route_epoch = live.route_epoch();
-                totals
-            });
-        // Strip replicas before handing the system back: replicas are a
-        // session-lifetime accelerator, not part of the durable placement.
-        // Their counters fold into the replication report.
-        for shard in shared.system.shards.iter() {
-            if let Some(replica) = shard.lock().expect("shard lock").replica.take() {
-                replication.replicated_shards += 1;
-                replication.accumulate(&replica.report);
-            }
+        if let Some(live) = &shared.live {
+            engine.migration = *live.totals();
         }
-        engine.migration = migration;
-        engine.replication = replication;
 
         let (sla, counters) = (shared.sla, &shared.counters);
         let latency = LatencySummary::from_durations(samples.iter().map(|s| s.latency).collect());
@@ -911,8 +865,8 @@ impl ServingSession {
 
     /// The engine report of the work since the mark, with the request
     /// samples it merged: the worker logs are taken, `plane` comes from
-    /// the landing, and the rest is read off the system (migration and
-    /// replication are the drain's to fill in).
+    /// the landing, and the rest is read off the system (migration is the
+    /// drain's to fill in).
     fn report(&self, plane: GuidancePlaneReport) -> (EngineReport, Vec<RequestSample>) {
         let (mut stats, mut samples) = (BatchAccessStats::default(), Vec::new());
         for log in &self.shared.logs {
@@ -937,7 +891,6 @@ impl ServingSession {
             unique_keys: system.unique_keys(),
             max_phase_score: system.max_phase_score(),
             migration: Default::default(),
-            replication: Default::default(),
             tables: system.table_report(),
             calibration: system.calibration_report().clone(),
             fills: system.fill_report().delta_since(&mark.fills),

@@ -369,12 +369,6 @@ pub(crate) struct Shard {
     /// the inline hot path allocates nothing per chunk (the background
     /// plane threads and pacing workers hold their own per-thread scratch).
     scratch: FastScratch,
-    /// Fast-tier replica of this shard's read-hot keys, installed by a
-    /// live session's [`ReplicationPolicy`](crate::ReplicationPolicy).
-    /// Lives under the same mutex as the shard, so replica bookkeeping is
-    /// exact with respect to the demand stream; stripped (and its
-    /// counters folded into the replication report) at session drain.
-    pub(crate) replica: Option<crate::migrate::ReplicaState>,
     /// Per-table demand profiler, installed by the builder when the
     /// placement policy asks for table profiles
     /// ([`PlacementPolicy::table_capacity`] > 0). Observes every demand
@@ -412,7 +406,6 @@ impl Shard {
             guided_chunks: 0,
             unguided_chunks: 0,
             scratch: FastScratch::default(),
-            replica: None,
             profiler: None,
         }
     }
@@ -440,36 +433,17 @@ impl Shard {
     }
 
     /// Demand access bookkeeping.
-    ///
-    /// When a fast-tier replica is installed, a hit on a fresh
-    /// replica-resident key is re-priced at the replica tier's cost
-    /// (counts stay canonical on the home shard — replication never
-    /// changes hit/miss totals), other hits are offered to the replica's
-    /// two-touch admission (the second fresh hit copies the key in and
-    /// charges the fill), and a miss write-invalidates the replica entry.
     fn record_access(&mut self, key: VectorKey, stats: &mut BatchAccessStats) {
         if let Some(profiler) = self.profiler.as_mut() {
             profiler.observe(key);
         }
-        let outcome = self.buffer.access(key);
-        match outcome {
+        match self.buffer.access(key) {
             BufferAccess::CacheHit => stats.cache_hits += 1,
             BufferAccess::PrefetchHit => {
                 stats.prefetch_hits += 1;
                 self.prefetch_hits_seen += 1;
             }
             BufferAccess::Miss => stats.misses += 1,
-        }
-        if let Some(replica) = self.replica.as_mut() {
-            if outcome == BufferAccess::Miss {
-                replica.invalidate(key);
-            } else if replica.probe(key) {
-                let saved = self.buffer.refund_hit(replica.hit_ns());
-                replica.report.replica_hits += 1;
-                replica.report.saved_cost_ns += saved;
-            } else if replica.offer(key) {
-                self.buffer.charge_cost_ns(replica.fill_ns());
-            }
         }
     }
 

@@ -1,5 +1,5 @@
-//! Zero-quiescence rebalancing: a serving session that re-places, resizes,
-//! and replicates its shards *while requests are in flight*.
+//! Zero-quiescence rebalancing: a serving session that re-places and
+//! resizes its shards *while requests are in flight*.
 //!
 //! An 8-shard system over a DRAM + CXL-like topology serves a phase-flip
 //! workload: a skewed hot set (3:2:1 across three shards) that moves to
@@ -11,8 +11,7 @@
 //!   ([`SessionBuilder::live`]) watches the per-shard sketches and,
 //!   on count/phase-trigger fires, moves shards to better
 //!   tiers/capacities under each shard's own mutex (the quiescent shard
-//!   move, no drain) and replicates read-hot slow-tier shards into fast
-//!   memory.
+//!   move, no drain).
 //!
 //! Every copy the migrator makes is charged into the same hit-weighted
 //! cost counters the serving path uses, so the comparison is honest: the
@@ -22,9 +21,8 @@
 
 use recmg_repro::core::{
     AdmissionPolicy, BatchSource, CachingModel, CardinalityWorkingSet, ClosedLoopSource,
-    FrequencyRankCodec, GuidanceMode, LiveRebalanceConfig, MemoryTier, RecMgConfig,
-    ReplicationPolicy, SessionBuilder, ShardRouter, ShardedRecMgSystem, SketchConfig,
-    SystemBuilder, TierCost, TierTopology,
+    FrequencyRankCodec, GuidanceMode, LiveRebalanceConfig, MemoryTier, RecMgConfig, SessionBuilder,
+    ShardRouter, ShardedRecMgSystem, SketchConfig, SystemBuilder, TierCost, TierTopology,
 };
 use recmg_repro::trace::{RowId, TableId, VectorKey};
 
@@ -109,12 +107,7 @@ fn main() {
             builder = builder.live(
                 LiveRebalanceConfig::default()
                     .with_min_new_accesses(accesses_per_phase / 2)
-                    .with_cooldown(2 * EPOCH)
-                    .with_replication(ReplicationPolicy {
-                        unit: 64,
-                        hot_share: 0.10,
-                        read_dominance: 0.5,
-                    }),
+                    .with_cooldown(2 * EPOCH),
             );
         }
         let session = builder.build(build_system(&caching, &codec_keys));
@@ -138,20 +131,11 @@ fn main() {
         );
         if live {
             let m = &report.engine.migration;
-            let r = &report.engine.replication;
             println!(
-                "         {} migrations, {} resizes, route epoch {}, {:.3}ms charged fill cost",
+                "         {} migrations, {} resizes, {:.3}ms charged fill cost",
                 m.migrations,
                 m.resizes,
-                m.route_epoch,
                 m.migration_cost_ns as f64 / 1e6,
-            );
-            println!(
-                "         {} replica hits saved {:.3}ms ({} fills, {} invalidations)",
-                r.replica_hits,
-                r.saved_cost_ns as f64 / 1e6,
-                r.replica_fills,
-                r.invalidations,
             );
             for i in 0..sys.num_shards() {
                 // The buffer guard holds the shard's lock: read the
@@ -172,9 +156,8 @@ fn main() {
         "\nThe live session never drains: triggers fire mid-stream, shards are\n\
          moved to their new tier under their own mutex while the other shards\n\
          keep serving, and a request sees each shard before or after a move.\n\
-         The flip's new hot shards get promoted (and the squeezed-out one\n\
-         replicated) within a sketch epoch or two, which is where the cost gap\n\
-         comes from.\n\
+         The flip's new hot shards get promoted within a sketch epoch or two,\n\
+         which is where the cost gap comes from.\n\
          The serving bench's online_rebalance section runs this same scenario\n\
          against a drain-based reactive baseline: `cargo bench -p recmg-bench\n\
          --bench serving`."

@@ -13,14 +13,12 @@
 //!   (which the move preserves exactly) is the only thing that matters,
 //!   independent of eviction tie-breaking.
 //! * **Conservation under concurrency**: workers hammer all shards while
-//!   the main thread flips tiers and toggles replicas mid-flight; every
-//!   submitted key is served exactly once (no lost or duplicated hits),
-//!   pinned both as a stress test and as a property over random key
-//!   streams.
-//! * **Replica freshness**: a fast-tier replica re-prices hits of a
-//!   slow-tier shard (cost refund, counts untouched), and its entries
-//!   decay once the route-epoch clock outruns the TTL — decayed entries
-//!   count as invalidations and must be re-filled before serving again.
+//!   the main thread flips tiers mid-flight; every submitted key is
+//!   served exactly once (no lost or duplicated hits), pinned both as a
+//!   stress test and as a property over random key streams.
+//! * **The background loop**: with a count trigger and no manual move,
+//!   the live rebalancer's own trigger → plan → move path puts the shards
+//!   on the tiers its placement asks for while requests flow.
 //! * **Storage hygiene**: a migration stress over file-backed tiers swaps
 //!   shard storage (the shard-move commit) on every tier flip; once the
 //!   session drains and the system drops, every `mmap`/file backing
@@ -32,7 +30,9 @@
 //!   locked, so the session keeps serving and drains cleanly.
 
 use std::collections::HashSet;
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
@@ -45,8 +45,8 @@ use recmg_repro::core::{
 use recmg_repro::dlrm::{BatchAccessStats, BufferManager};
 use recmg_repro::trace::{RowId, SyntheticConfig, TableId, TraceStats, VectorKey};
 
-/// A live config with every automatic trigger disabled: migrations and
-/// replicas move only when a test says so.
+/// A live config with every automatic trigger disabled: shards move only
+/// when a test says so.
 fn manual_live() -> LiveRebalanceConfig {
     LiveRebalanceConfig {
         min_new_accesses: 0,
@@ -137,17 +137,16 @@ fn one_shard_live_migration_matches_sequential_results_exactly() {
     assert_eq!(report.engine.stats, ref_stats, "migration changed results");
     assert_eq!(system.prefetches_issued(), reference.prefetches_issued());
     assert_eq!(report.engine.migration.migrations, flips);
-    assert_eq!(report.engine.migration.route_epoch, flips);
     assert!(report.engine.migration.migration_cost_ns > 0);
     // Odd number of batches left the shard wherever the last flip put it.
     assert_eq!(system.shard_tier(0), (flips as usize) % 2);
 }
 
-/// Workers hammer every shard while the main thread flips tiers and
-/// toggles replicas mid-flight: every submitted key is served exactly
-/// once — totals conserve with zero lost or duplicated hits.
+/// Workers hammer every shard while the main thread flips tiers
+/// mid-flight: every submitted key is served exactly once — totals
+/// conserve with zero lost or duplicated hits.
 #[test]
-fn concurrent_migrations_and_replicas_conserve_every_access() {
+fn concurrent_migrations_conserve_every_access() {
     const REQUESTS: u64 = 200;
     const KEYS_PER_REQUEST: usize = 32;
 
@@ -176,7 +175,6 @@ fn concurrent_migrations_and_replicas_conserve_every_access() {
 
     // Flip routes while the workers chew through the queue.
     let mut flips = 0u64;
-    let mut replica_on = false;
     while session.completed_requests() < REQUESTS {
         let sid = (flips % 4) as usize;
         session.migrate_shard(
@@ -186,8 +184,6 @@ fn concurrent_migrations_and_replicas_conserve_every_access() {
                 tier: (flips / 4).is_multiple_of(2) as usize,
             },
         );
-        session.replicate_shard(2, if replica_on { 0 } else { 16 });
-        replica_on = !replica_on;
         flips += 1;
     }
     let (system, report) = session.drain();
@@ -205,7 +201,6 @@ fn concurrent_migrations_and_replicas_conserve_every_access() {
         "shard demand counters drifted from served totals"
     );
     assert_eq!(report.engine.migration.migrations, flips);
-    assert!(report.engine.migration.route_epoch > 0);
 }
 
 /// Migration stress over file-backed tiers: every route flip swaps the
@@ -300,88 +295,13 @@ fn file_backed_migration_stress_leaks_no_backing_files() {
     );
 }
 
-/// A fast-tier replica on a slow-tier shard re-prices hits without
-/// touching counts, and its entries decay once the route-epoch clock
-/// outruns the TTL: decayed probes count as invalidations and force a
-/// re-fill before the replica serves again.
-#[test]
-fn replica_hits_save_cost_and_decay_past_ttl() {
-    let system = untrained_system(1, 16, 240);
-    let shard_capacity = system.capacity();
-    let session = SessionBuilder::new()
-        .workers(1)
-        .guidance(GuidanceMode::Inline)
-        .admission(AdmissionPolicy::unbounded())
-        .live(manual_live())
-        .build(system);
-
-    // Home the shard on the slow tier, then give it a small fast-tier
-    // replica for its celebrity keys.
-    assert!(session.migrate_shard(
-        0,
-        ShardPlacement {
-            capacity: shard_capacity,
-            tier: 1,
-        }
-    ));
-    assert!(session.replicate_shard(0, 8));
-
-    let hot: Vec<VectorKey> = (0..8)
-        .map(|r| VectorKey::new(TableId(0), RowId(r)))
-        .collect();
-    let mut next_id = 0u64;
-    let mut serve_hot = |rounds: u64| {
-        for _ in 0..rounds {
-            session
-                .submit(request(next_id, hot.clone()))
-                .expect("unbounded admission");
-            next_id += 1;
-            while session.completed_requests() < next_id {
-                std::thread::yield_now();
-            }
-        }
-    };
-
-    // Round 1 faults the keys in (replica untouched); round 2 nominates
-    // them (two-touch admission), round 3 fills, round 4 serves from the
-    // replica.
-    serve_hot(4);
-
-    // Advance the epoch clock past the replica TTL (default policy: 8
-    // epochs): every replica entry is now stale.
-    for _ in 0..9 {
-        session.refresh_routes();
-    }
-    // First post-decay round invalidates + re-nominates, the second
-    // re-fills, the third hits again.
-    serve_hot(3);
-
-    let (_, report) = session.drain();
-    // One migration + one replica install + nine refreshes.
-    assert_eq!(report.engine.migration.route_epoch, 11);
-    let replication = report.engine.replication;
-    assert_eq!(replication.replicated_shards, 1);
-    assert!(
-        replication.replica_fills >= 16,
-        "initial fill + post-decay re-fill: {replication:?}"
-    );
-    assert!(
-        replication.invalidations >= 8,
-        "decayed entries must count as invalidations: {replication:?}"
-    );
-    assert!(replication.replica_hits > 0);
-    assert!(replication.saved_cost_ns > 0, "fast-tier refund missing");
-    assert!(replication.replica_cost_ns > 0, "fills are not free");
-    // Counts stay canonical: every access of every round is accounted.
-    assert_eq!(report.engine.stats.total(), next_id * hot.len() as u64);
-}
-
 /// A placement script: `before` until the policy has observations,
-/// `after` from then on.
+/// `after` from then on. `planned` counts the calls that had them.
 #[derive(Debug)]
 struct Scripted {
     before: Vec<ShardPlacement>,
     after: Vec<ShardPlacement>,
+    planned: Arc<AtomicUsize>,
 }
 
 impl PlacementPolicy for Scripted {
@@ -393,6 +313,7 @@ impl PlacementPolicy for Scripted {
         if stats.iter().all(|t| t.demand() == 0) {
             self.before.clone()
         } else {
+            self.planned.fetch_add(1, Ordering::AcqRel);
             self.after.clone()
         }
     }
@@ -410,6 +331,7 @@ fn live_and_quiescent_moves_agree() {
     let script = || Scripted {
         before: vec![place(24, 0), place(24, 1)],
         after: vec![place(40, 1), place(24, 0)],
+        planned: Arc::default(),
     };
     let build = || {
         let cfg = RecMgConfig::tiny();
@@ -486,6 +408,79 @@ fn live_and_quiescent_moves_agree() {
             }
         }
     }
+}
+
+/// The background rebalancer runs trigger → plan → move on its own: each
+/// count-trigger fire plans from fresh traffic and moves every shard
+/// whose tier changed, while requests flow. Nothing here calls
+/// `migrate_shard`.
+#[test]
+fn the_live_rebalancer_moves_a_shard_on_its_count_trigger() {
+    const KEYS_PER_REQUEST: u64 = 16;
+    let place = |capacity, tier| ShardPlacement { capacity, tier };
+    let script = Scripted {
+        before: vec![place(24, 0), place(24, 1)],
+        after: vec![place(24, 1), place(24, 0)],
+        planned: Arc::default(),
+    };
+    let planned = Arc::clone(&script.planned);
+    let cfg = RecMgConfig::tiny();
+    let caching = CachingModel::new(&cfg);
+    let codec = FrequencyRankCodec::from_accesses(&[VectorKey::new(TableId(0), RowId(1))]);
+    let system = SystemBuilder::new(&caching, None, codec)
+        .shards(2)
+        .topology(TierTopology::two_tier(64, 64))
+        .placement(script)
+        .guidance(GuidanceMode::Inline)
+        .build();
+    let session = SessionBuilder::new()
+        .workers(1)
+        .guidance(GuidanceMode::Inline)
+        .admission(AdmissionPolicy::unbounded())
+        .live(
+            LiveRebalanceConfig::default()
+                .with_min_new_accesses(4 * KEYS_PER_REQUEST)
+                .with_phase_threshold(None)
+                .with_cooldown(KEYS_PER_REQUEST),
+        )
+        .build(system);
+
+    // Serve closed-loop until the loop has planned twice: it moves the
+    // first fire's shards before it polls the trigger again, so a second
+    // plan means the first fire's moves have landed.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut submitted = 0u64;
+    while planned.load(Ordering::Acquire) < 2 && Instant::now() < deadline {
+        let keys = (0..KEYS_PER_REQUEST)
+            .map(|i| VectorKey::new(TableId((i % 4) as u32), RowId((submitted * 5 + i) % 90)))
+            .collect();
+        session
+            .submit(request(submitted, keys))
+            .expect("unbounded admission");
+        submitted += 1;
+        while session.completed_requests() < submitted {
+            std::thread::yield_now();
+        }
+    }
+    let (system, report) = session.drain();
+
+    assert!(
+        planned.load(Ordering::Acquire) >= 2,
+        "the count trigger did not fire twice in {submitted} requests"
+    );
+    assert_eq!(
+        (system.shard_tier(0), system.shard_tier(1)),
+        (1, 0),
+        "the loop left the shards off the script's tiers"
+    );
+    assert!(report.engine.migration.migrations >= 1);
+    let stats = report.engine.stats;
+    let keys_in = submitted * KEYS_PER_REQUEST;
+    assert_eq!(
+        stats.cache_hits + stats.prefetch_hits + stats.misses,
+        keys_in
+    );
+    assert_eq!(system.demand_accesses(), keys_in);
 }
 
 /// An out-of-range tier panics before the shard is locked: the shard is
